@@ -24,12 +24,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .current import ClassicalElement, CurrentAlgebra, cpack
+from .current import ClassicalElement, CurrentAlgebra
 from .drinfeld import DrinfeldTable
 from .errors import DegreeCapError
 from .linalg import BitEchelon
 from .report import Report
-from .rtt import Element, RTTAlgebra, word_degree, word_loop_degree
+from .rtt import Element, RTTAlgebra, pack, word_degree, word_loop_degree
 from .series import YSeries, series_mul, series_shift
 
 
@@ -191,10 +191,6 @@ def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientM
                          dim_super == expected and pivots_in_nonsuper)
 
 
-def super_normal_form(x: Element, quotient: QuotientModel) -> Element:
-    return quotient.reduce(x)
-
-
 def quotient_report(quotient: QuotientModel) -> Report:
     report = Report("super-quotient",
                     config={"m": quotient.alg.shape.m,
@@ -221,7 +217,7 @@ def gr_leading_term(x: Element, d: int, classical: CurrentAlgebra) -> ClassicalE
             raise ValueError(f"element has loop degree {ld} > {d}")
         if ld == d:
             top_words.append(tuple(
-                cpack(g >> 16, (g >> 8) & 0xFF, (g & 0xFF) - 1) for g in w))
+                pack(g >> 16, (g >> 8) & 0xFF, (g & 0xFF) - 1) for g in w))
     return classical.normal_form(top_words)
 
 

@@ -9,7 +9,9 @@ order is the (i, j, r) lexicographic normal-form order.  The bracket is
 truncated to zero once r + s reaches T.  The superstructure in
 characteristic 2 is the quadratic map Q = matrix squaring restricted to
 the odd part, and the enveloping algebra used throughout is the super
-one: odd basis squares rewrite to Q(basis) = 0.
+one: odd basis squares rewrite to Q(basis) = 0.  Normal forms come from
+the straightening kernel shared with the RTT algebra (``rtt.straighten``),
+which kills those squares because the odd symbols are its ``nilsquare``.
 
 The truncation is a genuine quotient Lie superalgebra (the ideal t^T g is
 stable under both the bracket and the squaring map), so every identity
@@ -20,14 +22,7 @@ from __future__ import annotations
 
 from .linalg import BitEchelon
 from .report import Report
-
-
-def cpack(i: int, j: int, r: int) -> int:
-    return (i << 16) | (j << 8) | r
-
-
-def cunpack(g: int) -> tuple[int, int, int]:
-    return (g >> 16, (g >> 8) & 0xFF, g & 0xFF)
+from .rtt import FIELD_LIMIT, pack, straighten, unpack
 
 
 def render_cword(word) -> str:
@@ -86,11 +81,15 @@ class CurrentAlgebra:
     def __init__(self, m: int, n: int, trunc: int):
         if m < 1 or n < 1 or trunc < 1:
             raise ValueError("need m, n >= 1 and truncation >= 1")
+        if trunc >= FIELD_LIMIT or m + n >= FIELD_LIMIT:
+            raise ValueError(f"truncation and block size must stay below "
+                             f"{FIELD_LIMIT}")
         self.m = m
         self.n = n
         self.trunc = trunc
         self.key = (m, n, trunc)
         self._nf_cache: dict = {}
+        self._odd = frozenset(g for g in self.generators() if self.gen_parity(g))
 
     @property
     def size(self) -> int:
@@ -111,7 +110,7 @@ class CurrentAlgebra:
         return sum(self.gen_parity(g) for g in word) % 2
 
     def generators(self) -> list[int]:
-        return [cpack(i, j, r)
+        return [pack(i, j, r)
                 for i in range(1, self.size + 1)
                 for j in range(1, self.size + 1)
                 for r in range(self.trunc)]
@@ -129,20 +128,20 @@ class CurrentAlgebra:
             raise ValueError(f"index ({i},{j}) out of range 1..{self.size}")
         if not 0 <= r < self.trunc:
             raise ValueError(f"t-exponent {r} out of range 0..{self.trunc - 1}")
-        return ClassicalElement(self, frozenset({(cpack(i, j, r),)}))
+        return ClassicalElement(self, frozenset({(pack(i, j, r),)}))
 
     # -- Lie structure ---------------------------------------------------------
 
     def _bracket_gens(self, a: int, b: int) -> frozenset:
-        i, j, r = cunpack(a)
-        k, l, s = cunpack(b)
+        i, j, r = unpack(a)
+        k, l, s = unpack(b)
         if r + s >= self.trunc:
             return frozenset()
         out: set = set()
         if k == j:
-            out ^= {(cpack(i, l, r + s),)}
+            out ^= {(pack(i, l, r + s),)}
         if l == i:
-            out ^= {(cpack(k, j, r + s),)}
+            out ^= {(pack(k, j, r + s),)}
         return frozenset(out)
 
     def bracket(self, x: ClassicalElement, y: ClassicalElement) -> ClassicalElement:
@@ -165,11 +164,11 @@ class CurrentAlgebra:
             raise ValueError("p_map is defined on Lie elements")
         acc: set = set()
         for (a,) in x.words:
-            i, j, r = cunpack(a)
+            i, j, r = unpack(a)
             for (b,) in x.words:
-                k, l, s = cunpack(b)
+                k, l, s = unpack(b)
                 if j == k and r + s < self.trunc:
-                    acc ^= {(cpack(i, l, r + s),)}
+                    acc ^= {(pack(i, l, r + s),)}
         return ClassicalElement(self, frozenset(acc))
 
     def quadratic_q(self, y: ClassicalElement) -> ClassicalElement:
@@ -182,49 +181,20 @@ class CurrentAlgebra:
 
     # -- super enveloping algebra ----------------------------------------------
 
-    def _nf_word(self, word: tuple) -> frozenset:
-        cache = self._nf_cache
-        hit = cache.get(word)
-        if hit is not None:
-            return hit
-        idx = -1
-        kill = False
-        for p in range(len(word) - 1):
-            a, b = word[p], word[p + 1]
-            if a > b:
-                idx = p
-                break
-            if a == b and self.gen_parity(a):
-                # odd basis square rewrites to Q(basis) = 0
-                idx = p
-                kill = True
-                break
-        if idx < 0:
-            result = frozenset({word})
-        elif kill:
-            result = frozenset()
-        else:
-            a, b = word[idx], word[idx + 1]
-            pre, post = word[:idx], word[idx + 2:]
-            acc = set(self._nf_word(pre + (b, a) + post))
-            for mid in self._bracket_gens(a, b):
-                acc ^= self._nf_word(pre + mid + post)
-            result = frozenset(acc)
-        cache[word] = result
-        return result
-
     def normal_form(self, words) -> ClassicalElement:
         acc: set = set()
         for w in words:
-            packed = tuple(g if isinstance(g, int) else cpack(*g) for g in w)
-            acc ^= self._nf_word(packed)
+            packed = tuple(g if isinstance(g, int) else pack(*g) for g in w)
+            acc ^= straighten(packed, self._nf_cache, self._bracket_gens,
+                              self._odd)
         return ClassicalElement(self, frozenset(acc))
 
     def multiply(self, x: ClassicalElement, y: ClassicalElement) -> ClassicalElement:
         acc: set = set()
+        cache, bracket, odd = self._nf_cache, self._bracket_gens, self._odd
         for wa in x.words:
             for wb in y.words:
-                acc ^= self._nf_word(wa + wb)
+                acc ^= straighten(wa + wb, cache, bracket, odd)
         return ClassicalElement(self, frozenset(acc))
 
     def commutator(self, x, y) -> ClassicalElement:
@@ -236,7 +206,7 @@ class CurrentAlgebra:
         """Sum of all diagonal symbols at one t-exponent."""
         if not 0 <= r < self.trunc:
             raise ValueError(f"t-exponent {r} out of range 0..{self.trunc - 1}")
-        words = frozenset({(cpack(i, i, r),) for i in range(1, self.size + 1)})
+        words = frozenset({(pack(i, i, r),) for i in range(1, self.size + 1)})
         return ClassicalElement(self, words)
 
     def xi(self, i: int, j: int, r: int) -> ClassicalElement:
@@ -424,7 +394,7 @@ def classical_suite(alg: CurrentAlgebra, seed: int, samples: int,
             for w in words_of_len(length):
                 total_words += 1
                 vec = 0
-                for nf_w in alg._nf_word(w):
+                for nf_w in alg.normal_form([w]).words:
                     vec |= 1 << index[nf_w]
                 ech.add(vec)
         report.add("pbw-count",
@@ -465,7 +435,7 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
     invariant_dim = len(basis) - action_rank
 
     # generated side: products of z_r (degree 1) and even squares (degree 2)
-    z_list = [frozenset({(cpack(i, i, r),) for i in range(1, alg.size + 1)})
+    z_list = [frozenset({(pack(i, i, r),) for i in range(1, alg.size + 1)})
               for r in range(alg.trunc)]
     squares = []
     for i in range(1, alg.size + 1):
@@ -473,7 +443,7 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
             if alg.parity(i, j) or (i, j) == (1, 1):
                 continue
             for r in range(alg.trunc):
-                g = cpack(i, j, r)
+                g = pack(i, j, r)
                 squares.append(frozenset({(g, g)}))
 
     products: list[frozenset] = []

@@ -17,6 +17,18 @@ drops the total degree (bracket terms) or keeps it while removing one
 inversion (the swap), so the rewrite terminates.  Confluence is certified
 empirically (associativity fuzz plus dimension counts), not re-proved.
 
+One kernel, ``straighten``, serves this algebra and the classical one.  A
+call finds the first out-of-order pair and carries its out-of-place
+generator through the already-ordered part of the word, swap by swap,
+adding the straightened bracket term of each swap; it then recurses once on
+the word where the generator came to rest.  That word is ordered one
+position further than the call's own, so chain recursion is bounded by the
+word length, not by the inversion count, and each bracket term starts a
+chain of lower degree.  Only chain heads are memoised: the intermediate
+words of a carry are never looked up again.  The rightmost strategy
+mirrors all of this and keeps its own cache, so comparing the two is
+evidence of confluence.
+
 Two degree functions coexist on every monomial: the canonical degree puts
 t[i,j,r] in degree r and governs the hard cap; the loop degree puts it in
 degree r-1 and feeds the classical leading-term bridge.
@@ -29,6 +41,10 @@ from dataclasses import dataclass
 
 from .errors import DegreeCapError
 from .report import Report
+
+
+# every packed field is 8 bits wide; larger indices would alias
+FIELD_LIMIT = 256
 
 
 def pack(i: int, j: int, r: int) -> int:
@@ -59,6 +75,57 @@ def render_words(words) -> str:
     return " + ".join(render_word(w) for w in sorted(words))
 
 
+def straighten(word: tuple, cache: dict, bracket, nilsquare=frozenset(),
+                rightmost: bool = False) -> frozenset:
+    """The set of ordered words whose sum equals *word*, memoised in *cache*.
+
+    ``bracket(a, b)`` gives the raw words of ab + ba for generators a > b;
+    a square of a generator in *nilsquare* rewrites to 0.  With
+    *rightmost* the last out-of-place pair is rewritten first instead of
+    the first one; results agree, but each strategy needs its own cache.
+    """
+    hit = cache.get(word)
+    if hit is not None:
+        return hit
+    last = len(word) - 1
+    for p in (range(last - 1, -1, -1) if rightmost else range(last)):
+        a, b = word[p], word[p + 1]
+        if a > b or (a == b and a in nilsquare):
+            break
+    else:
+        result = cache[word] = frozenset((word,))
+        return result
+    acc: set = set()
+    final = None
+    if a != b:
+        if rightmost:
+            # carry a rightwards through the ordered word[p+1:]
+            head = word[:p]
+            q = p + 1
+            while q <= last and a > word[q]:
+                for mid in bracket(a, word[q]):
+                    acc ^= straighten(head + word[p + 1:q] + mid + word[q + 1:],
+                                      cache, bracket, nilsquare, True)
+                q += 1
+            if q > last or a != word[q] or a not in nilsquare:
+                final = head + word[p + 1:q] + (a,) + word[q:]
+        else:
+            # carry b leftwards through the ordered word[:p+1]
+            tail = word[p + 2:]
+            q = p
+            while q >= 0 and word[q] > b:
+                for mid in bracket(word[q], b):
+                    acc ^= straighten(word[:q] + mid + word[q + 1:p + 1] + tail,
+                                      cache, bracket, nilsquare)
+                q -= 1
+            if q < 0 or word[q] != b or b not in nilsquare:
+                final = word[:q + 1] + (b,) + word[q + 1:p + 1] + tail
+    if final is not None:
+        acc ^= straighten(final, cache, bracket, nilsquare, rightmost)
+    result = cache[word] = frozenset(acc)
+    return result
+
+
 @dataclass(frozen=True)
 class Shape:
     """Block sizes m, n and the hard canonical-degree cap."""
@@ -72,6 +139,9 @@ class Shape:
             raise ValueError("block sizes m, n must be positive")
         if self.cap < 1:
             raise ValueError("degree cap must be positive")
+        if self.cap >= FIELD_LIMIT or self.size >= FIELD_LIMIT:
+            raise ValueError(f"degree cap and block size must stay below "
+                             f"{FIELD_LIMIT}")
 
     @property
     def size(self) -> int:
@@ -218,25 +288,19 @@ class RTTAlgebra:
         self._pair_cache[key] = result
         return result
 
-    def commutator_rtt(self, g1: tuple, g2: tuple) -> Element:
-        """Normal form of the bracket of two generators given as (i, j, r) triples."""
+    def rtt_rhs(self, g1: tuple, g2: tuple, super_sign: bool = False) -> Element:
+        """Normal form of the displayed right-hand side for [g1, g2].
+
+        g1 and g2 are (i, j, r) triples.  The super flavour carries the
+        prefactor (-1)^(bi*bj + bi*bk + bj*bk); both reduce to the same
+        element mod 2, which is exactly the collapse this engine relies on,
+        and tests assert it by calling both.
+        """
         self._check_gen(*g1)
         self._check_gen(*g2)
         if g1[2] + g2[2] - 1 > self.shape.cap:
             raise DegreeCapError(
                 f"bracket degree {g1[2] + g2[2] - 1} exceeds cap {self.shape.cap}")
-        acc: set = set()
-        for w in self._bracket_words(pack(*g1), pack(*g2)):
-            acc ^= self._nf_word(w)
-        return Element(self, frozenset(acc))
-
-    def rtt_rhs(self, g1: tuple, g2: tuple, super_sign: bool = False) -> Element:
-        """The displayed right-hand side for [g1, g2], plain or super flavour.
-
-        The super flavour carries the prefactor (-1)^(bi*bj + bi*bk + bj*bk);
-        both reduce to the same element mod 2, which is exactly the collapse
-        this engine relies on, and tests assert it by calling both.
-        """
         coeff = 1
         if super_sign:
             (i, j, _), (k, l, _) = g1, g2
@@ -246,78 +310,30 @@ class RTTAlgebra:
         acc: set = set()
         if coeff:
             for w in self._bracket_words(pack(*g1), pack(*g2)):
-                acc ^= self._nf_word(w)
+                acc ^= straighten(w, self._nf_cache, self._bracket_words)
         return Element(self, frozenset(acc))
 
     # -- straightening -----------------------------------------------------
 
-    def _nf_word(self, word: tuple) -> frozenset:
-        cache = self._nf_cache
-        hit = cache.get(word)
-        if hit is not None:
-            return hit
-        idx = -1
-        for p in range(len(word) - 1):
-            if word[p] > word[p + 1]:
-                idx = p
-                break
-        if idx < 0:
-            result = frozenset({word})
-        else:
-            a, b = word[idx], word[idx + 1]
-            pre, post = word[:idx], word[idx + 2:]
-            acc = set(self._nf_word(pre + (b, a) + post))
-            for mid in self._bracket_words(a, b):
-                acc ^= self._nf_word(pre + mid + post)
-            result = frozenset(acc)
-        cache[word] = result
-        return result
-
-    def _nf_word_rightmost(self, word: tuple) -> frozenset:
-        """Same rewrite with the rightmost out-of-order pair chosen first.
-
-        Kept deliberately separate from the leftmost cache so the two
-        strategies can be compared as evidence of confluence.
-        """
-        cache = self._nf_cache_rightmost
-        hit = cache.get(word)
-        if hit is not None:
-            return hit
-        idx = -1
-        for p in range(len(word) - 2, -1, -1):
-            if word[p] > word[p + 1]:
-                idx = p
-                break
-        if idx < 0:
-            result = frozenset({word})
-        else:
-            a, b = word[idx], word[idx + 1]
-            pre, post = word[:idx], word[idx + 2:]
-            acc = set(self._nf_word_rightmost(pre + (b, a) + post))
-            for mid in self._bracket_words(a, b):
-                acc ^= self._nf_word_rightmost(pre + mid + post)
-            result = frozenset(acc)
-        cache[word] = result
-        return result
-
     def normal_form(self, words, rightmost: bool = False) -> Element:
         """Normal form of a sum of raw words (tuples of (i, j, r) triples or ints)."""
         cap = self.shape.cap
+        cache = self._nf_cache_rightmost if rightmost else self._nf_cache
         acc: set = set()
-        reduce = self._nf_word_rightmost if rightmost else self._nf_word
         for w in words:
             packed = tuple(g if isinstance(g, int) else pack(*g) for g in w)
             d = word_degree(packed)
             if d > cap:
                 raise DegreeCapError(
                     f"word {render_word(packed)} has degree {d} > cap {cap}")
-            acc ^= reduce(packed)
+            acc ^= straighten(packed, cache, self._bracket_words,
+                              rightmost=rightmost)
         return Element(self, frozenset(acc))
 
     def multiply(self, x: Element, y: Element) -> Element:
         cap = self.shape.cap
         acc: set = set()
-        nf = self._nf_word
+        cache, bracket = self._nf_cache, self._bracket_words
         for wa in x.words:
             da = word_degree(wa)
             for wb in y.words:
@@ -325,7 +341,7 @@ class RTTAlgebra:
                     raise DegreeCapError(
                         f"product term {render_word(wa + wb)} has degree "
                         f"{da + word_degree(wb)} > cap {cap}")
-                acc ^= nf(wa + wb)
+                acc ^= straighten(wa + wb, cache, bracket)
         return Element(self, frozenset(acc))
 
     def product(self, *elements: Element) -> Element:

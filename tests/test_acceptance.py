@@ -16,7 +16,7 @@ from yangian2 import CurrentAlgebra, RTTAlgebra, Shape
 from yangian2.centers import (build_center_table, build_quotient,
                               centrality_report, gr_bridge_report,
                               independence_check, is_central,
-                              p_center_squares, super_normal_form)
+                              p_center_squares)
 from yangian2.current import classical_suite
 from yangian2.drinfeld import (build_table, drinfeld_pbw_check,
                                verify_drinfeld_relations,
@@ -63,7 +63,7 @@ def test_criterion_01_degree_one_closure():
         size = m + n
         for i, j, k, l in itertools.product(range(1, size + 1), repeat=4):
             got = {tuple((g >> 16, (g >> 8) & 0xFF, g & 0xFF) for g in w)
-                   for w in alg.commutator_rtt((i, j, 1), (k, l, 1)).words}
+                   for w in alg.rtt_rhs((i, j, 1), (k, l, 1)).words}
             want = {((a, b, 1),) for a, b in gl_bracket_mod2((i, j), (k, l))}
             assert got == want, (m, n, i, j, k, l)
     elapsed = time.time() - start

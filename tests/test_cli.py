@@ -56,6 +56,21 @@ def test_nf_output(tmp_path, capsys):
     assert "t[1,1,2] + t[1,2,1]*t[2,1,2] + t[2,2,2]" in out
 
 
+def test_nf_deep_word(tmp_path, capsys):
+    code, _ = run(["--m", "1", "--n", "1", "-L", "64",
+                   "nf", "t[2,2,1]^32*t[1,2,1]^32"], tmp_path)
+    assert code == 0
+    out = capsys.readouterr().out
+    assert "*".join(["t[1,2,1]"] * 32 + ["t[2,2,1]"] * 32) in out
+
+
+def test_superscript_beyond_packing_width(tmp_path, capsys):
+    code, _ = run(["-L", "300", "nf", "t[1,1,256]"], tmp_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 def test_determinism(tmp_path):
     args = ["--m", "1", "--n", "1", "-L", "3", "--seed", "5", "fuzz",
             "--samples", "25"]

@@ -4,9 +4,10 @@ import random
 import pytest
 
 from yangian2.current import (ClassicalElement, CurrentAlgebra, classical_suite,
-                              cpack, invariants_dimension, s_adjoint,
+                              invariants_dimension, s_adjoint,
                               s_multiply_words, s_supermonomials_of_degree)
 from yangian2.linalg import BitEchelon
+from yangian2.rtt import pack
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +99,27 @@ def test_normal_form_strategy_and_idempotence(cl):
     assert cl.normal_form(list(x.words)) == x
 
 
+def test_deep_word_straightens():
+    """E[2,2]^40 E[1,1]^40 E[1,2]: 1640 inversions, but only 81 letters."""
+    small = CurrentAlgebra(1, 1, 2)
+    e11, e12, e22 = pack(1, 1, 0), pack(1, 2, 0), pack(2, 2, 0)
+    word = (e22,) * 40 + (e11,) * 40 + (e12,)
+    got = small.normal_form([word])
+    # E22 E12 = E12 (E22 + 1), and (E22 + 1)^40 = E22^40 + E22^32 + E22^8 + 1
+    assert got.words == {(e11,) * 40 + (e12,) + (e22,) * k for k in (40, 32, 8, 0)}
+    # cut inside the E11 block so that both halves need straightening
+    halves = small.normal_form([word[:41]]), small.normal_form([word[41:]])
+    assert got == small.multiply(*halves)
+
+
+def test_packing_width_limits():
+    with pytest.raises(ValueError):
+        CurrentAlgebra(1, 1, 256)
+    with pytest.raises(ValueError):
+        CurrentAlgebra(255, 1, 3)
+    assert CurrentAlgebra(1, 1, 255).trunc == 255
+
+
 def test_z_elements(cl):
     z0 = cl.z_element(0)
     assert z0 == cl.gen(1, 1, 0) + cl.gen(2, 2, 0)
@@ -159,7 +181,7 @@ def test_pbw_rank_exhaustive(cl):
         words.extend(itertools.product(gens, repeat=length))
     for w in words:
         vec = 0
-        for nf_word in cl._nf_word(tuple(w)):
+        for nf_word in cl.normal_form([w]).words:
             vec |= 1 << index[nf_word]
         ech.add(vec)
     assert ech.rank == len(supers)
@@ -171,7 +193,7 @@ def test_s_layer(cl):
     assert s_multiply_words(cl, (odd,), (odd,)) is None
     assert s_multiply_words(cl, (even,), (even,)) == (even, even)
     mono = tuple(sorted((even, odd)))
-    image = s_adjoint(cl, cpack(1, 2, 0), mono)
+    image = s_adjoint(cl, pack(1, 2, 0), mono)
     assert isinstance(image, frozenset)
 
 

@@ -28,6 +28,12 @@ def test_shape_validation():
         Shape(0, 1, 3)
     with pytest.raises(ValueError):
         Shape(1, 1, 0)
+    # packed fields are 8 bits wide
+    assert Shape(1, 1, 255).cap == 255
+    with pytest.raises(ValueError):
+        Shape(1, 1, 256)
+    with pytest.raises(ValueError):
+        Shape(255, 1, 3)
 
 
 def test_parity_examples():
@@ -52,10 +58,10 @@ def test_parity_blocks_21():
 
 
 def test_commutator_examples(alg11):
-    assert alg11.commutator_rtt((1, 2, 1), (2, 1, 1)) == \
+    assert alg11.rtt_rhs((1, 2, 1), (2, 1, 1)) == \
         alg11.gen(1, 1, 1) + alg11.gen(2, 2, 1)
-    assert not alg11.commutator_rtt((1, 1, 1), (1, 1, 2))
-    assert alg11.commutator_rtt((1, 1, 2), (1, 2, 1)) == alg11.gen(1, 2, 2)
+    assert not alg11.rtt_rhs((1, 1, 1), (1, 1, 2))
+    assert alg11.rtt_rhs((1, 1, 2), (1, 2, 1)) == alg11.gen(1, 2, 2)
 
 
 def test_commutator_degree_bound(alg11, alg21):
@@ -64,7 +70,7 @@ def test_commutator_degree_bound(alg11, alg21):
         for i, j, k, l in itertools.product(range(1, size + 1), repeat=4):
             for r in (1, 2):
                 for s in (1, 2):
-                    el = alg.commutator_rtt((i, j, r), (k, l, s))
+                    el = alg.rtt_rhs((i, j, r), (k, l, s))
                     assert el.degree() <= r + s - 1
 
 
@@ -74,7 +80,7 @@ def test_commutator_matches_naive_oracle(alg11, alg21):
         for i, j, k, l in itertools.product(range(1, size + 1), repeat=4):
             for r, s in ((1, 1), (1, 2), (2, 1), (2, 2)):
                 got = element_words_as_triples(
-                    alg.commutator_rtt((i, j, r), (k, l, s)))
+                    alg.rtt_rhs((i, j, r), (k, l, s)))
                 # the oracle straightens the raw display independently
                 raw = []
                 from oracles import naive_bracket_words
@@ -86,7 +92,7 @@ def test_commutator_matches_naive_oracle(alg11, alg21):
 def test_commutator_cap_violation(alg11):
     # degree r + s - 1 = 5 exceeds the cap of 4
     with pytest.raises(DegreeCapError):
-        alg11.commutator_rtt((1, 1, 3), (1, 2, 3))
+        alg11.rtt_rhs((1, 1, 3), (1, 2, 3))
 
 
 # -- multiplication and normal form ----------------------------------------------
@@ -162,6 +168,12 @@ def test_normal_form_strategy_independence_example(alg11):
     left = alg11.normal_form([word])
     right = alg11.normal_form([word], rightmost=True)
     assert left == right
+    # 1024 inversions: straightening depth must follow the word length
+    deep = RTTAlgebra(Shape(1, 1, 64))
+    word = ((2, 2, 1),) * 32 + ((1, 2, 1),) * 32
+    for rightmost in (False, True):
+        got = deep.normal_form([word], rightmost=rightmost)
+        assert element_words_as_triples(got) == {tuple(sorted(word))}
 
 
 def _all_words_up_to_degree(alg, bound):
@@ -205,7 +217,7 @@ def test_degree_one_closure_matches_gl(m, n):
     alg = RTTAlgebra(Shape(m, n, 2))
     size = m + n
     for i, j, k, l in itertools.product(range(1, size + 1), repeat=4):
-        got = element_words_as_triples(alg.commutator_rtt((i, j, 1), (k, l, 1)))
+        got = element_words_as_triples(alg.rtt_rhs((i, j, 1), (k, l, 1)))
         expected = {((a, b, 1),) for a, b in gl_bracket_mod2((i, j), (k, l))}
         assert got == expected
 
