@@ -7,11 +7,20 @@ generate the ideal that defines the super Yangian quotient, the even ones
 belong to the p-center of the quotient.
 
 The quotient is handled as bounded-degree linear algebra: J_bound is the
-span of a * z * b over PBW monomials a, b and odd squares z, row-reduced
-with columns ordered so that non-supermonomials are preferred pivots.
-When the resulting rank equals dim F_bound minus the supermonomial count,
-the reduction map computes canonical representatives supported on
-super-ordered monomials; that dimension certificate is exactly the
+span of a * z * b over PBW monomials a, b and odd squares z with
+deg a + deg z + deg b <= bound.  Each odd square is first tested against
+every generator of superscript <= bound - deg z; when all of them commute,
+z * b = b * z inside the bound, so J_bound is already the span of the
+one-sided products a * z and only those rows are formed.  If any square
+fails that centrality certificate the two-sided rows a * z * b are formed
+instead; QuotientModel.path records which was used.  Columns put the
+non-supermonomials first, so they are the preferred pivots, and the
+supermonomial block runs in descending (degree, word) order, so the pivot
+of a residue-supported row is its top-degree monomial.  When the rank
+equals dim F_bound minus the supermonomial count and every pivot is a
+non-supermonomial, the reduction map computes canonical representatives
+supported on super-ordered monomials (independent of the order inside the
+supermonomial block); that dimension certificate is exactly the
 bounded-degree shadow of the freeness of the parent algebra over the odd
 p-center.
 
@@ -22,6 +31,7 @@ t[i,j,r] of a top monomial to E[i,j]t^(r-1).
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from .current import ClassicalElement, CurrentAlgebra
@@ -117,11 +127,22 @@ def is_central(x: Element, budget: int) -> Report:
 # -- the super quotient -------------------------------------------------------
 
 
+def element_row(x: Element, index: dict, bound: int) -> int:
+    """Bitmask row of x over the monomial columns in index (degree <= bound)."""
+    row = 0
+    for w in x.words:
+        pos = index.get(w)
+        if pos is None:
+            raise DegreeCapError(f"element degree exceeds bound {bound}")
+        row |= 1 << pos
+    return row
+
+
 @dataclass
 class QuotientModel:
     alg: RTTAlgebra
     bound: int
-    basis: tuple            # all PBW monomials <= bound, non-super block first
+    basis: tuple            # non-super block ascending, then super block descending
     index: dict
     echelon: BitEchelon
     n_nonsuper: int
@@ -130,16 +151,10 @@ class QuotientModel:
     dim_super: int
     expected_super: int
     certificate_ok: bool
+    path: str               # "one-sided" (a * z rows) or "two-sided" (a * z * b)
 
     def to_vector(self, x: Element) -> int:
-        vec = 0
-        for w in x.words:
-            pos = self.index.get(w)
-            if pos is None:
-                raise DegreeCapError(
-                    f"element degree exceeds quotient bound {self.bound}")
-            vec |= 1 << pos
-        return vec
+        return element_row(x, self.index, self.bound)
 
     def reduce(self, x: Element) -> Element:
         """Canonical representative of x modulo the odd-square ideal."""
@@ -154,32 +169,41 @@ class QuotientModel:
 
 def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientModel:
     """Row-reduce the bounded odd-square ideal and certify the dimension count."""
-    supers = set(alg.pbw_monomials(bound, super_only=True))
     all_monos = alg.pbw_monomials(bound)
-    non_super = [w for w in all_monos if w not in supers]
-    super_list = [w for w in all_monos if w in supers]
+    parity = alg.shape.parity
+
+    def repeats_odd(w: tuple) -> bool:
+        # ordered words keep equal letters adjacent
+        return any(a == b and parity(a >> 16, (a >> 8) & 0xFF)
+                   for a, b in zip(w, w[1:]))
+
+    non_super = [w for w in all_monos if repeats_odd(w)]
+    super_list = [w for w in reversed(all_monos) if not repeats_odd(w)]
     basis = tuple(non_super + super_list)
     index = {w: k for k, w in enumerate(basis)}
+    degrees = [word_degree(w) for w in all_monos]
 
-    odd_squares = [sq for sq in p_center_squares(tab, bound) if sq.parity == 1]
+    def monos_upto(d: int) -> list:
+        return all_monos[:bisect_right(degrees, d)]
+
+    def mono(w: tuple) -> Element:
+        return Element(alg, frozenset({w}))
+
+    odd_squares = [sq.element for sq in p_center_squares(tab, bound)
+                   if sq.parity == 1]
+    one_sided = all(is_central(z, bound - z.degree()).ok for z in odd_squares)
     ech = BitEchelon()
-    monos_by_degree: dict[int, list] = {}
-    for w in all_monos:
-        monos_by_degree.setdefault(word_degree(w), []).append(w)
-
-    for sq in odd_squares:
-        dz = sq.element.degree()
-        room = bound - dz
-        for da in range(room + 1):
-            for wa in monos_by_degree.get(da, []):
-                left = alg.multiply(Element(alg, frozenset({wa})), sq.element)
-                for db in range(room - da + 1):
-                    for wb in monos_by_degree.get(db, []):
-                        row_el = alg.multiply(left, Element(alg, frozenset({wb})))
-                        vec = 0
-                        for w in row_el.words:
-                            vec |= 1 << index[w]
-                        ech.add(vec)
+    for z in odd_squares:
+        room = bound - z.degree()
+        for wa in monos_upto(room):
+            left = alg.multiply(mono(wa), z)
+            if one_sided:
+                rows = [left]
+            else:
+                rows = (alg.multiply(left, mono(wb))
+                        for wb in monos_upto(room - word_degree(wa)))
+            for row_el in rows:
+                ech.add(element_row(row_el, index, bound))
 
     dim_full = len(basis)
     ideal_rank = ech.rank
@@ -188,7 +212,8 @@ def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientM
     pivots_in_nonsuper = all(c < len(non_super) for c in ech.pivots)
     return QuotientModel(alg, bound, basis, index, ech, len(non_super),
                          dim_full, ideal_rank, dim_super, expected,
-                         dim_super == expected and pivots_in_nonsuper)
+                         dim_super == expected and pivots_in_nonsuper,
+                         "one-sided" if one_sided else "two-sided")
 
 
 def quotient_report(quotient: QuotientModel) -> Report:
@@ -314,8 +339,7 @@ def independence_check(gens: list[tuple[str, Element]], bound: int,
     rec(0, bound, ())
 
     if quotient is None:
-        basis = alg.pbw_monomials(bound)
-        index = {w: k for k, w in enumerate(basis)}
+        index = {w: k for k, w in enumerate(alg.pbw_monomials(bound))}
     else:
         index = quotient.index
 
@@ -328,10 +352,7 @@ def independence_check(gens: list[tuple[str, Element]], bound: int,
                 element = alg.multiply(element, el)
         if quotient is not None:
             element = quotient.reduce(element)
-        row = 0
-        for w in element.words:
-            row |= 1 << index[w]
-        if ech.add(row) == 0:
+        if ech.add(element_row(element, index, bound)) == 0:
             dependents.append(vec)
     ok = not dependents
     report.add("rank", {"products": len(exponents), "rank": ech.rank}, ok,
@@ -391,11 +412,7 @@ def freeness_shadow_report(centers: CenterTable, quotient: QuotientModel,
 
     def emit(prod: Element) -> None:
         state["count"] += 1
-        reduced = quotient.reduce(prod)
-        vec = 0
-        for w in reduced.words:
-            vec |= 1 << quotient.index[w]
-        if ech.add(vec) == 0:
+        if ech.add(quotient.to_vector(quotient.reduce(prod))) == 0:
             state["dependent"] += 1
 
     def rec_symbols(k: int, remaining: int, prod: Element) -> None:

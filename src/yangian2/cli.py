@@ -202,7 +202,8 @@ def _cmd_verify_centers(cfg: RunConfig, args) -> Report:
     shadow_bound = cfg.order if alg.shape.size == 2 else min(cfg.order,
                                                              cfg.cap - 1)
     if shadow_bound >= 1:
-        shadow_q = centers_mod.build_quotient(alg, shadow_bound, tab)
+        shadow_q = (quotient if shadow_bound == cfg.cap
+                    else centers_mod.build_quotient(alg, shadow_bound, tab))
         report.extend(centers_mod.freeness_shadow_report(
             table, shadow_q, "p-center"))
         report.extend(centers_mod.freeness_shadow_report(

@@ -3,7 +3,8 @@
 Rows are Python ints; bit c is column c.  Echelon form keeps one row per
 pivot column, the pivot being the lowest set bit, so reducing a vector by
 pivots in increasing column order terminates (XOR never reintroduces a
-cleared pivot bit).
+cleared pivot bit).  A mask of the pivot columns lets reduction jump from
+one pivot bit to the next without peeling off the residue bits between.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ class BitEchelon:
 
     def __init__(self) -> None:
         self.pivots: dict[int, int] = {}
+        self.mask = 0
 
     @property
     def rank(self) -> int:
@@ -34,22 +36,19 @@ class BitEchelon:
             held = self.pivots.get(c)
             if held is None:
                 self.pivots[c] = row
+                self.mask |= 1 << c
                 return row
             row ^= held
         return 0
 
     def reduce(self, row: int) -> int:
         """Canonical residue of row modulo the span (pivot bits eliminated)."""
-        residue = 0
-        while row:
-            c = low_bit(row)
-            held = self.pivots.get(c)
-            if held is None:
-                residue |= 1 << c
-                row ^= 1 << c
-            else:
-                row ^= held
-        return residue
+        pivots, mask = self.pivots, self.mask
+        hit = row & mask
+        while hit:
+            row ^= pivots[low_bit(hit)]
+            hit = row & mask
+        return row
 
     def contains(self, row: int) -> bool:
         return self.reduce(row) == 0

@@ -1,6 +1,9 @@
+import random
+
 import pytest
 
 from yangian2 import RTTAlgebra, Shape, build_table
+from yangian2 import centers
 from yangian2.centers import (b_series, build_center_table, build_quotient,
                               c_series, centrality_report,
                               freeness_shadow_report, gr_bridge_report,
@@ -8,6 +11,7 @@ from yangian2.centers import (b_series, build_center_table, build_quotient,
                               p_center_squares, quotient_report)
 from yangian2.current import CurrentAlgebra
 from yangian2.errors import DegreeCapError
+from yangian2.report import Report
 
 from oracles import count_full, count_super
 
@@ -132,6 +136,38 @@ def test_quotient_21(setup21):
         assert q.dim_full == count_full(2, 1, bound)[bound]
         assert q.dim_super == count_super(2, 1, bound)[bound]
         assert q.certificate_ok
+
+
+def _fail_centrality(monkeypatch):
+    """Make every centrality certificate fail, forcing the two-sided ideal."""
+    failed = Report("centrality")
+    failed.add("commutes", {}, False)
+    monkeypatch.setattr(centers, "is_central", lambda x, budget: failed)
+
+
+@pytest.mark.parametrize("fixture, top", [("setup11", 5), ("setup21", 4)])
+def test_one_sided_ideal_matches_two_sided(request, monkeypatch, fixture, top):
+    alg, tab = request.getfixturevalue(fixture)
+    rng = random.Random(top)
+    # odd squares start at degree 2; below that the ideal has no rows at all
+    bounds = range(2, top + 1)
+    one = [build_quotient(alg, bound, tab) for bound in bounds]
+    _fail_centrality(monkeypatch)
+    two = [build_quotient(alg, bound, tab) for bound in bounds]
+    for bound, q1, q2 in zip(bounds, one, two):
+        assert (q1.path, q2.path) == ("one-sided", "two-sided")
+        assert q1.basis == q2.basis
+        assert q1.ideal_rank == q2.ideal_rank
+        assert set(q1.echelon.pivots) == set(q2.echelon.pivots)
+        assert q1.certificate_ok and q2.certificate_ok
+        squares = [sq.element for sq in p_center_squares(tab, bound)]
+        samples = [alg.random_element(rng, bound) for _ in range(20)]
+        samples += [alg.multiply(z, alg.gen(i, j, bound - z.degree()))
+                    for z in squares if z.degree() < bound
+                    for i in range(1, alg.shape.size + 1)
+                    for j in range(1, alg.shape.size + 1)]
+        for x in samples:
+            assert q1.reduce(x) == q2.reduce(x)
 
 
 def test_super_normal_form_examples(setup11):

@@ -2,7 +2,9 @@ import json
 import subprocess
 import sys
 
-from yangian2 import cli
+import pytest
+
+from yangian2 import centers, cli
 from yangian2.report import Report
 
 
@@ -108,6 +110,24 @@ def test_verify_centers_and_classical(tmp_path):
     code2, _ = run(["--m", "1", "--n", "1", "-L", "2", "-T", "4",
                     "verify", "classical"], tmp_path, "cl.json")
     assert code2 == 0
+
+
+@pytest.mark.parametrize("shape, builds", [
+    (["--m", "1", "--n", "1", "-L", "4", "-K", "4"], 1),   # shadow bound = cap
+    (["--m", "2", "--n", "1", "-L", "4", "-K", "3"], 2),   # shadow bound 3 < cap
+])
+def test_verify_centers_quotient_builds(tmp_path, monkeypatch, shape, builds):
+    bounds = []
+    build = centers.build_quotient
+
+    def counting(alg, bound, tab):
+        bounds.append(bound)
+        return build(alg, bound, tab)
+
+    monkeypatch.setattr(centers, "build_quotient", counting)
+    code, _ = run(shape + ["verify", "centers"], tmp_path)
+    assert code == 0
+    assert len(bounds) == builds
 
 
 def test_usage_errors(tmp_path):

@@ -62,3 +62,34 @@ def test_residue_avoids_pivot_columns(rows, probe):
         assert not (residue >> col) & 1
     # reducing is idempotent
     assert ech.reduce(residue) == residue
+
+
+def _reduce_per_bit(ech, row):
+    """Reference reduction: peel the lowest bit, XOR a pivot row or keep it."""
+    residue = 0
+    while row:
+        c = low_bit(row)
+        held = ech.pivots.get(c)
+        if held is None:
+            residue |= 1 << c
+            row ^= 1 << c
+        else:
+            row ^= held
+    return residue
+
+
+# dense multi-limb ints and sparse ones, so that pivots can collide
+_wide_rows = st.one_of(
+    st.integers(min_value=0, max_value=2**300 - 1),
+    st.sets(st.integers(min_value=0, max_value=299), max_size=6).map(
+        lambda bits: sum(1 << b for b in bits)))
+
+
+@given(st.lists(_wide_rows, max_size=30), st.lists(_wide_rows, max_size=10))
+def test_mask_reduce_matches_per_bit_reference(rows, probes):
+    ech = BitEchelon()
+    for r in rows:
+        ech.add(r)
+    assert ech.mask == sum(1 << c for c in ech.pivots)
+    for probe in rows + probes:
+        assert ech.reduce(probe) == _reduce_per_bit(ech, probe)
