@@ -78,6 +78,13 @@ class ClassicalElement:
 
 
 class CurrentAlgebra:
+    """gl_{m+n}[t]/(t^T) and its super enveloping algebra over GF(2).
+
+    The two memo caches (word normal forms and generator brackets) are
+    transparent: results are identical with them cleared, they only buy
+    speed.  The bracket cache holds at most one entry per generator pair.
+    """
+
     def __init__(self, m: int, n: int, trunc: int):
         if m < 1 or n < 1 or trunc < 1:
             raise ValueError("need m, n >= 1 and truncation >= 1")
@@ -89,7 +96,9 @@ class CurrentAlgebra:
         self.trunc = trunc
         self.key = (m, n, trunc)
         self._nf_cache: dict = {}
-        self._odd = frozenset(g for g in self.generators() if self.gen_parity(g))
+        self._pair_cache: dict = {}
+        self._odd = frozenset(g for g in self.generators()
+                              if self.parity(g >> 16, (g >> 8) & 0xFF))
 
     @property
     def size(self) -> int:
@@ -104,7 +113,7 @@ class CurrentAlgebra:
         return (self.block(i) + self.block(j)) % 2
 
     def gen_parity(self, g: int) -> int:
-        return self.parity(g >> 16, (g >> 8) & 0xFF)
+        return 1 if g in self._odd else 0
 
     def word_parity(self, word) -> int:
         return sum(self.gen_parity(g) for g in word) % 2
@@ -133,16 +142,20 @@ class CurrentAlgebra:
     # -- Lie structure ---------------------------------------------------------
 
     def _bracket_gens(self, a: int, b: int) -> frozenset:
+        key = (a << 32) | b
+        hit = self._pair_cache.get(key)
+        if hit is not None:
+            return hit
         i, j, r = unpack(a)
         k, l, s = unpack(b)
-        if r + s >= self.trunc:
-            return frozenset()
         out: set = set()
-        if k == j:
-            out ^= {(pack(i, l, r + s),)}
-        if l == i:
-            out ^= {(pack(k, j, r + s),)}
-        return frozenset(out)
+        if r + s < self.trunc:
+            if k == j:
+                out ^= {(pack(i, l, r + s),)}
+            if l == i:
+                out ^= {(pack(k, j, r + s),)}
+        result = self._pair_cache[key] = frozenset(out)
+        return result
 
     def bracket(self, x: ClassicalElement, y: ClassicalElement) -> ClassicalElement:
         """Lie bracket, bilinear over degree-1 elements."""
@@ -233,21 +246,8 @@ class CurrentAlgebra:
 
     def supermonomials(self, max_len: int) -> list[tuple]:
         """Ordered supermonomials of polynomial degree <= max_len."""
-        gens = self.generators()
-        out: list[tuple] = []
-
-        def rec(k: int, remaining: int, word: tuple) -> None:
-            if k == len(gens):
-                out.append(word)
-                return
-            g = gens[k]
-            top = remaining if not self.gen_parity(g) else min(remaining, 1)
-            for mult in range(top + 1):
-                rec(k + 1, remaining - mult, word + (g,) * mult)
-
-        rec(0, max_len, ())
-        out.sort(key=lambda w: (len(w), w))
-        return out
+        return [w for d in range(max_len + 1)
+                for w in s_supermonomials_of_degree(self, d)]
 
 
 # -- symmetric-superalgebra layer (for the invariants report) -------------------
@@ -256,8 +256,9 @@ class CurrentAlgebra:
 def s_multiply_words(alg: CurrentAlgebra, w1: tuple, w2: tuple):
     """Product in S(g_0) tensor Lambda(g_1): sorted merge, odd squares vanish."""
     merged = tuple(sorted(w1 + w2))
+    odd = alg._odd
     for p in range(len(merged) - 1):
-        if merged[p] == merged[p + 1] and alg.gen_parity(merged[p]):
+        if merged[p] == merged[p + 1] and merged[p] in odd:
             return None
     return merged
 
@@ -265,9 +266,10 @@ def s_multiply_words(alg: CurrentAlgebra, w1: tuple, w2: tuple):
 def s_adjoint(alg: CurrentAlgebra, g: int, word: tuple) -> frozenset:
     """Adjoint action of a generator on an S-supermonomial, as a derivation."""
     acc: set = set()
+    bracket = alg._bracket_gens
     for pos in range(len(word)):
         rest = word[:pos] + word[pos + 1:]
-        for (h,) in alg._bracket_gens(g, word[pos]):
+        for (h,) in bracket(g, word[pos]):
             prod = s_multiply_words(alg, rest, (h,))
             if prod is not None:
                 acc ^= {prod}
@@ -299,6 +301,21 @@ def random_lie_element(alg: CurrentAlgebra, rng, odd_only: bool = False) -> Clas
     return ClassicalElement(alg, frozenset(words))
 
 
+def sample_triples(items: list, rng, limit: int) -> list[tuple]:
+    """All ordered triples of items, or *limit* of them drawn by rng.
+
+    The draw samples triple indices, decoded lexicographically, instead of
+    a materialised list of n^3 triples.  random.sample makes its draws from
+    the population's length alone and returns population[j], so the triples,
+    their order and the rng state afterwards are those of sampling the list.
+    """
+    n = len(items)
+    picks = range(n ** 3)
+    if len(picks) > limit:
+        picks = rng.sample(picks, limit)
+    return [(items[p // (n * n)], items[p // n % n], items[p % n]) for p in picks]
+
+
 def classical_suite(alg: CurrentAlgebra, seed: int, samples: int,
                     pbw_degree: int, invariants_degree: int) -> Report:
     """Verification suite for the classical oracle.
@@ -325,9 +342,7 @@ def classical_suite(alg: CurrentAlgebra, seed: int, samples: int,
         x = ClassicalElement(alg, frozenset({(g,)}))
         report.add("bracket-self", {"g": render_cword((g,))},
                    not alg.bracket(x, x))
-    triples = [(a, b, c) for a in gen_elems for b in gen_elems for c in gen_elems]
-    if len(triples) > 4000:
-        triples = rng.sample(triples, 4000)
+    triples = sample_triples(gen_elems, rng, 4000)
     jac_fail = 0
     for a, b, c in triples:
         lhs = (alg.bracket(alg.bracket(a, b), c)
@@ -415,24 +430,30 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
     Truncation can only enlarge the invariant side (brackets that would
     leave the truncation act as zero), so the report asserts containment
     of the generated span and records both dimensions; equality is data.
+
+    The invariants are the kernel of the adjoint action stacked over all
+    generators, so their dimension is len(basis) minus the rank of the
+    action matrix.  That matrix is built row-wise, one generator at a
+    time: the row of an output word holds bit k for each basis word k
+    whose image under the generator contains it, so every row is
+    len(basis) bits wide.  The distinct rows of one generator go into a
+    shared echelon before the next generator is taken; row rank equals
+    column rank, so no dense column of gens * len(basis) bits is built.
     """
     basis = s_supermonomials_of_degree(alg, degree)
     index = {w: k for k, w in enumerate(basis)}
     gens = alg.generators()
 
-    # kernel of the stacked adjoint action
-    columns = []
-    for w in basis:
-        col = 0
-        for gi, g in enumerate(gens):
+    ech = BitEchelon()
+    for g in gens:
+        rows: dict = {}
+        for k, w in enumerate(basis):
+            bit = 1 << k
             for out_word in s_adjoint(alg, g, w):
-                col |= 1 << (gi * len(basis) + index[out_word])
-        columns.append(col)
-    # kernel dimension via rank of the action matrix
-    from .linalg import rank_of
-
-    action_rank = rank_of(columns)
-    invariant_dim = len(basis) - action_rank
+                rows[out_word] = rows.get(out_word, 0) ^ bit
+        for row in set(rows.values()):
+            ech.add(row)
+    invariant_dim = len(basis) - ech.rank
 
     # generated side: products of z_r (degree 1) and even squares (degree 2)
     z_list = [frozenset({(pack(i, i, r),) for i in range(1, alg.size + 1)})

@@ -334,13 +334,14 @@ class RTTAlgebra:
         cap = self.shape.cap
         acc: set = set()
         cache, bracket = self._nf_cache, self._bracket_words
+        right = [(wb, word_degree(wb)) for wb in y.words]
         for wa in x.words:
             da = word_degree(wa)
-            for wb in y.words:
-                if da + word_degree(wb) > cap:
+            for wb, db in right:
+                if da + db > cap:
                     raise DegreeCapError(
                         f"product term {render_word(wa + wb)} has degree "
-                        f"{da + word_degree(wb)} > cap {cap}")
+                        f"{da + db} > cap {cap}")
                 acc ^= straighten(wa + wb, cache, bracket)
         return Element(self, frozenset(acc))
 

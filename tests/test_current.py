@@ -4,9 +4,10 @@ import random
 import pytest
 
 from yangian2.current import (ClassicalElement, CurrentAlgebra, classical_suite,
-                              invariants_dimension, s_adjoint,
-                              s_multiply_words, s_supermonomials_of_degree)
-from yangian2.linalg import BitEchelon
+                              invariants_dimension, random_lie_element,
+                              s_adjoint, s_multiply_words,
+                              s_supermonomials_of_degree, sample_triples)
+from yangian2.linalg import BitEchelon, rank_of
 from yangian2.rtt import pack
 
 
@@ -244,3 +245,145 @@ def test_gen_validation(cl):
         cl.gen(0, 1, 0)
     with pytest.raises(ValueError):
         cl.gen(1, 1, 3)
+
+
+def _old_supermonomials(alg, max_len):
+    """The former enumerator: one recursion over every generator, then a sort."""
+    gens = alg.generators()
+    out = []
+
+    def rec(k, remaining, word):
+        if k == len(gens):
+            out.append(word)
+            return
+        g = gens[k]
+        top = remaining if not alg.gen_parity(g) else min(remaining, 1)
+        for mult in range(top + 1):
+            rec(k + 1, remaining - mult, word + (g,) * mult)
+
+    rec(0, max_len, ())
+    out.sort(key=lambda w: (len(w), w))
+    return out
+
+
+@pytest.mark.parametrize("m,n,trunc,max_len",
+                         [(1, 1, 3, 3), (2, 1, 3, 3), (2, 2, 6, 2), (1, 2, 4, 3)])
+def test_supermonomials_match_old_recursion(m, n, trunc, max_len):
+    alg = CurrentAlgebra(m, n, trunc)
+    assert alg.supermonomials(max_len) == _old_supermonomials(alg, max_len)
+
+
+def _dense_invariants(alg, degree):
+    """Reference dimensions: the adjoint action as dense stacked columns,
+    one per basis word, and the generated side from explicit factor lists."""
+    basis = s_supermonomials_of_degree(alg, degree)
+    index = {w: k for k, w in enumerate(basis)}
+    gens = alg.generators()
+    columns = []
+    for w in basis:
+        col = 0
+        for gi, g in enumerate(gens):
+            for out_word in s_adjoint(alg, g, w):
+                col |= 1 << (gi * len(basis) + index[out_word])
+        columns.append(col)
+    invariant_dim = len(basis) - rank_of(columns)
+
+    z = [{(pack(i, i, r),) for i in range(1, alg.size + 1)}
+         for r in range(alg.trunc)]
+    squares = [{(g, g)} for g in gens
+               if not alg.gen_parity(g) and g >> 8 != pack(1, 1, 0) >> 8]
+    factors = [(1, f) for f in z] + [(2, f) for f in squares]
+    rows = []
+    for k in range(degree + 1):
+        for combo in itertools.combinations_with_replacement(factors, k):
+            if sum(d for d, _ in combo) != degree:
+                continue
+            words = {()}
+            for _, f in combo:
+                prods = set()
+                for wa in words:
+                    for wb in f:
+                        prod = s_multiply_words(alg, wa, wb)
+                        if prod is not None:
+                            prods ^= {prod}
+                words = prods
+            row = 0
+            for w in words:
+                row ^= 1 << index[w]
+            rows.append(row)
+    return invariant_dim, rank_of(rows)
+
+
+@pytest.mark.parametrize("m,n,trunc",
+                         [(1, 1, 2), (1, 1, 3), (1, 1, 4), (1, 1, 5),
+                          (2, 1, 3), (2, 1, 4), (2, 2, 3)])
+def test_invariants_rank_matches_dense_columns(m, n, trunc, monkeypatch):
+    widths = []
+    add = BitEchelon.add
+
+    def recording_add(self, row):
+        widths.append(row.bit_length())
+        return add(self, row)
+
+    monkeypatch.setattr(BitEchelon, "add", recording_add)
+    alg = CurrentAlgebra(m, n, trunc)
+    for degree in range(3):
+        expected = _dense_invariants(alg, degree)
+        widths.clear()
+        dims = next(c for c in invariants_dimension(alg, degree).checks
+                    if c.check_id == "dimensions").params
+        assert (dims["invariant_dim"], dims["generated_dim"]) == expected
+        # rows stay one basis wide: no dense gens * len(basis) layout
+        assert widths
+        assert max(widths) <= len(s_supermonomials_of_degree(alg, degree))
+
+
+def _old_jacobi_triples(items, rng, limit):
+    """The former sampling: materialise every triple, then sample the list."""
+    triples = [(a, b, c) for a in items for b in items for c in items]
+    if len(triples) > limit:
+        triples = rng.sample(triples, limit)
+    return triples
+
+
+@pytest.mark.parametrize("trunc,seed", [(5, 0), (5, 11), (2, 3)])
+def test_sample_triples_matches_list_sampling(trunc, seed):
+    items = CurrentAlgebra(1, 1, trunc).generators()
+    new_rng, old_rng = random.Random(seed), random.Random(seed)
+    got = sample_triples(items, new_rng, 4000)
+    assert got == _old_jacobi_triples(items, old_rng, 4000)
+    assert len(got) == min(4000, len(items) ** 3)
+    assert new_rng.getstate() == old_rng.getstate()
+    # the draws that follow the sample are the same too
+    assert new_rng.random() == old_rng.random()
+
+
+def test_caches_are_transparent():
+    alg = CurrentAlgebra(2, 1, 3)
+    rng = random.Random(5)
+    xs = [random_lie_element(alg, rng) for _ in range(5)]
+    xs.append(alg.multiply(xs[0], xs[1]))
+    lie = [x for x in xs if x.is_lie()]
+
+    def run():
+        brackets = [alg.bracket(x, y).words for x in lie for y in lie]
+        products = [alg.multiply(x, y).words for x in xs for y in xs]
+        invariants = [invariants_dimension(alg, d).to_payload()
+                      for d in range(3)]
+        return brackets, products, invariants
+
+    warm = run(), run()
+    assert warm[0] == warm[1]
+    assert 0 < len(alg._pair_cache) <= len(alg.generators()) ** 2
+
+    def cold(fn):
+        alg._pair_cache.clear()
+        alg._nf_cache.clear()
+        return fn()
+
+    assert [cold(lambda: alg.bracket(x, y).words)
+            for x in lie for y in lie] == warm[0][0]
+    assert [cold(lambda: alg.multiply(x, y).words)
+            for x in xs for y in xs] == warm[0][1]
+    assert [cold(lambda: invariants_dimension(alg, d).to_payload())
+            for d in range(3)] == warm[0][2]
