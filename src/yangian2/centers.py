@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from .current import ClassicalElement, CurrentAlgebra
 from .drinfeld import DrinfeldTable
 from .errors import DegreeCapError
-from .linalg import BitEchelon
+from .linalg import BitEchelon, words_row
 from .report import Report
 from .rtt import Element, RTTAlgebra, pack, word_degree, word_loop_degree
 from .series import YSeries, series_mul, series_shift
@@ -127,17 +127,6 @@ def is_central(x: Element, budget: int) -> Report:
 # -- the super quotient -------------------------------------------------------
 
 
-def element_row(x: Element, index: dict, bound: int) -> int:
-    """Bitmask row of x over the monomial columns in index (degree <= bound)."""
-    row = 0
-    for w in x.words:
-        pos = index.get(w)
-        if pos is None:
-            raise DegreeCapError(f"element degree exceeds bound {bound}")
-        row |= 1 << pos
-    return row
-
-
 @dataclass
 class QuotientModel:
     alg: RTTAlgebra
@@ -154,11 +143,15 @@ class QuotientModel:
     path: str               # "one-sided" (a * z rows) or "two-sided" (a * z * b)
 
     def to_vector(self, x: Element) -> int:
-        return element_row(x, self.index, self.bound)
+        return words_row(x.words, self.index, self.bound)
+
+    def residue(self, x: Element) -> int:
+        """Row of the canonical representative of x modulo the odd-square ideal."""
+        return self.echelon.reduce(self.to_vector(x))
 
     def reduce(self, x: Element) -> Element:
         """Canonical representative of x modulo the odd-square ideal."""
-        residue = self.echelon.reduce(self.to_vector(x))
+        residue = self.residue(x)
         words = set()
         while residue:
             low = residue & -residue
@@ -203,7 +196,7 @@ def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientM
                 rows = (alg.multiply(left, mono(wb))
                         for wb in monos_upto(room - word_degree(wa)))
             for row_el in rows:
-                ech.add(element_row(row_el, index, bound))
+                ech.add(words_row(row_el.words, index, bound))
 
     dim_full = len(basis)
     ideal_rank = ech.rank
@@ -352,7 +345,7 @@ def independence_check(gens: list[tuple[str, Element]], bound: int,
                 element = alg.multiply(element, el)
         if quotient is not None:
             element = quotient.reduce(element)
-        if ech.add(element_row(element, index, bound)) == 0:
+        if ech.add(words_row(element.words, index, bound)) == 0:
             dependents.append(vec)
     ok = not dependents
     report.add("rank", {"products": len(exponents), "rank": ech.rank}, ok,
@@ -412,7 +405,7 @@ def freeness_shadow_report(centers: CenterTable, quotient: QuotientModel,
 
     def emit(prod: Element) -> None:
         state["count"] += 1
-        if ech.add(quotient.to_vector(quotient.reduce(prod))) == 0:
+        if ech.add(quotient.residue(prod)) == 0:
             state["dependent"] += 1
 
     def rec_symbols(k: int, remaining: int, prod: Element) -> None:

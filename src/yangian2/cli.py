@@ -297,6 +297,10 @@ def main(argv=None) -> int:
     except (dsl.DSLError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:  # RecursionError, MemoryError or a defect
+        message = " ".join(str(exc).split())
+        print(f"internal error: {type(exc).__name__}: {message}", file=sys.stderr)
+        return 3
     try:
         write_report(report, cfg.out)
     except OSError as exc:

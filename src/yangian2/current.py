@@ -20,7 +20,10 @@ checked here is exact, not approximate.
 
 from __future__ import annotations
 
-from .linalg import BitEchelon
+from array import array
+from bisect import bisect_left
+
+from .linalg import BitEchelon, words_row
 from .report import Report
 from .rtt import FIELD_LIMIT, pack, straighten, unpack
 
@@ -276,6 +279,52 @@ def s_adjoint(alg: CurrentAlgebra, g: int, word: tuple) -> frozenset:
     return frozenset(acc)
 
 
+def adjoint_sites(basis: list[tuple]) -> dict:
+    """Letter index of a supermonomial basis for the adjoint action.
+
+    sites[b] pairs the basis index k with rest, for every basis word k and
+    every position of the letter b in it, rest being the word with that one
+    letter removed.  The indices sit in an int array beside a list of the
+    rest tuples, and equal rest tuples are shared, which keeps the index
+    small next to the basis itself.
+    """
+    sites: dict = {}
+    interned: dict = {}
+    for k, w in enumerate(basis):
+        for p, b in enumerate(w):
+            rest = w[:p] + w[p + 1:]
+            rest = interned.setdefault(rest, rest)
+            ks, rests = sites.setdefault(b, (array("l"), []))
+            ks.append(k)
+            rests.append(rest)
+    return sites
+
+
+def adjoint_rows(alg: CurrentAlgebra, g: int, sites: dict) -> dict:
+    """Nonzero rows of ad g on the basis indexed by sites, by output word.
+
+    The row of an output word has bit k for each basis word k whose image
+    under s_adjoint(alg, g, .) contains it.  The action is a derivation, so
+    each (position, h in [g, b]) contribution is XOR-ed in directly: h is
+    inserted into rest in sorted order, or dropped when it is odd and
+    already there (odd squares vanish).  Contributions that cancel, such
+    as the two positions of an even square, can leave a zero row; those
+    are dropped.
+    """
+    odd = alg._odd
+    rows: dict = {}
+    for b, (ks, rests) in sites.items():
+        for (h,) in alg._bracket_gens(g, b):
+            h_odd = h in odd
+            for k, rest in zip(ks, rests):
+                i = bisect_left(rest, h)
+                if h_odd and i < len(rest) and rest[i] == h:
+                    continue
+                out = rest[:i] + (h,) + rest[i:]
+                rows[out] = rows.get(out, 0) ^ (1 << k)
+    return {w: row for w, row in rows.items() if row}
+
+
 def s_supermonomials_of_degree(alg: CurrentAlgebra, degree: int) -> list[tuple]:
     gens = alg.generators()
     out: list[tuple] = []
@@ -408,10 +457,8 @@ def classical_suite(alg: CurrentAlgebra, seed: int, samples: int,
         for length in range(pbw_degree + 1):
             for w in words_of_len(length):
                 total_words += 1
-                vec = 0
-                for nf_w in alg.normal_form([w]).words:
-                    vec |= 1 << index[nf_w]
-                ech.add(vec)
+                ech.add(words_row(alg.normal_form([w]).words, index,
+                                  pbw_degree))
         report.add("pbw-count",
                    {"degree": pbw_degree, "words": total_words,
                     "supermonomials": len(supers), "rank": ech.rank},
@@ -436,22 +483,25 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
     action matrix.  That matrix is built row-wise, one generator at a
     time: the row of an output word holds bit k for each basis word k
     whose image under the generator contains it, so every row is
-    len(basis) bits wide.  The distinct rows of one generator go into a
-    shared echelon before the next generator is taken; row rank equals
-    column rank, so no dense column of gens * len(basis) bits is built.
+    len(basis) bits wide.  The rows come from a letter index built once
+    per degree (adjoint_sites: for each letter b, every basis word k with
+    b at some position and the word left when that b is removed); for a
+    generator g only the letters b with [g, b] nonzero are visited, and
+    each h in [g, b] is inserted into the remaining word and XOR-ed into
+    that output word's row as bit k (adjoint_rows).  The distinct nonzero
+    rows of one generator go into a shared echelon before the next
+    generator is taken; row rank equals column rank, so no dense column
+    of gens * len(basis) bits is built.  s_adjoint stays the word-by-word
+    reference and serves the containment check.
     """
     basis = s_supermonomials_of_degree(alg, degree)
     index = {w: k for k, w in enumerate(basis)}
     gens = alg.generators()
 
+    sites = adjoint_sites(basis)
     ech = BitEchelon()
     for g in gens:
-        rows: dict = {}
-        for k, w in enumerate(basis):
-            bit = 1 << k
-            for out_word in s_adjoint(alg, g, w):
-                rows[out_word] = rows.get(out_word, 0) ^ bit
-        for row in set(rows.values()):
+        for row in set(adjoint_rows(alg, g, sites).values()):
             ech.add(row)
     invariant_dim = len(basis) - ech.rank
 
@@ -504,10 +554,7 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
     ech = BitEchelon()
     contained = True
     for prod_words in products:
-        vec = 0
-        for w in prod_words:
-            vec |= 1 << index[w]
-        ech.add(vec)
+        ech.add(words_row(prod_words, index, degree))
     generated_dim = ech.rank
 
     # containment: every generated product must be killed by every generator

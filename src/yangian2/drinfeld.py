@@ -344,7 +344,7 @@ def drinfeld_pbw_check(tab: DrinfeldTable, bound: int,
     have full rank (equal to the monomial count; in the plain case that
     count is exactly dim F_bound).
     """
-    from .linalg import BitEchelon
+    from .linalg import BitEchelon, words_row
 
     alg = tab.alg
     shape = alg.shape
@@ -409,10 +409,7 @@ def drinfeld_pbw_check(tab: DrinfeldTable, bound: int,
         element = alg.one()
         for sym in mono:
             element = alg.multiply(element, resolve(sym))
-        vec = 0
-        for w in element.words:
-            vec |= 1 << index[w]
-        if ech.add(vec) == 0:
+        if ech.add(words_row(element.words, index, bound)) == 0:
             dependent.append(mono)
 
     report = Report("drinfeld-pbw",

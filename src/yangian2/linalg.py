@@ -9,6 +9,8 @@ one pivot bit to the next without peeling off the residue bits between.
 
 from __future__ import annotations
 
+from .errors import DegreeCapError
+
 
 def low_bit(x: int) -> int:
     """Index of the lowest set bit of a nonzero int."""
@@ -52,6 +54,21 @@ class BitEchelon:
 
     def contains(self, row: int) -> bool:
         return self.reduce(row) == 0
+
+
+def words_row(words, index: dict, bound: int) -> int:
+    """Bitmask row of a set of words over the columns in index.
+
+    The columns are the monomials of degree <= bound; a word outside them
+    raises DegreeCapError instead of being dropped.
+    """
+    row = 0
+    for w in words:
+        pos = index.get(w)
+        if pos is None:
+            raise DegreeCapError(f"element degree exceeds bound {bound}")
+        row |= 1 << pos
+    return row
 
 
 def rank_of(rows) -> int:

@@ -12,6 +12,7 @@ from yangian2.centers import (b_series, build_center_table, build_quotient,
 from yangian2.current import CurrentAlgebra
 from yangian2.errors import DegreeCapError
 from yangian2.report import Report
+from yangian2.rtt import Element
 
 from oracles import count_full, count_super
 
@@ -241,6 +242,22 @@ def test_quotient_degree_guard(setup11):
     q = build_quotient(alg, 2, tab)
     with pytest.raises(DegreeCapError):
         q.reduce(alg.gen(1, 1, 3))
+
+
+@pytest.mark.parametrize("fixture,bound", [("setup11", 4), ("setup21", 3)])
+def test_quotient_residue_matches_reduce(request, fixture, bound):
+    """residue(x) is the row of reduce(x), bit for bit."""
+    alg, tab = request.getfixturevalue(fixture)
+    q = build_quotient(alg, bound, tab)
+    rng = random.Random(bound)
+    samples = [Element(alg, frozenset({w})) for w in alg.pbw_monomials(bound)]
+    for _ in range(40):
+        split = rng.randint(1, bound - 1)
+        samples.append(alg.multiply(alg.random_element(rng, split),
+                                    alg.random_element(rng, bound - split)))
+    assert any(q.residue(x) != q.to_vector(x) for x in samples)
+    for x in samples:
+        assert q.residue(x) == q.to_vector(q.reduce(x))
 
 
 def test_gr_leading_term_examples(setup11):

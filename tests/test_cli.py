@@ -155,6 +155,23 @@ def test_failure_exit_code(tmp_path, monkeypatch):
     assert code == 1
 
 
+@pytest.mark.parametrize("error,line", [
+    (RecursionError("maximum recursion depth"),
+     "internal error: RecursionError: maximum recursion depth"),
+    (RuntimeError("unexpected\nstate"),
+     "internal error: RuntimeError: unexpected state"),
+])
+def test_internal_error_exit_code(tmp_path, monkeypatch, capsys, error, line):
+    def broken_run(cfg, args):
+        raise error
+    monkeypatch.setattr(cli, "run_command", broken_run)
+    out = tmp_path / "i.json"
+    code = cli.main(["--m", "1", "--n", "1", "--out", str(out), "gauss"])
+    assert code == 3
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
 def test_config_file_precedence(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("m=1\nn=1\nL=2\nseed=9\n# comment\n")

@@ -3,7 +3,8 @@ import random
 
 import pytest
 
-from yangian2.current import (ClassicalElement, CurrentAlgebra, classical_suite,
+from yangian2.current import (ClassicalElement, CurrentAlgebra, adjoint_rows,
+                              adjoint_sites, classical_suite,
                               invariants_dimension, random_lie_element,
                               s_adjoint, s_multiply_words,
                               s_supermonomials_of_degree, sample_triples)
@@ -336,6 +337,36 @@ def test_invariants_rank_matches_dense_columns(m, n, trunc, monkeypatch):
         # rows stay one basis wide: no dense gens * len(basis) layout
         assert widths
         assert max(widths) <= len(s_supermonomials_of_degree(alg, degree))
+
+
+@pytest.mark.parametrize("m,n,trunc", [(1, 1, 2), (1, 1, 3), (2, 1, 2), (1, 2, 2)])
+def test_invariants_rank_matches_dense_columns_degree3(m, n, trunc):
+    # degree 3 has words with an even letter twice beside an odd letter
+    alg = CurrentAlgebra(m, n, trunc)
+    dims = next(c for c in invariants_dimension(alg, 3).checks
+                if c.check_id == "dimensions").params
+    assert (dims["invariant_dim"], dims["generated_dim"]) == \
+        _dense_invariants(alg, 3)
+
+
+def _reference_rows(alg, g, basis):
+    """Rows of ad g built word by word from s_adjoint, zero rows dropped."""
+    rows = {}
+    for k, w in enumerate(basis):
+        for out_word in s_adjoint(alg, g, w):
+            rows[out_word] = rows.get(out_word, 0) ^ (1 << k)
+    return {w: row for w, row in rows.items() if row}
+
+
+@pytest.mark.parametrize("m,n,trunc,top",
+                         [(1, 1, 3, 3), (2, 1, 2, 3), (1, 2, 2, 3), (2, 2, 2, 2)])
+def test_adjoint_rows_match_s_adjoint(m, n, trunc, top):
+    alg = CurrentAlgebra(m, n, trunc)
+    for degree in range(top + 1):
+        basis = s_supermonomials_of_degree(alg, degree)
+        sites = adjoint_sites(basis)
+        for g in alg.generators():
+            assert adjoint_rows(alg, g, sites) == _reference_rows(alg, g, basis)
 
 
 def _old_jacobi_triples(items, rng, limit):
