@@ -39,7 +39,8 @@ from .drinfeld import DrinfeldTable
 from .errors import DegreeCapError
 from .linalg import BitEchelon, words_row
 from .report import Report
-from .rtt import Element, RTTAlgebra, pack, word_degree, word_loop_degree
+from .rtt import (Element, RTTAlgebra, bounded_words, pack, word_degree,
+                  word_loop_degree)
 from .series import YSeries, series_mul, series_shift
 
 
@@ -319,17 +320,7 @@ def independence_check(gens: list[tuple[str, Element]], bound: int,
     if any(d > bound for d in degrees):
         raise DegreeCapError("generator degree exceeds the requested bound")
 
-    exponents: list[tuple[int, ...]] = []
-
-    def rec(k: int, remaining: int, vec: tuple) -> None:
-        if k == len(gens):
-            exponents.append(vec)
-            return
-        top = remaining // degrees[k]
-        for mult in range(top + 1):
-            rec(k + 1, remaining - mult * degrees[k], vec + (mult,))
-
-    rec(0, bound, ())
+    products = bounded_words(range(len(gens)), degrees, bound)
 
     if quotient is None:
         index = {w: k for k, w in enumerate(alg.pbw_monomials(bound))}
@@ -338,17 +329,16 @@ def independence_check(gens: list[tuple[str, Element]], bound: int,
 
     ech = BitEchelon()
     dependents = []
-    for vec in exponents:
+    for word in products:
         element = alg.one()
-        for (label, el), mult in zip(gens, vec):
-            for _ in range(mult):
-                element = alg.multiply(element, el)
+        for k in word:
+            element = alg.multiply(element, gens[k][1])
         if quotient is not None:
             element = quotient.reduce(element)
         if ech.add(words_row(element.words, index, bound)) == 0:
-            dependents.append(vec)
+            dependents.append(tuple(word.count(k) for k in range(len(gens))))
     ok = not dependents
-    report.add("rank", {"products": len(exponents), "rank": ech.rank}, ok,
+    report.add("rank", {"products": len(products), "rank": ech.rank}, ok,
                witness=None if ok else f"dependent exponents: {dependents[:5]}")
     return report
 

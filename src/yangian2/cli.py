@@ -4,7 +4,8 @@ Configuration precedence is flags over a key=value config file over the
 built-in defaults; there are no environment variables.  Every command
 writes a JSON report whose payload is deterministic for a fixed config
 (timestamps live in a separate header field) and prints a short summary.
-Exit status: 0 all assertions passed, 1 an assertion failed, 2 usage error.
+Exit status: 0 all assertions passed, 1 an assertion failed, 2 usage error,
+3 internal error.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .drinfeld import (build_table, drinfeld_pbw_check,
                        verify_drinfeld_relations)
 from .report import Report
 from .rtt import RTTAlgebra, Shape
-from .series import gauss_decompose, matrix_mul, diagonal_matrix, t_matrix
+from .series import diagonal_matrix, matrix_mul
 
 
 @dataclass
@@ -170,10 +171,9 @@ def _cmd_verify_drinfeld(cfg: RunConfig, args) -> Report:
     report.config.update(cfg.as_dict())
 
     # reconstruction check rides along: F*D*E must reproduce T exactly
-    t = t_matrix(alg, cfg.order)
-    f_mat, diag, e_mat = gauss_decompose(t)
+    f_mat, diag, e_mat = tab.gauss
     product = matrix_mul(f_mat, matrix_mul(diagonal_matrix(alg, diag), e_mat))
-    ok = product == t
+    ok = product == tab.t
     report.add("gauss-reconstruction", {"order": cfg.order}, ok)
     return report
 

@@ -20,12 +20,13 @@ checked here is exact, not approximate.
 
 from __future__ import annotations
 
+import itertools
 from array import array
 from bisect import bisect_left
 
 from .linalg import BitEchelon, words_row
 from .report import Report
-from .rtt import FIELD_LIMIT, pack, straighten, unpack
+from .rtt import FIELD_LIMIT, bounded_words, pack, straighten, unpack
 
 
 def render_cword(word) -> str:
@@ -248,9 +249,12 @@ class CurrentAlgebra:
         return out
 
     def supermonomials(self, max_len: int) -> list[tuple]:
-        """Ordered supermonomials of polynomial degree <= max_len."""
-        return [w for d in range(max_len + 1)
-                for w in s_supermonomials_of_degree(self, d)]
+        """Ordered supermonomials of polynomial degree <= max_len, by degree
+        and then lexicographically."""
+        gens = self.generators()
+        caps = [1 if g in self._odd else max_len for g in gens]
+        words = bounded_words(gens, [1] * len(gens), max_len, caps)
+        return sorted(words, key=lambda w: (len(w), w))
 
 
 # -- symmetric-superalgebra layer (for the invariants report) -------------------
@@ -326,22 +330,7 @@ def adjoint_rows(alg: CurrentAlgebra, g: int, sites: dict) -> dict:
 
 
 def s_supermonomials_of_degree(alg: CurrentAlgebra, degree: int) -> list[tuple]:
-    gens = alg.generators()
-    out: list[tuple] = []
-
-    def rec(k: int, remaining: int, word: tuple) -> None:
-        if remaining == 0:
-            out.append(word)
-            return
-        if k == len(gens):
-            return
-        g = gens[k]
-        top = remaining if not alg.gen_parity(g) else min(remaining, 1)
-        for mult in range(top, -1, -1):
-            rec(k + 1, remaining - mult, word + (g,) * mult)
-
-    rec(0, degree, ())
-    return sorted(out)
+    return [w for w in alg.supermonomials(degree) if len(w) == degree]
 
 
 def random_lie_element(alg: CurrentAlgebra, rng, odd_only: bool = False) -> ClassicalElement:
@@ -446,16 +435,8 @@ def classical_suite(alg: CurrentAlgebra, seed: int, samples: int,
         ech = BitEchelon()
         total_words = 0
 
-        def words_of_len(length):
-            if length == 0:
-                yield ()
-                return
-            for w in words_of_len(length - 1):
-                for g in gens:
-                    yield w + (g,)
-
         for length in range(pbw_degree + 1):
-            for w in words_of_len(length):
+            for w in itertools.product(gens, repeat=length):
                 total_words += 1
                 ech.add(words_row(alg.normal_form([w]).words, index,
                                   pbw_degree))
@@ -529,27 +510,16 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
         return frozenset(acc)
 
     factors = [(1, z) for z in z_list] + [(2, sq) for sq in squares]
-
-    def rec(k: int, remaining: int, acc: frozenset) -> None:
-        if remaining == 0:
-            products.append(acc)
-            return
-        if k == len(factors):
-            return
-        deg, words = factors[k]
-        top = remaining // deg
-        for mult in range(top, -1, -1):
-            cur = acc
-            usable = True
-            for _ in range(mult):
-                cur = expand_product(cur, words)
-                if not cur:
-                    usable = False
-                    break
-            if usable or mult == 0:
-                rec(k + 1, remaining - mult * deg, cur)
-
-    rec(0, degree, frozenset({()}))
+    for word in bounded_words(factors, [deg for deg, _ in factors], degree):
+        if sum(deg for deg, _ in word) != degree:
+            continue
+        prod = frozenset({()})
+        for _, words in word:
+            prod = expand_product(prod, words)
+            if not prod:
+                break
+        if prod:
+            products.append(prod)
 
     ech = BitEchelon()
     contained = True

@@ -25,8 +25,8 @@ from dataclasses import dataclass, field
 
 from .errors import DegreeCapError
 from .report import Report
-from .rtt import Element, RTTAlgebra
-from .series import YSeries, gauss_decompose, series_inv, t_matrix
+from .rtt import Element, RTTAlgebra, bounded_words
+from .series import YMatrix, YSeries, gauss_decompose, series_inv, t_matrix
 
 RELATION_TEXT = {
     "D1": "sum_{t=0}^{r} d_i^(t)*d_i'^(r-t) = delta_{r,0},  d_i^(0) = 1",
@@ -68,6 +68,8 @@ class DrinfeldTable:
     dprime: dict = field(default_factory=dict)  # i -> {r: Element}
     e: dict = field(default_factory=dict)       # (i, j) -> {r: Element}, i < j
     f: dict = field(default_factory=dict)       # (j, i) -> {r: Element}, j > i
+    t: YMatrix | None = None                    # the T matrix the table came from
+    gauss: tuple | None = None                  # its factors (F, D, E), T = F*D*E
 
     def e_simple(self, i: int, r: int) -> Element:
         return self.e[(i, i + 1)][r]
@@ -81,16 +83,12 @@ class DrinfeldTable:
     def d_series(self, i: int) -> YSeries:
         return YSeries(self.alg, tuple(self.d[i][r] for r in range(self.order + 1)))
 
-    def dprime_series(self, i: int) -> YSeries:
-        return YSeries(self.alg,
-                       tuple(self.dprime[i][r] for r in range(self.order + 1)))
-
 
 def drinfeld_generators(alg: RTTAlgebra, order: int) -> DrinfeldTable:
     """Extract d, d' and the superdiagonal e, f coefficients via Gauss."""
     t = t_matrix(alg, order)
     f_mat, diag, e_mat = gauss_decompose(t)
-    tab = DrinfeldTable(alg, order)
+    tab = DrinfeldTable(alg, order, t=t, gauss=(f_mat, diag, e_mat))
     size = alg.shape.size
     for i in range(1, size + 1):
         d = diag[i - 1]
@@ -381,25 +379,9 @@ def drinfeld_pbw_check(tab: DrinfeldTable, bound: int,
             return tab.e[(a, b)][r]
         return tab.f[(a, b)][r]
 
-    def sym_parity(sym) -> int:
-        _, a, b, _ = sym
-        return shape.parity(a, b)
-
-    monomials: list[tuple] = []
-
-    def rec(k: int, remaining: int, word: tuple) -> None:
-        if k == len(symbols):
-            monomials.append(word)
-            return
-        sym = symbols[k]
-        deg = sym[3]
-        top = remaining // deg
-        if super_only and sym_parity(sym):
-            top = min(top, 1)
-        for mult in range(top + 1):
-            rec(k + 1, remaining - mult * deg, word + (sym,) * mult)
-
-    rec(0, bound, ())
+    caps = [1 if super_only and shape.parity(a, b) else bound
+            for _, a, b, _ in symbols]
+    monomials = bounded_words(symbols, [sym[3] for sym in symbols], bound, caps)
 
     basis = alg.pbw_monomials(bound)
     index = {w: k for k, w in enumerate(basis)}

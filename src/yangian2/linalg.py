@@ -52,9 +52,6 @@ class BitEchelon:
             hit = row & mask
         return row
 
-    def contains(self, row: int) -> bool:
-        return self.reduce(row) == 0
-
 
 def words_row(words, index: dict, bound: int) -> int:
     """Bitmask row of a set of words over the columns in index.

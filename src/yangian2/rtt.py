@@ -126,6 +126,59 @@ def straighten(word: tuple, cache: dict, bracket, nilsquare=frozenset(),
     return result
 
 
+def bounded_words(items, weights, bound: int, max_mult=None) -> list[tuple]:
+    """Every word items[k1]^e1 * items[k2]^e2 * ... (k1 < k2 < ...) of
+    weight sum(e_k * weights[k]) <= bound, with e_k <= max_mult[k] if given.
+
+    Weights are positive ints.  The words come in ascending lexicographic
+    order of their exponent vectors, the first item varying slowest, so the
+    empty word is first.  The walk goes from each word straight to its
+    successor: raise the exponent of the last item that still fits after
+    the word's last letter, or else drop the trailing run and retry before
+    it.  A table of the last fitting item below each index, per remaining
+    weight, makes every step skip the items that cannot occur.
+    """
+    if bound < 0:
+        return []
+    if any(w < 1 for w in weights):
+        raise ValueError("word weights must be positive")
+    caps = [bound // w for w in weights]
+    if max_mult is not None:
+        caps = [min(c, top) for c, top in zip(caps, max_mult)]
+    # below[r][k]: the last item j < k with weights[j] <= r and a positive cap
+    below = []
+    for r in range(bound + 1):
+        row, last = [-1], -1
+        for k, w in enumerate(weights):
+            if w <= r and caps[k]:
+                last = k
+            row.append(last)
+        below.append(row)
+    word: tuple = ()
+    words = [word]
+    runs: list = []     # [item index, exponent] of each letter run of word
+    remaining, limit = bound, len(weights)
+    while True:
+        k = below[remaining][limit]
+        top = runs[-1][0] if runs else -1
+        if k > top:
+            runs.append([k, 1])
+        elif k == top >= 0 and runs[-1][1] < caps[k]:
+            runs[-1][1] += 1
+        elif runs:
+            top, e = runs.pop()
+            word = word[:-e]
+            remaining += e * weights[top]
+            limit = top
+            continue
+        else:
+            return words
+        word += (items[k],)
+        remaining -= weights[k]
+        limit = len(weights)
+        words.append(word)
+
+
 @dataclass(frozen=True)
 class Shape:
     """Block sizes m, n and the hard canonical-degree cap."""
@@ -363,24 +416,11 @@ class RTTAlgebra:
         Supermonomials additionally restrict odd generators to exponent <= 1.
         The list is deterministic: graded, then lexicographic in the word.
         """
-        gens = self.generators(min(bound, self.shape.cap)) if bound >= 1 else []
+        gens = self.generators(min(bound, self.shape.cap))
         shape = self.shape
-        parities = {g: shape.parity(g >> 16, (g >> 8) & 0xFF) for g in gens}
-        out: list[tuple] = []
-
-        def rec(k: int, remaining: int, word: tuple) -> None:
-            if k == len(gens):
-                out.append(word)
-                return
-            g = gens[k]
-            d = g & 0xFF
-            top = remaining // d
-            if super_only and parities[g]:
-                top = min(top, 1)
-            for mult in range(top + 1):
-                rec(k + 1, remaining - mult * d, word + (g,) * mult)
-
-        rec(0, bound, ())
+        caps = [1 if super_only and shape.parity(g >> 16, (g >> 8) & 0xFF)
+                else bound for g in gens]
+        out = bounded_words(gens, [g & 0xFF for g in gens], bound, caps)
         out.sort(key=lambda w: (word_degree(w), w))
         return out
 

@@ -326,6 +326,18 @@ def test_independence_detects_dependence(setup11):
     assert not rep.ok
 
 
+def test_independence_witness_order(setup11):
+    """A repeated generator fails with the dependent exponent vectors in the
+    order the products are enumerated: first generator slowest, ascending."""
+    alg, tab = setup11
+    d1, d2 = tab.d[1][1], tab.d[1][2]
+    rep = independence_check([("a", d1), ("b", d1), ("c", d2)], 4)
+    assert not rep.ok
+    assert rep.checks[0].params == {"products": 22, "rank": 9}
+    assert rep.checks[0].witness == ("dependent exponents: [(1, 0, 0), "
+                                     "(1, 0, 1), (1, 1, 0), (1, 1, 1), (1, 2, 0)]")
+
+
 def test_gr_bracket_compatibility(setup21):
     """Leading terms turn Yangian brackets into classical brackets whenever
     the loop degrees add without truncation."""

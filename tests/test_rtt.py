@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from yangian2 import RTTAlgebra, Shape
 from yangian2.errors import DegreeCapError
-from yangian2.rtt import pack, unpack, word_degree, word_loop_degree
+from yangian2.rtt import (bounded_words, pack, unpack, word_degree,
+                          word_loop_degree)
 
 from oracles import (count_full, count_super, gl_bracket_mod2,
                      naive_normal_form)
@@ -327,6 +328,58 @@ def test_pbw_monomials_are_sorted_and_unique(alg11):
     assert keys == sorted(keys)
     for w in monos:
         assert tuple(sorted(w)) == w
+
+
+def _old_bounded_words(items, weights, bound, max_mult=None):
+    """The recursion that enumerated bounded words before bounded_words."""
+    out = []
+
+    def rec(k, remaining, word):
+        if k == len(items):
+            out.append(word)
+            return
+        top = remaining // weights[k]
+        if max_mult is not None:
+            top = min(top, max_mult[k])
+        for mult in range(top + 1):
+            rec(k + 1, remaining - mult * weights[k], word + (items[k],) * mult)
+
+    rec(0, bound, ())
+    return out
+
+
+def test_bounded_words_matches_old_recursion():
+    rng = random.Random(6)
+    cases = [([], [], 0, None), ([], [], 4, None), (["x0"], [1], 0, None),
+             (["x0", "x1"], [2, 1], 0, [1, 1])]
+    for _ in range(300):
+        size = rng.randint(0, 7)
+        weights = [rng.randint(1, 4) for _ in range(size)]
+        max_mult = (None if rng.random() < 0.3
+                    else [rng.randint(0, 3) for _ in range(size)])
+        cases.append(([f"x{k}" for k in range(size)], weights,
+                      rng.randint(0, 9), max_mult))
+    for items, weights, bound, max_mult in cases:
+        assert (bounded_words(items, weights, bound, max_mult)
+                == _old_bounded_words(items, weights, bound, max_mult))
+
+
+def test_bounded_words_edges():
+    assert bounded_words(["x"], [1], -1) == []
+    assert bounded_words(["x", "y"], [2, 1], 2, [0, 5]) == [(), ("y",), ("y", "y")]
+    with pytest.raises(ValueError):
+        bounded_words(["x"], [0], 3)
+
+
+@pytest.mark.parametrize("m,n,top", [(1, 1, 4), (2, 1, 3)])
+def test_super_pbw_monomials_match_old_recursion(m, n, top):
+    alg = RTTAlgebra(Shape(m, n, top))
+    for bound in range(top + 1):
+        gens = alg.generators(bound)
+        caps = [1 if alg.shape.parity(*unpack(g)[:2]) else bound for g in gens]
+        old = _old_bounded_words(gens, [g & 0xFF for g in gens], bound, caps)
+        old.sort(key=lambda w: (word_degree(w), w))
+        assert alg.pbw_monomials(bound, super_only=True) == old
 
 
 # -- fuzzing -------------------------------------------------------------------------
