@@ -22,6 +22,8 @@ RUNS = [
      ["verify", "centers"]),
     ("centers-2-1", ["--m", "2", "--n", "1", "-L", "4", "-K", "3"],
      ["verify", "centers"]),
+    ("centers-1-1-L6", ["--m", "1", "--n", "1", "-L", "6", "-K", "6"],
+     ["verify", "centers"]),
     ("classical-1-1", ["--m", "1", "--n", "1", "-L", "4", "-T", "5"],
      ["verify", "classical"]),
     ("classical-2-1", ["--m", "2", "--n", "1", "-L", "3", "-T", "5"],

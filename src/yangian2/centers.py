@@ -24,6 +24,24 @@ supermonomial block); that dimension certificate is exactly the
 bounded-degree shadow of the freeness of the parent algebra over the odd
 p-center.
 
+The freeness shadow (products of center monomials and square-free
+generator monomials, which must be a basis of the bounded quotient) is
+first tried by symbols.  In the canonical degree every bracket lowers the
+degree, so gr of the parent Yangian is the polynomial ring on the
+t[i,j,r]: the symbol (top-degree part) of a product is the sorted merge
+of its factors' symbols, summed mod 2, and is never zero.  The
+certificate holds when (i) the symbols of the ideal rows a * z span, degree
+by degree, a space of total rank ideal_rank, so that span is gr(J_bound);
+every factor has a nonzero symbol at its nominal degree; (ii) the product
+symbols of each degree are independent modulo that span; and (iii) the
+products number dim_super.  A nontrivial relation among the products
+modulo J_bound would put its top-degree part, a nonzero sum of product
+symbols, inside gr(J_bound), against (ii); so rank = count = dim_super,
+exactly what the straightened walk would find.  When any condition fails,
+for example when a missing higher root leaves the count short of
+dim_super, the certificate declines and the products are straightened,
+reduced and ranked as before.  Either way the report is the same.
+
 gr_leading_term realises the associated-graded bridge: the loop-degree-d
 part of an element maps to the classical oracle by sending each factor
 t[i,j,r] of a top monomial to E[i,j]t^(r-1).
@@ -33,6 +51,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 
 from .current import ClassicalElement, CurrentAlgebra
 from .drinfeld import DrinfeldTable
@@ -128,6 +147,21 @@ def is_central(x: Element, budget: int) -> Report:
 # -- the super quotient -------------------------------------------------------
 
 
+def symbol(x: Element) -> frozenset:
+    """Top-degree words of x: its image in gr, the polynomial ring."""
+    top = x.degree()
+    return frozenset(w for w in x.words if word_degree(w) == top)
+
+
+def symbol_product(x: frozenset, y: frozenset) -> frozenset:
+    """Product in gr: sorted merges of the words, summed mod 2."""
+    acc: set = set()
+    for a in x:
+        for b in y:
+            acc ^= {tuple(sorted(a + b))}
+    return frozenset(acc)
+
+
 @dataclass
 class QuotientModel:
     alg: RTTAlgebra
@@ -142,6 +176,32 @@ class QuotientModel:
     expected_super: int
     certificate_ok: bool
     path: str               # "one-sided" (a * z rows) or "two-sided" (a * z * b)
+    odd_squares: tuple      # the ideal's generators
+
+    @cached_property
+    def graded_ideal(self) -> dict[int, tuple[dict, BitEchelon]]:
+        """Degree d -> (column index of the degree-d monomials, echelon of
+        the symbols a * sigma(z) of degree d over the odd squares z).
+
+        Each a * z is an ideal row whose symbol lies in degree deg a +
+        deg z, so the span is inside gr(J_bound), degree by degree.
+        """
+        index: dict[int, dict] = {d: {} for d in range(self.bound + 1)}
+        for w in self.basis:
+            cols = index[word_degree(w)]
+            cols[w] = len(cols)
+        echelons = {d: BitEchelon() for d in index}
+        for z in self.odd_squares:
+            dz = z.degree()
+            top = symbol(z)
+            for da in range(self.bound - dz + 1):
+                cols = index[da + dz]
+                for a in index[da]:
+                    row = 0
+                    for s in top:
+                        row ^= 1 << cols[tuple(sorted(a + s))]
+                    echelons[da + dz].add(row)
+        return {d: (index[d], echelons[d]) for d in index}
 
     def to_vector(self, x: Element) -> int:
         return words_row(x.words, self.index, self.bound)
@@ -207,7 +267,8 @@ def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientM
     return QuotientModel(alg, bound, basis, index, ech, len(non_super),
                          dim_full, ideal_rank, dim_super, expected,
                          dim_super == expected and pivots_in_nonsuper,
-                         "one-sided" if one_sided else "two-sided")
+                         "one-sided" if one_sided else "two-sided",
+                         tuple(odd_squares))
 
 
 def quotient_report(quotient: QuotientModel) -> Report:
@@ -343,6 +404,68 @@ def independence_check(gens: list[tuple[str, Element]], bound: int,
     return report
 
 
+def product_walk(factors, bound: int, one, multiply, emit) -> None:
+    """Emit every product of the factors of total degree <= bound.
+
+    factors lists (value, degree, max_mult), max_mult None for no limit.
+    A product takes the factors in list order, each with some multiplicity,
+    and products along a shared prefix share its partial product; emit gets
+    each product with its degree.  A branch ends as soon as no later factor
+    fits the remaining degree (a suffix table of least degrees), so each
+    product is emitted once and in the order of the full recursion.
+    """
+    fits = [bound + 1] * (len(factors) + 1)   # least degree among factors[k:]
+    for k in range(len(factors) - 1, -1, -1):
+        fits[k] = min(fits[k + 1], factors[k][1])
+
+    def rec(k: int, remaining: int, prod) -> None:
+        if remaining < fits[k]:
+            emit(prod, bound - remaining)
+            return
+        value, deg, top = factors[k]
+        mult = 0
+        while True:
+            rec(k + 1, remaining - mult * deg, prod)
+            mult += 1
+            if mult * deg > remaining or (top is not None and mult > top):
+                break
+            prod = multiply(prod, value)
+
+    rec(0, bound, one)
+
+
+def graded_basis_count(quotient: QuotientModel, factors) -> int | None:
+    """Product count when the symbols alone prove the freeness basis, else None.
+
+    Proves, without one straightened product, what the exact walk of
+    freeness_shadow_report would find: rank = count = dim_super.  It needs
+    (i) the symbol span of the ideal to have rank ideal_rank, so that it is
+    all of gr(J_bound); every factor to sit at its nominal degree with a
+    nonzero symbol; (ii) the product symbols of each degree to be
+    independent modulo that span; and (iii) count = dim_super.
+    """
+    span = quotient.graded_ideal
+    if sum(ech.rank for _, ech in span.values()) != quotient.ideal_rank:
+        return None
+    symbols = []
+    for value, deg, top in factors:
+        if not value or value.degree() != deg:
+            return None
+        symbols.append((symbol(value), deg, top))
+    echelons = {d: ech.copy() for d, (_, ech) in span.items()}
+    tally = {"count": 0, "dependent": 0}
+
+    def emit(sym: frozenset, d: int) -> None:
+        tally["count"] += 1
+        if echelons[d].add(words_row(sym, span[d][0], d)) == 0:
+            tally["dependent"] += 1
+
+    product_walk(symbols, quotient.bound, frozenset({()}), symbol_product, emit)
+    if tally["dependent"] or tally["count"] != quotient.dim_super:
+        return None
+    return tally["count"]
+
+
 def freeness_shadow_report(centers: CenterTable, quotient: QuotientModel,
                            flavour: str = "p-center") -> Report:
     """Bounded shadow of the two freeness corollaries for the quotient.
@@ -354,6 +477,10 @@ def freeness_shadow_report(centers: CenterTable, quotient: QuotientModel,
     square-free monomials in every d/e/f generator; the "full-center"
     flavour takes c^(r), b_i^(2r) for i >= 2 plus even squares against
     square-free monomials that omit the first diagonal family.
+
+    graded_basis_count is tried first; when it declines, the products are
+    straightened, reduced modulo the ideal and ranked.  Both write the same
+    report wherever the certificate holds.
     """
     tab = centers.tab
     alg = tab.alg
@@ -363,9 +490,9 @@ def freeness_shadow_report(centers: CenterTable, quotient: QuotientModel,
             f"freeness shadow at bound {bound} needs table order >= {bound}")
     size = alg.shape.size
 
-    center_gens: list[tuple[str, Element]] = []
+    center_els: list[Element] = []
     if flavour == "full-center":
-        center_gens += [(f"c^({r})", centers.c[r]) for r in range(1, bound + 1)]
+        center_els += [centers.c[r] for r in range(1, bound + 1)]
         b_lo, d_lo = 2, 2
     elif flavour == "p-center":
         b_lo, d_lo = 1, 1
@@ -373,66 +500,43 @@ def freeness_shadow_report(centers: CenterTable, quotient: QuotientModel,
         raise ValueError(f"unknown flavour {flavour!r}")
     for i in range(b_lo, size + 1):
         for two_r in range(2, bound + 1, 2):
-            center_gens.append((f"b_{i}^({two_r})", centers.b[i][two_r]))
-    center_gens += [(sq.label, sq.element) for sq in centers.squares
-                    if sq.parity == 0 and 2 * sq.r <= bound]
+            center_els.append(centers.b[i][two_r])
+    center_els += [sq.element for sq in centers.squares
+                   if sq.parity == 0 and 2 * sq.r <= bound]
+    factors = [(el, el.degree(), None) for el in center_els]
 
-    symbols: list[tuple[Element, int]] = []
     for i in range(d_lo, size + 1):
         for r in range(1, bound + 1):
-            symbols.append((tab.d[i][r], r))
-    for (_, _), by_r in sorted(tab.e.items()):
-        for r in sorted(by_r):
-            if r <= bound:
-                symbols.append((by_r[r], r))
-    for (_, _), by_r in sorted(tab.f.items()):
-        for r in sorted(by_r):
-            if r <= bound:
-                symbols.append((by_r[r], r))
+            factors.append((tab.d[i][r], r, 1))
+    for family in (tab.e, tab.f):
+        for _, by_r in sorted(family.items()):
+            for r in sorted(by_r):
+                if r <= bound:
+                    factors.append((by_r[r], r, 1))
 
-    ech = BitEchelon()
-    state = {"count": 0, "dependent": 0}
+    count = graded_basis_count(quotient, factors)
+    if count is not None:
+        rank, dependent = count, 0
+    else:
+        ech = BitEchelon()
+        tally = {"count": 0, "dependent": 0}
 
-    def emit(prod: Element) -> None:
-        state["count"] += 1
-        if ech.add(quotient.residue(prod)) == 0:
-            state["dependent"] += 1
+        def emit(prod: Element, _degree: int) -> None:
+            tally["count"] += 1
+            if ech.add(quotient.residue(prod)) == 0:
+                tally["dependent"] += 1
 
-    def rec_symbols(k: int, remaining: int, prod: Element) -> None:
-        if k == len(symbols):
-            emit(prod)
-            return
-        el, deg = symbols[k]
-        rec_symbols(k + 1, remaining, prod)
-        if deg <= remaining:
-            rec_symbols(k + 1, remaining - deg, alg.multiply(prod, el))
-
-    def rec_center(k: int, remaining: int, prod: Element) -> None:
-        if k == len(center_gens):
-            rec_symbols(0, remaining, prod)
-            return
-        _, el = center_gens[k]
-        deg = el.degree()
-        mult = 0
-        cur = prod
-        while True:
-            rec_center(k + 1, remaining - mult * deg, cur)
-            mult += 1
-            if mult * deg > remaining:
-                break
-            cur = alg.multiply(cur, el)
-
-    rec_center(0, bound, alg.one())
+        product_walk(factors, bound, alg.one(), alg.multiply, emit)
+        count, rank, dependent = tally["count"], ech.rank, tally["dependent"]
 
     report = Report("freeness-shadow",
                     config={"m": alg.shape.m, "n": alg.shape.n,
                             "bound": bound, "flavour": flavour})
-    ok = (state["dependent"] == 0
-          and state["count"] == ech.rank == quotient.dim_super)
-    report.add("basis", {"products": state["count"], "rank": ech.rank,
+    ok = dependent == 0 and count == rank == quotient.dim_super
+    report.add("basis", {"products": count, "rank": rank,
                          "dim_super": quotient.dim_super, "flavour": flavour},
                ok,
-               witness=None if ok else f"{state['dependent']} dependent products")
+               witness=None if ok else f"{dependent} dependent products")
     return report
 
 

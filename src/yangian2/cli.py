@@ -42,8 +42,8 @@ class RunConfig:
         cfg = RunConfig(self.m, self.n, self.cap, order, trunc, self.seed, self.out)
         if cfg.m < 1 or cfg.n < 1:
             raise ValueError("m and n must be >= 1")
-        if cfg.order > cfg.cap:
-            raise ValueError("series order K must satisfy K <= L")
+        if not 0 <= cfg.order <= cfg.cap:
+            raise ValueError("series order K must satisfy 0 <= K <= L")
         if cfg.trunc < cfg.cap + 1:
             raise ValueError("truncation T must satisfy T >= L + 1")
         return cfg

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -396,3 +397,143 @@ def test_independence_zero_generator(setup11):
     rep = independence_check([("zero", alg.zero())], 2)
     assert not rep.ok
     assert "zero generators" in rep.checks[0].witness
+
+
+# -- the graded certificate of the freeness shadow ------------------------------
+
+
+def _shadow_pair(monkeypatch, table, q):
+    """Both flavours' payloads by the default path and by the forced exact
+    walk, and what the graded certificate returned on the default path."""
+    certify, seen = centers.graded_basis_count, []
+
+    def spy(quotient, factors):
+        seen.append(certify(quotient, factors))
+        return seen[-1]
+
+    def payloads():
+        return [freeness_shadow_report(table, q, flavour).to_payload()
+                for flavour in ("p-center", "full-center")]
+
+    monkeypatch.setattr(centers, "graded_basis_count", spy)
+    graded = payloads()
+    # a declining certificate forces the straightened walk
+    monkeypatch.setattr(centers, "graded_basis_count",
+                        lambda quotient, factors: None)
+    exact = payloads()
+    monkeypatch.undo()
+    return graded, exact, seen
+
+
+@pytest.mark.parametrize("m, n, cap, order, bounds", [
+    (1, 1, 7, 6, range(2, 7)),
+    (2, 1, 5, 4, range(2, 5)),
+    (1, 2, 5, 4, [4]),
+    (2, 2, 4, 3, [3]),
+    (3, 1, 4, 3, [3]),
+])
+def test_graded_shadow_matches_exact(monkeypatch, m, n, cap, order, bounds):
+    alg = RTTAlgebra(Shape(m, n, cap))
+    tab = build_table(alg, order)
+    table = build_center_table(tab)
+    for bound in bounds:
+        q = build_quotient(alg, bound, tab)
+        graded, exact, seen = _shadow_pair(monkeypatch, table, q)
+        assert graded == exact, bound
+        # the certificate holds here, so the graded path wrote the report
+        assert seen == [q.dim_super] * 2, bound
+
+
+def test_graded_shadow_fallback(monkeypatch):
+    """At cap 3 the superscript-3 higher roots of (2,1) are missing, the
+    count falls short of dim_super and the exact walk writes the report."""
+    alg = RTTAlgebra(Shape(2, 1, 3))
+    tab = build_table(alg, 3)
+    q = build_quotient(alg, 3, tab)
+    graded, exact, seen = _shadow_pair(monkeypatch, build_center_table(tab), q)
+    assert seen == [None, None]
+    assert graded == exact
+    for payload in graded:
+        (check,) = payload["instances"]
+        assert check["params"]["products"] == check["params"]["rank"] == 277
+        assert check["params"]["dim_super"] == 279
+        assert check["witness"] == "0 dependent products"
+
+
+def _with_odd_square_factor(setup11):
+    """(1,1) at bound 4 with b_2^(2) swapped for the odd square (e^(1))^2:
+    same degrees and count, but every product through it lies in the ideal."""
+    alg, tab = setup11
+    table = build_center_table(tab)
+    odd = next(sq.element for sq in table.squares
+               if sq.parity == 1 and sq.r == 1)
+    b2 = list(table.b[2])
+    b2[2] = odd
+    swapped = dataclasses.replace(table, b={**table.b, 2: b2})
+    return swapped, build_quotient(alg, 4, tab)
+
+
+def test_graded_shadow_declines_on_dependent_products(setup11, monkeypatch):
+    table, q = _with_odd_square_factor(setup11)
+    graded, exact, seen = _shadow_pair(monkeypatch, table, q)
+    assert seen == [None, None]
+    assert graded == exact
+    (check,) = graded[0]["instances"]
+    assert not check["pass"]
+    assert check["params"]["rank"] < check["params"]["products"]
+
+
+def test_graded_shadow_declines_without_full_ideal_span(setup11, monkeypatch):
+    """(i): a symbol span short of ideal_rank says nothing about gr(J), so
+    symbols independent in gr F alone must not certify the basis."""
+    table, q = _with_odd_square_factor(setup11)
+    blind = dataclasses.replace(q, odd_squares=())
+    graded, exact, seen = _shadow_pair(monkeypatch, table, blind)
+    assert seen == [None, None]
+    assert graded == exact
+    assert not graded[0]["instances"][0]["pass"]
+
+
+def test_graded_shadow_declines_below_nominal_degree(setup11, monkeypatch):
+    """A factor whose top part sits below its nominal degree has no symbol
+    there; the certificate must decline rather than misplace it."""
+    alg, tab = setup11
+    d1 = dict(tab.d[1])
+    d1[2] = tab.d[1][1]
+    low = dataclasses.replace(tab, d={**tab.d, 1: d1})
+    table = dataclasses.replace(build_center_table(tab), tab=low)
+    q = build_quotient(alg, 4, tab)
+    graded, exact, seen = _shadow_pair(monkeypatch, table, q)
+    assert seen[0] is None
+    assert graded == exact
+
+
+def test_product_walk_matches_full_recursion():
+    """Cutting dead branches keeps every product and the emission order."""
+    def full(factors, bound):
+        out = []
+
+        def rec(k, remaining, prod):
+            if k == len(factors):
+                out.append((prod, bound - remaining))
+                return
+            value, deg, top = factors[k]
+            mult = 0
+            while True:
+                rec(k + 1, remaining - mult * deg, prod)
+                mult += 1
+                if mult * deg > remaining or (top is not None and mult > top):
+                    break
+                prod = prod + (value,)
+        rec(0, bound, ())
+        return out
+
+    rng = random.Random(7)
+    for _ in range(200):
+        factors = [(k, rng.randint(1, 4), rng.choice([None, 1, 2]))
+                   for k in range(rng.randint(0, 6))]
+        bound = rng.randint(0, 9)
+        got = []
+        centers.product_walk(factors, bound, (), lambda p, v: p + (v,),
+                             lambda p, d: got.append((p, d)))
+        assert got == full(factors, bound)

@@ -144,6 +144,17 @@ def test_usage_errors(tmp_path):
     assert code3 == 2
 
 
+@pytest.mark.parametrize("command", [["gauss"], ["pbw"], ["verify", "drinfeld"]])
+def test_negative_order_is_usage_error(tmp_path, capsys, command):
+    out = tmp_path / "neg.json"
+    code = cli.main(["--m", "1", "--n", "1", "-L", "3", "-K", "-1",
+                     "--out", str(out), *command])
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        "error: series order K must satisfy 0 <= K <= L"]
+
+
 def test_failure_exit_code(tmp_path, monkeypatch):
     def fake_run(cfg, args):
         report = Report("forced")
