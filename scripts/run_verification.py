@@ -35,6 +35,10 @@ RUNS = [
      ["quotient-dim"]),
     ("quotient-2-1", ["--m", "2", "--n", "1", "-L", "3", "-K", "3"],
      ["quotient-dim"]),
+    ("quotient-1-1-L7", ["--m", "1", "--n", "1", "-L", "7", "-K", "7"],
+     ["quotient-dim"]),
+    ("quotient-2-2-L4", ["--m", "2", "--n", "2", "-L", "4", "-K", "4"],
+     ["quotient-dim"]),
     ("fuzz-1-1", ["--m", "1", "--n", "1", "-L", "4", "--seed", "20240604"],
      ["fuzz", "--samples", "1000"]),
 ]

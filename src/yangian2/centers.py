@@ -13,7 +13,10 @@ every generator of superscript <= bound - deg z; when all of them commute,
 z * b = b * z inside the bound, so J_bound is already the span of the
 one-sided products a * z and only those rows are formed.  If any square
 fails that centrality certificate the two-sided rows a * z * b are formed
-instead; QuotientModel.path records which was used.  Columns put the
+instead; QuotientModel.path records which was used.  Either way a * z is
+built along the PBW order as g * (a' * z), where g is the first letter of a
+and a' the rest: a' precedes a in (degree, word) order, so its product with
+z is already straightened and only the words g * w are new.  Columns put the
 non-supermonomials first, so they are the preferred pivots, and the
 supermonomial block runs in descending (degree, word) order, so the pivot
 of a residue-supported row is its top-degree monomial.  When the rank
@@ -58,8 +61,7 @@ from .drinfeld import DrinfeldTable
 from .errors import DegreeCapError
 from .linalg import BitEchelon, words_row
 from .report import Report
-from .rtt import (Element, RTTAlgebra, bounded_words, pack, word_degree,
-                  word_loop_degree)
+from .rtt import Element, RTTAlgebra, pack, word_degree, word_loop_degree
 from .series import YSeries, series_mul, series_shift
 
 
@@ -222,7 +224,13 @@ class QuotientModel:
 
 
 def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientModel:
-    """Row-reduce the bounded odd-square ideal and certify the dimension count."""
+    """Row-reduce the bounded odd-square ideal and certify the dimension count.
+
+    The monomials a run in (degree, word) order, and each row a * z is
+    formed as g * (a' * z) from the first letter g of a and the row of its
+    suffix a', built earlier for the same square; the suffix rows of one
+    square are dropped before the next.
+    """
     all_monos = alg.pbw_monomials(bound)
     parity = alg.shape.parity
 
@@ -231,8 +239,10 @@ def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientM
         return any(a == b and parity(a >> 16, (a >> 8) & 0xFF)
                    for a, b in zip(w, w[1:]))
 
-    non_super = [w for w in all_monos if repeats_odd(w)]
-    super_list = [w for w in reversed(all_monos) if not repeats_odd(w)]
+    non_super, super_list = [], []
+    for w in all_monos:
+        (non_super if repeats_odd(w) else super_list).append(w)
+    super_list.reverse()
     basis = tuple(non_super + super_list)
     index = {w: k for k, w in enumerate(basis)}
     degrees = [word_degree(w) for w in all_monos]
@@ -249,8 +259,12 @@ def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientM
     ech = BitEchelon()
     for z in odd_squares:
         room = bound - z.degree()
+        prods = {(): z}   # a * z for the monomials a built so far
         for wa in monos_upto(room):
-            left = alg.multiply(mono(wa), z)
+            if wa:
+                # a' = wa[1:] precedes wa in (degree, word) order
+                prods[wa] = alg.multiply(mono(wa[:1]), prods[wa[1:]])
+            left = prods[wa]
             if one_sided:
                 rows = [left]
             else:
@@ -360,9 +374,11 @@ def independence_check(gens: list[tuple[str, Element]], bound: int,
                        quotient: QuotientModel | None = None) -> Report:
     """Linear independence of all products of the given elements up to bound.
 
-    Products are formed in the listed order with multiplicities; when a
-    quotient model is supplied the products are reduced first, realising
-    the freeness statement inside the quotient.
+    Products are formed in the listed order with multiplicities, along
+    shared prefixes (product_walk), and the dependent ones are named by
+    their exponent vectors in that order; when a quotient model is supplied
+    the products are reduced first, realising the freeness statement inside
+    the quotient.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -381,8 +397,6 @@ def independence_check(gens: list[tuple[str, Element]], bound: int,
     if any(d > bound for d in degrees):
         raise DegreeCapError("generator degree exceeds the requested bound")
 
-    products = bounded_words(range(len(gens)), degrees, bound)
-
     if quotient is None:
         index = {w: k for k, w in enumerate(alg.pbw_monomials(bound))}
     else:
@@ -390,16 +404,25 @@ def independence_check(gens: list[tuple[str, Element]], bound: int,
 
     ech = BitEchelon()
     dependents = []
-    for word in products:
-        element = alg.one()
-        for k in word:
-            element = alg.multiply(element, gens[k][1])
+    tally = {"count": 0}
+
+    def times(prod: tuple, k: int) -> tuple:
+        element, exponents = prod
+        bumped = exponents[:k] + (exponents[k] + 1,) + exponents[k + 1:]
+        return alg.multiply(element, gens[k][1]), bumped
+
+    def emit(prod: tuple, _degree: int) -> None:
+        element, exponents = prod
+        tally["count"] += 1
         if quotient is not None:
             element = quotient.reduce(element)
         if ech.add(words_row(element.words, index, bound)) == 0:
-            dependents.append(tuple(word.count(k) for k in range(len(gens))))
+            dependents.append(exponents)
+
+    factors = [(k, deg, None) for k, deg in enumerate(degrees)]
+    product_walk(factors, bound, (alg.one(), (0,) * len(gens)), times, emit)
     ok = not dependents
-    report.add("rank", {"products": len(products), "rank": ech.rank}, ok,
+    report.add("rank", {"products": tally["count"], "rank": ech.rank}, ok,
                witness=None if ok else f"dependent exponents: {dependents[:5]}")
     return report
 

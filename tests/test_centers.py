@@ -12,8 +12,9 @@ from yangian2.centers import (b_series, build_center_table, build_quotient,
                               p_center_squares, quotient_report)
 from yangian2.current import CurrentAlgebra
 from yangian2.errors import DegreeCapError
+from yangian2.linalg import BitEchelon, words_row
 from yangian2.report import Report
-from yangian2.rtt import Element
+from yangian2.rtt import Element, word_degree
 
 from oracles import count_full, count_super
 
@@ -170,6 +171,85 @@ def test_one_sided_ideal_matches_two_sided(request, monkeypatch, fixture, top):
                     for j in range(1, alg.shape.size + 1)]
         for x in samples:
             assert q1.reduce(x) == q2.reduce(x)
+
+
+def _direct_rows(alg, tab, bound, two_sided):
+    """The ideal rows straightened from scratch: multiply(mono(a), z), then
+    times mono(b) on the two-sided path, in build_quotient's order."""
+    monos = alg.pbw_monomials(bound)
+    upto = {d: [w for w in monos if word_degree(w) <= d]
+            for d in range(bound + 1)}
+
+    def mono(w):
+        return Element(alg, frozenset({w}))
+
+    rows = []
+    for sq in p_center_squares(tab, bound):
+        if sq.parity != 1:
+            continue
+        z = sq.element
+        room = bound - z.degree()
+        for wa in upto[room]:
+            left = alg.multiply(mono(wa), z)
+            if not two_sided:
+                rows.append(left)
+                continue
+            rows += [alg.multiply(left, mono(wb))
+                     for wb in upto[room - word_degree(wa)]]
+    return rows
+
+
+def _logged_build(monkeypatch, alg, tab, bound):
+    """build_quotient with every row handed to its echelon recorded."""
+    logged = []
+
+    class Logged(BitEchelon):
+        def add(self, row):
+            logged.append(row)
+            return super().add(row)
+
+    monkeypatch.setattr(centers, "BitEchelon", Logged)
+    q = build_quotient(alg, bound, tab)
+    monkeypatch.setattr(centers, "BitEchelon", BitEchelon)
+    return q, logged
+
+
+@pytest.mark.parametrize("m, n, cap, order, bounds, two_sided", [
+    (1, 1, 7, 3, range(2, 8), False),
+    (1, 1, 7, 3, range(2, 8), True),
+    (2, 1, 5, 2, range(2, 6), False),
+    (2, 1, 5, 2, range(2, 6), True),
+])
+def test_tree_rows_match_direct_products(monkeypatch, m, n, cap, order,
+                                         bounds, two_sided):
+    """Each row a * z built as g * (a' * z) along the PBW order is the
+    product multiply(mono(a), z) straightened from scratch, row for row."""
+    alg = RTTAlgebra(Shape(m, n, cap))
+    tab = build_table(alg, order)
+    if two_sided:
+        _fail_centrality(monkeypatch)
+    for bound in bounds:
+        q, logged = _logged_build(monkeypatch, alg, tab, bound)
+        assert q.path == ("two-sided" if two_sided else "one-sided")
+        want = [words_row(row.words, q.index, bound)
+                for row in _direct_rows(alg, tab, bound, two_sided)]
+        assert logged == want, bound
+
+
+def test_tree_rows_straighten_less():
+    """On fresh algebras the tree build, centrality certificate included,
+    leaves fewer straightening cache entries than the direct products."""
+    entries = []
+    for tree in (True, False):
+        alg = RTTAlgebra(Shape(1, 1, 7))
+        tab = build_table(alg, 3)
+        before = len(alg._nf_cache)
+        if tree:
+            build_quotient(alg, 7, tab)
+        else:
+            _direct_rows(alg, tab, 7, two_sided=False)
+        entries.append(len(alg._nf_cache) - before)
+    assert 0 < entries[0] < entries[1]
 
 
 def test_super_normal_form_examples(setup11):
