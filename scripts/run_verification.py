@@ -31,6 +31,9 @@ RUNS = [
     ("pbw-1-1", ["--m", "1", "--n", "1", "-L", "4", "-K", "4"], ["pbw"]),
     ("pbw-super-1-1", ["--m", "1", "--n", "1", "-L", "4", "-K", "4"],
      ["pbw", "--super"]),
+    ("pbw-2-1", ["--m", "2", "--n", "1", "-L", "5", "-K", "5"], ["pbw"]),
+    ("pbw-super-2-1", ["--m", "2", "--n", "1", "-L", "5", "-K", "5"],
+     ["pbw", "--super"]),
     ("quotient-1-1", ["--m", "1", "--n", "1", "-L", "4", "-K", "4"],
      ["quotient-dim"]),
     ("quotient-2-1", ["--m", "2", "--n", "1", "-L", "3", "-K", "3"],

@@ -43,7 +43,10 @@ symbols, inside gr(J_bound), against (ii); so rank = count = dim_super,
 exactly what the straightened walk would find.  When any condition fails,
 for example when a missing higher root leaves the count short of
 dim_super, the certificate declines and the products are straightened,
-reduced and ranked as before.  Either way the report is the same.
+reduced and ranked as before.  Either way the report is the same.  Both
+walks, and the products of independence_check, come from rtt.bounded_words,
+which multiplies along shared prefixes: each product is its prefix's
+product times one more factor.
 
 gr_leading_term realises the associated-graded bridge: the loop-degree-d
 part of an element maps to the classical oracle by sending each factor
@@ -61,7 +64,8 @@ from .drinfeld import DrinfeldTable
 from .errors import DegreeCapError
 from .linalg import BitEchelon, words_row
 from .report import Report
-from .rtt import Element, RTTAlgebra, pack, word_degree, word_loop_degree
+from .rtt import (Element, RTTAlgebra, bounded_words, pack, word_degree,
+                  word_loop_degree)
 from .series import YSeries, series_mul, series_shift
 
 
@@ -171,7 +175,6 @@ class QuotientModel:
     basis: tuple            # non-super block ascending, then super block descending
     index: dict
     echelon: BitEchelon
-    n_nonsuper: int
     dim_full: int
     ideal_rank: int
     dim_super: int
@@ -278,8 +281,8 @@ def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientM
     dim_super = dim_full - ideal_rank
     expected = len(super_list)
     pivots_in_nonsuper = all(c < len(non_super) for c in ech.pivots)
-    return QuotientModel(alg, bound, basis, index, ech, len(non_super),
-                         dim_full, ideal_rank, dim_super, expected,
+    return QuotientModel(alg, bound, basis, index, ech, dim_full, ideal_rank,
+                         dim_super, expected,
                          dim_super == expected and pivots_in_nonsuper,
                          "one-sided" if one_sided else "two-sided",
                          tuple(odd_squares))
@@ -375,7 +378,7 @@ def independence_check(gens: list[tuple[str, Element]], bound: int,
     """Linear independence of all products of the given elements up to bound.
 
     Products are formed in the listed order with multiplicities, along
-    shared prefixes (product_walk), and the dependent ones are named by
+    shared prefixes (rtt.bounded_words), and the dependent ones are named by
     their exponent vectors in that order; when a quotient model is supplied
     the products are reduced first, realising the freeness statement inside
     the quotient.
@@ -402,59 +405,26 @@ def independence_check(gens: list[tuple[str, Element]], bound: int,
     else:
         index = quotient.index
 
-    ech = BitEchelon()
-    dependents = []
-    tally = {"count": 0}
-
     def times(prod: tuple, k: int) -> tuple:
         element, exponents = prod
         bumped = exponents[:k] + (exponents[k] + 1,) + exponents[k + 1:]
         return alg.multiply(element, gens[k][1]), bumped
 
-    def emit(prod: tuple, _degree: int) -> None:
-        element, exponents = prod
-        tally["count"] += 1
+    ech = BitEchelon()
+    count = 0
+    dependents = []
+    for (element, exponents), _ in bounded_words(
+            range(len(gens)), degrees, bound, fold=times,
+            one=(alg.one(), (0,) * len(gens))):
+        count += 1
         if quotient is not None:
             element = quotient.reduce(element)
         if ech.add(words_row(element.words, index, bound)) == 0:
             dependents.append(exponents)
-
-    factors = [(k, deg, None) for k, deg in enumerate(degrees)]
-    product_walk(factors, bound, (alg.one(), (0,) * len(gens)), times, emit)
     ok = not dependents
-    report.add("rank", {"products": tally["count"], "rank": ech.rank}, ok,
+    report.add("rank", {"products": count, "rank": ech.rank}, ok,
                witness=None if ok else f"dependent exponents: {dependents[:5]}")
     return report
-
-
-def product_walk(factors, bound: int, one, multiply, emit) -> None:
-    """Emit every product of the factors of total degree <= bound.
-
-    factors lists (value, degree, max_mult), max_mult None for no limit.
-    A product takes the factors in list order, each with some multiplicity,
-    and products along a shared prefix share its partial product; emit gets
-    each product with its degree.  A branch ends as soon as no later factor
-    fits the remaining degree (a suffix table of least degrees), so each
-    product is emitted once and in the order of the full recursion.
-    """
-    fits = [bound + 1] * (len(factors) + 1)   # least degree among factors[k:]
-    for k in range(len(factors) - 1, -1, -1):
-        fits[k] = min(fits[k + 1], factors[k][1])
-
-    def rec(k: int, remaining: int, prod) -> None:
-        if remaining < fits[k]:
-            emit(prod, bound - remaining)
-            return
-        value, deg, top = factors[k]
-        mult = 0
-        while True:
-            rec(k + 1, remaining - mult * deg, prod)
-            mult += 1
-            if mult * deg > remaining or (top is not None and mult > top):
-                break
-            prod = multiply(prod, value)
-
-    rec(0, bound, one)
 
 
 def graded_basis_count(quotient: QuotientModel, factors) -> int | None:
@@ -470,23 +440,21 @@ def graded_basis_count(quotient: QuotientModel, factors) -> int | None:
     span = quotient.graded_ideal
     if sum(ech.rank for _, ech in span.values()) != quotient.ideal_rank:
         return None
-    symbols = []
-    for value, deg, top in factors:
+    for value, deg, _ in factors:
         if not value or value.degree() != deg:
             return None
-        symbols.append((symbol(value), deg, top))
+    values, degrees, tops = zip(*factors)
     echelons = {d: ech.copy() for d, (_, ech) in span.items()}
-    tally = {"count": 0, "dependent": 0}
-
-    def emit(sym: frozenset, d: int) -> None:
-        tally["count"] += 1
+    count = dependent = 0
+    for sym, d in bounded_words([symbol(v) for v in values], degrees,
+                                quotient.bound, tops, symbol_product,
+                                frozenset({()})):
+        count += 1
         if echelons[d].add(words_row(sym, span[d][0], d)) == 0:
-            tally["dependent"] += 1
-
-    product_walk(symbols, quotient.bound, frozenset({()}), symbol_product, emit)
-    if tally["dependent"] or tally["count"] != quotient.dim_super:
+            dependent += 1
+    if dependent or count != quotient.dim_super:
         return None
-    return tally["count"]
+    return count
 
 
 def freeness_shadow_report(centers: CenterTable, quotient: QuotientModel,
@@ -526,7 +494,7 @@ def freeness_shadow_report(centers: CenterTable, quotient: QuotientModel,
             center_els.append(centers.b[i][two_r])
     center_els += [sq.element for sq in centers.squares
                    if sq.parity == 0 and 2 * sq.r <= bound]
-    factors = [(el, el.degree(), None) for el in center_els]
+    factors = [(el, el.degree(), bound) for el in center_els]
 
     for i in range(d_lo, size + 1):
         for r in range(1, bound + 1):
@@ -541,16 +509,15 @@ def freeness_shadow_report(centers: CenterTable, quotient: QuotientModel,
     if count is not None:
         rank, dependent = count, 0
     else:
+        values, degrees, tops = zip(*factors)
         ech = BitEchelon()
-        tally = {"count": 0, "dependent": 0}
-
-        def emit(prod: Element, _degree: int) -> None:
-            tally["count"] += 1
+        count = dependent = 0
+        for prod, _ in bounded_words(values, degrees, bound, tops,
+                                     alg.multiply, alg.one()):
+            count += 1
             if ech.add(quotient.residue(prod)) == 0:
-                tally["dependent"] += 1
-
-        product_walk(factors, bound, alg.one(), alg.multiply, emit)
-        count, rank, dependent = tally["count"], ech.rank, tally["dependent"]
+                dependent += 1
+        rank = ech.rank
 
     report = Report("freeness-shadow",
                     config={"m": alg.shape.m, "n": alg.shape.n,

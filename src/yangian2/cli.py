@@ -113,6 +113,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _merge_config(args) -> RunConfig:
+    for flag in ("budget", "samples"):
+        if getattr(args, flag, None) is not None and getattr(args, flag) < 0:
+            raise ValueError(f"--{flag} must be >= 0")
     file_values = load_config_file(args.config) if args.config else {}
     def pick(flag, key, default):
         if flag is not None:

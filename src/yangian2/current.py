@@ -253,8 +253,10 @@ class CurrentAlgebra:
         and then lexicographically."""
         gens = self.generators()
         caps = [1 if g in self._odd else max_len for g in gens]
-        words = bounded_words(gens, [1] * len(gens), max_len, caps)
-        return sorted(words, key=lambda w: (len(w), w))
+        by_len: list[list] = [[] for _ in range(max_len + 1)]
+        for w, d in bounded_words(gens, [1] * len(gens), max_len, caps):
+            by_len[d].append(w)
+        return [w for words in by_len for w in sorted(words)]
 
 
 # -- symmetric-superalgebra layer (for the invariants report) -------------------
@@ -473,7 +475,8 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
     rows of one generator go into a shared echelon before the next
     generator is taken; row rank equals column rank, so no dense column
     of gens * len(basis) bits is built.  s_adjoint stays the word-by-word
-    reference and serves the containment check.
+    reference and serves the containment check.  The generated products
+    come one at a time from bounded_words, folded along shared prefixes.
     """
     basis = s_supermonomials_of_degree(alg, degree)
     index = {w: k for k, w in enumerate(basis)}
@@ -498,8 +501,6 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
                 g = pack(i, j, r)
                 squares.append(frozenset({(g, g)}))
 
-    products: list[frozenset] = []
-
     def expand_product(words_a: frozenset, words_b: frozenset) -> frozenset:
         acc: set = set()
         for wa in words_a:
@@ -509,35 +510,23 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
                     acc ^= {prod}
         return frozenset(acc)
 
-    factors = [(1, z) for z in z_list] + [(2, sq) for sq in squares]
-    for word in bounded_words(factors, [deg for deg, _ in factors], degree):
-        if sum(deg for deg, _ in word) != degree:
-            continue
-        prod = frozenset({()})
-        for _, words in word:
-            prod = expand_product(prod, words)
-            if not prod:
-                break
-        if prod:
-            products.append(prod)
-
     ech = BitEchelon()
     contained = True
-    for prod_words in products:
+    for prod_words, d in bounded_words(
+            z_list + squares, [1] * len(z_list) + [2] * len(squares), degree,
+            fold=expand_product, one=frozenset({()})):
+        if d != degree or not prod_words:
+            continue
         ech.add(words_row(prod_words, index, degree))
-    generated_dim = ech.rank
-
-    # containment: every generated product must be killed by every generator
-    for prod_words in products:
+        # containment: every generated product must be killed by every generator
         for g in gens:
+            if not contained:
+                break
             acc: set = set()
             for w in prod_words:
                 acc ^= s_adjoint(alg, g, w)
-            if acc:
-                contained = False
-                break
-        if not contained:
-            break
+            contained = not acc
+    generated_dim = ech.rank
 
     report = Report("classical-invariants",
                     config={"m": alg.m, "n": alg.n, "trunc": alg.trunc,

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DegreeCapError
+from .linalg import BitEchelon, words_row
 from .report import Report
 from .rtt import Element, RTTAlgebra, bounded_words
 from .series import YMatrix, YSeries, gauss_decompose, series_inv, t_matrix
@@ -76,9 +77,6 @@ class DrinfeldTable:
 
     def f_simple(self, i: int, r: int) -> Element:
         return self.f[(i + 1, i)][r]
-
-    def parity(self, i: int, j: int) -> int:
-        return self.alg.shape.parity(i, j)
 
     def d_series(self, i: int) -> YSeries:
         return YSeries(self.alg, tuple(self.d[i][r] for r in range(self.order + 1)))
@@ -342,8 +340,6 @@ def drinfeld_pbw_check(tab: DrinfeldTable, bound: int,
     have full rank (equal to the monomial count; in the plain case that
     count is exactly dim F_bound).
     """
-    from .linalg import BitEchelon, words_row
-
     alg = tab.alg
     shape = alg.shape
     if bound > tab.order:
@@ -357,48 +353,44 @@ def drinfeld_pbw_check(tab: DrinfeldTable, bound: int,
                 f"pbw check at bound {bound} needs every root family up to "
                 f"superscript {bound}; raise the cap to at least {bound + 1}")
 
-    # Drinfeld generator symbols with a fixed deterministic order.
-    symbols: list[tuple] = []
+    # Drinfeld generators with their symbols, in a fixed deterministic order
+    factors: list[tuple] = []
     for i in range(1, shape.size + 1):
         for r in range(1, bound + 1):
-            symbols.append(("d", i, i, r))
+            factors.append((("d", i, i, r), tab.d[i][r]))
     for (i, j), by_r in sorted(tab.e.items()):
         for r in sorted(by_r):
             if r <= bound:
-                symbols.append(("e", i, j, r))
+                factors.append((("e", i, j, r), by_r[r]))
     for (j, i), by_r in sorted(tab.f.items()):
         for r in sorted(by_r):
             if r <= bound:
-                symbols.append(("f", j, i, r))
+                factors.append((("f", j, i, r), by_r[r]))
 
-    def resolve(sym) -> Element:
-        kind, a, b, r = sym
-        if kind == "d":
-            return tab.d[a][r]
-        if kind == "e":
-            return tab.e[(a, b)][r]
-        return tab.f[(a, b)][r]
+    def times(prod: tuple, factor: tuple) -> tuple:
+        element, mono = prod
+        sym, value = factor
+        return alg.multiply(element, value), mono + (sym,)
 
     caps = [1 if super_only and shape.parity(a, b) else bound
-            for _, a, b, _ in symbols]
-    monomials = bounded_words(symbols, [sym[3] for sym in symbols], bound, caps)
-
+            for (_, a, b, _), _ in factors]
     basis = alg.pbw_monomials(bound)
     index = {w: k for k, w in enumerate(basis)}
     ech = BitEchelon()
+    count = 0
     dependent = []
-    for mono in monomials:
-        element = alg.one()
-        for sym in mono:
-            element = alg.multiply(element, resolve(sym))
+    for (element, mono), _ in bounded_words(
+            factors, [sym[3] for sym, _ in factors], bound, caps, times,
+            (alg.one(), ())):
+        count += 1
         if ech.add(words_row(element.words, index, bound)) == 0:
             dependent.append(mono)
 
     report = Report("drinfeld-pbw",
                     config={"m": shape.m, "n": shape.n, "bound": bound,
                             "super": super_only})
-    rank_ok = ech.rank == len(monomials)
-    report.add("rank", {"monomials": len(monomials), "rank": ech.rank,
+    rank_ok = ech.rank == count
+    report.add("rank", {"monomials": count, "rank": ech.rank,
                         "dim_full": len(basis)},
                rank_ok,
                witness=None if rank_ok else f"dependent: {dependent[:3]}")

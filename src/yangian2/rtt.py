@@ -29,6 +29,13 @@ words of a carry are never looked up again.  The rightmost strategy
 mirrors all of this and keeps its own cache, so comparing the two is
 evidence of confluence.
 
+One walker, ``bounded_words``, enumerates the products of a list of items
+up to a weight bound: PBW monomials here and in the classical algebra,
+and the products behind every rank certificate (Drinfeld monomials,
+independence and freeness products, classical invariants).  It yields
+each word, or the word's left-folded product, lazily with its weight;
+words that share a prefix share its partial product.
+
 Two degree functions coexist on every monomial: the canonical degree puts
 t[i,j,r] in degree r and governs the hard cap; the loop degree puts it in
 degree r-1 and feeds the classical leading-term bridge.
@@ -36,6 +43,7 @@ degree r-1 and feeds the classical leading-term bridge.
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 
@@ -126,22 +134,30 @@ def straighten(word: tuple, cache: dict, bracket, nilsquare=frozenset(),
     return result
 
 
-def bounded_words(items, weights, bound: int, max_mult=None) -> list[tuple]:
-    """Every word items[k1]^e1 * items[k2]^e2 * ... (k1 < k2 < ...) of
-    weight sum(e_k * weights[k]) <= bound, with e_k <= max_mult[k] if given.
+def bounded_words(items, weights, bound: int, max_mult=None, fold=None,
+                  one=()):
+    """Lazily yield (product, weight) for every word items[k1]^e1 *
+    items[k2]^e2 * ... (k1 < k2 < ...) of weight sum(e_k * weights[k]) <=
+    bound, with e_k <= max_mult[k] if given.
 
-    Weights are positive ints.  The words come in ascending lexicographic
-    order of their exponent vectors, the first item varying slowest, so the
-    empty word is first.  The walk goes from each word straight to its
-    successor: raise the exponent of the last item that still fits after
-    the word's last letter, or else drop the trailing run and retry before
-    it.  A table of the last fitting item below each index, per remaining
-    weight, makes every step skip the items that cannot occur.
+    The product of a word is the left fold of ``fold(product, item)`` over
+    its letters, starting from *one*; without *fold* it is the word itself.
+    Weights are positive ints, checked at the call.  The words come in
+    ascending lexicographic order of their exponent vectors, the first item
+    varying slowest, so the empty word is first.  The walk goes from each
+    word straight to its successor: raise the exponent of the last item
+    that still fits after the word's last letter, or else drop the trailing
+    run and retry before it.  A table of the last fitting item below each
+    index, per remaining weight, makes every step skip the items that
+    cannot occur.  A stack keeps one partial product per letter, so words
+    that share a prefix share its product and each word costs one fold.
     """
     if bound < 0:
-        return []
+        return iter(())
     if any(w < 1 for w in weights):
         raise ValueError("word weights must be positive")
+    if fold is None:
+        items, fold = [(x,) for x in items], operator.add
     caps = [bound // w for w in weights]
     if max_mult is not None:
         caps = [min(c, top) for c, top in zip(caps, max_mult)]
@@ -154,29 +170,34 @@ def bounded_words(items, weights, bound: int, max_mult=None) -> list[tuple]:
                 last = k
             row.append(last)
         below.append(row)
-    word: tuple = ()
-    words = [word]
-    runs: list = []     # [item index, exponent] of each letter run of word
-    remaining, limit = bound, len(weights)
-    while True:
-        k = below[remaining][limit]
-        top = runs[-1][0] if runs else -1
-        if k > top:
-            runs.append([k, 1])
-        elif k == top >= 0 and runs[-1][1] < caps[k]:
-            runs[-1][1] += 1
-        elif runs:
-            top, e = runs.pop()
-            word = word[:-e]
-            remaining += e * weights[top]
-            limit = top
-            continue
-        else:
-            return words
-        word += (items[k],)
-        remaining -= weights[k]
-        limit = len(weights)
-        words.append(word)
+
+    def walk():
+        prods = [one]       # prods[p]: the product of the word's first p letters
+        runs: list = []     # [item index, exponent] of each letter run
+        end = len(weights)
+        remaining, limit = bound, end
+        yield one, 0
+        while True:
+            k = below[remaining][limit]
+            top = runs[-1][0] if runs else -1
+            if k > top:
+                runs.append([k, 1])
+            elif k == top >= 0 and runs[-1][1] < caps[k]:
+                runs[-1][1] += 1
+            elif runs:
+                top, e = runs.pop()
+                del prods[-e:]
+                remaining += e * weights[top]
+                limit = top
+                continue
+            else:
+                return
+            prods.append(fold(prods[-1], items[k]))
+            remaining -= weights[k]
+            limit = end
+            yield prods[-1], bound - remaining
+
+    return walk()
 
 
 @dataclass(frozen=True)
@@ -420,9 +441,10 @@ class RTTAlgebra:
         shape = self.shape
         caps = [1 if super_only and shape.parity(g >> 16, (g >> 8) & 0xFF)
                 else bound for g in gens]
-        out = bounded_words(gens, [g & 0xFF for g in gens], bound, caps)
-        out.sort(key=lambda w: (word_degree(w), w))
-        return out
+        by_degree: list[list] = [[] for _ in range(bound + 1)]
+        for w, d in bounded_words(gens, [g & 0xFF for g in gens], bound, caps):
+            by_degree[d].append(w)
+        return [w for words in by_degree for w in sorted(words)]
 
     # -- randomised health checks -------------------------------------------
 

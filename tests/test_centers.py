@@ -14,7 +14,7 @@ from yangian2.current import CurrentAlgebra
 from yangian2.errors import DegreeCapError
 from yangian2.linalg import BitEchelon, words_row
 from yangian2.report import Report
-from yangian2.rtt import Element, word_degree
+from yangian2.rtt import Element, bounded_words, word_degree
 
 from oracles import count_full, count_super
 
@@ -613,7 +613,9 @@ def test_product_walk_matches_full_recursion():
         factors = [(k, rng.randint(1, 4), rng.choice([None, 1, 2]))
                    for k in range(rng.randint(0, 6))]
         bound = rng.randint(0, 9)
-        got = []
-        centers.product_walk(factors, bound, (), lambda p, v: p + (v,),
-                             lambda p, d: got.append((p, d)))
-        assert got == full(factors, bound)
+        got = bounded_words([v for v, _, _ in factors],
+                            [deg for _, deg, _ in factors], bound,
+                            [bound if top is None else top
+                             for _, _, top in factors],
+                            lambda p, v: p + (v,), ())
+        assert list(got) == full(factors, bound)

@@ -155,6 +155,19 @@ def test_negative_order_is_usage_error(tmp_path, capsys, command):
         "error: series order K must satisfy 0 <= K <= L"]
 
 
+@pytest.mark.parametrize("command, line", [
+    (["verify", "drinfeld", "--budget", "-5"], "error: --budget must be >= 0"),
+    (["fuzz", "--samples", "-3"], "error: --samples must be >= 0"),
+], ids=["budget", "samples"])
+def test_negative_count_is_usage_error(tmp_path, capsys, command, line):
+    out = tmp_path / "neg.json"
+    code = cli.main(["--m", "1", "--n", "1", "-L", "3", "--out", str(out),
+                     *command])
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
 def test_failure_exit_code(tmp_path, monkeypatch):
     def fake_run(cfg, args):
         report = Report("forced")

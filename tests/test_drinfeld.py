@@ -230,6 +230,46 @@ def test_pbw_check_21_full_rank(tab21):
     assert report.checks[0].params["dim_full"] == 319
 
 
+@pytest.mark.parametrize("m, n, cap, bound, super_only, monomials", [
+    (1, 1, 6, 6, False, 990),
+    (2, 1, 5, 4, True, 1100),
+])
+def test_pbw_check_multiplies_along_shared_prefixes(monkeypatch, m, n, cap,
+                                                    bound, super_only,
+                                                    monomials):
+    """Each non-empty monomial costs one multiply: its product is the
+    product of its prefix times its last generator."""
+    alg = RTTAlgebra(Shape(m, n, cap))
+    tab = build_table(alg, cap)
+    calls = []
+    multiply = alg.multiply
+
+    def counted(x, y):
+        calls.append(1)
+        return multiply(x, y)
+
+    monkeypatch.setattr(alg, "multiply", counted)
+    report = drinfeld_pbw_check(tab, bound, super_only=super_only)
+    assert report.ok
+    assert report.checks[0].params["monomials"] == monomials
+    assert len(calls) == monomials - 1
+
+
+def test_pbw_check_dependence_witness(tab11, monkeypatch):
+    """A forced dependence names the first dependent monomials, each as its
+    generator symbols in enumeration order."""
+    alg = tab11.alg
+    monkeypatch.setitem(tab11.d[1], 2, alg.multiply(tab11.d[1][1], tab11.d[1][1]))
+    report = drinfeld_pbw_check(tab11, 3)
+    assert not report.ok
+    assert report.checks[0].params == {"monomials": 59, "rank": 54,
+                                       "dim_full": 59}
+    assert report.checks[0].witness == (
+        "dependent: [(('d', 1, 1, 1), ('d', 1, 1, 1)), "
+        "(('d', 1, 1, 1), ('d', 1, 1, 1), ('f', 2, 1, 1)), "
+        "(('d', 1, 1, 1), ('d', 1, 1, 1), ('e', 1, 2, 1))]")
+
+
 def test_pbw_check_needs_complete_roots():
     from yangian2.errors import DegreeCapError
     alg = RTTAlgebra(Shape(2, 1, 3))

@@ -360,13 +360,16 @@ def test_bounded_words_matches_old_recursion():
         cases.append(([f"x{k}" for k in range(size)], weights,
                       rng.randint(0, 9), max_mult))
     for items, weights, bound, max_mult in cases:
-        assert (bounded_words(items, weights, bound, max_mult)
-                == _old_bounded_words(items, weights, bound, max_mult))
+        weight = dict(zip(items, weights))
+        assert (list(bounded_words(items, weights, bound, max_mult))
+                == [(w, sum(weight[x] for x in w))
+                    for w in _old_bounded_words(items, weights, bound, max_mult)])
 
 
 def test_bounded_words_edges():
-    assert bounded_words(["x"], [1], -1) == []
-    assert bounded_words(["x", "y"], [2, 1], 2, [0, 5]) == [(), ("y",), ("y", "y")]
+    assert list(bounded_words(["x"], [1], -1)) == []
+    assert list(bounded_words(["x", "y"], [2, 1], 2, [0, 5])) == [
+        ((), 0), (("y",), 1), (("y", "y"), 2)]
     with pytest.raises(ValueError):
         bounded_words(["x"], [0], 3)
 
