@@ -99,7 +99,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run a verification suite")
     verify.add_argument("suite", choices=["drinfeld", "centers", "classical"])
     verify.add_argument("--budget", type=int, default=None,
-                        help="total-degree budget (default: min(L, K+1))")
+                        help="total-degree budget of verify drinfeld "
+                             "(default: min(L, K+1))")
 
     pbw = sub.add_parser("pbw", help="PBW dimension certificate")
     pbw.add_argument("--super", dest="super_only", action="store_true")
@@ -116,6 +117,9 @@ def _merge_config(args) -> RunConfig:
     for flag in ("budget", "samples"):
         if getattr(args, flag, None) is not None and getattr(args, flag) < 0:
             raise ValueError(f"--{flag} must be >= 0")
+    if getattr(args, "budget", None) is not None and args.suite != "drinfeld":
+        raise ValueError(f"--budget applies only to verify drinfeld, "
+                         f"not verify {args.suite}")
     file_values = load_config_file(args.config) if args.config else {}
     def pick(flag, key, default):
         if flag is not None:

@@ -202,8 +202,9 @@ class CurrentAlgebra:
         acc: set = set()
         for w in words:
             packed = tuple(g if isinstance(g, int) else pack(*g) for g in w)
-            acc ^= straighten(packed, self._nf_cache, self._bracket_gens,
-                              self._odd)
+            acc.symmetric_difference_update(
+                straighten(packed, self._nf_cache, self._bracket_gens,
+                           self._odd))
         return ClassicalElement(self, frozenset(acc))
 
     def multiply(self, x: ClassicalElement, y: ClassicalElement) -> ClassicalElement:
@@ -211,7 +212,8 @@ class CurrentAlgebra:
         cache, bracket, odd = self._nf_cache, self._bracket_gens, self._odd
         for wa in x.words:
             for wb in y.words:
-                acc ^= straighten(wa + wb, cache, bracket, odd)
+                acc.symmetric_difference_update(
+                    straighten(wa + wb, cache, bracket, odd))
         return ClassicalElement(self, frozenset(acc))
 
     def commutator(self, x, y) -> ClassicalElement:

@@ -27,7 +27,7 @@ from .errors import DegreeCapError
 from .linalg import BitEchelon, words_row
 from .report import Report
 from .rtt import Element, RTTAlgebra, bounded_words
-from .series import YMatrix, YSeries, gauss_decompose, series_inv, t_matrix
+from .series import YMatrix, YSeries, gauss_decompose, t_matrix
 
 RELATION_TEXT = {
     "D1": "sum_{t=0}^{r} d_i^(t)*d_i'^(r-t) = delta_{r,0},  d_i^(0) = 1",
@@ -85,12 +85,12 @@ class DrinfeldTable:
 def drinfeld_generators(alg: RTTAlgebra, order: int) -> DrinfeldTable:
     """Extract d, d' and the superdiagonal e, f coefficients via Gauss."""
     t = t_matrix(alg, order)
-    f_mat, diag, e_mat = gauss_decompose(t)
+    inverses: list = []
+    f_mat, diag, e_mat = gauss_decompose(t, inverses)
     tab = DrinfeldTable(alg, order, t=t, gauss=(f_mat, diag, e_mat))
     size = alg.shape.size
     for i in range(1, size + 1):
-        d = diag[i - 1]
-        dinv = series_inv(d)
+        d, dinv = diag[i - 1], inverses[i - 1]
         tab.d[i] = {r: d.coeffs[r] for r in range(order + 1)}
         tab.dprime[i] = {r: dinv.coeffs[r] for r in range(order + 1)}
     for i in range(1, size):

@@ -29,6 +29,13 @@ words of a carry are never looked up again.  The rightmost strategy
 mirrors all of this and keeps its own cache, so comparing the two is
 evidence of confluence.
 
+The memo maps each chain head to its normal form as a tuple of distinct
+ordered words, not a frozenset: at the frontier it holds hundreds of
+thousands of entries, most of one or two words, and a small frozenset
+costs 216 bytes where a tuple of two costs 56; tuples of int tuples also
+drop out of the cyclic collector.  Callers sum the tuples into a set with
+``symmetric_difference_update``, and only elements hold frozensets.
+
 One walker, ``bounded_words``, enumerates the products of a list of items
 up to a weight bound: PBW monomials here and in the classical algebra,
 and the products behind every rank certificate (Drinfeld monomials,
@@ -84,13 +91,16 @@ def render_words(words) -> str:
 
 
 def straighten(word: tuple, cache: dict, bracket, nilsquare=frozenset(),
-                rightmost: bool = False) -> frozenset:
-    """The set of ordered words whose sum equals *word*, memoised in *cache*.
+                rightmost: bool = False) -> tuple:
+    """The distinct ordered words whose sum equals *word*, as a tuple
+    memoised in *cache*.
 
     ``bracket(a, b)`` gives the raw words of ab + ba for generators a > b;
     a square of a generator in *nilsquare* rewrites to 0.  With
     *rightmost* the last out-of-place pair is rewritten first instead of
     the first one; results agree, but each strategy needs its own cache.
+    Callers sum results with ``set.symmetric_difference_update``; no word
+    repeats within a result, so nothing cancels by accident.
     """
     hit = cache.get(word)
     if hit is not None:
@@ -101,7 +111,7 @@ def straighten(word: tuple, cache: dict, bracket, nilsquare=frozenset(),
         if a > b or (a == b and a in nilsquare):
             break
     else:
-        result = cache[word] = frozenset((word,))
+        result = cache[word] = (word,)
         return result
     acc: set = set()
     final = None
@@ -112,8 +122,9 @@ def straighten(word: tuple, cache: dict, bracket, nilsquare=frozenset(),
             q = p + 1
             while q <= last and a > word[q]:
                 for mid in bracket(a, word[q]):
-                    acc ^= straighten(head + word[p + 1:q] + mid + word[q + 1:],
-                                      cache, bracket, nilsquare, True)
+                    acc.symmetric_difference_update(straighten(
+                        head + word[p + 1:q] + mid + word[q + 1:],
+                        cache, bracket, nilsquare, True))
                 q += 1
             if q > last or a != word[q] or a not in nilsquare:
                 final = head + word[p + 1:q] + (a,) + word[q:]
@@ -123,14 +134,16 @@ def straighten(word: tuple, cache: dict, bracket, nilsquare=frozenset(),
             q = p
             while q >= 0 and word[q] > b:
                 for mid in bracket(word[q], b):
-                    acc ^= straighten(word[:q] + mid + word[q + 1:p + 1] + tail,
-                                      cache, bracket, nilsquare)
+                    acc.symmetric_difference_update(straighten(
+                        word[:q] + mid + word[q + 1:p + 1] + tail,
+                        cache, bracket, nilsquare))
                 q -= 1
             if q < 0 or word[q] != b or b not in nilsquare:
                 final = word[:q + 1] + (b,) + word[q + 1:p + 1] + tail
     if final is not None:
-        acc ^= straighten(final, cache, bracket, nilsquare, rightmost)
-    result = cache[word] = frozenset(acc)
+        acc.symmetric_difference_update(
+            straighten(final, cache, bracket, nilsquare, rightmost))
+    result = cache[word] = tuple(acc)
     return result
 
 
@@ -384,7 +397,8 @@ class RTTAlgebra:
         acc: set = set()
         if coeff:
             for w in self._bracket_words(pack(*g1), pack(*g2)):
-                acc ^= straighten(w, self._nf_cache, self._bracket_words)
+                acc.symmetric_difference_update(
+                    straighten(w, self._nf_cache, self._bracket_words))
         return Element(self, frozenset(acc))
 
     # -- straightening -----------------------------------------------------
@@ -400,8 +414,9 @@ class RTTAlgebra:
             if d > cap:
                 raise DegreeCapError(
                     f"word {render_word(packed)} has degree {d} > cap {cap}")
-            acc ^= straighten(packed, cache, self._bracket_words,
-                              rightmost=rightmost)
+            acc.symmetric_difference_update(
+                straighten(packed, cache, self._bracket_words,
+                           rightmost=rightmost))
         return Element(self, frozenset(acc))
 
     def multiply(self, x: Element, y: Element) -> Element:
@@ -416,7 +431,8 @@ class RTTAlgebra:
                     raise DegreeCapError(
                         f"product term {render_word(wa + wb)} has degree "
                         f"{da + db} > cap {cap}")
-                acc ^= straighten(wa + wb, cache, bracket)
+                acc.symmetric_difference_update(
+                    straighten(wa + wb, cache, bracket))
         return Element(self, frozenset(acc))
 
     def product(self, *elements: Element) -> Element:

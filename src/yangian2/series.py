@@ -194,11 +194,14 @@ def identity_matrix(alg: RTTAlgebra, size: int, order: int) -> list[list[YSeries
              for j in range(size)] for i in range(size)]
 
 
-def gauss_decompose(t: YMatrix) -> tuple[YMatrix, list[YSeries], YMatrix]:
+def gauss_decompose(t: YMatrix, inverses: list | None = None
+                    ) -> tuple[YMatrix, list[YSeries], YMatrix]:
     """Factor T = F * D * E over the noncommutative series ring.
 
     Requires unit diagonal and vanishing off-diagonal constant terms; both
     hold for t_matrix output and for every Schur complement it produces.
+    Each pivot is inverted once; when *inverses* is a list, those inverses
+    (the diagonal of D^(-1)) are appended to it in pivot order.
     """
     size = t.size
     alg = t.entries[0][0].alg
@@ -221,6 +224,8 @@ def gauss_decompose(t: YMatrix) -> tuple[YMatrix, list[YSeries], YMatrix]:
         d = work[p][p]
         diag.append(d)
         dinv = series_inv(d)
+        if inverses is not None:
+            inverses.append(dinv)
         for j in range(p + 1, size):
             upper[p][j] = series_mul(dinv, work[p][j])
             lower[j][p] = series_mul(work[j][p], dinv)

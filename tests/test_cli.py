@@ -168,6 +168,17 @@ def test_negative_count_is_usage_error(tmp_path, capsys, command, line):
     assert capsys.readouterr().err.splitlines() == [line]
 
 
+@pytest.mark.parametrize("suite", ["centers", "classical"])
+def test_budget_outside_drinfeld_is_usage_error(tmp_path, capsys, suite):
+    out = tmp_path / "budget.json"
+    code = cli.main(["--m", "1", "--n", "1", "-L", "3", "--out", str(out),
+                     "verify", suite, "--budget", "99"])
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --budget applies only to verify drinfeld, not verify {suite}"]
+
+
 def test_failure_exit_code(tmp_path, monkeypatch):
     def fake_run(cfg, args):
         report = Report("forced")

@@ -51,6 +51,26 @@ def test_dprime_convolution(tab11):
             assert backward == expected
 
 
+def test_one_series_inverse_per_pivot(monkeypatch):
+    """d' reuses the Gauss pivot inverses: one series_inv call per pivot."""
+    from yangian2 import drinfeld, series
+    calls = []
+    original = series.series_inv
+
+    def counting(a):
+        calls.append(a)
+        return original(a)
+
+    monkeypatch.setattr(series, "series_inv", counting)
+    monkeypatch.setattr(drinfeld, "series_inv", counting, raising=False)
+    alg = RTTAlgebra(Shape(2, 1, 4))
+    tab = drinfeld_generators(alg, 3)
+    assert len(calls) == alg.shape.size
+    for i in range(1, alg.shape.size + 1):
+        dinv = original(tab.d_series(i))
+        assert tab.dprime[i] == dict(enumerate(dinv.coeffs))
+
+
 def test_higher_roots_11_unchanged(tab11):
     assert sorted(tab11.e) == [(1, 2)]
     assert sorted(tab11.f) == [(2, 1)]

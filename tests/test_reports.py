@@ -36,3 +36,48 @@ def test_dimension_table(capsys):
             if line.split()[:1] and line.split()[0].isdigit()]
     assert len(rows) == sum(top + 1 for _, _, top in script.SHAPES)
     assert all(row[-1] == "one-sided" for row in rows)
+
+
+# a seconds-long stand-in for the frontier ladder
+TINY_FRONTIER = [
+    ("quotient-1-1-L4", ["--m", "1", "--n", "1", "-L", "4"], ["quotient-dim"]),
+    ("centers-1-1-L3", ["--m", "1", "--n", "1", "-L", "3", "-K", "3"],
+     ["verify", "centers"]),
+    ("drinfeld-2-1-L3", ["--m", "2", "--n", "1", "-L", "3", "-K", "3"],
+     ["verify", "drinfeld"]),
+    ("classical-1-1-L2-T3", ["--m", "1", "--n", "1", "-L", "2", "-T", "3"],
+     ["verify", "classical"]),
+]
+
+
+def test_frontier_script(tmp_path, monkeypatch):
+    script = _script("frontier")
+    assert [label for label, _, _ in script.ROWS] == [
+        "quotient-1-1-L12", "quotient-2-1-L8", "quotient-2-2-L6",
+        "centers-1-1-L10", "centers-2-1-L7", "drinfeld-2-2-L7",
+        "drinfeld-3-1-L7", "classical-2-2-L4-T8"]
+    monkeypatch.setattr(script, "ROWS", TINY_FRONTIER)
+    assert script.main(["--label", "tiny", "--out-dir", str(tmp_path)]) == 0
+    doc = json.loads((tmp_path / "BENCH_frontier_tiny.json").read_text())
+    assert [row["label"] for row in doc["rows"]] == [
+        label for label, _, _ in TINY_FRONTIER]
+    for row, (label, prefix, command) in zip(doc["rows"], TINY_FRONTIER):
+        assert row["argv"] == [*prefix, *command]
+        assert row["exit"] == 0
+        assert row["wall_s"] > 0 and row["peak_rss_mib"] > 0
+        # the fresh process wrote the payload an in-process run writes
+        out = tmp_path / f"{label}.json"
+        assert cli.main([*prefix, "--out", str(out), *command]) == 0
+        payload = json.loads(out.read_text())["report"]
+        assert row["payload_sha256"] == script.payload_digest(payload)
+
+
+def test_frontier_script_failing_row(tmp_path, monkeypatch):
+    script = _script("frontier")
+    monkeypatch.setattr(script, "ROWS",
+                        [("bad-order", ["-L", "3", "-K", "-1"], ["gauss"])])
+    assert script.main(["--label", "bad", "--out-dir", str(tmp_path)]) == 1
+    [row] = json.loads((tmp_path / "BENCH_frontier_bad.json").read_text())["rows"]
+    assert row["exit"] == 2
+    assert row["payload_sha256"] is None
+    assert row["error"] == "error: series order K must satisfy 0 <= K <= L"

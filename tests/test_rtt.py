@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from yangian2 import RTTAlgebra, Shape
+from yangian2.current import CurrentAlgebra
 from yangian2.errors import DegreeCapError
 from yangian2.rtt import (bounded_words, pack, unpack, word_degree,
                           word_loop_degree)
@@ -407,3 +408,79 @@ def test_cache_transparency():
     fresh._nf_cache.clear()
     y = fresh.gen(2, 1, 2) * fresh.gen(1, 2, 1) * fresh.gen(2, 2, 1)
     assert x == y
+
+    # warm results at (2,1,L=4) equal cold ones computed with every memo cleared
+    alg = RTTAlgebra(Shape(2, 1, 4))
+    rng = random.Random(23)
+    xs = [alg.random_element(rng, 2) for _ in range(6)]
+    raws = [_random_raw_word(rng, 3, 4) for _ in range(16)]
+    pairs = [((i, j, r), (k, l, s))
+             for i, j, k, l in itertools.product(range(1, 4), repeat=4)
+             for r, s in ((1, 2), (2, 2))]
+
+    def run():
+        return ([alg.multiply(x, y) for x in xs for y in xs],
+                [alg.normal_form([w]) for w in raws],
+                [alg.normal_form([w], rightmost=True) for w in raws],
+                [alg.rtt_rhs(g1, g2) for g1, g2 in pairs])
+
+    warm = run()
+    assert run() == warm
+    assert warm[1] == warm[2]
+    assert alg._nf_cache and alg._nf_cache_rightmost and alg._pair_cache
+
+    def cold(fn):
+        alg._nf_cache.clear()
+        alg._nf_cache_rightmost.clear()
+        alg._pair_cache.clear()
+        return fn()
+
+    assert [cold(lambda: alg.multiply(x, y))
+            for x in xs for y in xs] == warm[0]
+    assert [cold(lambda: alg.normal_form([w])) for w in raws] == warm[1]
+    assert [cold(lambda: alg.normal_form([w], rightmost=True))
+            for w in raws] == warm[2]
+    assert [cold(lambda: alg.rtt_rhs(g1, g2)) for g1, g2 in pairs] == warm[3]
+
+
+def _random_raw_word(rng, size, budget):
+    """A random word of canonical degree <= budget, in no particular order."""
+    word = []
+    while budget > 0 and rng.random() < 0.8:
+        r = rng.randint(1, budget)
+        word.append(pack(rng.randint(1, size), rng.randint(1, size), r))
+        budget -= r
+    return tuple(word)
+
+
+def _assert_memo_values(cache, nilsquare=frozenset()):
+    assert cache
+    for value in cache.values():
+        assert type(value) is tuple
+        # a repeated word would cancel itself under symmetric difference
+        assert len(set(value)) == len(value)
+        for w in value:
+            assert type(w) is tuple
+            assert all(a < b or (a == b and a not in nilsquare)
+                       for a, b in zip(w, w[1:]))
+
+
+def test_memo_values_are_tuples_of_distinct_ordered_words():
+    rng = random.Random(31)
+    alg = RTTAlgebra(Shape(2, 1, 5))
+    xs = [alg.random_element(rng, 2) for _ in range(6)]
+    for x in xs:
+        for y in xs:
+            alg.multiply(x, y)
+    for _ in range(30):
+        alg.normal_form([_random_raw_word(rng, 3, 5)], rightmost=True)
+    alg.rtt_rhs((2, 1, 2), (1, 3, 3))
+    _assert_memo_values(alg._nf_cache)
+    _assert_memo_values(alg._nf_cache_rightmost)
+
+    calg = CurrentAlgebra(2, 1, 3)
+    gens = calg.generators()
+    for _ in range(40):
+        calg.normal_form([tuple(rng.choice(gens)
+                                for _ in range(rng.randint(2, 5)))])
+    _assert_memo_values(calg._nf_cache, calg._odd)

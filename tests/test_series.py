@@ -155,6 +155,15 @@ def test_gauss_reconstruction(m, n, order):
     assert product == t
 
 
+@pytest.mark.parametrize("m,n,order", [(1, 1, 3), (2, 1, 2), (2, 2, 2)])
+def test_gauss_pivot_inverses(m, n, order):
+    alg = RTTAlgebra(Shape(m, n, order))
+    inverses = []
+    f_mat, diag, e_mat = gauss_decompose(t_matrix(alg, order), inverses)
+    assert (f_mat, diag, e_mat) == gauss_decompose(t_matrix(alg, order))
+    assert inverses == [series_inv(d) for d in diag]
+
+
 def test_gauss_triangular_structure():
     alg = RTTAlgebra(Shape(2, 1, 3))
     t = t_matrix(alg, 3)
