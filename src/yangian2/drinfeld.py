@@ -145,6 +145,16 @@ def _relation_instances(tab: DrinfeldTable, family: str, budget: int):
     n_ef = size - 1
     com = alg.commutator
     mul = alg.multiply
+    brackets: dict = {}
+
+    def com_once(x: Element, y: Element) -> Element:
+        """com(x, y), computed once for this family: D8/D9 and the nested
+        families meet the same bracket in several instances."""
+        key = (x, y)
+        hit = brackets.get(key)
+        if hit is None:
+            hit = brackets[key] = com(x, y)
+        return hit
 
     if family == "D1":
         for i in range(1, size + 1):
@@ -211,8 +221,8 @@ def _relation_instances(tab: DrinfeldTable, family: str, budget: int):
             for r in range(1, budget):
                 for s in range(1, budget - r):
                     # highest term degree is r + s + 1
-                    lhs = (com(pick(j, r + 1), pick(j + 1, s))
-                           + com(pick(j, r), pick(j + 1, s + 1)))
+                    lhs = (com_once(pick(j, r + 1), pick(j + 1, s))
+                           + com_once(pick(j, r), pick(j + 1, s + 1)))
                     if family == "D8":
                         rhs = mul(pick(j, r), pick(j + 1, s))
                     else:
@@ -238,8 +248,10 @@ def _relation_instances(tab: DrinfeldTable, family: str, budget: int):
                 for r in range(1, budget - 1):
                     for s in range(1, budget - r):
                         for t in range(1, budget - r - s + 1):
-                            res = (com(com(pick(i, r), pick(j, s)), pick(j, t))
-                                   + com(com(pick(i, r), pick(j, t)), pick(j, s)))
+                            res = (com_once(com_once(pick(i, r), pick(j, s)),
+                                            pick(j, t))
+                                   + com_once(com_once(pick(i, r), pick(j, t)),
+                                              pick(j, s)))
                             yield {"i": i, "j": j, "r": r, "s": s, "t": t}, res
 
     elif family in ("D14", "D15"):
@@ -258,8 +270,8 @@ def _relation_instances(tab: DrinfeldTable, family: str, budget: int):
         for i in range(2, n_ef):
             for r in range(1, budget - 2):
                 for s in range(1, budget - r - 1):
-                    inner_left = com(pick(i - 1, r), pick(i, 1))
-                    inner_right = com(pick(i, 1), pick(i + 1, s))
+                    inner_left = com_once(pick(i - 1, r), pick(i, 1))
+                    inner_right = com_once(pick(i, 1), pick(i + 1, s))
                     yield ({"i": i, "r": r, "s": s},
                            com(inner_left, inner_right))
 

@@ -36,6 +36,16 @@ costs 216 bytes where a tuple of two costs 56; tuples of int tuples also
 drop out of the cyclic collector.  Callers sum the tuples into a set with
 ``symmetric_difference_update``, and only elements hold frozensets.
 
+Commutators never straighten a top-degree word.  The algebra is a filtered
+deformation of a supercommutative one, so [x, y] has degree at most
+deg x + deg y - 1, and the top-degree words of xy and yx would only
+cancel.  ``commutator`` expands by the Leibniz rule instead: [a, y] is
+straightened once per distinct letter a of x, into a table that lives for
+that call, and each word of x is straightened with one of its letters
+replaced by a word of [a, y].  No top-degree chain head enters the memo,
+which is what makes it smaller.  The cap is still checked on the words of
+xy: the Leibniz words are one degree lower and would pass it silently.
+
 One walker, ``bounded_words``, enumerates the products of a list of items
 up to a weight bound: PBW monomials here and in the classical algebra,
 and the products behind every rank certificate (Drinfeld monomials,
@@ -419,10 +429,16 @@ class RTTAlgebra:
                            rightmost=rightmost))
         return Element(self, frozenset(acc))
 
-    def multiply(self, x: Element, y: Element) -> Element:
+    def _check_operands(self, x: Element, y: Element) -> None:
+        for e in (x, y):
+            if e.alg is not self and e.alg.shape != self.shape:
+                raise ValueError(f"operand of shape {e.alg.shape} does not "
+                                 f"belong to the algebra of shape {self.shape}")
+
+    def _check_product_cap(self, x: Element, y: Element) -> None:
+        """Raise DegreeCapError at the first pair of words of xy over the
+        cap, in the order ``multiply`` meets them."""
         cap = self.shape.cap
-        acc: set = set()
-        cache, bracket = self._nf_cache, self._bracket_words
         right = [(wb, word_degree(wb)) for wb in y.words]
         for wa in x.words:
             da = word_degree(wa)
@@ -431,6 +447,19 @@ class RTTAlgebra:
                     raise DegreeCapError(
                         f"product term {render_word(wa + wb)} has degree "
                         f"{da + db} > cap {cap}")
+
+    def multiply(self, x: Element, y: Element) -> Element:
+        if x.alg is not self or y.alg is not self:
+            self._check_operands(x, y)
+        cap = self.shape.cap
+        acc: set = set()
+        cache, bracket = self._nf_cache, self._bracket_words
+        right = [(wb, word_degree(wb)) for wb in y.words]
+        for wa in x.words:
+            da = word_degree(wa)
+            for wb, db in right:
+                if da + db > cap:
+                    self._check_product_cap(x, y)  # raises on this pair
                 acc.symmetric_difference_update(
                     straighten(wa + wb, cache, bracket))
         return Element(self, frozenset(acc))
@@ -442,8 +471,47 @@ class RTTAlgebra:
         return out
 
     def commutator(self, x: Element, y: Element) -> Element:
-        """xy + yx; over GF(2) this is the (super)commutator in every flavour."""
-        return self.multiply(x, y) + self.multiply(y, x)
+        """xy + yx; over GF(2) this is the (super)commutator in every flavour.
+
+        The bracket is a derivation in each argument, so for words u, v
+
+            [u, v] = sum_i u[:i] * [u[i], v] * u[i+1:]
+            [a, v] = sum_j v[:j] * (a v[j] + v[j] a) * v[j+1:]
+
+        with no signs mod 2 and no term where v[j] == a.  [a, y] is
+        straightened once per distinct letter a of x, into a table that
+        lives for this call only, and each word of x then straightens with
+        one letter replaced by a word of that table.  Every word straightened
+        has degree at most deg x + deg y - 1: the top-degree words of xy and
+        yx, which cancel, are never formed, so their chains never enter the
+        memo.  Being a degree lower, the words straightened would pass the
+        cap silently where xy exceeds it, so the cap is checked on the words
+        of xy first, in ``multiply``'s order and with its message.
+        """
+        if x.alg is not self or y.alg is not self:
+            self._check_operands(x, y)
+        self._check_product_cap(x, y)
+        cache, bracket = self._nf_cache, self._bracket_words
+        table: dict = {}    # letter a -> normal form of [a, y]
+        acc: set = set()
+        for wa in x.words:
+            for i, a in enumerate(wa):
+                nf = table.get(a)
+                if nf is None:
+                    nf = table[a] = set()
+                    for wb in y.words:
+                        for j, b in enumerate(wb):
+                            if b == a:
+                                continue
+                            head, tail = wb[:j], wb[j + 1:]
+                            for mid in bracket(max(a, b), min(a, b)):
+                                nf.symmetric_difference_update(straighten(
+                                    head + mid + tail, cache, bracket))
+                head, tail = wa[:i], wa[i + 1:]
+                for c in nf:
+                    acc.symmetric_difference_update(
+                        straighten(head + c + tail, cache, bracket))
+        return Element(self, frozenset(acc))
 
     # -- PBW enumeration ----------------------------------------------------
 

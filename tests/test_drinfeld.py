@@ -306,3 +306,45 @@ def test_extraction_matches_gauss_convention():
     assert e2 == alg.gen(1, 2, 2) + alg.gen(1, 1, 1) * alg.gen(1, 2, 1)
     f2 = tab.f[(2, 1)][2]
     assert f2 == alg.gen(2, 1, 2) + alg.gen(2, 1, 1) * alg.gen(1, 1, 1)
+
+
+def test_commutators_straighten_less():
+    """On fresh algebras the Leibniz commutators of a Drinfeld table leave
+    fewer straightening cache entries than the two products would."""
+    entries, results = [], []
+    for leibniz in (True, False):
+        alg = RTTAlgebra(Shape(2, 1, 6))
+        tab = build_table(alg, 5)
+        gens = [x for j in (1, 2) for r in (1, 2, 3)
+                for x in (tab.e_simple(j, r), tab.f_simple(j, r))]
+        gens += [tab.d[i][r] for i in (1, 2, 3) for r in (1, 2)]
+        before = len(alg._nf_cache)
+        if leibniz:
+            results.append([alg.commutator(x, y) for x in gens for y in gens])
+        else:
+            results.append([alg.multiply(x, y) + alg.multiply(y, x)
+                            for x in gens for y in gens])
+        entries.append(len(alg._nf_cache) - before)
+    assert results[0] == results[1]
+    assert any(results[0])
+    assert 0 < entries[0] < entries[1]
+
+
+def test_family_brackets_computed_once(monkeypatch):
+    """Within a family no commutator is formed twice for the same pair;
+    the nested families and D8/D9 would repeat some without the memo."""
+    alg = RTTAlgebra(Shape(2, 1, 6))
+    tab = build_table(alg, 5)
+    calls = []
+    original = alg.commutator
+
+    def counting(x, y):
+        calls.append((x.words, y.words))
+        return original(x, y)
+
+    monkeypatch.setattr(alg, "commutator", counting)
+    for family in ("D8", "D9", "D12", "D13", "D14", "D15"):
+        calls.clear()
+        report = verify_drinfeld_relations(tab, 6, families=[family])
+        assert report.ok and calls, family
+        assert len(set(calls)) == len(calls), family

@@ -211,6 +211,77 @@ def test_multiply_cap_violation_names_term(alg11):
     assert "t[1,1,3]*t[2,2,2]" in str(err.value)
 
 
+def test_operands_of_another_shape_are_rejected():
+    big = RTTAlgebra(Shape(2, 1, 4))
+    small = RTTAlgebra(Shape(1, 1, 4))
+    x, y = big.gen(3, 3, 1), big.gen(1, 1, 1)
+    for op in (small.multiply, small.commutator):
+        with pytest.raises(ValueError, match="shape"):
+            op(x, y)
+        with pytest.raises(ValueError, match="shape"):
+            op(small.gen(1, 1, 1), y)
+    # another algebra of the same shape is fine
+    twin = RTTAlgebra(Shape(2, 1, 4))
+    assert twin.multiply(x, y) == big.multiply(x, y)
+    assert twin.commutator(x, y) == big.commutator(x, y)
+
+
+# -- commutators against the two products ------------------------------------------
+
+
+def _products_bracket(alg, x, y):
+    return alg.multiply(x, y) + alg.multiply(y, x)
+
+
+@pytest.mark.parametrize("m,n,cap", [(1, 1, 5), (2, 1, 4), (1, 2, 4),
+                                     (2, 2, 3)])
+def test_commutator_matches_products(m, n, cap):
+    alg = RTTAlgebra(Shape(m, n, cap))
+    rng = random.Random(100 * m + 10 * n + cap)
+    nonzero = 0
+    for _ in range(60):
+        x = alg.random_element(rng, 2, 4)
+        y = alg.random_element(rng, cap - 2, 4)
+        for a, b in ((x, y), (y, x)):
+            got = alg.commutator(a, b)
+            assert got == _products_bracket(alg, a, b)
+            nonzero += bool(got)
+    assert nonzero >= 30
+
+
+def test_commutator_edges(alg21):
+    rng = random.Random(41)
+    xs = [alg21.random_element(rng, 2, 4) for _ in range(8)]
+    for x in xs:
+        for special in (alg21.zero(), alg21.one()):
+            assert not alg21.commutator(x, special)
+            assert not alg21.commutator(special, x)
+        assert not alg21.commutator(x, x)
+    assert any(alg21.commutator(x, y) for x in xs for y in xs)
+
+
+def test_commutator_cap_violation_matches_multiply():
+    alg = RTTAlgebra(Shape(2, 1, 4))
+    rng = random.Random(43)
+    raised = 0
+    for _ in range(40):
+        x = alg.random_element(rng, 4, 4)
+        y = alg.random_element(rng, 4, 4)
+        try:
+            alg.multiply(x, y)
+        except DegreeCapError as err:
+            raised += 1
+            with pytest.raises(DegreeCapError) as again:
+                alg.commutator(x, y)
+            assert str(again.value) == str(err)
+        else:
+            assert alg.commutator(x, y) == _products_bracket(alg, x, y)
+    assert raised
+    # the Leibniz words of [t[1,1,3], t[2,2,2]] have degree 4 = cap
+    with pytest.raises(DegreeCapError, match=r"t\[1,1,3\]\*t\[2,2,2\]"):
+        alg.commutator(alg.gen(1, 1, 3), alg.gen(2, 2, 2))
+
+
 # -- degree-1 closure and sign collapse -------------------------------------------
 
 
@@ -422,7 +493,8 @@ def test_cache_transparency():
         return ([alg.multiply(x, y) for x in xs for y in xs],
                 [alg.normal_form([w]) for w in raws],
                 [alg.normal_form([w], rightmost=True) for w in raws],
-                [alg.rtt_rhs(g1, g2) for g1, g2 in pairs])
+                [alg.rtt_rhs(g1, g2) for g1, g2 in pairs],
+                [alg.commutator(x, y) for x in xs for y in xs])
 
     warm = run()
     assert run() == warm
@@ -441,6 +513,8 @@ def test_cache_transparency():
     assert [cold(lambda: alg.normal_form([w], rightmost=True))
             for w in raws] == warm[2]
     assert [cold(lambda: alg.rtt_rhs(g1, g2)) for g1, g2 in pairs] == warm[3]
+    assert [cold(lambda: alg.commutator(x, y))
+            for x in xs for y in xs] == warm[4]
 
 
 def _random_raw_word(rng, size, budget):
