@@ -163,6 +163,8 @@ class CurrentAlgebra:
 
     def bracket(self, x: ClassicalElement, y: ClassicalElement) -> ClassicalElement:
         """Lie bracket, bilinear over degree-1 elements."""
+        if x.alg is not self or y.alg is not self:
+            self._check_operands(x, y)
         if not (x.is_lie() and y.is_lie()):
             raise ValueError("bracket is defined on Lie elements")
         acc: set = set()
@@ -207,7 +209,15 @@ class CurrentAlgebra:
                            self._odd))
         return ClassicalElement(self, frozenset(acc))
 
+    def _check_operands(self, x: ClassicalElement, y: ClassicalElement) -> None:
+        for e in (x, y):
+            if e.alg is not self and e.alg.key != self.key:
+                raise ValueError(f"operand over the truncation {e.alg.key} "
+                                 f"does not belong to the algebra {self.key}")
+
     def multiply(self, x: ClassicalElement, y: ClassicalElement) -> ClassicalElement:
+        if x.alg is not self or y.alg is not self:
+            self._check_operands(x, y)
         acc: set = set()
         cache, bracket, odd = self._nf_cache, self._bracket_gens, self._odd
         for wa in x.words:

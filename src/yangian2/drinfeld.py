@@ -139,21 +139,31 @@ def _superscript_pairs(budget: int):
 
 
 def _relation_instances(tab: DrinfeldTable, family: str, budget: int):
-    """Yield (params, residual_element) for every valid instance of a family."""
+    """Yield (params, residual_element) for every valid instance of a family.
+
+    Each bracket and each product of a family is formed once.  Brackets go
+    through one memo for the family, keyed on the unordered operand pair
+    since xy + yx = yx + xy: D2 meets [d_j^s, d_i^r] after [d_i^r, d_j^s],
+    D8/D9 and the nested families meet inner brackets in several instances.
+    Right-hand sides are running sums within each index block, relying on
+    the pairs (r, s) coming with r ascending:
+      - D3/D4: the sum at (r, s) is the one at (r-1, s+1), of the same
+        n = r+s-1, plus its term t = r-1;
+      - D5: the sum depends on r+s alone;
+      - D6/D7: both sums are prefixes, over t >= 1, of one list per n.
+    The memo dies with the generator: a run-wide one costs peak memory.
+    """
     alg = tab.alg
     size = alg.shape.size
     n_ef = size - 1
-    com = alg.commutator
     mul = alg.multiply
     brackets: dict = {}
 
-    def com_once(x: Element, y: Element) -> Element:
-        """com(x, y), computed once for this family: D8/D9 and the nested
-        families meet the same bracket in several instances."""
-        key = (x, y)
+    def com(x: Element, y: Element) -> Element:
+        key = frozenset((x.words, y.words))
         hit = brackets.get(key)
         if hit is None:
-            hit = brackets[key] = com(x, y)
+            hit = brackets[key] = alg.commutator(x, y)
         return hit
 
     if family == "D1":
@@ -175,6 +185,7 @@ def _relation_instances(tab: DrinfeldTable, family: str, budget: int):
     elif family in ("D3", "D4"):
         for i in range(1, size + 1):
             for j in range(1, n_ef + 1):
+                sums: dict = {}     # n -> sum over t < r of the n-th rhs
                 for r, s in _superscript_pairs(budget):
                     if family == "D3":
                         lhs = com(tab.d[i][r], tab.e_simple(j, s))
@@ -182,38 +193,45 @@ def _relation_instances(tab: DrinfeldTable, family: str, budget: int):
                         lhs = com(tab.d[i][r], tab.f_simple(j, s))
                     rhs = alg.zero()
                     if i == j or i == j + 1:
-                        for t in range(r):
-                            if family == "D3":
-                                rhs = rhs + mul(tab.d[i][t],
-                                                tab.e_simple(j, r + s - 1 - t))
-                            else:
-                                rhs = rhs + mul(tab.f_simple(j, r + s - 1 - t),
-                                                tab.d[i][t])
+                        # the new term t = r-1 has e/f superscript s
+                        if family == "D3":
+                            term = mul(tab.d[i][r - 1], tab.e_simple(j, s))
+                        else:
+                            term = mul(tab.f_simple(j, s), tab.d[i][r - 1])
+                        n = r + s - 1
+                        rhs = sums[n] = sums.get(n, alg.zero()) + term
                     yield {"i": i, "j": j, "r": r, "s": s}, lhs + rhs
 
     elif family == "D5":
         for i in range(1, n_ef + 1):
             for j in range(1, n_ef + 1):
+                sums = {}           # r+s -> the rhs
                 for r, s in _superscript_pairs(budget):
                     lhs = com(tab.e_simple(i, r), tab.f_simple(j, s))
                     rhs = alg.zero()
                     if i == j:
-                        for t in range(r + s):
-                            rhs = rhs + mul(tab.dprime[i][t],
-                                            tab.d[i + 1][r + s - 1 - t])
+                        rhs = sums.get(r + s)
+                        if rhs is None:
+                            rhs = alg.zero()
+                            for t in range(r + s):
+                                rhs = rhs + mul(tab.dprime[i][t],
+                                                tab.d[i + 1][r + s - 1 - t])
+                            sums[r + s] = rhs
                     yield {"i": i, "j": j, "r": r, "s": s}, lhs + rhs
 
     elif family in ("D6", "D7"):
         pick = tab.e_simple if family == "D6" else tab.f_simple
         for j in range(1, n_ef + 1):
+            # n -> [P_1, P_2, ...] with P_k = sum_{t=1}^{k-1} x^(t) x^(n-t)
+            prefixes: dict = {}
             for r, s in _superscript_pairs(budget):
                 lhs = com(pick(j, r), pick(j, s))
-                rhs = alg.zero()
-                for t in range(1, s):
-                    rhs = rhs + mul(pick(j, t), pick(j, r + s - 1 - t))
-                for t in range(1, r):
-                    rhs = rhs + mul(pick(j, t), pick(j, r + s - 1 - t))
-                yield {"j": j, "r": r, "s": s}, lhs + rhs
+                n = r + s - 1
+                sums = prefixes.setdefault(n, [alg.zero()])
+                while len(sums) < max(r, s):
+                    t = len(sums)
+                    sums.append(sums[-1] + mul(pick(j, t), pick(j, n - t)))
+                yield {"j": j, "r": r, "s": s}, lhs + sums[s - 1] + sums[r - 1]
 
     elif family in ("D8", "D9"):
         pick = tab.e_simple if family == "D8" else tab.f_simple
@@ -221,8 +239,8 @@ def _relation_instances(tab: DrinfeldTable, family: str, budget: int):
             for r in range(1, budget):
                 for s in range(1, budget - r):
                     # highest term degree is r + s + 1
-                    lhs = (com_once(pick(j, r + 1), pick(j + 1, s))
-                           + com_once(pick(j, r), pick(j + 1, s + 1)))
+                    lhs = (com(pick(j, r + 1), pick(j + 1, s))
+                           + com(pick(j, r), pick(j + 1, s + 1)))
                     if family == "D8":
                         rhs = mul(pick(j, r), pick(j + 1, s))
                     else:
@@ -248,10 +266,10 @@ def _relation_instances(tab: DrinfeldTable, family: str, budget: int):
                 for r in range(1, budget - 1):
                     for s in range(1, budget - r):
                         for t in range(1, budget - r - s + 1):
-                            res = (com_once(com_once(pick(i, r), pick(j, s)),
-                                            pick(j, t))
-                                   + com_once(com_once(pick(i, r), pick(j, t)),
-                                              pick(j, s)))
+                            res = (com(com(pick(i, r), pick(j, s)),
+                                       pick(j, t))
+                                   + com(com(pick(i, r), pick(j, t)),
+                                         pick(j, s)))
                             yield {"i": i, "j": j, "r": r, "s": s, "t": t}, res
 
     elif family in ("D14", "D15"):
@@ -270,8 +288,8 @@ def _relation_instances(tab: DrinfeldTable, family: str, budget: int):
         for i in range(2, n_ef):
             for r in range(1, budget - 2):
                 for s in range(1, budget - r - 1):
-                    inner_left = com_once(pick(i - 1, r), pick(i, 1))
-                    inner_right = com_once(pick(i, 1), pick(i + 1, s))
+                    inner_left = com(pick(i - 1, r), pick(i, 1))
+                    inner_right = com(pick(i, 1), pick(i + 1, s))
                     yield ({"i": i, "r": r, "s": s},
                            com(inner_left, inner_right))
 

@@ -40,11 +40,13 @@ Commutators never straighten a top-degree word.  The algebra is a filtered
 deformation of a supercommutative one, so [x, y] has degree at most
 deg x + deg y - 1, and the top-degree words of xy and yx would only
 cancel.  ``commutator`` expands by the Leibniz rule instead: [a, y] is
-straightened once per distinct letter a of x, into a table that lives for
-that call, and each word of x is straightened with one of its letters
-replaced by a word of [a, y].  No top-degree chain head enters the memo,
-which is what makes it smaller.  The cap is still checked on the words of
-xy: the Leibniz words are one degree lower and would pass it silently.
+straightened into a letter table, and each word of x is straightened with
+one of its letters replaced by a word of [a, y].  The tables are a third
+memo beside the word and pair caches, keyed on the letter and y's words,
+so a letter met again in any later commutator with an equal y reuses its
+table.  No top-degree chain head enters the memo, which is what makes it
+smaller.  The cap is still checked on the words of xy: the Leibniz words
+are one degree lower and would pass it silently.
 
 One walker, ``bounded_words``, enumerates the products of a list of items
 up to a weight bound: PBW monomials here and in the classical algebra,
@@ -316,9 +318,9 @@ class Element:
 class RTTAlgebra:
     """The Yangian of gl_{m+n} over GF(2), truncated at a hard degree cap.
 
-    All operations are pure; the two memo caches (word normal forms and
-    pair brackets) are transparent: results are identical with them
-    cleared, they only buy speed.
+    All operations are pure; the memo caches (word normal forms, pair
+    brackets and the commutator's letter tables) are transparent: results
+    are identical with them cleared, they only buy speed.
     """
 
     def __init__(self, shape: Shape):
@@ -326,6 +328,7 @@ class RTTAlgebra:
         self._nf_cache: dict = {}
         self._nf_cache_rightmost: dict = {}
         self._pair_cache: dict = {}
+        self._letter_cache: dict = {}   # (letter a, y.words) -> NF of [a, y]
 
     # -- constructors ------------------------------------------------------
 
@@ -437,8 +440,13 @@ class RTTAlgebra:
 
     def _check_product_cap(self, x: Element, y: Element) -> None:
         """Raise DegreeCapError at the first pair of words of xy over the
-        cap, in the order ``multiply`` meets them."""
+        cap, in the order ``multiply`` meets them.
+
+        A pair is over the cap only if the top degrees of x and y are, so
+        the pairs are walked only then."""
         cap = self.shape.cap
+        if x.degree() + y.degree() <= cap:
+            return
         right = [(wb, word_degree(wb)) for wb in y.words]
         for wa in x.words:
             da = word_degree(wa)
@@ -478,35 +486,37 @@ class RTTAlgebra:
             [u, v] = sum_i u[:i] * [u[i], v] * u[i+1:]
             [a, v] = sum_j v[:j] * (a v[j] + v[j] a) * v[j+1:]
 
-        with no signs mod 2 and no term where v[j] == a.  [a, y] is
-        straightened once per distinct letter a of x, into a table that
-        lives for this call only, and each word of x then straightens with
-        one letter replaced by a word of that table.  Every word straightened
-        has degree at most deg x + deg y - 1: the top-degree words of xy and
-        yx, which cancel, are never formed, so their chains never enter the
-        memo.  Being a degree lower, the words straightened would pass the
-        cap silently where xy exceeds it, so the cap is checked on the words
-        of xy first, in ``multiply``'s order and with its message.
+        with no signs mod 2 and no term where v[j] == a.  The normal form
+        of [a, y] is a letter table, memoised on the algebra under
+        (a, y.words), so it is straightened once for all calls; each word
+        of x then straightens with one letter replaced by a word of its
+        table.  Every word straightened has degree at most
+        deg x + deg y - 1: the top-degree words of xy and yx, which cancel,
+        are never formed, so their chains never enter the memo.  Being a
+        degree lower, the words straightened would pass the cap silently
+        where xy exceeds it, so the cap is checked on the words of xy
+        first, in ``multiply``'s order and with its message.
         """
         if x.alg is not self or y.alg is not self:
             self._check_operands(x, y)
         self._check_product_cap(x, y)
         cache, bracket = self._nf_cache, self._bracket_words
-        table: dict = {}    # letter a -> normal form of [a, y]
+        tables, ywords = self._letter_cache, y.words
         acc: set = set()
         for wa in x.words:
             for i, a in enumerate(wa):
-                nf = table.get(a)
+                nf = tables.get((a, ywords))
                 if nf is None:
-                    nf = table[a] = set()
-                    for wb in y.words:
+                    table: set = set()
+                    for wb in ywords:
                         for j, b in enumerate(wb):
                             if b == a:
                                 continue
                             head, tail = wb[:j], wb[j + 1:]
                             for mid in bracket(max(a, b), min(a, b)):
-                                nf.symmetric_difference_update(straighten(
+                                table.symmetric_difference_update(straighten(
                                     head + mid + tail, cache, bracket))
+                    nf = tables[(a, ywords)] = tuple(table)
                 head, tail = wa[:i], wa[i + 1:]
                 for c in nf:
                     acc.symmetric_difference_update(

@@ -10,7 +10,7 @@ gauss_decompose factors T = F * D * E with F lower unitriangular, D
 diagonal and E upper unitriangular by the pivot recursion
 
     d_1 = t_11,  e_1j = d_1^(-1) t_1j,  f_i1 = t_i1 d_1^(-1),
-    t'_ij = t_ij + f_i1 d_1 e_1j        (mod 2)
+    t'_ij = t_ij + f_i1 d_1 e_1j = t_ij + t_i1 e_1j        (mod 2)
 
 iterated on the Schur complement.  The Drinfeld relation suite is the
 acceptance check that this convention produces the intended generators.
@@ -230,9 +230,9 @@ def gauss_decompose(t: YMatrix, inverses: list | None = None
             upper[p][j] = series_mul(dinv, work[p][j])
             lower[j][p] = series_mul(work[j][p], dinv)
         for i in range(p + 1, size):
-            fd = series_mul(lower[i][p], d)
+            # f_ip d_p = t_ip d_p^(-1) d_p is the entry t_ip itself
             for j in range(p + 1, size):
-                work[i][j] = work[i][j] + series_mul(fd, upper[p][j])
+                work[i][j] = work[i][j] + series_mul(work[i][p], upper[p][j])
 
     f_mat = YMatrix(tuple(tuple(row) for row in lower))
     e_mat = YMatrix(tuple(tuple(row) for row in upper))

@@ -418,3 +418,18 @@ def test_caches_are_transparent():
             for x in xs for y in xs] == warm[0][1]
     assert [cold(lambda: invariants_dimension(alg, d).to_payload())
             for d in range(3)] == warm[0][2]
+
+
+def test_operands_of_another_truncation_are_rejected(cl):
+    other = CurrentAlgebra(2, 1, 3)
+    x, y = other.gen(1, 2, 0), other.gen(3, 3, 2)
+    for op in (cl.multiply, cl.commutator, cl.bracket):
+        with pytest.raises(ValueError, match="does not belong"):
+            op(x, y)
+        with pytest.raises(ValueError, match="does not belong"):
+            op(cl.gen(1, 1, 1), y)
+    # an equal truncation built apart is the same algebra
+    twin = CurrentAlgebra(1, 1, 3)
+    a, b = twin.gen(1, 2, 1), twin.gen(2, 1, 1)
+    assert cl.multiply(a, b) == twin.multiply(a, b)
+    assert cl.bracket(a, b) == twin.bracket(a, b)

@@ -2,7 +2,8 @@ import pytest
 
 from yangian2 import RTTAlgebra, Shape, build_table
 from yangian2.centers import build_quotient
-from yangian2.drinfeld import (ALL_FAMILIES, RELATION_TEXT, drinfeld_generators,
+from yangian2.drinfeld import (ALL_FAMILIES, RELATION_TEXT, _relation_instances,
+                               drinfeld_generators,
                                drinfeld_pbw_check, higher_roots,
                                verify_drinfeld_relations,
                                verify_odd_square_relations)
@@ -348,3 +349,193 @@ def test_family_brackets_computed_once(monkeypatch):
         report = verify_drinfeld_relations(tab, 6, families=[family])
         assert report.ok and calls, family
         assert len(set(calls)) == len(calls), family
+
+
+def _direct_instances(tab, family, budget):
+    """Every family's instances with each bracket and each right-hand sum
+    formed directly, term by term, as the relations display them."""
+    alg = tab.alg
+    size = alg.shape.size
+    n_ef = size - 1
+    com, mul = alg.commutator, alg.multiply
+    pairs = [(r, s) for r in range(1, budget) for s in range(1, budget - r + 1)]
+    if family == "D1":
+        for i in range(1, size + 1):
+            for r in range(0, min(budget, tab.order) + 1):
+                acc = alg.one() if r == 0 else alg.zero()
+                for t in range(r + 1):
+                    acc = acc + mul(tab.d[i][t], tab.dprime[i][r - t])
+                yield {"i": i, "r": r}, acc
+    elif family == "D2":
+        for i in range(1, size + 1):
+            for j in range(1, size + 1):
+                for r, s in pairs:
+                    yield ({"i": i, "j": j, "r": r, "s": s},
+                           com(tab.d[i][r], tab.d[j][s]))
+    elif family in ("D3", "D4"):
+        for i in range(1, size + 1):
+            for j in range(1, n_ef + 1):
+                for r, s in pairs:
+                    if family == "D3":
+                        res = com(tab.d[i][r], tab.e_simple(j, s))
+                    else:
+                        res = com(tab.d[i][r], tab.f_simple(j, s))
+                    if i == j or i == j + 1:
+                        for t in range(r):
+                            if family == "D3":
+                                res = res + mul(tab.d[i][t],
+                                                tab.e_simple(j, r + s - 1 - t))
+                            else:
+                                res = res + mul(tab.f_simple(j, r + s - 1 - t),
+                                                tab.d[i][t])
+                    yield {"i": i, "j": j, "r": r, "s": s}, res
+    elif family == "D5":
+        for i in range(1, n_ef + 1):
+            for j in range(1, n_ef + 1):
+                for r, s in pairs:
+                    res = com(tab.e_simple(i, r), tab.f_simple(j, s))
+                    if i == j:
+                        for t in range(r + s):
+                            res = res + mul(tab.dprime[i][t],
+                                            tab.d[i + 1][r + s - 1 - t])
+                    yield {"i": i, "j": j, "r": r, "s": s}, res
+    elif family in ("D6", "D7"):
+        pick = tab.e_simple if family == "D6" else tab.f_simple
+        for j in range(1, n_ef + 1):
+            for r, s in pairs:
+                res = com(pick(j, r), pick(j, s))
+                for t in list(range(1, s)) + list(range(1, r)):
+                    res = res + mul(pick(j, t), pick(j, r + s - 1 - t))
+                yield {"j": j, "r": r, "s": s}, res
+    elif family in ("D8", "D9"):
+        pick = tab.e_simple if family == "D8" else tab.f_simple
+        for j in range(1, n_ef):
+            for r in range(1, budget):
+                for s in range(1, budget - r):
+                    res = (com(pick(j, r + 1), pick(j + 1, s))
+                           + com(pick(j, r), pick(j + 1, s + 1)))
+                    if family == "D8":
+                        res = res + mul(pick(j, r), pick(j + 1, s))
+                    else:
+                        res = res + mul(pick(j + 1, s), pick(j, r))
+                    yield {"j": j, "r": r, "s": s}, res
+    elif family in ("D10", "D11"):
+        pick = tab.e_simple if family == "D10" else tab.f_simple
+        for i in range(1, n_ef + 1):
+            for j in range(1, n_ef + 1):
+                if abs(i - j) > 1:
+                    for r, s in pairs:
+                        yield ({"i": i, "j": j, "r": r, "s": s},
+                               com(pick(i, r), pick(j, s)))
+    elif family in ("D12", "D13"):
+        pick = tab.e_simple if family == "D12" else tab.f_simple
+        for i in range(1, n_ef + 1):
+            for j in range(1, n_ef + 1):
+                if abs(i - j) != 1:
+                    continue
+                for r in range(1, budget - 1):
+                    for s in range(1, budget - r):
+                        for t in range(1, budget - r - s + 1):
+                            yield ({"i": i, "j": j, "r": r, "s": s, "t": t},
+                                   com(com(pick(i, r), pick(j, s)), pick(j, t))
+                                   + com(com(pick(i, r), pick(j, t)),
+                                         pick(j, s)))
+    elif family in ("D14", "D15"):
+        pick = tab.e_simple if family == "D14" else tab.f_simple
+        for i in range(1, n_ef + 1):
+            for j in range(1, n_ef + 1):
+                if abs(i - j) != 1:
+                    continue
+                for t in range(1, (budget - 1) // 2 + 1):
+                    for r in range(1, budget - 2 * t + 1):
+                        yield ({"i": i, "j": j, "r": r, "t": t},
+                               com(com(pick(i, r), pick(j, t)), pick(j, t)))
+    else:
+        pick = tab.e_simple if family == "D16" else tab.f_simple
+        for i in range(2, n_ef):
+            for r in range(1, budget - 2):
+                for s in range(1, budget - r - 1):
+                    yield ({"i": i, "r": r, "s": s},
+                           com(com(pick(i - 1, r), pick(i, 1)),
+                               com(pick(i, 1), pick(i + 1, s))))
+
+
+@pytest.fixture(scope="module")
+def tab21_l6():
+    return build_table(RTTAlgebra(Shape(2, 1, 6)), 5)
+
+
+@pytest.mark.parametrize("m, n, cap, families", [
+    (2, 1, 6, ALL_FAMILIES),
+    (1, 2, 6, ALL_FAMILIES),
+    (2, 2, 5, ("D12", "D16", "D17")),
+])
+def test_instances_match_direct_sums(m, n, cap, families):
+    """Memoised brackets and running sums give every family the stream of
+    (params, residual) pairs that direct evaluation gives."""
+    tab, budget = build_table(RTTAlgebra(Shape(m, n, cap)), cap - 1), cap
+    for family in families:
+        got = list(_relation_instances(tab, family, budget))
+        assert got == list(_direct_instances(tab, family, budget)), family
+
+
+def test_letter_tables_once_per_letter_and_operand():
+    """Over a whole relation run, each (letter, y) pair met by a commutator
+    builds one letter table."""
+    alg = RTTAlgebra(Shape(2, 1, 6))
+    tab = build_table(alg, 5)
+    alg._letter_cache.clear()
+    pairs, original = set(), alg.commutator
+
+    def recording(x, y):
+        pairs.update((a, y.words) for w in x.words for a in w)
+        return original(x, y)
+
+    alg.commutator = recording
+    report = verify_drinfeld_relations(tab, 6)
+    assert report.ok
+    assert len(pairs) > 100
+    assert len(alg._letter_cache) == len(pairs)
+
+
+def test_d2_brackets_each_unordered_pair_once(tab21_l6, monkeypatch):
+    alg = tab21_l6.alg
+    calls, original = [], alg.commutator
+
+    def counting(x, y):
+        calls.append(frozenset((x.words, y.words)))
+        return original(x, y)
+
+    monkeypatch.setattr(alg, "commutator", counting)
+    instances = list(_relation_instances(tab21_l6, "D2", 6))
+    wanted = {frozenset((tab21_l6.d[p["i"]][p["r"]].words,
+                         tab21_l6.d[p["j"]][p["s"]].words))
+              for p, _ in instances}
+    assert len(instances) > len(wanted)
+    assert len(calls) == len(set(calls)) and set(calls) == wanted
+
+
+@pytest.mark.parametrize("family", ["D3", "D4", "D5", "D6", "D7"])
+def test_right_hand_products_once_per_block(tab21_l6, monkeypatch, family):
+    """Running sums form each product of a block once, and only the
+    products that the displayed sums contain."""
+    alg = tab21_l6.alg
+    calls, original = [], alg.multiply
+
+    def counting(x, y):
+        calls.append((x.words, y.words))
+        return original(x, y)
+
+    monkeypatch.setattr(alg, "multiply", counting)
+    made, displayed = {}, {}
+    for blocks, instances in ((made, _relation_instances),
+                              (displayed, _direct_instances)):
+        for params, _ in instances(tab21_l6, family, 6):
+            block = (params.get("i"), params["j"])
+            blocks.setdefault(block, []).extend(calls)
+            calls.clear()
+    assert made.keys() == displayed.keys()
+    assert any(made.values())
+    for block, products in made.items():
+        assert len(products) == len(set(products)), (family, block)
+        assert set(products) == set(displayed[block]), (family, block)

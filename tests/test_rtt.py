@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from yangian2 import RTTAlgebra, Shape
 from yangian2.current import CurrentAlgebra
 from yangian2.errors import DegreeCapError
-from yangian2.rtt import (bounded_words, pack, unpack, word_degree,
+from yangian2.rtt import (Element, bounded_words, pack, unpack, word_degree,
                           word_loop_degree)
 
 from oracles import (count_full, count_super, gl_bracket_mod2,
@@ -282,6 +282,56 @@ def test_commutator_cap_violation_matches_multiply():
         alg.commutator(alg.gen(1, 1, 3), alg.gen(2, 2, 2))
 
 
+def test_commutator_at_exactly_the_cap():
+    """Operands whose top degrees sum to the cap pass the cap check; one
+    degree more raises multiply's error."""
+    alg = RTTAlgebra(Shape(2, 1, 4))
+    x, y = alg.gen(1, 1, 2), alg.gen(2, 1, 1) * alg.gen(1, 2, 1)
+    assert x.degree() + y.degree() == 4
+    got = alg.commutator(x, y)
+    assert got and got == _products_bracket(alg, x, y)
+    rng = random.Random(47)
+    landed = 0
+    for _ in range(200):
+        x = alg.random_element(rng, 3, 4)
+        y = alg.random_element(rng, 4, 4)
+        if x.degree() + y.degree() == 4:
+            landed += 1
+            assert alg.commutator(x, y) == _products_bracket(alg, x, y)
+        elif x.degree() + y.degree() == 5:
+            with pytest.raises(DegreeCapError) as err:
+                alg.multiply(x, y)
+            with pytest.raises(DegreeCapError) as again:
+                alg.commutator(x, y)
+            assert str(again.value) == str(err.value)
+    assert landed >= 10
+
+
+def test_letter_tables_outlive_the_call():
+    """[a, y] is straightened once per letter a and word set of y, across
+    calls and across distinct objects that hold the same words."""
+    alg = RTTAlgebra(Shape(2, 1, 5))
+    x = alg.gen(2, 1, 1) * alg.gen(1, 3, 2) + alg.gen(1, 1, 1)
+    y = alg.gen(3, 2, 1) * alg.gen(1, 2, 1) + alg.gen(2, 2, 2)
+    letters = {a for w in x.words for a in w}
+    first = alg.commutator(x, y)
+    assert first == _products_bracket(alg, x, y)
+    assert set(alg._letter_cache) == {(a, y.words) for a in letters}
+    twin = Element(alg, frozenset(set(y.words)))
+    assert twin is not y and twin.words is not y.words
+    assert alg.commutator(x, twin) == first
+    assert len(alg._letter_cache) == len(letters)
+    # the letters of x meet a new y: new tables, not the old ones
+    other = alg.gen(1, 2, 2) + alg.gen(3, 1, 1)
+    assert alg.commutator(x, other) == _products_bracket(alg, x, other)
+    assert len(alg._letter_cache) == 2 * len(letters)
+    # short-lived operands, whose storage Python reuses at once
+    rng = random.Random(53)
+    for _ in range(40):
+        z = alg.random_element(rng, 2, 3)
+        assert alg.commutator(x, z) == _products_bracket(alg, x, z)
+
+
 # -- degree-1 closure and sign collapse -------------------------------------------
 
 
@@ -500,11 +550,13 @@ def test_cache_transparency():
     assert run() == warm
     assert warm[1] == warm[2]
     assert alg._nf_cache and alg._nf_cache_rightmost and alg._pair_cache
+    assert alg._letter_cache
 
     def cold(fn):
         alg._nf_cache.clear()
         alg._nf_cache_rightmost.clear()
         alg._pair_cache.clear()
+        alg._letter_cache.clear()
         return fn()
 
     assert [cold(lambda: alg.multiply(x, y))

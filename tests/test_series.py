@@ -210,3 +210,52 @@ def test_gauss_rejects_bad_constant_term(alg):
     from yangian2.series import YMatrix
     with pytest.raises(ValueError):
         gauss_decompose(YMatrix(tuple(tuple(r) for r in rows)))
+
+
+def _old_gauss(t):
+    """The pivot recursion as it formed f_ip d_p by a product."""
+    from yangian2 import series
+    size = t.size
+    alg = t.entries[0][0].alg
+    order = t.entries[0][0].order
+    lower = series.identity_matrix(alg, size, order)
+    upper = series.identity_matrix(alg, size, order)
+    diag = []
+    work = [[t.entries[i][j] for j in range(size)] for i in range(size)]
+    for p in range(size):
+        d = work[p][p]
+        diag.append(d)
+        dinv = series_inv(d)
+        for j in range(p + 1, size):
+            upper[p][j] = series.series_mul(dinv, work[p][j])
+            lower[j][p] = series.series_mul(work[j][p], dinv)
+        for i in range(p + 1, size):
+            fd = series.series_mul(lower[i][p], d)
+            for j in range(p + 1, size):
+                work[i][j] = work[i][j] + series.series_mul(fd, upper[p][j])
+    return (series.YMatrix(tuple(tuple(row) for row in lower)), diag,
+            series.YMatrix(tuple(tuple(row) for row in upper)))
+
+
+@pytest.mark.parametrize("m,n,order", [(1, 1, 3), (2, 1, 3), (2, 2, 2),
+                                       (3, 1, 2)])
+def test_gauss_schur_update_reuses_t(monkeypatch, m, n, order):
+    """The Schur update takes f_ip d_p = t_ip as is: the factors are those
+    of the old recursion, with s(s-1)/2 fewer series products."""
+    from yangian2 import series
+    calls = []
+    original = series.series_mul
+
+    def counting(a, b):
+        calls.append(1)
+        return original(a, b)
+
+    monkeypatch.setattr(series, "series_mul", counting)
+    alg = RTTAlgebra(Shape(m, n, order))
+    t = t_matrix(alg, order)
+    new = gauss_decompose(t)
+    new_calls = len(calls)
+    calls.clear()
+    assert new == _old_gauss(t)
+    size = m + n
+    assert len(calls) - new_calls == size * (size - 1) // 2
