@@ -7,7 +7,7 @@ the classical bridge (centers), the truncated current Lie superalgebra
 oracle (current), and a small expression DSL plus CLI (dsl, cli).
 """
 
-from .current import ClassicalElement, CurrentAlgebra
+from .current import CurrentAlgebra
 from .drinfeld import DrinfeldTable, build_table, drinfeld_generators, higher_roots
 from .rtt import Element, RTTAlgebra, Shape
 from .series import YMatrix, YSeries, gauss_decompose, t_matrix
@@ -15,7 +15,6 @@ from .series import YMatrix, YSeries, gauss_decompose, t_matrix
 __version__ = "0.1.0"
 
 __all__ = [
-    "ClassicalElement",
     "CurrentAlgebra",
     "DrinfeldTable",
     "Element",

@@ -59,13 +59,13 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from functools import cached_property
 
-from .current import ClassicalElement, CurrentAlgebra
+from .current import CurrentAlgebra
 from .drinfeld import DrinfeldTable
 from .errors import DegreeCapError
 from .linalg import BitEchelon, words_row
 from .report import Report
-from .rtt import (Element, RTTAlgebra, bounded_words, pack, word_degree,
-                  word_loop_degree)
+from .rtt import (Element, RTTAlgebra, bounded_words, merge_product, pack,
+                  repeats_nilsquare, word_degree, word_loop_degree)
 from .series import YSeries, series_mul, series_shift
 
 
@@ -159,15 +159,6 @@ def symbol(x: Element) -> frozenset:
     return frozenset(w for w in x.words if word_degree(w) == top)
 
 
-def symbol_product(x: frozenset, y: frozenset) -> frozenset:
-    """Product in gr: sorted merges of the words, summed mod 2."""
-    acc: set = set()
-    for a in x:
-        for b in y:
-            acc ^= {tuple(sorted(a + b))}
-    return frozenset(acc)
-
-
 @dataclass
 class QuotientModel:
     alg: RTTAlgebra
@@ -235,16 +226,9 @@ def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientM
     square are dropped before the next.
     """
     all_monos = alg.pbw_monomials(bound)
-    parity = alg.shape.parity
-
-    def repeats_odd(w: tuple) -> bool:
-        # ordered words keep equal letters adjacent
-        return any(a == b and parity(a >> 16, (a >> 8) & 0xFF)
-                   for a, b in zip(w, w[1:]))
-
     non_super, super_list = [], []
     for w in all_monos:
-        (non_super if repeats_odd(w) else super_list).append(w)
+        (non_super if repeats_nilsquare(w, alg._odd) else super_list).append(w)
     super_list.reverse()
     basis = tuple(non_super + super_list)
     index = {w: k for k, w in enumerate(basis)}
@@ -305,7 +289,7 @@ def quotient_report(quotient: QuotientModel) -> Report:
 # -- the classical bridge -----------------------------------------------------
 
 
-def gr_leading_term(x: Element, d: int, classical: CurrentAlgebra) -> ClassicalElement:
+def gr_leading_term(x: Element, d: int, classical: CurrentAlgebra) -> Element:
     """Image of the loop-degree-d graded piece of x in the classical oracle."""
     top_words = []
     for w in x.words:
@@ -447,7 +431,7 @@ def graded_basis_count(quotient: QuotientModel, factors) -> int | None:
     echelons = {d: ech.copy() for d, (_, ech) in span.items()}
     count = dependent = 0
     for sym, d in bounded_words([symbol(v) for v in values], degrees,
-                                quotient.bound, tops, symbol_product,
+                                quotient.bound, tops, merge_product,
                                 frozenset({()})):
         count += 1
         if echelons[d].add(words_row(sym, span[d][0], d)) == 0:

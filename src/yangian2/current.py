@@ -9,9 +9,15 @@ order is the (i, j, r) lexicographic normal-form order.  The bracket is
 truncated to zero once r + s reaches T.  The superstructure in
 characteristic 2 is the quadratic map Q = matrix squaring restricted to
 the odd part, and the enveloping algebra used throughout is the super
-one: odd basis squares rewrite to Q(basis) = 0.  Normal forms come from
-the straightening kernel shared with the RTT algebra (``rtt.straighten``),
-which kills those squares because the odd symbols are its ``nilsquare``.
+one: odd basis squares rewrite to Q(basis) = 0.
+
+Elements, normal forms, products and commutators come from the word-algebra
+core in ``rtt``, the one that serves the Yangian: ``rtt.Element``,
+``rtt.straighten`` (which kills the odd squares because the odd symbols are
+its ``nilsquare``) and the Leibniz kernel ``rtt.commutator_words``.  This
+module supplies only what is classical: the bracket ``_bracket_gens``, the
+truncation, ``p_map`` and ``quadratic_q``, and the invariants layer, whose
+products are ``rtt.merge_product`` over the odd symbols.
 
 The truncation is a genuine quotient Lie superalgebra (the ideal t^T g is
 stable under both the bracket and the squaring map), so every identity
@@ -23,10 +29,13 @@ from __future__ import annotations
 import itertools
 from array import array
 from bisect import bisect_left
+from functools import partial
 
 from .linalg import BitEchelon, words_row
 from .report import Report
-from .rtt import FIELD_LIMIT, bounded_words, pack, straighten, unpack
+from .rtt import (Element, Shape, bounded_words, check_operands,
+                  commutator_words, graded_words, merge_product, pack,
+                  pack_gen, straighten, unpack)
 
 
 def render_cword(word) -> str:
@@ -35,92 +44,32 @@ def render_cword(word) -> str:
     return "*".join(f"E[{g >> 16},{(g >> 8) & 0xFF}]t^{g & 0xFF}" for g in word)
 
 
-class ClassicalElement:
-    """Normal-form element of the super enveloping algebra of the truncation."""
-
-    __slots__ = ("alg", "words")
-
-    def __init__(self, alg: "CurrentAlgebra", words: frozenset):
-        self.alg = alg
-        self.words = words
-
-    def __bool__(self) -> bool:
-        return bool(self.words)
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, ClassicalElement)
-                and self.alg.key == other.alg.key
-                and self.words == other.words)
-
-    def __hash__(self) -> int:
-        return hash((self.alg.key, self.words))
-
-    def __add__(self, other: "ClassicalElement") -> "ClassicalElement":
-        if self.alg.key != other.alg.key:
-            raise ValueError("elements live over different truncations")
-        return ClassicalElement(self.alg, self.words ^ other.words)
-
-    def __mul__(self, other: "ClassicalElement") -> "ClassicalElement":
-        return self.alg.multiply(self, other)
-
-    def is_lie(self) -> bool:
-        return all(len(w) == 1 for w in self.words)
-
-    def parity(self):
-        seen = {self.alg.word_parity(w) for w in self.words}
-        if not seen:
-            return 0
-        return seen.pop() if len(seen) == 1 else None
-
-    def canonical(self) -> str:
-        if not self.words:
-            return "0"
-        return " + ".join(render_cword(w) for w in sorted(self.words))
-
-    def __repr__(self) -> str:
-        return self.canonical()
-
-
 class CurrentAlgebra:
     """gl_{m+n}[t]/(t^T) and its super enveloping algebra over GF(2).
 
-    The two memo caches (word normal forms and generator brackets) are
-    transparent: results are identical with them cleared, they only buy
-    speed.  The bracket cache holds at most one entry per generator pair.
+    The memo caches (word normal forms, generator brackets and the
+    commutator's letter tables) are transparent: results are identical
+    with them cleared, they only buy speed.  The bracket cache holds at
+    most one entry per generator pair.
     """
 
+    render_word = staticmethod(render_cword)
+
     def __init__(self, m: int, n: int, trunc: int):
-        if m < 1 or n < 1 or trunc < 1:
-            raise ValueError("need m, n >= 1 and truncation >= 1")
-        if trunc >= FIELD_LIMIT or m + n >= FIELD_LIMIT:
-            raise ValueError(f"truncation and block size must stay below "
-                             f"{FIELD_LIMIT}")
-        self.m = m
-        self.n = n
-        self.trunc = trunc
-        self.key = (m, n, trunc)
+        self.shape = Shape(m, n, trunc)
+        self.m, self.n, self.trunc = m, n, trunc
+        self.superscripts = range(trunc)
         self._nf_cache: dict = {}
         self._pair_cache: dict = {}
-        self._odd = frozenset(g for g in self.generators()
-                              if self.parity(g >> 16, (g >> 8) & 0xFF))
+        self._letter_cache: dict = {}   # (letter a, y.words) -> NF of [a, y]
+        self._odd = self.shape.odd_letters(self.generators())
 
     @property
     def size(self) -> int:
-        return self.m + self.n
-
-    def block(self, i: int) -> int:
-        if not 1 <= i <= self.size:
-            raise ValueError(f"index {i} out of range 1..{self.size}")
-        return 0 if i <= self.m else 1
-
-    def parity(self, i: int, j: int) -> int:
-        return (self.block(i) + self.block(j)) % 2
+        return self.shape.size
 
     def gen_parity(self, g: int) -> int:
         return 1 if g in self._odd else 0
-
-    def word_parity(self, word) -> int:
-        return sum(self.gen_parity(g) for g in word) % 2
 
     def generators(self) -> list[int]:
         return [pack(i, j, r)
@@ -130,18 +79,14 @@ class CurrentAlgebra:
 
     # -- constructors --------------------------------------------------------
 
-    def zero(self) -> ClassicalElement:
-        return ClassicalElement(self, frozenset())
+    def zero(self) -> Element:
+        return Element(self, frozenset())
 
-    def one(self) -> ClassicalElement:
-        return ClassicalElement(self, frozenset({()}))
+    def one(self) -> Element:
+        return Element(self, frozenset({()}))
 
-    def gen(self, i: int, j: int, r: int) -> ClassicalElement:
-        if not (1 <= i <= self.size and 1 <= j <= self.size):
-            raise ValueError(f"index ({i},{j}) out of range 1..{self.size}")
-        if not 0 <= r < self.trunc:
-            raise ValueError(f"t-exponent {r} out of range 0..{self.trunc - 1}")
-        return ClassicalElement(self, frozenset({(pack(i, j, r),)}))
+    def gen(self, i: int, j: int, r: int) -> Element:
+        return Element(self, frozenset({(pack_gen(self, i, j, r),)}))
 
     # -- Lie structure ---------------------------------------------------------
 
@@ -161,19 +106,19 @@ class CurrentAlgebra:
         result = self._pair_cache[key] = frozenset(out)
         return result
 
-    def bracket(self, x: ClassicalElement, y: ClassicalElement) -> ClassicalElement:
+    def bracket(self, x: Element, y: Element) -> Element:
         """Lie bracket, bilinear over degree-1 elements."""
         if x.alg is not self or y.alg is not self:
-            self._check_operands(x, y)
+            check_operands(self, x, y)
         if not (x.is_lie() and y.is_lie()):
             raise ValueError("bracket is defined on Lie elements")
         acc: set = set()
         for (a,) in x.words:
             for (b,) in y.words:
                 acc ^= self._bracket_gens(a, b)
-        return ClassicalElement(self, frozenset(acc))
+        return Element(self, frozenset(acc))
 
-    def p_map(self, x: ClassicalElement) -> ClassicalElement:
+    def p_map(self, x: Element) -> Element:
         """Matrix square of a Lie element, re-expanded in the basis.
 
         On basis symbols this is E[i,j]t^r -> delta_{i,j} E[i,j]t^(2r),
@@ -188,9 +133,9 @@ class CurrentAlgebra:
                 k, l, s = unpack(b)
                 if j == k and r + s < self.trunc:
                     acc ^= {(pack(i, l, r + s),)}
-        return ClassicalElement(self, frozenset(acc))
+        return Element(self, frozenset(acc))
 
-    def quadratic_q(self, y: ClassicalElement) -> ClassicalElement:
+    def quadratic_q(self, y: Element) -> Element:
         """The quadratic map of the superstructure: squaring on the odd part."""
         if not y.is_lie():
             raise ValueError("quadratic_q is defined on Lie elements")
@@ -200,45 +145,47 @@ class CurrentAlgebra:
 
     # -- super enveloping algebra ----------------------------------------------
 
-    def normal_form(self, words) -> ClassicalElement:
+    def normal_form(self, words) -> Element:
         acc: set = set()
         for w in words:
-            packed = tuple(g if isinstance(g, int) else pack(*g) for g in w)
+            packed = tuple(g if isinstance(g, int) else pack_gen(self, *g)
+                           for g in w)
             acc.symmetric_difference_update(
                 straighten(packed, self._nf_cache, self._bracket_gens,
                            self._odd))
-        return ClassicalElement(self, frozenset(acc))
+        return Element(self, frozenset(acc))
 
-    def _check_operands(self, x: ClassicalElement, y: ClassicalElement) -> None:
-        for e in (x, y):
-            if e.alg is not self and e.alg.key != self.key:
-                raise ValueError(f"operand over the truncation {e.alg.key} "
-                                 f"does not belong to the algebra {self.key}")
-
-    def multiply(self, x: ClassicalElement, y: ClassicalElement) -> ClassicalElement:
+    def multiply(self, x: Element, y: Element) -> Element:
         if x.alg is not self or y.alg is not self:
-            self._check_operands(x, y)
+            check_operands(self, x, y)
         acc: set = set()
         cache, bracket, odd = self._nf_cache, self._bracket_gens, self._odd
         for wa in x.words:
             for wb in y.words:
                 acc.symmetric_difference_update(
                     straighten(wa + wb, cache, bracket, odd))
-        return ClassicalElement(self, frozenset(acc))
+        return Element(self, frozenset(acc))
 
-    def commutator(self, x, y) -> ClassicalElement:
-        return self.multiply(x, y) + self.multiply(y, x)
+    def commutator(self, x: Element, y: Element) -> Element:
+        """xy + yx by the Leibniz rule (``rtt.commutator_words``), on the
+        algebra's letter tables; the top-degree words of xy and yx, which
+        cancel, are never formed."""
+        if x.alg is not self or y.alg is not self:
+            check_operands(self, x, y)
+        return Element(self, commutator_words(
+            x.words, y.words, self._nf_cache, self._letter_cache,
+            self._bracket_gens, self._odd))
 
     # -- distinguished central elements -----------------------------------------
 
-    def z_element(self, r: int) -> ClassicalElement:
+    def z_element(self, r: int) -> Element:
         """Sum of all diagonal symbols at one t-exponent."""
         if not 0 <= r < self.trunc:
             raise ValueError(f"t-exponent {r} out of range 0..{self.trunc - 1}")
         words = frozenset({(pack(i, i, r),) for i in range(1, self.size + 1)})
-        return ClassicalElement(self, words)
+        return Element(self, words)
 
-    def xi(self, i: int, j: int, r: int) -> ClassicalElement:
+    def xi(self, i: int, j: int, r: int) -> Element:
         """x^2 + x^[2] for the basis symbol E[i,j]t^r, inside the truncation."""
         g = self.gen(i, j, r)
         square = self.multiply(g, g)
@@ -247,12 +194,12 @@ class CurrentAlgebra:
             correction = self.gen(i, i, 2 * r)
         return square + correction
 
-    def classical_p_center(self) -> list[tuple[dict, ClassicalElement]]:
+    def classical_p_center(self) -> list[tuple[dict, Element]]:
         """Even-parity p-center generators with 2r inside the truncation."""
         out = []
         for i in range(1, self.size + 1):
             for j in range(1, self.size + 1):
-                if self.parity(i, j):
+                if self.shape.parity(i, j):
                     continue
                 for r in range(self.trunc):
                     if 2 * r >= self.trunc:
@@ -264,36 +211,20 @@ class CurrentAlgebra:
         """Ordered supermonomials of polynomial degree <= max_len, by degree
         and then lexicographically."""
         gens = self.generators()
-        caps = [1 if g in self._odd else max_len for g in gens]
-        by_len: list[list] = [[] for _ in range(max_len + 1)]
-        for w, d in bounded_words(gens, [1] * len(gens), max_len, caps):
-            by_len[d].append(w)
-        return [w for words in by_len for w in sorted(words)]
+        return graded_words(gens, [1] * len(gens), max_len, self._odd)
 
 
 # -- symmetric-superalgebra layer (for the invariants report) -------------------
 
 
-def s_multiply_words(alg: CurrentAlgebra, w1: tuple, w2: tuple):
-    """Product in S(g_0) tensor Lambda(g_1): sorted merge, odd squares vanish."""
-    merged = tuple(sorted(w1 + w2))
-    odd = alg._odd
-    for p in range(len(merged) - 1):
-        if merged[p] == merged[p + 1] and merged[p] in odd:
-            return None
-    return merged
-
-
 def s_adjoint(alg: CurrentAlgebra, g: int, word: tuple) -> frozenset:
     """Adjoint action of a generator on an S-supermonomial, as a derivation."""
     acc: set = set()
-    bracket = alg._bracket_gens
-    for pos in range(len(word)):
-        rest = word[:pos] + word[pos + 1:]
-        for (h,) in bracket(g, word[pos]):
-            prod = s_multiply_words(alg, rest, (h,))
-            if prod is not None:
-                acc ^= {prod}
+    for pos, b in enumerate(word):
+        brackets = alg._bracket_gens(g, b)
+        if brackets:
+            acc ^= merge_product((word[:pos] + word[pos + 1:],), brackets,
+                                 alg._odd)
     return frozenset(acc)
 
 
@@ -343,14 +274,10 @@ def adjoint_rows(alg: CurrentAlgebra, g: int, sites: dict) -> dict:
     return {w: row for w, row in rows.items() if row}
 
 
-def s_supermonomials_of_degree(alg: CurrentAlgebra, degree: int) -> list[tuple]:
-    return [w for w in alg.supermonomials(degree) if len(w) == degree]
-
-
-def random_lie_element(alg: CurrentAlgebra, rng, odd_only: bool = False) -> ClassicalElement:
+def random_lie_element(alg: CurrentAlgebra, rng, odd_only: bool = False) -> Element:
     pool = [g for g in alg.generators() if not odd_only or alg.gen_parity(g)]
     words = {(g,) for g in pool if rng.random() < 0.4}
-    return ClassicalElement(alg, frozenset(words))
+    return Element(alg, frozenset(words))
 
 
 def sample_triples(items: list, rng, limit: int) -> list[tuple]:
@@ -387,11 +314,11 @@ def classical_suite(alg: CurrentAlgebra, seed: int, samples: int,
                             "pbw_degree": pbw_degree,
                             "invariants_degree": invariants_degree})
     gens = alg.generators()
-    gen_elems = [ClassicalElement(alg, frozenset({(g,)})) for g in gens]
+    gen_elems = [Element(alg, frozenset({(g,)})) for g in gens]
 
     # skew-symmetry and Jacobi on basis triples (sampled when large)
     for g in gens:
-        x = ClassicalElement(alg, frozenset({(g,)}))
+        x = Element(alg, frozenset({(g,)}))
         report.add("bracket-self", {"g": render_cword((g,))},
                    not alg.bracket(x, x))
     triples = sample_triples(gen_elems, rng, 4000)
@@ -435,7 +362,7 @@ def classical_suite(alg: CurrentAlgebra, seed: int, samples: int,
     # semilinearity shadow: x^2 + x^[2] central for random even x
     for k in range(samples):
         x = random_lie_element(alg, rng)
-        even = ClassicalElement(alg, frozenset(
+        even = Element(alg, frozenset(
             w for w in x.words if alg.gen_parity(w[0]) == 0))
         xi = alg.multiply(even, even) + alg.p_map(even)
         bad = next((g for g in gen_elems if alg.commutator(xi, g)), None)
@@ -490,7 +417,7 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
     reference and serves the containment check.  The generated products
     come one at a time from bounded_words, folded along shared prefixes.
     """
-    basis = s_supermonomials_of_degree(alg, degree)
+    basis = [w for w in alg.supermonomials(degree) if len(w) == degree]
     index = {w: k for k, w in enumerate(basis)}
     gens = alg.generators()
 
@@ -507,26 +434,18 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
     squares = []
     for i in range(1, alg.size + 1):
         for j in range(1, alg.size + 1):
-            if alg.parity(i, j) or (i, j) == (1, 1):
+            if alg.shape.parity(i, j) or (i, j) == (1, 1):
                 continue
             for r in range(alg.trunc):
                 g = pack(i, j, r)
                 squares.append(frozenset({(g, g)}))
 
-    def expand_product(words_a: frozenset, words_b: frozenset) -> frozenset:
-        acc: set = set()
-        for wa in words_a:
-            for wb in words_b:
-                prod = s_multiply_words(alg, wa, wb)
-                if prod is not None:
-                    acc ^= {prod}
-        return frozenset(acc)
-
     ech = BitEchelon()
     contained = True
     for prod_words, d in bounded_words(
             z_list + squares, [1] * len(z_list) + [2] * len(squares), degree,
-            fold=expand_product, one=frozenset({()})):
+            fold=partial(merge_product, nilsquare=alg._odd),
+            one=frozenset({()})):
         if d != degree or not prod_words:
             continue
         ech.add(words_row(prod_words, index, degree))

@@ -1,4 +1,5 @@
-"""Straightening engine for the RTT presentation of the Yangian over GF(2).
+"""Straightening engine for the RTT presentation of the Yangian over GF(2),
+and the word-algebra core it shares with its classical limit.
 
 Generators t[i,j,r] are packed into single ints ((i << 16) | (j << 8) | r)
 so that plain int comparison realises the fixed PBW order: (i, j, r)
@@ -17,14 +18,24 @@ drops the total degree (bracket terms) or keeps it while removing one
 inversion (the swap), so the rewrite terminates.  Confluence is certified
 empirically (associativity fuzz plus dimension counts), not re-proved.
 
-One kernel, ``straighten``, serves this algebra and the classical one.  A
-call finds the first out-of-order pair and carries its out-of-place
-generator through the already-ordered part of the word, swap by swap,
-adding the straightened bracket term of each swap; it then recurses once on
-the word where the generator came to rest.  That word is ordered one
-position further than the call's own, so chain recursion is bounded by the
-word length, not by the inversion count, and each bracket term starts a
-chain of lower degree.  Only chain heads are memoised: the intermediate
+This module is the word-algebra core of both algebras the package
+computes in: the Yangian here and its classical limit, the super
+enveloping algebra of the truncated current algebra (``current``), whose
+letters are packed the same way.  The two differ only in their bracket
+rule and in which squares vanish, so one element class, ``Element``, and
+one set of module functions serve both: ``straighten`` for products and
+normal forms, ``commutator_words`` for commutators, ``merge_product`` for
+the product of their associated graded (super)commutative algebras, and
+``graded_words`` for their ordered monomials.  Each algebra holds its odd
+letters in one set, ``_odd``, that every parity question reads.
+
+A ``straighten`` call finds the first out-of-order pair and carries its
+out-of-place generator through the already-ordered part of the word, swap
+by swap, adding the straightened bracket term of each swap; it then
+recurses once on the word where the generator came to rest.  That word is
+ordered one position further than the call's own, so chain recursion is
+bounded by the word length, not by the inversion count, and each bracket
+term starts a chain of lower degree.  Only chain heads are memoised: the intermediate
 words of a carry are never looked up again.  The rightmost strategy
 mirrors all of this and keeps its own cache, so comparing the two is
 evidence of confluence.
@@ -36,17 +47,18 @@ costs 216 bytes where a tuple of two costs 56; tuples of int tuples also
 drop out of the cyclic collector.  Callers sum the tuples into a set with
 ``symmetric_difference_update``, and only elements hold frozensets.
 
-Commutators never straighten a top-degree word.  The algebra is a filtered
-deformation of a supercommutative one, so [x, y] has degree at most
+Commutators never straighten a top-degree word.  Both algebras are
+filtered deformations of supercommutative ones (by canonical degree here,
+by word length classically), so [x, y] has filtration degree at most
 deg x + deg y - 1, and the top-degree words of xy and yx would only
-cancel.  ``commutator`` expands by the Leibniz rule instead: [a, y] is
-straightened into a letter table, and each word of x is straightened with
-one of its letters replaced by a word of [a, y].  The tables are a third
-memo beside the word and pair caches, keyed on the letter and y's words,
-so a letter met again in any later commutator with an equal y reuses its
-table.  No top-degree chain head enters the memo, which is what makes it
-smaller.  The cap is still checked on the words of xy: the Leibniz words
-are one degree lower and would pass it silently.
+cancel.  ``commutator_words`` expands by the Leibniz rule instead: [a, y]
+is straightened into a letter table, and each word of x is straightened
+with one of its letters replaced by a word of [a, y].  The tables are a
+third memo beside the word and pair caches, keyed on the letter and y's
+words, so a letter met again in any later commutator with an equal y
+reuses its table.  No top-degree chain head enters the memo, which is
+what makes it smaller.  The Yangian still checks its cap on the words of
+xy: the Leibniz words are one degree lower and would pass it silently.
 
 One walker, ``bounded_words``, enumerates the products of a list of items
 up to a weight bound: PBW monomials here and in the classical algebra,
@@ -96,10 +108,37 @@ def render_word(word) -> str:
     return "*".join(f"t[{g >> 16},{(g >> 8) & 0xFF},{g & 0xFF}]" for g in word)
 
 
-def render_words(words) -> str:
-    if not words:
-        return "0"
-    return " + ".join(render_word(w) for w in sorted(words))
+def pack_gen(alg, i: int, j: int, r: int) -> int:
+    """The packed generator (i, j, r) of *alg*; ValueError when a field
+    leaves its range, so no superscript aliases into the index bits."""
+    size = alg.shape.size
+    if not (1 <= i <= size and 1 <= j <= size):
+        raise ValueError(f"generator index ({i},{j}) out of range 1..{size}")
+    if r not in alg.superscripts:
+        raise ValueError(f"superscript {r} out of range "
+                         f"{alg.superscripts[0]}..{alg.superscripts[-1]}")
+    return pack(i, j, r)
+
+
+def same_algebra(a, b) -> bool:
+    """Algebras are equal when they are of one kind and one shape: a word
+    of the Yangian and a classical word with the same packed ints differ."""
+    return a is b or (type(a) is type(b) and a.shape == b.shape)
+
+
+def check_operands(alg, *elements) -> None:
+    for e in elements:
+        if not same_algebra(e.alg, alg):
+            raise ValueError(
+                f"operand of shape {e.alg.shape} in {type(e.alg).__name__} "
+                f"does not belong to the {type(alg).__name__} of shape "
+                f"{alg.shape}")
+
+
+def repeats_nilsquare(word, nilsquare) -> bool:
+    """Whether the ordered *word* holds a letter of *nilsquare* twice;
+    ordered words keep equal letters adjacent."""
+    return any(a == b and a in nilsquare for a, b in zip(word, word[1:]))
 
 
 def straighten(word: tuple, cache: dict, bracket, nilsquare=frozenset(),
@@ -157,6 +196,62 @@ def straighten(word: tuple, cache: dict, bracket, nilsquare=frozenset(),
             straighten(final, cache, bracket, nilsquare, rightmost))
     result = cache[word] = tuple(acc)
     return result
+
+
+def commutator_words(xwords, ywords, cache: dict, tables: dict, bracket,
+                     nilsquare=frozenset()) -> frozenset:
+    """The normal form of xy + yx, for x and y given by their words; over
+    GF(2) this is the (super)commutator in every flavour.
+
+    The bracket is a derivation in each argument, so for words u, v
+
+        [u, v] = sum_i u[:i] * [u[i], v] * u[i+1:]
+        [a, v] = sum_j v[:j] * (a v[j] + v[j] a) * v[j+1:]
+
+    with no signs mod 2 and no term where v[j] == a.  The normal form of
+    [a, y] is a letter table, memoised in *tables* under (a, ywords), so
+    it is straightened once for all calls; each word of x then
+    straightens with one letter replaced by a word of its table.  Every
+    word straightened has filtration degree at most deg x + deg y - 1: the
+    top-degree words of xy and yx, which cancel, are never formed, so
+    their chains never enter *cache*.  *cache*, *bracket* and *nilsquare*
+    are those of ``straighten``.
+    """
+    acc: set = set()
+    for wa in xwords:
+        for i, a in enumerate(wa):
+            nf = tables.get((a, ywords))
+            if nf is None:
+                table: set = set()
+                for wb in ywords:
+                    for j, b in enumerate(wb):
+                        if b == a:
+                            continue
+                        head, tail = wb[:j], wb[j + 1:]
+                        for mid in bracket(max(a, b), min(a, b)):
+                            table.symmetric_difference_update(straighten(
+                                head + mid + tail, cache, bracket, nilsquare))
+                nf = tables[(a, ywords)] = tuple(table)
+            head, tail = wa[:i], wa[i + 1:]
+            for c in nf:
+                acc.symmetric_difference_update(
+                    straighten(head + c + tail, cache, bracket, nilsquare))
+    return frozenset(acc)
+
+
+def merge_product(x, y, nilsquare=frozenset()) -> frozenset:
+    """Product of two sums of ordered words in the associated graded
+    algebra, a polynomial ring, or S(g_0) tensor Lambda(g_1) when
+    *nilsquare* holds the odd letters: the sorted merge of each pair of
+    words, summed mod 2, where a merge that repeats a letter of
+    *nilsquare* vanishes."""
+    acc: set = set()
+    for a in x:
+        for b in y:
+            w = tuple(sorted(a + b))
+            if not (nilsquare and repeats_nilsquare(w, nilsquare)):
+                acc ^= {w}
+    return frozenset(acc)
 
 
 def bounded_words(items, weights, bound: int, max_mult=None, fold=None,
@@ -225,9 +320,20 @@ def bounded_words(items, weights, bound: int, max_mult=None, fold=None,
     return walk()
 
 
+def graded_words(gens, weights, bound: int, odd=frozenset()) -> list[tuple]:
+    """Every ordered word over *gens* of weight <= bound, with each letter
+    of *odd* at most once: graded by weight, then lexicographic."""
+    caps = [1 if g in odd else bound for g in gens]
+    by_weight: list[list] = [[] for _ in range(bound + 1)]
+    for w, d in bounded_words(gens, weights, bound, caps):
+        by_weight[d].append(w)
+    return [w for words in by_weight for w in sorted(words)]
+
+
 @dataclass(frozen=True)
 class Shape:
-    """Block sizes m, n and the hard canonical-degree cap."""
+    """Block sizes m, n and the hard cap: the canonical-degree cap L of the
+    Yangian, or the truncation T of the classical algebra."""
 
     m: int
     n: int
@@ -256,13 +362,19 @@ class Shape:
         """Parity of t[i,j,r]: sum of the two block markers mod 2."""
         return (self.block(i) + self.block(j)) % 2
 
+    def odd_letters(self, letters) -> frozenset:
+        """The odd ones among packed *letters*."""
+        return frozenset(g for g in letters
+                         if self.parity(g >> 16, (g >> 8) & 0xFF))
+
 
 class Element:
-    """Normal-form element: a frozenset of ordered monomials over GF(2)."""
+    """Normal-form element of either algebra: a frozenset of ordered words
+    over GF(2), rendered by its algebra."""
 
     __slots__ = ("alg", "words")
 
-    def __init__(self, alg: "RTTAlgebra", words: frozenset):
+    def __init__(self, alg, words: frozenset):
         self.alg = alg
         self.words = words
 
@@ -271,15 +383,15 @@ class Element:
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Element)
-                and self.alg.shape == other.alg.shape
+                and same_algebra(self.alg, other.alg)
                 and self.words == other.words)
 
     def __hash__(self) -> int:
         return hash((self.alg.shape, self.words))
 
     def __add__(self, other: "Element") -> "Element":
-        if self.alg.shape != other.alg.shape:
-            raise ValueError("cannot add elements of different shapes")
+        if other.alg is not self.alg:
+            check_operands(self.alg, other)
         return Element(self.alg, self.words ^ other.words)
 
     def __mul__(self, other: "Element") -> "Element":
@@ -299,9 +411,14 @@ class Element:
     def loop_degree(self) -> int:
         return max((word_loop_degree(w) for w in self.words), default=0)
 
+    def is_lie(self) -> bool:
+        """Every word is one letter: a sum of generators."""
+        return all(len(w) == 1 for w in self.words)
+
     def parity(self):
         """Common parity of all monomials, or None when mixed; 0 for zero."""
-        seen = {self.alg.word_parity(w) for w in self.words}
+        odd = self.alg._odd
+        seen = {sum(g in odd for g in w) % 2 for w in self.words}
         if not seen:
             return 0
         if len(seen) == 1:
@@ -309,7 +426,9 @@ class Element:
         return None
 
     def canonical(self) -> str:
-        return render_words(self.words)
+        if not self.words:
+            return "0"
+        return " + ".join(map(self.alg.render_word, sorted(self.words)))
 
     def __repr__(self) -> str:
         return self.canonical()
@@ -323,8 +442,12 @@ class RTTAlgebra:
     are identical with them cleared, they only buy speed.
     """
 
+    render_word = staticmethod(render_word)
+
     def __init__(self, shape: Shape):
         self.shape = shape
+        self.superscripts = range(1, shape.cap + 1)
+        self._odd = shape.odd_letters(self.generators())
         self._nf_cache: dict = {}
         self._nf_cache_rightmost: dict = {}
         self._pair_cache: dict = {}
@@ -339,15 +462,7 @@ class RTTAlgebra:
         return Element(self, frozenset({()}))
 
     def gen(self, i: int, j: int, r: int) -> Element:
-        self._check_gen(i, j, r)
-        return Element(self, frozenset({(pack(i, j, r),)}))
-
-    def _check_gen(self, i, j, r) -> None:
-        size = self.shape.size
-        if not (1 <= i <= size and 1 <= j <= size):
-            raise ValueError(f"generator index ({i},{j}) out of range 1..{size}")
-        if not 1 <= r <= self.shape.cap:
-            raise ValueError(f"superscript {r} out of range 1..{self.shape.cap}")
+        return Element(self, frozenset({(pack_gen(self, i, j, r),)}))
 
     def generators(self, max_degree: int | None = None) -> list[int]:
         """All packed generators with superscript up to max_degree (default cap)."""
@@ -357,10 +472,6 @@ class RTTAlgebra:
                 for i in range(1, size + 1)
                 for j in range(1, size + 1)
                 for r in range(1, bound + 1)]
-
-    def word_parity(self, word) -> int:
-        shape = self.shape
-        return sum(shape.parity(g >> 16, (g >> 8) & 0xFF) for g in word) % 2
 
     # -- the defining relation --------------------------------------------
 
@@ -396,8 +507,7 @@ class RTTAlgebra:
         element mod 2, which is exactly the collapse this engine relies on,
         and tests assert it by calling both.
         """
-        self._check_gen(*g1)
-        self._check_gen(*g2)
+        a, b = pack_gen(self, *g1), pack_gen(self, *g2)
         if g1[2] + g2[2] - 1 > self.shape.cap:
             raise DegreeCapError(
                 f"bracket degree {g1[2] + g2[2] - 1} exceeds cap {self.shape.cap}")
@@ -409,7 +519,7 @@ class RTTAlgebra:
             coeff = (-1) ** (bi * bj + bi * bk + bj * bk) % 2
         acc: set = set()
         if coeff:
-            for w in self._bracket_words(pack(*g1), pack(*g2)):
+            for w in self._bracket_words(a, b):
                 acc.symmetric_difference_update(
                     straighten(w, self._nf_cache, self._bracket_words))
         return Element(self, frozenset(acc))
@@ -422,7 +532,8 @@ class RTTAlgebra:
         cache = self._nf_cache_rightmost if rightmost else self._nf_cache
         acc: set = set()
         for w in words:
-            packed = tuple(g if isinstance(g, int) else pack(*g) for g in w)
+            packed = tuple(g if isinstance(g, int) else pack_gen(self, *g)
+                           for g in w)
             d = word_degree(packed)
             if d > cap:
                 raise DegreeCapError(
@@ -431,12 +542,6 @@ class RTTAlgebra:
                 straighten(packed, cache, self._bracket_words,
                            rightmost=rightmost))
         return Element(self, frozenset(acc))
-
-    def _check_operands(self, x: Element, y: Element) -> None:
-        for e in (x, y):
-            if e.alg is not self and e.alg.shape != self.shape:
-                raise ValueError(f"operand of shape {e.alg.shape} does not "
-                                 f"belong to the algebra of shape {self.shape}")
 
     def _check_product_cap(self, x: Element, y: Element) -> None:
         """Raise DegreeCapError at the first pair of words of xy over the
@@ -458,7 +563,7 @@ class RTTAlgebra:
 
     def multiply(self, x: Element, y: Element) -> Element:
         if x.alg is not self or y.alg is not self:
-            self._check_operands(x, y)
+            check_operands(self, x, y)
         cap = self.shape.cap
         acc: set = set()
         cache, bracket = self._nf_cache, self._bracket_words
@@ -479,49 +584,18 @@ class RTTAlgebra:
         return out
 
     def commutator(self, x: Element, y: Element) -> Element:
-        """xy + yx; over GF(2) this is the (super)commutator in every flavour.
-
-        The bracket is a derivation in each argument, so for words u, v
-
-            [u, v] = sum_i u[:i] * [u[i], v] * u[i+1:]
-            [a, v] = sum_j v[:j] * (a v[j] + v[j] a) * v[j+1:]
-
-        with no signs mod 2 and no term where v[j] == a.  The normal form
-        of [a, y] is a letter table, memoised on the algebra under
-        (a, y.words), so it is straightened once for all calls; each word
-        of x then straightens with one letter replaced by a word of its
-        table.  Every word straightened has degree at most
-        deg x + deg y - 1: the top-degree words of xy and yx, which cancel,
-        are never formed, so their chains never enter the memo.  Being a
-        degree lower, the words straightened would pass the cap silently
-        where xy exceeds it, so the cap is checked on the words of xy
-        first, in ``multiply``'s order and with its message.
+        """xy + yx by the Leibniz rule (``commutator_words``), on the
+        algebra's letter tables.  Being a degree lower, the words
+        straightened would pass the cap silently where xy exceeds it, so
+        the cap is checked on the words of xy first, in ``multiply``'s
+        order and with its message.
         """
         if x.alg is not self or y.alg is not self:
-            self._check_operands(x, y)
+            check_operands(self, x, y)
         self._check_product_cap(x, y)
-        cache, bracket = self._nf_cache, self._bracket_words
-        tables, ywords = self._letter_cache, y.words
-        acc: set = set()
-        for wa in x.words:
-            for i, a in enumerate(wa):
-                nf = tables.get((a, ywords))
-                if nf is None:
-                    table: set = set()
-                    for wb in ywords:
-                        for j, b in enumerate(wb):
-                            if b == a:
-                                continue
-                            head, tail = wb[:j], wb[j + 1:]
-                            for mid in bracket(max(a, b), min(a, b)):
-                                table.symmetric_difference_update(straighten(
-                                    head + mid + tail, cache, bracket))
-                    nf = tables[(a, ywords)] = tuple(table)
-                head, tail = wa[:i], wa[i + 1:]
-                for c in nf:
-                    acc.symmetric_difference_update(
-                        straighten(head + c + tail, cache, bracket))
-        return Element(self, frozenset(acc))
+        return Element(self, commutator_words(
+            x.words, y.words, self._nf_cache, self._letter_cache,
+            self._bracket_words))
 
     # -- PBW enumeration ----------------------------------------------------
 
@@ -532,13 +606,8 @@ class RTTAlgebra:
         The list is deterministic: graded, then lexicographic in the word.
         """
         gens = self.generators(min(bound, self.shape.cap))
-        shape = self.shape
-        caps = [1 if super_only and shape.parity(g >> 16, (g >> 8) & 0xFF)
-                else bound for g in gens]
-        by_degree: list[list] = [[] for _ in range(bound + 1)]
-        for w, d in bounded_words(gens, [g & 0xFF for g in gens], bound, caps):
-            by_degree[d].append(w)
-        return [w for words in by_degree for w in sorted(words)]
+        return graded_words(gens, [g & 0xFF for g in gens], bound,
+                            self._odd if super_only else frozenset())
 
     # -- randomised health checks -------------------------------------------
 

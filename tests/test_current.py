@@ -3,13 +3,11 @@ import random
 
 import pytest
 
-from yangian2.current import (ClassicalElement, CurrentAlgebra, adjoint_rows,
-                              adjoint_sites, classical_suite,
-                              invariants_dimension, random_lie_element,
-                              s_adjoint, s_multiply_words,
-                              s_supermonomials_of_degree, sample_triples)
+from yangian2.current import (CurrentAlgebra, adjoint_rows, adjoint_sites,
+                              classical_suite, invariants_dimension,
+                              random_lie_element, s_adjoint, sample_triples)
 from yangian2.linalg import BitEchelon, rank_of
-from yangian2.rtt import pack
+from yangian2.rtt import Element, RTTAlgebra, Shape, merge_product, pack
 
 
 @pytest.fixture(scope="module")
@@ -36,7 +34,7 @@ def test_bracket_bilinear(cl):
 
 
 def test_jacobi_and_alternating_exhaustive(cl):
-    gens = [ClassicalElement(cl, frozenset({(g,)})) for g in cl.generators()]
+    gens = [Element(cl, frozenset({(g,)})) for g in cl.generators()]
     for x in gens:
         assert not cl.bracket(x, x)
     for a, b, c in itertools.product(gens, repeat=3):
@@ -125,7 +123,7 @@ def test_packing_width_limits():
 def test_z_elements(cl):
     z0 = cl.z_element(0)
     assert z0 == cl.gen(1, 1, 0) + cl.gen(2, 2, 0)
-    gens = [ClassicalElement(cl, frozenset({(g,)})) for g in cl.generators()]
+    gens = [Element(cl, frozenset({(g,)})) for g in cl.generators()]
     for r in range(cl.trunc):
         z = cl.z_element(r)
         for g in gens:
@@ -140,7 +138,7 @@ def test_classical_p_center(cl):
     # only even-parity positions appear, with doubled exponent in range
     assert (1, 2, 0) not in labels
     assert (1, 1, 0) in labels and (2, 2, 1) in labels
-    gens = [ClassicalElement(cl, frozenset({(g,)})) for g in cl.generators()]
+    gens = [Element(cl, frozenset({(g,)})) for g in cl.generators()]
     for params, xi in entries:
         for g in gens:
             assert not cl.commutator(xi, g)
@@ -192,8 +190,8 @@ def test_pbw_rank_exhaustive(cl):
 def test_s_layer(cl):
     odd = next(g for g in cl.generators() if cl.gen_parity(g))
     even = next(g for g in cl.generators() if not cl.gen_parity(g))
-    assert s_multiply_words(cl, (odd,), (odd,)) is None
-    assert s_multiply_words(cl, (even,), (even,)) == (even, even)
+    assert merge_product({(odd,)}, {(odd,)}, cl._odd) == frozenset()
+    assert merge_product({(even,)}, {(even,)}, cl._odd) == {(even, even)}
     mono = tuple(sorted((even, odd)))
     image = s_adjoint(cl, pack(1, 2, 0), mono)
     assert isinstance(image, frozenset)
@@ -219,8 +217,13 @@ def test_invariants_dimension_reports_both_sides():
     assert dims.params["generated_dim"] <= dims.params["invariant_dim"]
 
 
+def _degree_piece(alg, degree):
+    """The S-supermonomials of exactly the given polynomial degree."""
+    return [w for w in alg.supermonomials(degree) if len(w) == degree]
+
+
 def test_s_supermonomials_enumeration(cl):
-    d2 = s_supermonomials_of_degree(cl, 2)
+    d2 = _degree_piece(cl, 2)
     assert all(len(w) == 2 for w in d2)
     assert len(set(d2)) == len(d2)
     # odd letters never repeat inside one S-supermonomial
@@ -277,7 +280,7 @@ def test_supermonomials_match_old_recursion(m, n, trunc, max_len):
 def _dense_invariants(alg, degree):
     """Reference dimensions: the adjoint action as dense stacked columns,
     one per basis word, and the generated side from explicit factor lists."""
-    basis = s_supermonomials_of_degree(alg, degree)
+    basis = _degree_piece(alg, degree)
     index = {w: k for k, w in enumerate(basis)}
     gens = alg.generators()
     columns = []
@@ -304,8 +307,10 @@ def _dense_invariants(alg, degree):
                 prods = set()
                 for wa in words:
                     for wb in f:
-                        prod = s_multiply_words(alg, wa, wb)
-                        if prod is not None:
+                        prod = tuple(sorted(wa + wb))
+                        # odd squares vanish in S(g_0) tensor Lambda(g_1)
+                        if not any(a == b and alg.gen_parity(a)
+                                   for a, b in zip(prod, prod[1:])):
                             prods ^= {prod}
                 words = prods
             row = 0
@@ -336,7 +341,7 @@ def test_invariants_rank_matches_dense_columns(m, n, trunc, monkeypatch):
         assert (dims["invariant_dim"], dims["generated_dim"]) == expected
         # rows stay one basis wide: no dense gens * len(basis) layout
         assert widths
-        assert max(widths) <= len(s_supermonomials_of_degree(alg, degree))
+        assert max(widths) <= len(_degree_piece(alg, degree))
 
 
 @pytest.mark.parametrize("m,n,trunc", [(1, 1, 2), (1, 1, 3), (2, 1, 2), (1, 2, 2)])
@@ -363,7 +368,7 @@ def _reference_rows(alg, g, basis):
 def test_adjoint_rows_match_s_adjoint(m, n, trunc, top):
     alg = CurrentAlgebra(m, n, trunc)
     for degree in range(top + 1):
-        basis = s_supermonomials_of_degree(alg, degree)
+        basis = _degree_piece(alg, degree)
         sites = adjoint_sites(basis)
         for g in alg.generators():
             assert adjoint_rows(alg, g, sites) == _reference_rows(alg, g, basis)
@@ -401,15 +406,18 @@ def test_caches_are_transparent():
         products = [alg.multiply(x, y).words for x in xs for y in xs]
         invariants = [invariants_dimension(alg, d).to_payload()
                       for d in range(3)]
-        return brackets, products, invariants
+        commutators = [alg.commutator(x, y).words for x in xs for y in xs]
+        return brackets, products, invariants, commutators
 
     warm = run(), run()
     assert warm[0] == warm[1]
     assert 0 < len(alg._pair_cache) <= len(alg.generators()) ** 2
+    assert alg._letter_cache
 
     def cold(fn):
         alg._pair_cache.clear()
         alg._nf_cache.clear()
+        alg._letter_cache.clear()
         return fn()
 
     assert [cold(lambda: alg.bracket(x, y).words)
@@ -418,6 +426,8 @@ def test_caches_are_transparent():
             for x in xs for y in xs] == warm[0][1]
     assert [cold(lambda: invariants_dimension(alg, d).to_payload())
             for d in range(3)] == warm[0][2]
+    assert [cold(lambda: alg.commutator(x, y).words)
+            for x in xs for y in xs] == warm[0][3]
 
 
 def test_operands_of_another_truncation_are_rejected(cl):
@@ -433,3 +443,58 @@ def test_operands_of_another_truncation_are_rejected(cl):
     a, b = twin.gen(1, 2, 1), twin.gen(2, 1, 1)
     assert cl.multiply(a, b) == twin.multiply(a, b)
     assert cl.bracket(a, b) == twin.bracket(a, b)
+
+
+def _random_word_element(alg, rng, odd_only=False):
+    """A sum of up to four random words of up to three letters, straightened."""
+    pool = sorted(alg._odd) if odd_only else alg.generators()
+    return alg.normal_form([tuple(rng.choice(pool)
+                                  for _ in range(rng.randint(0, 3)))
+                            for _ in range(rng.randint(1, 4))])
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (2, 1)])
+def test_commutator_matches_products(m, n):
+    """The Leibniz commutator equals the old definition xy + yx, also on
+    words of odd letters, whose squares vanish."""
+    alg = CurrentAlgebra(m, n, 3)
+    rng = random.Random(10 * m + n)
+    nonzero = with_odd = 0
+    for _ in range(40):
+        x = _random_word_element(alg, rng)
+        y = _random_word_element(alg, rng)
+        z = _random_word_element(alg, rng, odd_only=True)
+        for a, b in ((x, y), (y, x), (x, z), (z, x), (z, z)):
+            got = alg.commutator(a, b)
+            assert got == alg.multiply(a, b) + alg.multiply(b, a)
+            nonzero += bool(got)
+        with_odd += any(len(w) > 1 for w in z.words)
+    assert nonzero >= 40 and with_odd >= 10
+
+
+def test_normal_form_rejects_out_of_range_triples():
+    cl3 = CurrentAlgebra(1, 1, 3)
+    for triple in ((1, 1, 7), (1, 1, 3), (5, 1, 1), (1, 1, 256), (1, 1, -1)):
+        with pytest.raises(ValueError, match="out of range"):
+            cl3.normal_form([(triple,)])
+    assert cl3.normal_form([((1, 1, 2), (2, 2, 0))]) == \
+        cl3.gen(1, 1, 2) * cl3.gen(2, 2, 0)
+
+
+def test_yangian_and_classical_words_do_not_mix(cl):
+    """t[1,1,1] and E[1,1]t^1 have the same packed word but different algebras."""
+    yangian = RTTAlgebra(Shape(1, 1, 3))
+    t, e = yangian.gen(1, 1, 1), cl.gen(1, 1, 1)
+    assert t.words == e.words == {(0x010101,)}
+    assert t != e and e != t
+    assert (t.canonical(), e.canonical()) == ("t[1,1,1]", "E[1,1]t^1")
+    for op in (lambda: t + e, lambda: e + t,
+               lambda: yangian.multiply(t, e), lambda: yangian.multiply(e, t),
+               lambda: cl.multiply(e, t), lambda: cl.multiply(t, e),
+               lambda: yangian.commutator(t, e), lambda: cl.commutator(e, t)):
+        with pytest.raises(ValueError, match="does not belong"):
+            op()
+    # an equal truncation built apart is the same algebra
+    twin = CurrentAlgebra(1, 1, 3)
+    assert twin.gen(1, 1, 1) == e
+    assert twin.gen(1, 1, 1) + e == cl.zero()

@@ -226,6 +226,17 @@ def test_operands_of_another_shape_are_rejected():
     assert twin.commutator(x, y) == big.commutator(x, y)
 
 
+def test_normal_form_rejects_out_of_range_triples():
+    """Triples pass gen's range check: 256 would alias into the index bits,
+    and t[1,1,0] is not a generator."""
+    alg = RTTAlgebra(Shape(1, 1, 5))
+    for triple in ((1, 1, 256), (1, 1, 0), (3, 1, 1), (1, 0, 1)):
+        for rightmost in (False, True):
+            with pytest.raises(ValueError, match="out of range"):
+                alg.normal_form([(triple,)], rightmost=rightmost)
+    assert alg.normal_form([((1, 1, 5),)]) == alg.gen(1, 1, 5)
+
+
 # -- commutators against the two products ------------------------------------------
 
 
