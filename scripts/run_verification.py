@@ -28,6 +28,8 @@ RUNS = [
      ["verify", "classical"]),
     ("classical-2-1", ["--m", "2", "--n", "1", "-L", "3", "-T", "5"],
      ["verify", "classical"]),
+    ("classical-2-2", ["--m", "2", "--n", "2", "-L", "3", "-T", "4"],
+     ["verify", "classical"]),
     ("pbw-1-1", ["--m", "1", "--n", "1", "-L", "4", "-K", "4"], ["pbw"]),
     ("pbw-super-1-1", ["--m", "1", "--n", "1", "-L", "4", "-K", "4"],
      ["pbw", "--super"]),

@@ -34,8 +34,8 @@ from functools import partial
 from .linalg import BitEchelon, words_row
 from .report import Report
 from .rtt import (Element, Shape, bounded_words, check_operands,
-                  commutator_words, graded_words, merge_product, pack,
-                  pack_gen, straighten, unpack)
+                  commutator_words, graded_words, letter, merge_product,
+                  pack, pack_gen, straighten, unpack)
 
 
 def render_cword(word) -> str:
@@ -62,7 +62,8 @@ class CurrentAlgebra:
         self._nf_cache: dict = {}
         self._pair_cache: dict = {}
         self._letter_cache: dict = {}   # (letter a, y.words) -> NF of [a, y]
-        self._odd = self.shape.odd_letters(self.generators())
+        self._letters = frozenset(self.generators())
+        self._odd = self.shape.odd_letters(self._letters)
 
     @property
     def size(self) -> int:
@@ -146,10 +147,11 @@ class CurrentAlgebra:
     # -- super enveloping algebra ----------------------------------------------
 
     def normal_form(self, words) -> Element:
+        """Normal form of a sum of raw words (tuples of (i, j, r) triples or
+        packed ints); ValueError for a letter outside the truncation."""
         acc: set = set()
         for w in words:
-            packed = tuple(g if isinstance(g, int) else pack_gen(self, *g)
-                           for g in w)
+            packed = tuple(letter(self, g) for g in w)
             acc.symmetric_difference_update(
                 straighten(packed, self._nf_cache, self._bracket_gens,
                            self._odd))
@@ -229,13 +231,16 @@ def s_adjoint(alg: CurrentAlgebra, g: int, word: tuple) -> frozenset:
 
 
 def adjoint_sites(basis: list[tuple]) -> dict:
-    """Letter index of a supermonomial basis for the adjoint action.
+    """Letter index of a list of supermonomials for the adjoint action.
 
-    sites[b] pairs the basis index k with rest, for every basis word k and
+    sites[b] pairs the index k with rest, for every word k of the list and
     every position of the letter b in it, rest being the word with that one
-    letter removed.  The indices sit in an int array beside a list of the
-    rest tuples, and equal rest tuples are shared, which keeps the index
-    small next to the basis itself.
+    letter removed.  k indexes the list passed in, which
+    invariants_dimension passes one grading block at a time, so k is a
+    block-local index and the rows built from it stay small ints.  The
+    indices sit in an int array beside a list of the rest tuples, and
+    equal rest tuples are shared, which keeps the index small next to the
+    words themselves.
     """
     sites: dict = {}
     interned: dict = {}
@@ -250,10 +255,11 @@ def adjoint_sites(basis: list[tuple]) -> dict:
 
 
 def adjoint_rows(alg: CurrentAlgebra, g: int, sites: dict) -> dict:
-    """Nonzero rows of ad g on the basis indexed by sites, by output word.
+    """Nonzero rows of ad g on the words indexed by sites, by output word.
 
-    The row of an output word has bit k for each basis word k whose image
-    under s_adjoint(alg, g, .) contains it.  The action is a derivation, so
+    The row of an output word has bit k for each indexed word k (the
+    block-local index of adjoint_sites) whose image under
+    s_adjoint(alg, g, .) contains it.  The action is a derivation, so
     each (position, h in [g, b]) contribution is XOR-ed in directly: h is
     inserted into rest in sorted order, or dropped when it is odd and
     already there (odd squares vanish).  Contributions that cancel, such
@@ -391,6 +397,33 @@ def classical_suite(alg: CurrentAlgebra, seed: int, samples: int,
     return report
 
 
+def word_grade(word, size: int) -> tuple:
+    """(weight, t-degree) of a word over gl_size: the weight is the tuple
+    of coefficients of e_1..e_size in the sum of e_i - e_j over its letters
+    E[i,j]t^r, the t-degree the sum of their r."""
+    weight = [0] * size
+    t_degree = 0
+    for g in word:
+        i, j, r = unpack(g)
+        weight[i - 1] += 1
+        weight[j - 1] -= 1
+        t_degree += r
+    return tuple(weight), t_degree
+
+
+def block_rank(alg: CurrentAlgebra, gens: list[int], block: list[tuple]) -> int:
+    """Rank of the adjoint action of gens on one grading block, stopping
+    as soon as the block's echelon is full."""
+    sites = adjoint_sites(block)
+    ech = BitEchelon()
+    for g in gens:
+        for row in set(adjoint_rows(alg, g, sites).values()):
+            ech.add(row)
+            if ech.rank == len(block):
+                return ech.rank
+    return ech.rank
+
+
 def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
     """Compare g-invariants of the degree-d piece of S_super with the span
     generated by the diagonal sums z_r and the even squares (excluding the
@@ -402,31 +435,40 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
 
     The invariants are the kernel of the adjoint action stacked over all
     generators, so their dimension is len(basis) minus the rank of the
-    action matrix.  That matrix is built row-wise, one generator at a
-    time: the row of an output word holds bit k for each basis word k
-    whose image under the generator contains it, so every row is
-    len(basis) bits wide.  The rows come from a letter index built once
-    per degree (adjoint_sites: for each letter b, every basis word k with
-    b at some position and the word left when that b is removed); for a
-    generator g only the letters b with [g, b] nonzero are visited, and
-    each h in [g, b] is inserted into the remaining word and XOR-ed into
-    that output word's row as bit k (adjoint_rows).  The distinct nonzero
-    rows of one generator go into a shared echelon before the next
-    generator is taken; row rank equals column rank, so no dense column
-    of gens * len(basis) bits is built.  s_adjoint stays the word-by-word
-    reference and serves the containment check.  The generated products
-    come one at a time from bounded_words, folded along shared prefixes.
+    action matrix.  That matrix is block-diagonal.  Grade a word by its
+    weight, the sum of e_i - e_j over its letters E[i,j]t^r, and its
+    t-degree, the sum of their r (word_grade).  The bracket of
+    E[i,j]t^r with E[k,l]t^s lies in weight e_i - e_j + e_k - e_l and
+    t-degree r + s, so ad g maps the block of grade (mu, d) into the
+    block (mu + wt g, d + r(g)), and the grade of an output word and g
+    fix the input block.  Every row of ad g therefore has all its bits in
+    one input block, and rows from two input blocks never share a
+    column: the rank is the sum of the block ranks.
+
+    Each block is ranked on its own, from its own letter index
+    (adjoint_sites: for each letter b, every word k of the block with b
+    at some position and the word left when that b is removed), so its
+    rows are len(block) bits wide.  For a generator g only the letters b
+    with [g, b] nonzero are visited, and each h in [g, b] is inserted
+    into the remaining word and XOR-ed into that output word's row as
+    bit k (adjoint_rows).  The distinct nonzero rows of one generator go
+    into the block's echelon before the next generator is taken; row
+    rank equals column rank, so no dense column of gens * len(block) bits
+    is built.  A block whose rank reaches len(block) has no invariants,
+    and no later row can add to it, so its generator loop stops there.
+    s_adjoint stays the word-by-word reference and serves the containment
+    check.  The generated products come one at a time from
+    bounded_words, folded along shared prefixes.
     """
     basis = [w for w in alg.supermonomials(degree) if len(w) == degree]
     index = {w: k for k, w in enumerate(basis)}
     gens = alg.generators()
 
-    sites = adjoint_sites(basis)
-    ech = BitEchelon()
-    for g in gens:
-        for row in set(adjoint_rows(alg, g, sites).values()):
-            ech.add(row)
-    invariant_dim = len(basis) - ech.rank
+    blocks: dict = {}
+    for w in basis:
+        blocks.setdefault(word_grade(w, alg.size), []).append(w)
+    invariant_dim = len(basis) - sum(
+        block_rank(alg, gens, block) for block in blocks.values())
 
     # generated side: products of z_r (degree 1) and even squares (degree 2)
     z_list = [frozenset({(pack(i, i, r),) for i in range(1, alg.size + 1)})

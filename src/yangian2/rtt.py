@@ -120,6 +120,15 @@ def pack_gen(alg, i: int, j: int, r: int) -> int:
     return pack(i, j, r)
 
 
+def letter(alg, g) -> int:
+    """The packed letter of *alg* given as an int or an (i, j, r) triple;
+    pack_gen's ValueError when it is not one of alg's generators."""
+    if isinstance(g, int):
+        # an int outside alg._letters has a field out of range: pack_gen raises
+        return g if g in alg._letters else pack_gen(alg, *unpack(g))
+    return pack_gen(alg, *g)
+
+
 def same_algebra(a, b) -> bool:
     """Algebras are equal when they are of one kind and one shape: a word
     of the Yangian and a classical word with the same packed ints differ."""
@@ -447,7 +456,8 @@ class RTTAlgebra:
     def __init__(self, shape: Shape):
         self.shape = shape
         self.superscripts = range(1, shape.cap + 1)
-        self._odd = shape.odd_letters(self.generators())
+        self._letters = frozenset(self.generators())
+        self._odd = shape.odd_letters(self._letters)
         self._nf_cache: dict = {}
         self._nf_cache_rightmost: dict = {}
         self._pair_cache: dict = {}
@@ -527,13 +537,13 @@ class RTTAlgebra:
     # -- straightening -----------------------------------------------------
 
     def normal_form(self, words, rightmost: bool = False) -> Element:
-        """Normal form of a sum of raw words (tuples of (i, j, r) triples or ints)."""
+        """Normal form of a sum of raw words (tuples of (i, j, r) triples or
+        packed ints); ValueError for a letter that is not a generator."""
         cap = self.shape.cap
         cache = self._nf_cache_rightmost if rightmost else self._nf_cache
         acc: set = set()
         for w in words:
-            packed = tuple(g if isinstance(g, int) else pack_gen(self, *g)
-                           for g in w)
+            packed = tuple(letter(self, g) for g in w)
             d = word_degree(packed)
             if d > cap:
                 raise DegreeCapError(

@@ -237,6 +237,21 @@ def test_normal_form_rejects_out_of_range_triples():
     assert alg.normal_form([((1, 1, 5),)]) == alg.gen(1, 1, 5)
 
 
+@pytest.mark.parametrize("triple", [(1, 1, 0), (3, 1, 1)])
+def test_normal_form_rejects_packed_ints_outside_the_generators(triple):
+    """A packed int letter is checked like a triple: t[1,1,0] is not a
+    generator and index 3 is out of range at size 2."""
+    alg = RTTAlgebra(Shape(1, 1, 5))
+    with pytest.raises(ValueError) as from_gen:
+        alg.gen(*triple)
+    for rightmost in (False, True):
+        with pytest.raises(ValueError) as from_nf:
+            alg.normal_form([(pack(*triple),)], rightmost=rightmost)
+        assert str(from_nf.value) == str(from_gen.value)
+    assert alg.normal_form([(pack(2, 1, 3), pack(1, 1, 1))]) == \
+        alg.normal_form([((2, 1, 3), (1, 1, 1))])
+
+
 # -- commutators against the two products ------------------------------------------
 
 
