@@ -46,6 +46,7 @@ RUNS = [
      ["quotient-dim"]),
     ("fuzz-1-1", ["--m", "1", "--n", "1", "-L", "4", "--seed", "20240604"],
      ["fuzz", "--samples", "1000"]),
+    ("gauss-2-1", ["--m", "2", "--n", "1", "-L", "4", "-K", "4"], ["gauss"]),
 ]
 
 

@@ -60,7 +60,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .current import CurrentAlgebra
-from .drinfeld import DrinfeldTable
+from .drinfeld import DrinfeldTable, generator_params
 from .errors import DegreeCapError
 from .linalg import BitEchelon, words_row
 from .report import Report
@@ -101,18 +101,8 @@ class PSquare:
 def p_center_squares(tab: DrinfeldTable, bound: int) -> list[PSquare]:
     """Squares of all root elements with 2r <= bound, tagged by parity."""
     alg = tab.alg
-    out: list[PSquare] = []
-    for (i, j), by_r in sorted(tab.e.items()):
-        for r in sorted(by_r):
-            if 2 * r <= bound:
-                sq = alg.multiply(by_r[r], by_r[r])
-                out.append(PSquare("e", i, j, r, alg.shape.parity(i, j), sq))
-    for (j, i), by_r in sorted(tab.f.items()):
-        for r in sorted(by_r):
-            if 2 * r <= bound:
-                sq = alg.multiply(by_r[r], by_r[r])
-                out.append(PSquare("f", j, i, r, alg.shape.parity(i, j), sq))
-    return out
+    return [PSquare(kind, a, b, r, alg.shape.parity(a, b), alg.multiply(x, x))
+            for kind, a, b, r, x in tab.generators(bound // 2) if kind != "d"]
 
 
 @dataclass
@@ -193,10 +183,8 @@ class QuotientModel:
             for da in range(self.bound - dz + 1):
                 cols = index[da + dz]
                 for a in index[da]:
-                    row = 0
-                    for s in top:
-                        row ^= 1 << cols[tuple(sorted(a + s))]
-                    echelons[da + dz].add(row)
+                    echelons[da + dz].add(
+                        words_row(merge_product((a,), top), cols, da + dz))
         return {d: (index[d], echelons[d]) for d in index}
 
     def to_vector(self, x: Element) -> int:
@@ -309,31 +297,11 @@ def gr_bridge_report(tab: DrinfeldTable, centers: CenterTable,
     report = Report("gr-bridge",
                     config={"m": alg.shape.m, "n": alg.shape.n, "max_r": max_r})
 
-    def expect_gen(i, j, r):
-        return classical.gen(i, j, r - 1)
-
-    for i in sorted(tab.d):
-        for r in range(1, min(max_r, tab.order) + 1):
-            got = gr_leading_term(tab.d[i][r], r - 1, classical)
-            want = expect_gen(i, i, r)
-            report.add("gr-d", {"i": i, "r": r}, got == want,
-                       witness=None if got == want else got.canonical())
-    for (i, j), by_r in sorted(tab.e.items()):
-        for r in sorted(by_r):
-            if r > max_r:
-                continue
-            got = gr_leading_term(by_r[r], r - 1, classical)
-            want = expect_gen(i, j, r)
-            report.add("gr-e", {"i": i, "j": j, "r": r}, got == want,
-                       witness=None if got == want else got.canonical())
-    for (j, i), by_r in sorted(tab.f.items()):
-        for r in sorted(by_r):
-            if r > max_r:
-                continue
-            got = gr_leading_term(by_r[r], r - 1, classical)
-            want = expect_gen(j, i, r)
-            report.add("gr-f", {"j": j, "i": i, "r": r}, got == want,
-                       witness=None if got == want else got.canonical())
+    for kind, a, b, r, x in tab.generators(max_r):
+        got = gr_leading_term(x, r - 1, classical)
+        want = classical.gen(a, b, r - 1)
+        report.add(f"gr-{kind}", generator_params(kind, a, b, r), got == want,
+                   witness=None if got == want else got.canonical())
 
     for r in range(1, min(max_r, len(centers.c) - 1) + 1):
         got = gr_leading_term(centers.c[r], r - 1, classical)
@@ -480,14 +448,8 @@ def freeness_shadow_report(centers: CenterTable, quotient: QuotientModel,
                    if sq.parity == 0 and 2 * sq.r <= bound]
     factors = [(el, el.degree(), bound) for el in center_els]
 
-    for i in range(d_lo, size + 1):
-        for r in range(1, bound + 1):
-            factors.append((tab.d[i][r], r, 1))
-    for family in (tab.e, tab.f):
-        for _, by_r in sorted(family.items()):
-            for r in sorted(by_r):
-                if r <= bound:
-                    factors.append((by_r[r], r, 1))
+    factors += [(x, r, 1) for kind, a, _, r, x in tab.generators(bound)
+                if kind != "d" or a >= d_lo]
 
     count = graded_basis_count(quotient, factors)
     if count is not None:

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from . import centers as centers_mod
 from . import dsl
 from .current import CurrentAlgebra, classical_suite
-from .drinfeld import (build_table, drinfeld_pbw_check,
+from .drinfeld import (build_table, drinfeld_pbw_check, generator_params,
                        verify_drinfeld_relations)
 from .report import Report
 from .rtt import RTTAlgebra, Shape
@@ -146,7 +146,7 @@ def _cmd_nf(cfg: RunConfig, args) -> Report:
     ctx = dsl.EvalContext(alg, cfg.order)
     value = dsl.evaluate(node, ctx)
     report = Report("normal-form", config=cfg.as_dict())
-    report.add("nf", {"expr": args.expr}, True, value=dsl.print_canonical(value))
+    report.add("nf", {"expr": args.expr}, True, value=value.canonical())
     return report
 
 
@@ -154,19 +154,11 @@ def _cmd_gauss(cfg: RunConfig, args) -> Report:
     alg = RTTAlgebra(Shape(cfg.m, cfg.n, cfg.cap))
     tab = build_table(alg, cfg.order)
     report = Report("gauss", config=cfg.as_dict())
-    for i in sorted(tab.d):
-        for r in range(1, tab.order + 1):
-            report.add("d", {"i": i, "r": r}, True, value=tab.d[i][r].canonical())
-            report.add("d'", {"i": i, "r": r}, True,
-                       value=tab.dprime[i][r].canonical())
-    for (i, j), by_r in sorted(tab.e.items()):
-        for r in sorted(by_r):
-            report.add("e", {"i": i, "j": j, "r": r}, True,
-                       value=by_r[r].canonical())
-    for (j, i), by_r in sorted(tab.f.items()):
-        for r in sorted(by_r):
-            report.add("f", {"j": j, "i": i, "r": r}, True,
-                       value=by_r[r].canonical())
+    for kind, a, b, r, x in tab.generators(tab.order):
+        params = generator_params(kind, a, b, r)
+        report.add(kind, params, True, value=x.canonical())
+        if kind == "d":
+            report.add("d'", params, True, value=tab.dprime[a][r].canonical())
     return report
 
 

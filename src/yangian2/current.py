@@ -35,7 +35,7 @@ from .linalg import BitEchelon, words_row
 from .report import Report
 from .rtt import (Element, Shape, bounded_words, check_operands,
                   commutator_words, graded_words, letter, merge_product,
-                  pack, pack_gen, straighten, unpack)
+                  pack, pack_gen, pack_generators, straighten, unpack)
 
 
 def render_cword(word) -> str:
@@ -73,10 +73,7 @@ class CurrentAlgebra:
         return 1 if g in self._odd else 0
 
     def generators(self) -> list[int]:
-        return [pack(i, j, r)
-                for i in range(1, self.size + 1)
-                for j in range(1, self.size + 1)
-                for r in range(self.trunc)]
+        return pack_generators(self, self.superscripts)
 
     # -- constructors --------------------------------------------------------
 

@@ -81,6 +81,33 @@ class DrinfeldTable:
     def d_series(self, i: int) -> YSeries:
         return YSeries(self.alg, tuple(self.d[i][r] for r in range(self.order + 1)))
 
+    def generators(self, bound: int):
+        """Yield (kind, a, b, r, element) for every Drinfeld generator with
+        superscript 1 <= r <= bound: d_a^(r) (b = a, r <= order), then
+        e_(a,b)^(r), then f_(a,b)^(r), each family by its key, then by r.
+
+        This order is part of the payloads: it names the products of
+        drinfeld_pbw_check and the generators of the freeness shadow.
+        """
+        for i in sorted(self.d):
+            for r in range(1, min(bound, self.order) + 1):
+                yield "d", i, i, r, self.d[i][r]
+        for kind, family in (("e", self.e), ("f", self.f)):
+            for (a, b), by_r in sorted(family.items()):
+                for r in sorted(by_r):
+                    if r <= bound:
+                        yield kind, a, b, r, by_r[r]
+
+
+def generator_params(kind: str, a: int, b: int, r: int) -> dict:
+    """Report parameters of a generator from DrinfeldTable.generators:
+    d_i^(r), e_(i,j)^(r) and f_(j,i)^(r)."""
+    if kind == "d":
+        return {"i": a, "r": r}
+    if kind == "e":
+        return {"i": a, "j": b, "r": r}
+    return {"j": a, "i": b, "r": r}
+
 
 def drinfeld_generators(alg: RTTAlgebra, order: int) -> DrinfeldTable:
     """Extract d, d' and the superdiagonal e, f coefficients via Gauss."""
@@ -383,19 +410,9 @@ def drinfeld_pbw_check(tab: DrinfeldTable, bound: int,
                 f"pbw check at bound {bound} needs every root family up to "
                 f"superscript {bound}; raise the cap to at least {bound + 1}")
 
-    # Drinfeld generators with their symbols, in a fixed deterministic order
-    factors: list[tuple] = []
-    for i in range(1, shape.size + 1):
-        for r in range(1, bound + 1):
-            factors.append((("d", i, i, r), tab.d[i][r]))
-    for (i, j), by_r in sorted(tab.e.items()):
-        for r in sorted(by_r):
-            if r <= bound:
-                factors.append((("e", i, j, r), by_r[r]))
-    for (j, i), by_r in sorted(tab.f.items()):
-        for r in sorted(by_r):
-            if r <= bound:
-                factors.append((("f", j, i, r), by_r[r]))
+    # Drinfeld generators with their symbols (kind, a, b, r)
+    factors = [((kind, a, b, r), value)
+               for kind, a, b, r, value in tab.generators(bound)]
 
     def times(prod: tuple, factor: tuple) -> tuple:
         element, mono = prod

@@ -1,4 +1,4 @@
-"""Expression DSL: parser, evaluator and canonical printer.
+"""Expression DSL: parser and evaluator.
 
 Grammar (whitespace-insensitive):
 
@@ -11,6 +11,7 @@ Grammar (whitespace-insensitive):
 
 t atoms evaluate directly; d, d', e, f, c, b resolve through lazily built
 Drinfeld and center tables.  Every error carries a line/column position.
+``Element.canonical`` prints what the parser reads back.
 """
 
 from __future__ import annotations
@@ -338,8 +339,3 @@ def evaluate(node: Node, ctx: EvalContext) -> Element:
             out = out + evaluate(term, ctx)
         return out
     raise TypeError(f"unknown node {node!r}")
-
-
-def print_canonical(x: Element) -> str:
-    """Terms sorted by monomial key, atoms as t[i,j,r]; parses back to x."""
-    return x.canonical()

@@ -15,8 +15,11 @@ The defining commutation rule, with every sign collapsed to + mod 2, is
 with t[a,b,0] = delta_{a,b}.  Straightening rewrites the leftmost adjacent
 out-of-order pair until every monomial is non-decreasing; each step either
 drops the total degree (bracket terms) or keeps it while removing one
-inversion (the swap), so the rewrite terminates.  Confluence is certified
-empirically (associativity fuzz plus dimension counts), not re-proved.
+inversion (the swap), so the rewrite terminates.  Confluence is checked,
+not proved: the tests compare every word of low degree with an independent
+rewriter that takes the last inversion first (``tests/oracles.py``),
+the associativity fuzz multiplies random triples both ways, and the PBW
+dimension counts match the ordered monomials.
 
 This module is the word-algebra core of both algebras the package
 computes in: the Yangian here and its classical limit, the super
@@ -36,9 +39,7 @@ recurses once on the word where the generator came to rest.  That word is
 ordered one position further than the call's own, so chain recursion is
 bounded by the word length, not by the inversion count, and each bracket
 term starts a chain of lower degree.  Only chain heads are memoised: the intermediate
-words of a carry are never looked up again.  The rightmost strategy
-mirrors all of this and keeps its own cache, so comparing the two is
-evidence of confluence.
+words of a carry are never looked up again.
 
 The memo maps each chain head to its normal form as a tuple of distinct
 ordered words, not a frozenset: at the frontier it holds hundreds of
@@ -120,6 +121,16 @@ def pack_gen(alg, i: int, j: int, r: int) -> int:
     return pack(i, j, r)
 
 
+def pack_generators(alg, superscripts) -> list[int]:
+    """Every packed generator of *alg* with superscript in *superscripts*,
+    in PBW order."""
+    size = alg.shape.size
+    return [pack(i, j, r)
+            for i in range(1, size + 1)
+            for j in range(1, size + 1)
+            for r in superscripts]
+
+
 def letter(alg, g) -> int:
     """The packed letter of *alg* given as an int or an (i, j, r) triple;
     pack_gen's ValueError when it is not one of alg's generators."""
@@ -150,23 +161,23 @@ def repeats_nilsquare(word, nilsquare) -> bool:
     return any(a == b and a in nilsquare for a, b in zip(word, word[1:]))
 
 
-def straighten(word: tuple, cache: dict, bracket, nilsquare=frozenset(),
-                rightmost: bool = False) -> tuple:
+def straighten(word: tuple, cache: dict, bracket,
+               nilsquare=frozenset()) -> tuple:
     """The distinct ordered words whose sum equals *word*, as a tuple
     memoised in *cache*.
 
     ``bracket(a, b)`` gives the raw words of ab + ba for generators a > b;
-    a square of a generator in *nilsquare* rewrites to 0.  With
-    *rightmost* the last out-of-place pair is rewritten first instead of
-    the first one; results agree, but each strategy needs its own cache.
-    Callers sum results with ``set.symmetric_difference_update``; no word
-    repeats within a result, so nothing cancels by accident.
+    a square of a generator in *nilsquare* rewrites to 0.  The first
+    out-of-place pair is rewritten first; the tests compare the result
+    with an independent rewriter that takes the last one first
+    (``tests/oracles.py``).  Callers sum results with
+    ``set.symmetric_difference_update``; no word repeats within a result,
+    so nothing cancels by accident.
     """
     hit = cache.get(word)
     if hit is not None:
         return hit
-    last = len(word) - 1
-    for p in (range(last - 1, -1, -1) if rightmost else range(last)):
+    for p in range(len(word) - 1):
         a, b = word[p], word[p + 1]
         if a > b or (a == b and a in nilsquare):
             break
@@ -174,35 +185,20 @@ def straighten(word: tuple, cache: dict, bracket, nilsquare=frozenset(),
         result = cache[word] = (word,)
         return result
     acc: set = set()
-    final = None
     if a != b:
-        if rightmost:
-            # carry a rightwards through the ordered word[p+1:]
-            head = word[:p]
-            q = p + 1
-            while q <= last and a > word[q]:
-                for mid in bracket(a, word[q]):
-                    acc.symmetric_difference_update(straighten(
-                        head + word[p + 1:q] + mid + word[q + 1:],
-                        cache, bracket, nilsquare, True))
-                q += 1
-            if q > last or a != word[q] or a not in nilsquare:
-                final = head + word[p + 1:q] + (a,) + word[q:]
-        else:
-            # carry b leftwards through the ordered word[:p+1]
-            tail = word[p + 2:]
-            q = p
-            while q >= 0 and word[q] > b:
-                for mid in bracket(word[q], b):
-                    acc.symmetric_difference_update(straighten(
-                        word[:q] + mid + word[q + 1:p + 1] + tail,
-                        cache, bracket, nilsquare))
-                q -= 1
-            if q < 0 or word[q] != b or b not in nilsquare:
-                final = word[:q + 1] + (b,) + word[q + 1:p + 1] + tail
-    if final is not None:
-        acc.symmetric_difference_update(
-            straighten(final, cache, bracket, nilsquare, rightmost))
+        # carry b leftwards through the ordered word[:p+1]
+        tail = word[p + 2:]
+        q = p
+        while q >= 0 and word[q] > b:
+            for mid in bracket(word[q], b):
+                acc.symmetric_difference_update(straighten(
+                    word[:q] + mid + word[q + 1:p + 1] + tail,
+                    cache, bracket, nilsquare))
+            q -= 1
+        if q < 0 or word[q] != b or b not in nilsquare:
+            acc.symmetric_difference_update(straighten(
+                word[:q + 1] + (b,) + word[q + 1:p + 1] + tail,
+                cache, bracket, nilsquare))
     result = cache[word] = tuple(acc)
     return result
 
@@ -435,6 +431,8 @@ class Element:
         return None
 
     def canonical(self) -> str:
+        """Terms sorted by word, each rendered by the algebra; for the
+        Yangian, atoms t[i,j,r] that ``dsl.parse`` reads back to self."""
         if not self.words:
             return "0"
         return " + ".join(map(self.alg.render_word, sorted(self.words)))
@@ -459,7 +457,6 @@ class RTTAlgebra:
         self._letters = frozenset(self.generators())
         self._odd = shape.odd_letters(self._letters)
         self._nf_cache: dict = {}
-        self._nf_cache_rightmost: dict = {}
         self._pair_cache: dict = {}
         self._letter_cache: dict = {}   # (letter a, y.words) -> NF of [a, y]
 
@@ -477,11 +474,7 @@ class RTTAlgebra:
     def generators(self, max_degree: int | None = None) -> list[int]:
         """All packed generators with superscript up to max_degree (default cap)."""
         bound = self.shape.cap if max_degree is None else max_degree
-        size = self.shape.size
-        return [pack(i, j, r)
-                for i in range(1, size + 1)
-                for j in range(1, size + 1)
-                for r in range(1, bound + 1)]
+        return pack_generators(self, range(1, bound + 1))
 
     # -- the defining relation --------------------------------------------
 
@@ -536,11 +529,10 @@ class RTTAlgebra:
 
     # -- straightening -----------------------------------------------------
 
-    def normal_form(self, words, rightmost: bool = False) -> Element:
+    def normal_form(self, words) -> Element:
         """Normal form of a sum of raw words (tuples of (i, j, r) triples or
         packed ints); ValueError for a letter that is not a generator."""
         cap = self.shape.cap
-        cache = self._nf_cache_rightmost if rightmost else self._nf_cache
         acc: set = set()
         for w in words:
             packed = tuple(letter(self, g) for g in w)
@@ -549,8 +541,7 @@ class RTTAlgebra:
                 raise DegreeCapError(
                     f"word {render_word(packed)} has degree {d} > cap {cap}")
             acc.symmetric_difference_update(
-                straighten(packed, cache, self._bracket_words,
-                           rightmost=rightmost))
+                straighten(packed, self._nf_cache, self._bracket_words))
         return Element(self, frozenset(acc))
 
     def _check_product_cap(self, x: Element, y: Element) -> None:

@@ -539,3 +539,41 @@ def test_right_hand_products_once_per_block(tab21_l6, monkeypatch, family):
     for block, products in made.items():
         assert len(products) == len(set(products)), (family, block)
         assert set(products) == set(displayed[block]), (family, block)
+
+
+def _loops_walk(tab, bound):
+    """The walk as the callers once wrote it: d, then e, then f."""
+    out = []
+    for i in sorted(tab.d):
+        for r in range(1, min(bound, tab.order) + 1):
+            out.append(("d", i, i, r, tab.d[i][r]))
+    for (i, j), by_r in sorted(tab.e.items()):
+        for r in sorted(by_r):
+            if r <= bound:
+                out.append(("e", i, j, r, by_r[r]))
+    for (j, i), by_r in sorted(tab.f.items()):
+        for r in sorted(by_r):
+            if r <= bound:
+                out.append(("f", j, i, r, by_r[r]))
+    return out
+
+
+@pytest.fixture(scope="module")
+def tab31():
+    return build_table(RTTAlgebra(Shape(3, 1, 5)), 4)
+
+
+@pytest.mark.parametrize("name", ["tab11", "tab21", "tab31"])
+def test_generators_walk_order(request, name):
+    """tab.generators(bound) yields what the hand-written loops did, in the
+    same order, for bounds below, at and above cap - 1."""
+    tab = request.getfixturevalue(name)
+    top = tab.alg.shape.cap - 1
+    # the table was filled root by root: dict order is not key order
+    assert list(tab.e) != sorted(tab.e) or tab.alg.shape.size == 2
+    for bound in (top - 1, top, top + 1):
+        got = list(tab.generators(bound))
+        want = _loops_walk(tab, bound)
+        assert [g[:4] for g in got] == [w[:4] for w in want], bound
+        assert all(g[4] is w[4] for g, w in zip(got, want))
+        assert {g[0] for g in got} == {"d", "e", "f"}

@@ -167,15 +167,13 @@ def test_normal_form_commuting_swap(alg11):
 
 def test_normal_form_strategy_independence_example(alg11):
     word = ((2, 1, 1), (1, 2, 1), (1, 1, 1))
-    left = alg11.normal_form([word])
-    right = alg11.normal_form([word], rightmost=True)
-    assert left == right
+    got = alg11.normal_form([word])
+    assert element_words_as_triples(got) == naive_normal_form([word])
     # 1024 inversions: straightening depth must follow the word length
     deep = RTTAlgebra(Shape(1, 1, 64))
     word = ((2, 2, 1),) * 32 + ((1, 2, 1),) * 32
-    for rightmost in (False, True):
-        got = deep.normal_form([word], rightmost=rightmost)
-        assert element_words_as_triples(got) == {tuple(sorted(word))}
+    got = deep.normal_form([word])
+    assert element_words_as_triples(got) == {tuple(sorted(word))}
 
 
 def _all_words_up_to_degree(alg, bound):
@@ -200,7 +198,8 @@ def test_strategy_independence_exhaustive_degree3(alg11):
     words = _all_words_up_to_degree(alg11, 3)
     assert len(words) > 100
     for w in words:
-        assert alg11.normal_form([w]) == alg11.normal_form([w], rightmost=True)
+        assert element_words_as_triples(alg11.normal_form([w])) == \
+            naive_normal_form([w])
 
 
 def test_multiply_cap_violation_names_term(alg11):
@@ -231,9 +230,8 @@ def test_normal_form_rejects_out_of_range_triples():
     and t[1,1,0] is not a generator."""
     alg = RTTAlgebra(Shape(1, 1, 5))
     for triple in ((1, 1, 256), (1, 1, 0), (3, 1, 1), (1, 0, 1)):
-        for rightmost in (False, True):
-            with pytest.raises(ValueError, match="out of range"):
-                alg.normal_form([(triple,)], rightmost=rightmost)
+        with pytest.raises(ValueError, match="out of range"):
+            alg.normal_form([(triple,)])
     assert alg.normal_form([((1, 1, 5),)]) == alg.gen(1, 1, 5)
 
 
@@ -244,10 +242,9 @@ def test_normal_form_rejects_packed_ints_outside_the_generators(triple):
     alg = RTTAlgebra(Shape(1, 1, 5))
     with pytest.raises(ValueError) as from_gen:
         alg.gen(*triple)
-    for rightmost in (False, True):
-        with pytest.raises(ValueError) as from_nf:
-            alg.normal_form([(pack(*triple),)], rightmost=rightmost)
-        assert str(from_nf.value) == str(from_gen.value)
+    with pytest.raises(ValueError) as from_nf:
+        alg.normal_form([(pack(*triple),)])
+    assert str(from_nf.value) == str(from_gen.value)
     assert alg.normal_form([(pack(2, 1, 3), pack(1, 1, 1))]) == \
         alg.normal_form([((2, 1, 3), (1, 1, 1))])
 
@@ -568,19 +565,18 @@ def test_cache_transparency():
     def run():
         return ([alg.multiply(x, y) for x in xs for y in xs],
                 [alg.normal_form([w]) for w in raws],
-                [alg.normal_form([w], rightmost=True) for w in raws],
                 [alg.rtt_rhs(g1, g2) for g1, g2 in pairs],
                 [alg.commutator(x, y) for x in xs for y in xs])
 
     warm = run()
     assert run() == warm
-    assert warm[1] == warm[2]
-    assert alg._nf_cache and alg._nf_cache_rightmost and alg._pair_cache
+    assert [element_words_as_triples(x) for x in warm[1]] == \
+        [naive_normal_form([to_triples(w)]) for w in raws]
+    assert alg._nf_cache and alg._pair_cache
     assert alg._letter_cache
 
     def cold(fn):
         alg._nf_cache.clear()
-        alg._nf_cache_rightmost.clear()
         alg._pair_cache.clear()
         alg._letter_cache.clear()
         return fn()
@@ -588,11 +584,9 @@ def test_cache_transparency():
     assert [cold(lambda: alg.multiply(x, y))
             for x in xs for y in xs] == warm[0]
     assert [cold(lambda: alg.normal_form([w])) for w in raws] == warm[1]
-    assert [cold(lambda: alg.normal_form([w], rightmost=True))
-            for w in raws] == warm[2]
-    assert [cold(lambda: alg.rtt_rhs(g1, g2)) for g1, g2 in pairs] == warm[3]
+    assert [cold(lambda: alg.rtt_rhs(g1, g2)) for g1, g2 in pairs] == warm[2]
     assert [cold(lambda: alg.commutator(x, y))
-            for x in xs for y in xs] == warm[4]
+            for x in xs for y in xs] == warm[3]
 
 
 def _random_raw_word(rng, size, budget):
@@ -625,10 +619,9 @@ def test_memo_values_are_tuples_of_distinct_ordered_words():
         for y in xs:
             alg.multiply(x, y)
     for _ in range(30):
-        alg.normal_form([_random_raw_word(rng, 3, 5)], rightmost=True)
+        alg.normal_form([_random_raw_word(rng, 3, 5)])
     alg.rtt_rhs((2, 1, 2), (1, 3, 3))
     _assert_memo_values(alg._nf_cache)
-    _assert_memo_values(alg._nf_cache_rightmost)
 
     calg = CurrentAlgebra(2, 1, 3)
     gens = calg.generators()
