@@ -29,17 +29,17 @@ p-center.
 
 The freeness shadow (products of center monomials and square-free
 generator monomials, which must be a basis of the bounded quotient) is
-first tried by symbols.  In the canonical degree every bracket lowers the
-degree, so gr of the parent Yangian is the polynomial ring on the
-t[i,j,r]: the symbol (top-degree part) of a product is the sorted merge
-of its factors' symbols, summed mod 2, and is never zero.  The
-certificate holds when (i) the symbols of the ideal rows a * z span, degree
-by degree, a space of total rank ideal_rank, so that span is gr(J_bound);
-every factor has a nonzero symbol at its nominal degree; (ii) the product
-symbols of each degree are independent modulo that span; and (iii) the
-products number dim_super.  A nontrivial relation among the products
-modulo J_bound would put its top-degree part, a nonzero sum of product
-symbols, inside gr(J_bound), against (ii); so rank = count = dim_super,
+first tried by counting leading words.  In the canonical degree every
+bracket lowers the degree, so gr of the parent Yangian is the polynomial
+ring on the t[i,j,r], a domain: the symbol (top-degree part) of a product
+is the product of its factors' symbols and is never zero.  Within a degree,
+fewest letters then the smallest sorted word is a monomial order, so the
+leading word of a product is the sorted merge of its factors' leading
+words.  When the quotient certificate holds, ideal_rank counts the
+non-super words; every a * (t, t) with t odd is the lead of a * sigma(z)
+for the odd square z led by (t, t), so the leads of gr(J_bound) are
+exactly the non-super words.  Products whose leading words are distinct
+supermonomials, dim_super of them, are then a basis modulo J_bound:
 exactly what the straightened walk would find.  When any condition fails,
 for example when a missing higher root leaves the count short of
 dim_super, the certificate declines and the products are straightened,
@@ -57,14 +57,13 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 
 from .current import CurrentAlgebra
 from .drinfeld import DrinfeldTable, generator_params
 from .errors import DegreeCapError
 from .linalg import BitEchelon, words_row
 from .report import Report
-from .rtt import (Element, RTTAlgebra, bounded_words, merge_product, pack,
+from .rtt import (Element, RTTAlgebra, bounded_words, pack,
                   repeats_nilsquare, word_degree, word_loop_degree)
 from .series import YSeries, series_mul, series_shift
 
@@ -149,6 +148,12 @@ def symbol(x: Element) -> frozenset:
     return frozenset(w for w in x.words if word_degree(w) == top)
 
 
+def leading_word(x: Element) -> tuple:
+    """Lead of the symbol of x: fewest letters, then the smallest sorted
+    word, a monomial order within a degree, so leads multiply."""
+    return min(symbol(x), key=lambda w: (len(w), w))
+
+
 @dataclass
 class QuotientModel:
     alg: RTTAlgebra
@@ -163,29 +168,6 @@ class QuotientModel:
     certificate_ok: bool
     path: str               # "one-sided" (a * z rows) or "two-sided" (a * z * b)
     odd_squares: tuple      # the ideal's generators
-
-    @cached_property
-    def graded_ideal(self) -> dict[int, tuple[dict, BitEchelon]]:
-        """Degree d -> (column index of the degree-d monomials, echelon of
-        the symbols a * sigma(z) of degree d over the odd squares z).
-
-        Each a * z is an ideal row whose symbol lies in degree deg a +
-        deg z, so the span is inside gr(J_bound), degree by degree.
-        """
-        index: dict[int, dict] = {d: {} for d in range(self.bound + 1)}
-        for w in self.basis:
-            cols = index[word_degree(w)]
-            cols[w] = len(cols)
-        echelons = {d: BitEchelon() for d in index}
-        for z in self.odd_squares:
-            dz = z.degree()
-            top = symbol(z)
-            for da in range(self.bound - dz + 1):
-                cols = index[da + dz]
-                for a in index[da]:
-                    echelons[da + dz].add(
-                        words_row(merge_product((a,), top), cols, da + dz))
-        return {d: (index[d], echelons[d]) for d in index}
 
     def to_vector(self, x: Element) -> int:
         return words_row(x.words, self.index, self.bound)
@@ -213,6 +195,9 @@ def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientM
     suffix a', built earlier for the same square; the suffix rows of one
     square are dropped before the next.
     """
+    if tab.order < bound // 2:
+        raise DegreeCapError(f"odd squares up to bound {bound} need table "
+                             f"order >= {bound // 2}, got {tab.order}")
     all_monos = alg.pbw_monomials(bound)
     non_super, super_list = [], []
     for w in all_monos:
@@ -380,33 +365,47 @@ def independence_check(gens: list[tuple[str, Element]], bound: int,
 
 
 def graded_basis_count(quotient: QuotientModel, factors) -> int | None:
-    """Product count when the symbols alone prove the freeness basis, else None.
+    """Product count when leading words alone prove the freeness basis, else None.
 
     Proves, without one straightened product, what the exact walk of
     freeness_shadow_report would find: rank = count = dim_super.  It needs
-    (i) the symbol span of the ideal to have rank ideal_rank, so that it is
-    all of gr(J_bound); every factor to sit at its nominal degree with a
-    nonzero symbol; (ii) the product symbols of each degree to be
-    independent modulo that span; and (iii) count = dim_super.
+    (1) quotient.certificate_ok, so ideal_rank is the number of non-super
+    words; (2) for every odd letter t with 2 deg t <= bound, (t, t) is the
+    leading word of an odd square; (3) every factor nonzero at its nominal
+    degree; and, for the product leads (sorted merges of the factors'
+    leading words), (4) no two equal, (5) none repeating an odd letter and
+    (6) exactly dim_super of them.
+
+    For a monomial a that fits, a * sigma(z) lies in gr(J_bound), with
+    lead a * (t, t); by (2) every non-super word of degree <= bound is such
+    a lead.  By (1) gr(J_bound) has dimension ideal_rank, the number of
+    non-super words, so its leads are exactly the non-super words.  A
+    nonzero sum of products has as top-degree part a sum of product
+    symbols with distinct leads (4), so its lead is a product lead, a
+    super word (5), and the sum is not in J_bound.  The products are
+    independent modulo J_bound and by (6) a basis.
     """
-    span = quotient.graded_ideal
-    if sum(ech.rank for _, ech in span.values()) != quotient.ideal_rank:
+    if not quotient.certificate_ok:
+        return None
+    square_leads = {leading_word(z) for z in quotient.odd_squares}
+    odd = quotient.alg._odd
+    if any((t, t) not in square_leads
+           for t in odd if 2 * (t & 0xFF) <= quotient.bound):
         return None
     for value, deg, _ in factors:
         if not value or value.degree() != deg:
             return None
     values, degrees, tops = zip(*factors)
-    echelons = {d: ech.copy() for d, (_, ech) in span.items()}
-    count = dependent = 0
-    for sym, d in bounded_words([symbol(v) for v in values], degrees,
-                                quotient.bound, tops, merge_product,
-                                frozenset({()})):
-        count += 1
-        if echelons[d].add(words_row(sym, span[d][0], d)) == 0:
-            dependent += 1
-    if dependent or count != quotient.dim_super:
+    leads = set()
+    for lead, _ in bounded_words([leading_word(v) for v in values], degrees,
+                                 quotient.bound, tops,
+                                 lambda p, x: tuple(sorted(p + x)), ()):
+        if lead in leads or repeats_nilsquare(lead, odd):
+            return None
+        leads.add(lead)
+    if len(leads) != quotient.dim_super:
         return None
-    return count
+    return len(leads)
 
 
 def freeness_shadow_report(centers: CenterTable, quotient: QuotientModel,
@@ -421,9 +420,10 @@ def freeness_shadow_report(centers: CenterTable, quotient: QuotientModel,
     flavour takes c^(r), b_i^(2r) for i >= 2 plus even squares against
     square-free monomials that omit the first diagonal family.
 
-    graded_basis_count is tried first; when it declines, the products are
-    straightened, reduced modulo the ideal and ranked.  Both write the same
-    report wherever the certificate holds.
+    graded_basis_count first counts the products' leading words; when that
+    certificate declines, the products are straightened, reduced modulo
+    the ideal and ranked.  Both write the same report wherever the
+    certificate holds.
     """
     tab = centers.tab
     alg = tab.alg

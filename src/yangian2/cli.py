@@ -235,7 +235,8 @@ def _cmd_pbw(cfg: RunConfig, args) -> Report:
 
 def _cmd_quotient_dim(cfg: RunConfig, args) -> Report:
     alg = RTTAlgebra(Shape(cfg.m, cfg.n, cfg.cap))
-    tab = build_table(alg, cfg.order)
+    # the odd squares with 2r <= L read no series coefficient past u^(-L/2)
+    tab = build_table(alg, cfg.cap // 2)
     quotient = centers_mod.build_quotient(alg, cfg.cap, tab)
     report = centers_mod.quotient_report(quotient)
     report.config.update(cfg.as_dict())

@@ -43,13 +43,6 @@ class BitEchelon:
             row ^= held
         return 0
 
-    def copy(self) -> "BitEchelon":
-        """An independent echelon with the same pivots."""
-        out = BitEchelon()
-        out.pivots = dict(self.pivots)
-        out.mask = self.mask
-        return out
-
     def reduce(self, row: int) -> int:
         """Canonical residue of row modulo the span (pivot bits eliminated)."""
         pivots, mask = self.pivots, self.mask

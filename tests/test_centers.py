@@ -9,12 +9,12 @@ from yangian2.centers import (b_series, build_center_table, build_quotient,
                               c_series, centrality_report,
                               freeness_shadow_report, gr_bridge_report,
                               gr_leading_term, independence_check, is_central,
-                              p_center_squares, quotient_report)
+                              leading_word, p_center_squares, quotient_report)
 from yangian2.current import CurrentAlgebra
 from yangian2.errors import DegreeCapError
 from yangian2.linalg import BitEchelon, words_row
 from yangian2.report import Report
-from yangian2.rtt import Element, bounded_words, word_degree
+from yangian2.rtt import Element, bounded_words, pack, word_degree
 
 from oracles import count_full, count_super
 
@@ -318,6 +318,27 @@ def test_quotient_reduction_preserves_parity(setup21):
             assert image.parity() == x.parity()
 
 
+def test_quotient_order_guard():
+    """A table too short for the odd squares with 2r <= bound would drop
+    them and fail the dimension check falsely; it is refused instead."""
+    alg = RTTAlgebra(Shape(1, 1, 6))
+    with pytest.raises(DegreeCapError, match="order >= 3"):
+        build_quotient(alg, 6, build_table(alg, 2))
+    assert build_quotient(alg, 6, build_table(alg, 3)).certificate_ok
+
+
+@pytest.mark.parametrize("m, n, cap", [
+    (1, 1, 7), (2, 1, 5), (1, 2, 5), (2, 2, 4), (3, 1, 5), (1, 1, 12),
+])
+def test_half_order_table_gives_the_same_squares(m, n, cap):
+    """The squares with 2r <= L read no coefficient past u^(-L/2)."""
+    def squares(order):
+        alg = RTTAlgebra(Shape(m, n, cap))
+        return [(sq.kind, sq.i, sq.j, sq.r, sq.parity, sq.element.words)
+                for sq in p_center_squares(build_table(alg, order), cap)]
+    assert squares(cap // 2) == squares(cap)
+
+
 def test_quotient_degree_guard(setup11):
     alg, tab = setup11
     q = build_quotient(alg, 2, tab)
@@ -564,14 +585,80 @@ def test_graded_shadow_declines_on_dependent_products(setup11, monkeypatch):
 
 
 def test_graded_shadow_declines_without_full_ideal_span(setup11, monkeypatch):
-    """(i): a symbol span short of ideal_rank says nothing about gr(J), so
-    symbols independent in gr F alone must not certify the basis."""
+    """(2): without an odd square led by (t, t) for each odd t that fits,
+    the leads of gr(J) are not known to be the non-super words, so super
+    product leads alone must not certify the basis."""
     table, q = _with_odd_square_factor(setup11)
     blind = dataclasses.replace(q, odd_squares=())
     graded, exact, seen = _shadow_pair(monkeypatch, table, blind)
     assert seen == [None, None]
     assert graded == exact
     assert not graded[0]["instances"][0]["pass"]
+
+
+def test_graded_shadow_needs_the_quotient_certificate(setup11, monkeypatch):
+    """(1): without certificate_ok, ideal_rank need not count the non-super
+    words, and the certificate must decline."""
+    alg, tab = setup11
+    q = build_quotient(alg, 4, tab)
+    unproved = dataclasses.replace(q, certificate_ok=False)
+    graded, exact, seen = _shadow_pair(monkeypatch, build_center_table(tab),
+                                       unproved)
+    assert seen == [None, None]
+    assert graded == exact
+
+
+def test_graded_shadow_needs_every_square_lead(setup11, monkeypatch):
+    """(2): one odd letter without its square's lead, here the last one,
+    with 2r = bound, leaves the products of a genuine table uncertified."""
+    alg, tab = setup11
+    q = build_quotient(alg, 4, tab)
+    assert q.odd_squares[-1].degree() == q.bound
+    short = dataclasses.replace(q, odd_squares=q.odd_squares[:-1])
+    graded, exact, seen = _shadow_pair(monkeypatch, build_center_table(tab),
+                                       short)
+    assert seen == [None, None]
+    assert graded == exact
+    assert graded[0]["instances"][0]["pass"]
+
+
+def test_graded_count_declines_off_nominal_degree(setup11, monkeypatch):
+    """(3): d_1^(1) and d_1^(2) trading nominal degrees keep the count and
+    leave the product leads distinct and super, yet the walk would place
+    them at the wrong degrees, so the certificate must decline."""
+    alg, tab = setup11
+    q = build_quotient(alg, 4, tab)
+    certify, calls = centers.graded_basis_count, []
+    monkeypatch.setattr(centers, "graded_basis_count",
+                        lambda quotient, factors: calls.append(factors))
+    freeness_shadow_report(build_center_table(tab), q, "p-center")
+    factors = list(calls[0])
+    assert certify(q, factors) == q.dim_super
+    k1, k2 = (factors.index((tab.d[1][r], r, 1)) for r in (1, 2))
+    factors[k1], factors[k2] = (tab.d[1][1], 2, 1), (tab.d[1][2], 1, 1)
+    assert certify(q, factors) is None
+
+
+@pytest.mark.parametrize("m, n, cap", [(1, 1, 6), (2, 1, 5), (2, 2, 4),
+                                       (1, 2, 4)])
+def test_leading_words(m, n, cap):
+    """Each walked generator leads with its own letter, c^(r) with
+    t[1,1,r], b_i^(2r) with t[i,i,r]^2 and every square x^2 with x's
+    letter twice."""
+    alg = RTTAlgebra(Shape(m, n, cap))
+    tab = build_table(alg, cap)
+    for kind, a, b, r, x in tab.generators(cap):
+        assert leading_word(x) == (pack(a, b, r),), (kind, a, b, r)
+    table = build_center_table(tab)
+    for r in range(1, cap + 1):
+        assert leading_word(table.c[r]) == (pack(1, 1, r),), r
+    for i, coeffs in table.b.items():
+        for r in range(1, cap // 2 + 1):
+            assert leading_word(coeffs[2 * r]) == (pack(i, i, r),) * 2, (i, r)
+    assert table.squares
+    for sq in table.squares:
+        t = pack(sq.i, sq.j, sq.r)
+        assert leading_word(sq.element) == (t, t), sq.label
 
 
 def test_graded_shadow_declines_below_nominal_degree(setup11, monkeypatch):

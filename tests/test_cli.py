@@ -130,6 +130,31 @@ def test_verify_centers_quotient_builds(tmp_path, monkeypatch, shape, builds):
     assert len(bounds) == builds
 
 
+def test_verify_centers_refuses_short_series(tmp_path, capsys):
+    """K = 2 < L/2 would drop the odd squares with r = 3 and fail the
+    dimension check falsely; the run is refused as a usage error."""
+    code, doc = run(["--m", "1", "--n", "1", "-L", "6", "-K", "2",
+                     "verify", "centers"], tmp_path)
+    assert code == 2 and doc is None
+    assert "order >= 3" in capsys.readouterr().err
+
+
+def test_quotient_dim_reads_series_to_half_the_cap(tmp_path):
+    """quotient-dim builds its table at order L/2 whatever K is; only the
+    echoed config differs."""
+    shape = ["--m", "1", "--n", "1", "-L", "6"]
+    code1, short = run(shape + ["-K", "1", "quotient-dim"], tmp_path, "k1.json")
+    code6, full = run(shape + ["-K", "6", "quotient-dim"], tmp_path, "k6.json")
+    assert code1 == code6 == 0
+    (check,) = short["report"]["instances"]
+    assert check["pass"]
+    assert check["params"] == {"dim_full": 990, "ideal_rank": 345,
+                               "dim_super": 645, "expected": 645}
+    assert short["report"]["config"]["K"] == 1
+    short["report"]["config"]["K"] = 6
+    assert short["report"] == full["report"]
+
+
 def test_usage_errors(tmp_path):
     # K > L violates the coupling constraint
     code = cli.main(["--m", "1", "--n", "1", "-L", "2", "-K", "3",
