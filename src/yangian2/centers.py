@@ -98,7 +98,12 @@ class PSquare:
 
 
 def p_center_squares(tab: DrinfeldTable, bound: int) -> list[PSquare]:
-    """Squares of all root elements with 2r <= bound, tagged by parity."""
+    """Squares of all root elements with 2r <= bound, tagged by parity;
+    DegreeCapError when the table stops short of r = bound // 2, whose
+    squares would be missing."""
+    if tab.order < bound // 2:
+        raise DegreeCapError(f"squares up to bound {bound} need table "
+                             f"order >= {bound // 2}, got {tab.order}")
     alg = tab.alg
     return [PSquare(kind, a, b, r, alg.shape.parity(a, b), alg.multiply(x, x))
             for kind, a, b, r, x in tab.generators(bound // 2) if kind != "d"]
@@ -195,9 +200,8 @@ def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientM
     suffix a', built earlier for the same square; the suffix rows of one
     square are dropped before the next.
     """
-    if tab.order < bound // 2:
-        raise DegreeCapError(f"odd squares up to bound {bound} need table "
-                             f"order >= {bound // 2}, got {tab.order}")
+    odd_squares = [sq.element for sq in p_center_squares(tab, bound)
+                   if sq.parity == 1]
     all_monos = alg.pbw_monomials(bound)
     non_super, super_list = [], []
     for w in all_monos:
@@ -213,8 +217,6 @@ def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientM
     def mono(w: tuple) -> Element:
         return Element(alg, frozenset({w}))
 
-    odd_squares = [sq.element for sq in p_center_squares(tab, bound)
-                   if sq.parity == 1]
     one_sided = all(is_central(z, bound - z.degree()).ok for z in odd_squares)
     ech = BitEchelon()
     for z in odd_squares:

@@ -17,6 +17,29 @@ field has two elements).  The verification budget bounds the total
 canonical degree of every product in an instance: quadratic families
 enumerate r+s <= budget, cubic ones r+s+t <= budget, the quartic ones
 r+s+2 <= budget.
+
+Seven f-side families mirror the e-side family before them.  The
+transposition tau: t_ij(u) -> t_ji(u) is an anti-automorphism of the
+Yangian (``RTTAlgebra.transpose``), and over GF(2) [x, y] = xy + yx =
+[y, x], so tau[x, y] = [tau y, tau x] = [tau x, tau y].  On a table
+where tau fixes every d_i^(r) and sends e_i^(r) to f_i^(r)
+(``transpose_symmetric``), tau sends the residual of each e-side family
+to that of its f-side twin at the same parameters:
+  - D3 -> D4: [d, e] + sum d^(t) e goes to [d, f] + sum f d^(t);
+  - D8 -> D9: the two brackets go to theirs, e_j^(r) e_(j+1)^(s) to
+    f_(j+1)^(s) f_j^(r);
+  - D10 -> D11, D12 -> D13, D14 -> D15, D16 -> D17: brackets and nested
+    brackets alone, term by term;
+  - D6 -> D7 needs one reindexing.  With n = r+s-1 and
+    P_k = sum_{t=1}^{k-1} x^(t) x^(n-t), tau(e^(t) e^(n-t)) = f^(n-t) f^(t),
+    so tau(P_k) = P_n + P_(n-k+1) on the f side, and
+    tau(P_s + P_r) = P_(n-s+1) + P_(n-r+1) = P_r + P_s mod 2.
+D1, D2 and D5 have no twin: D5's right-hand side goes to
+sum d_(i+1)^(t) d'_i^(n-t), which is not term by term its own.  Each twin
+comes just before its mirror in ``ALL_FAMILIES``, with the same parameters
+in the same order, so ``verify_drinfeld_relations`` keeps one family's
+residuals and reports their transposes for the next; it checks the table
+first, and a table that fails the check is verified family by family.
 """
 
 from __future__ import annotations
@@ -59,6 +82,10 @@ RELATION_TEXT = {
 }
 
 ALL_FAMILIES = tuple(sorted(RELATION_TEXT, key=lambda s: int(s[1:])))
+
+# f-side family -> its e-side twin, which it is the transpose of
+TWINS = {"D4": "D3", "D7": "D6", "D9": "D8", "D11": "D10", "D13": "D12",
+         "D15": "D14", "D17": "D16"}
 
 
 @dataclass
@@ -324,10 +351,28 @@ def _relation_instances(tab: DrinfeldTable, family: str, budget: int):
         raise ValueError(f"unknown relation family {family}")
 
 
+def transpose_symmetric(tab: DrinfeldTable, budget: int) -> bool:
+    """Whether tau fixes d_i^(r) and sends e_(i,i+1)^(r) to f_(i+1,i)^(r)
+    for every r < budget in the table: the entries the mirrored families
+    read (D4 reads d_i^(0), D7 f^(budget-1)).  d_i^(budget) is not read."""
+    alg = tab.alg
+    top = min(budget - 1, tab.order)
+    return (all(alg.transpose(by_r[r]) == by_r[r]
+                for by_r in tab.d.values() for r in range(top + 1))
+            and all(alg.transpose(tab.e_simple(i, r)) == tab.f_simple(i, r)
+                    for i in range(1, alg.shape.size)
+                    for r in range(1, top + 1)))
+
+
 def verify_drinfeld_relations(tab: DrinfeldTable, budget: int,
                               families=None) -> Report:
     """Evaluate every relation instance within the degree budget.
 
+    An f-side family whose e-side twin is also chosen reports the
+    transposes of the twin's residuals, instance by instance, when the
+    table is transpose-symmetric up to the budget (see the module
+    docstring); every other family, and every family of a table that is
+    not, forms its own brackets and products.  Both give the same report.
     Vacuous families (no valid instance) are reported explicitly so the
     per-family counts always cover D1..D17.
     """
@@ -348,10 +393,24 @@ def verify_drinfeld_relations(tab: DrinfeldTable, budget: int,
                     config={"m": shape.m, "n": shape.n, "cap": shape.cap,
                             "order": tab.order, "budget": budget,
                             "families": list(chosen)})
+    mirrored = {f for f in chosen if TWINS.get(f) in chosen}
+    if mirrored and not transpose_symmetric(tab, budget):
+        mirrored = set()
+    twins = {TWINS[f] for f in mirrored}
+    transpose = tab.alg.transpose
+    kept: list = []     # the (params, residual) pairs of the last twin
     for family in chosen:
+        if family in mirrored:
+            instances = ((dict(params), transpose(residual))
+                         for params, residual in kept)
+        else:
+            instances = _relation_instances(tab, family, budget)
+        kept = []
         count = 0
-        for params, residual in _relation_instances(tab, family, budget):
+        for params, residual in instances:
             count += 1
+            if family in twins:
+                kept.append((params, residual))
             ok = not residual
             report.add(family, params, ok,
                        witness=None if ok else residual.canonical(),

@@ -377,11 +377,12 @@ class Element:
     """Normal-form element of either algebra: a frozenset of ordered words
     over GF(2), rendered by its algebra."""
 
-    __slots__ = ("alg", "words")
+    __slots__ = ("alg", "words", "_degree")
 
     def __init__(self, alg, words: frozenset):
         self.alg = alg
         self.words = words
+        self._degree = None     # elements are never mutated: cached once
 
     def __bool__(self) -> bool:
         return bool(self.words)
@@ -411,7 +412,9 @@ class Element:
         return out
 
     def degree(self) -> int:
-        return max((word_degree(w) for w in self.words), default=0)
+        if self._degree is None:
+            self._degree = max(map(word_degree, self.words), default=0)
+        return self._degree
 
     def loop_degree(self) -> int:
         return max((word_loop_degree(w) for w in self.words), default=0)
@@ -565,15 +568,11 @@ class RTTAlgebra:
     def multiply(self, x: Element, y: Element) -> Element:
         if x.alg is not self or y.alg is not self:
             check_operands(self, x, y)
-        cap = self.shape.cap
+        self._check_product_cap(x, y)
         acc: set = set()
         cache, bracket = self._nf_cache, self._bracket_words
-        right = [(wb, word_degree(wb)) for wb in y.words]
         for wa in x.words:
-            da = word_degree(wa)
-            for wb, db in right:
-                if da + db > cap:
-                    self._check_product_cap(x, y)  # raises on this pair
+            for wb in y.words:
                 acc.symmetric_difference_update(
                     straighten(wa + wb, cache, bracket))
         return Element(self, frozenset(acc))
@@ -597,6 +596,40 @@ class RTTAlgebra:
         return Element(self, commutator_words(
             x.words, y.words, self._nf_cache, self._letter_cache,
             self._bracket_words))
+
+    def transpose(self, x: Element) -> Element:
+        """tau(x) for the transposition tau: t[i,j,r] -> t[j,i,r], extended
+        to an anti-automorphism: every word of x reversed with the indices
+        of each letter swapped, then straightened on the algebra's memo.
+
+        tau is well defined.  Write B(a, b) = ``_bracket_words(a, b)``, so
+        the defining relations are ab + ba + B(a, b) for letters a > b.  An
+        anti-automorphism of the free algebra sends this to
+        tau(a)tau(b) + tau(b)tau(a) + tau(B(a, b)), with no sign mod 2, and
+          (i) tau(B(a, b)) = B(tau a, tau b) word for word: for
+              a = (i,j,r), b = (k,l,s) and h = r+s-1-t, the words
+              t[k,j,t]t[i,l,h] and t[k,j,h]t[i,l,t] go to t[l,i,h]t[j,k,t]
+              and t[l,i,t]t[j,k,h], the words of B((j,i,r), (l,k,s)), and
+              the contracted t = 0 terms t[i,l,h] (if k = j) and t[k,j,h]
+              (if i = l) go to t[l,i,h] and t[j,k,h], its own t = 0 terms
+              under the same conditions;
+         (ii) B(a, b) and B(b, a) have one normal form: the RTT relation
+              gives [a, b] and [b, a] = [a, b] mod 2 alike.
+        So the image is the relation of tau(a), tau(b) in whichever order
+        they come, every defining relation goes into the ideal, and tau
+        descends to the algebra.  It keeps canonical degree and parity, so
+        it respects the cap.  The tests check (i) and (ii) over every pair
+        of generators at small shapes.
+        """
+        if x.alg is not self:
+            check_operands(self, x)
+        acc: set = set()
+        cache, bracket = self._nf_cache, self._bracket_words
+        for w in x.words:
+            acc.symmetric_difference_update(straighten(
+                tuple(pack(j, i, r) for i, j, r in map(unpack, reversed(w))),
+                cache, bracket))
+        return Element(self, frozenset(acc))
 
     # -- PBW enumeration ----------------------------------------------------
 

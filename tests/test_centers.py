@@ -327,6 +327,23 @@ def test_quotient_order_guard():
     assert build_quotient(alg, 6, build_table(alg, 3)).certificate_ok
 
 
+def test_center_table_order_guard():
+    """The squares with r = 3 need a table of order 3 at bound 6; a shorter
+    table is refused, not a centrality report that never tests them."""
+    alg = RTTAlgebra(Shape(1, 1, 6))
+    short = build_table(alg, 2)
+    with pytest.raises(DegreeCapError, match="order >= 3, got 2"):
+        build_center_table(short)
+    with pytest.raises(DegreeCapError, match="order >= 3, got 2"):
+        p_center_squares(short, 7)
+    assert len(p_center_squares(short, 5)) == 4
+    table = build_center_table(build_table(alg, 3))
+    assert max(sq.r for sq in table.squares) == 3
+    report = centrality_report(table, 2, 2, square_bound=6)
+    assert report.ok
+    assert report.counts_by_id()["central-square"]["instances"] == 6
+
+
 @pytest.mark.parametrize("m, n, cap", [
     (1, 1, 7), (2, 1, 5), (1, 2, 5), (2, 2, 4), (3, 1, 5), (1, 1, 12),
 ])

@@ -2,10 +2,11 @@ import pytest
 
 from yangian2 import RTTAlgebra, Shape, build_table
 from yangian2.centers import build_quotient
-from yangian2.drinfeld import (ALL_FAMILIES, RELATION_TEXT, _relation_instances,
-                               drinfeld_generators,
+from yangian2 import drinfeld
+from yangian2.drinfeld import (ALL_FAMILIES, RELATION_TEXT, TWINS,
+                               _relation_instances, drinfeld_generators,
                                drinfeld_pbw_check, higher_roots,
-                               verify_drinfeld_relations,
+                               transpose_symmetric, verify_drinfeld_relations,
                                verify_odd_square_relations)
 
 
@@ -577,3 +578,136 @@ def test_generators_walk_order(request, name):
         assert [g[:4] for g in got] == [w[:4] for w in want], bound
         assert all(g[4] is w[4] for g, w in zip(got, want))
         assert {g[0] for g in got} == {"d", "e", "f"}
+
+
+# -- the transposed f side ------------------------------------------------------
+
+
+@pytest.mark.parametrize("m, n, cap", [(1, 1, 6), (2, 1, 6), (1, 2, 6),
+                                       (2, 2, 5)])
+def test_tables_are_transpose_symmetric(m, n, cap):
+    """tau fixes d_i^(r) and sends e_i^(r) to f_i^(r) on the Gauss table."""
+    tab = build_table(RTTAlgebra(Shape(m, n, cap)), cap - 1)
+    assert transpose_symmetric(tab, cap)
+
+
+def test_twins_precede_their_mirrors():
+    """Each f-side family follows its e-side twin and shares its text up
+    to e -> f; D1, D2 and D5 are not mirrored."""
+    assert sorted(TWINS, key=ALL_FAMILIES.index) == [
+        "D4", "D7", "D9", "D11", "D13", "D15", "D17"]
+    for f_side, e_side in TWINS.items():
+        assert ALL_FAMILIES.index(f_side) == ALL_FAMILIES.index(e_side) + 1
+        assert "f_" in RELATION_TEXT[f_side] and "e_" in RELATION_TEXT[e_side]
+
+
+def test_d7_reindexing(tab21_l6):
+    """tau(P_k) = P_n + P_(n-k+1) with P_k = sum_{t<k} x^(t) x^(n-t): the
+    step that makes D7 the transpose of D6."""
+    tab, alg = tab21_l6, tab21_l6.alg
+    for j in (1, 2):
+        for n in range(2, 6):
+            def prefix(pick, k):
+                acc = alg.zero()
+                for t in range(1, k):
+                    acc = acc + pick(j, t) * pick(j, n - t)
+                return acc
+            for k in range(1, n + 1):
+                image = alg.transpose(prefix(tab.e_simple, k))
+                assert image == (prefix(tab.f_simple, n)
+                                 + prefix(tab.f_simple, n - k + 1))
+                if 1 < k < n:
+                    assert image != prefix(tab.f_simple, k)
+
+
+def _reports(tab, budget, families, monkeypatch):
+    """The mirrored report, the report forced through the direct path, and
+    the families that reached _relation_instances in each."""
+    reached = {"mirrored": [], "direct": []}
+    original = drinfeld._relation_instances
+
+    def spying(path):
+        def instances(tab, family, budget):
+            reached[path].append(family)
+            return original(tab, family, budget)
+        return instances
+
+    with monkeypatch.context() as patch:
+        patch.setattr(drinfeld, "_relation_instances", spying("mirrored"))
+        mirrored = verify_drinfeld_relations(tab, budget, families)
+        patch.setattr(drinfeld, "_relation_instances", spying("direct"))
+        patch.setattr(drinfeld, "transpose_symmetric", lambda tab, budget: False)
+        direct = verify_drinfeld_relations(tab, budget, families)
+    assert reached["direct"] == list(families)
+    return mirrored, direct, reached["mirrored"]
+
+
+@pytest.mark.parametrize("m, n, cap, families", [
+    (2, 1, 6, ALL_FAMILIES),
+    (1, 2, 6, ALL_FAMILIES),
+    (2, 2, 5, ("D12", "D13", "D16", "D17")),
+])
+def test_mirror_matches_direct_reports(monkeypatch, m, n, cap, families):
+    """Transposed e-side residuals report what the f-side families report
+    directly, and the f side never reaches _relation_instances."""
+    tab = build_table(RTTAlgebra(Shape(m, n, cap)), cap - 1)
+    mirrored, direct, reached = _reports(tab, cap, families, monkeypatch)
+    assert mirrored.checks == direct.checks
+    assert mirrored.to_payload() == direct.to_payload()
+    assert mirrored.ok
+    assert reached == [f for f in families if f not in TWINS]
+
+
+def test_mirror_needs_the_twin(monkeypatch, tab21_l6):
+    """An f-side family chosen without its twin runs directly."""
+    mirrored, direct, reached = _reports(tab21_l6, 6, ("D3", "D7", "D9"),
+                                         monkeypatch)
+    assert mirrored.checks == direct.checks
+    assert reached == ["D3", "D7", "D9"]
+
+
+def _corrupted(tab, monkeypatch, kind, r):
+    """Make d_1^(r) or f_1^(r) wrong, so that tau no longer fixes it or
+    sends e_1^(r) to it."""
+    alg = tab.alg
+    if kind == "d":
+        wrong = tab.d[1][r] + alg.gen(1, 2, 1)
+        monkeypatch.setitem(tab.d[1], r, wrong)
+    else:
+        wrong = tab.f_simple(1, r) + alg.gen(1, 1, 1) * alg.gen(2, 1, r - 1)
+        monkeypatch.setitem(tab.f[(2, 1)], r, wrong)
+
+
+@pytest.mark.parametrize("kind, r", [("d", 0), ("d", 2), ("d", 5),
+                                     ("f", 2), ("f", 5)])
+def test_corrupted_entry_fails_the_precondition(monkeypatch, tab21_l6,
+                                                kind, r):
+    """A d or f entry broken on its own, up to superscript budget - 1, is
+    caught by the check, and the families then run directly."""
+    families = ("D3", "D4", "D6", "D7")
+    _corrupted(tab21_l6, monkeypatch, kind, r)
+    assert not transpose_symmetric(tab21_l6, 6)
+    mirrored, direct, reached = _reports(tab21_l6, 6, families, monkeypatch)
+    assert reached == list(families)
+    assert mirrored.checks == direct.checks
+    assert direct.counts_by_id()["D4"]["failures"]
+
+
+@pytest.mark.parametrize("m, n, cap", [(2, 1, 6), (1, 2, 6), (2, 2, 5)])
+def test_consistent_corruption_is_mirrored(monkeypatch, m, n, cap):
+    """A wrong e entry with f set to its transpose keeps the table
+    symmetric: the mirror reports the same failures, witnesses included."""
+    alg = RTTAlgebra(Shape(m, n, cap))
+    tab = build_table(alg, cap - 1)
+    wrong = tab.e_simple(1, 2) + tab.e_simple(1, 1) * tab.d[1][1]
+    tab.e[(1, 2)][2] = wrong
+    tab.f[(2, 1)][2] = alg.transpose(wrong)
+    assert transpose_symmetric(tab, cap)
+    families = ("D3", "D4", "D6", "D7", "D8", "D9")
+    mirrored, direct, reached = _reports(tab, cap, families, monkeypatch)
+    assert reached == ["D3", "D6", "D8"]
+    assert mirrored.checks == direct.checks
+    counts = direct.counts_by_id()
+    for family in families:
+        assert counts[family]["failures"] > 0, family
+    assert all(c.witness for c in direct.failures)

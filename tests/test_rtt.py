@@ -629,3 +629,62 @@ def test_memo_values_are_tuples_of_distinct_ordered_words():
         calg.normal_form([tuple(rng.choice(gens)
                                 for _ in range(rng.randint(2, 5)))])
     _assert_memo_values(calg._nf_cache, calg._odd)
+
+
+# -- the transposition ---------------------------------------------------------
+
+
+def _transposed_word(word):
+    """tau on a raw word: reversed, with the indices of each letter swapped."""
+    return tuple(pack(j, i, r) for i, j, r in map(unpack, reversed(word)))
+
+
+@pytest.mark.parametrize("m, n, cap", [(2, 1, 6), (2, 2, 5)])
+def test_transpose_maps_relations_into_the_ideal(m, n, cap):
+    """The two halves of the proof that tau is well defined, over every
+    pair of generators whose bracket fits the cap: tau of the raw bracket
+    words is the raw bracket of the transposed letters, word for word, and
+    the bracket is symmetric in normal form."""
+    alg = RTTAlgebra(Shape(m, n, cap))
+    gens = alg.generators()
+    pairs = [(a, b) for a in gens for b in gens
+             if (a & 0xFF) + (b & 0xFF) - 1 <= cap]
+    for a, b in pairs:
+        (ta,), (tb,) = _transposed_word((a,)), _transposed_word((b,))
+        raw = alg._bracket_words(a, b)
+        assert alg._bracket_words(ta, tb) == set(map(_transposed_word, raw))
+        assert alg.normal_form(raw) == alg.normal_form(alg._bracket_words(b, a))
+    assert len(pairs) == {(2, 1): 1701, (2, 2): 3840}[(m, n)]
+
+
+@pytest.mark.parametrize("m, n, cap", [(1, 1, 6), (2, 1, 5), (1, 2, 5)])
+def test_transpose_is_an_involutive_anti_automorphism(m, n, cap):
+    alg = RTTAlgebra(Shape(m, n, cap))
+    rng = random.Random(61 + 10 * m + n)
+    tau = alg.transpose
+    for _ in range(20):
+        x = alg.random_element(rng, cap)
+        assert tau(tau(x)) == x
+        assert tau(x).degree() == x.degree()
+        assert tau(x).parity() == x.parity()
+    products = 0
+    for _ in range(40):
+        x = alg.random_element(rng, cap // 2, 4)
+        y = alg.random_element(rng, cap - x.degree(), 4)
+        assert tau(x * y) == tau(y) * tau(x)
+        assert tau(alg.commutator(x, y)) == alg.commutator(tau(x), tau(y))
+        products += bool(x * y + y * x)
+    assert products
+    assert tau(alg.gen(1, 2, 2) * alg.gen(2, 1, 1)) == \
+        alg.gen(1, 2, 1) * alg.gen(2, 1, 2)
+
+
+def test_multiply_over_the_cap_straightens_nothing():
+    """The cap is checked once, before any word is straightened."""
+    alg = RTTAlgebra(Shape(1, 1, 4))
+    x = alg.gen(2, 1, 1) + alg.gen(1, 1, 3)
+    y = alg.gen(2, 2, 1) + alg.gen(2, 2, 2)
+    with pytest.raises(DegreeCapError, match=r"t\[1,1,3\]\*t\[2,2,2\]"):
+        alg.multiply(x, y)
+    assert not alg._nf_cache
+    assert x.degree() == 3 and y.degree() == 2
