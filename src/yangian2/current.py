@@ -47,10 +47,11 @@ def render_cword(word) -> str:
 class CurrentAlgebra:
     """gl_{m+n}[t]/(t^T) and its super enveloping algebra over GF(2).
 
-    The memo caches (word normal forms, generator brackets and the
-    commutator's letter tables) are transparent: results are identical
-    with them cleared, they only buy speed.  The bracket cache holds at
-    most one entry per generator pair.
+    The memo caches (word normal forms, generator brackets, the
+    commutator's letter tables and the bracket partners of each letter)
+    are transparent: results are identical with them cleared, they only
+    buy speed.  The bracket cache holds at most one entry per generator
+    pair.
     """
 
     render_word = staticmethod(render_cword)
@@ -62,6 +63,8 @@ class CurrentAlgebra:
         self._nf_cache: dict = {}
         self._pair_cache: dict = {}
         self._letter_cache: dict = {}   # (letter a, y.words) -> NF of [a, y]
+        self._partner_cache: dict = {}  # letter g -> ((b, [g, b]), ...)
+        self._lie_generators = None     # certified on first use
         self._letters = frozenset(self.generators())
         self._odd = self.shape.odd_letters(self._letters)
 
@@ -74,6 +77,36 @@ class CurrentAlgebra:
 
     def generators(self) -> list[int]:
         return pack_generators(self, self.superscripts)
+
+    def lie_generators(self) -> tuple:
+        """A Lie generating set S of gl_{m+n}[t]/(t^T), in packed order:
+        the simple root vectors E[i,i+1]t^0 and E[i+1,i]t^0 for
+        1 <= i < m+n, and E[1,1]t^r for 0 <= r < T, 2(m+n-1) + T letters.
+
+        [E[1,1]t^r, E[1,2]t^0] = E[1,2]t^r moves the t-degree onto a root
+        vector, [E[i,i+1]t^r, E[i+1,i]t^0] = E[i,i]t^r + E[i+1,i+1]t^r
+        walks it down the diagonal, and nested brackets of the simple root
+        vectors reach every off-diagonal position.  The set is not
+        trusted: on first use certified_lie_generators checks that the Lie
+        closure of its span is every letter, and raises if it is not.
+        The result is cached on the algebra.
+        """
+        if self._lie_generators is None:
+            gens = {pack(1, 1, r) for r in self.superscripts}
+            for i in range(1, self.size):
+                gens |= {pack(i, i + 1, 0), pack(i + 1, i, 0)}
+            self._lie_generators = certified_lie_generators(self, gens)
+        return self._lie_generators
+
+    def bracket_partners(self, g: int) -> tuple:
+        """The pairs (b, [g, b]) over the letters b, in packed order, whose
+        bracket with g is nonzero; memoised per letter."""
+        hit = self._partner_cache.get(g)
+        if hit is None:
+            hit = self._partner_cache[g] = tuple(
+                (b, brackets) for b in self.generators()
+                if (brackets := self._bracket_gens(g, b)))
+        return hit
 
     # -- constructors --------------------------------------------------------
 
@@ -213,6 +246,52 @@ class CurrentAlgebra:
         return graded_words(gens, [1] * len(gens), max_len, self._odd)
 
 
+def certified_lie_generators(alg: CurrentAlgebra, gens) -> tuple:
+    """The letters gens, in packed order, once their Lie closure is checked
+    to span every letter of alg; RuntimeError (an internal failure) if not.
+
+    Span vectors are bitmasks over the letters.  The closure walks the pairs
+    of a growing list of independent vectors, brackets them letter by
+    letter through _bracket_gens and keeps each bracket that a pivot dict
+    (top bit -> reduced vector) cannot reduce to zero.  Once every pair has
+    been bracketed the span is closed under the bracket, so it is the Lie
+    subalgebra generated by gens; the walk stops early when the span is
+    full.
+    """
+    letters = alg.generators()
+    bit = {g: 1 << k for k, g in enumerate(letters)}
+    gens = tuple(sorted(gens))
+    basis: list = []      # independent span vectors, as letter lists
+    pivots: dict = {}
+
+    def admit(vec: int, members: list) -> None:
+        while vec:
+            top = vec.bit_length() - 1
+            if top not in pivots:
+                pivots[top] = vec
+                basis.append(members)
+                return
+            vec ^= pivots[top]
+
+    for g in gens:
+        admit(bit[g], [g])
+    i = 0
+    while len(pivots) < len(letters) and i < len(basis):
+        for j in range(i):
+            acc: set = set()
+            for a in basis[i]:
+                for b in basis[j]:
+                    acc ^= alg._bracket_gens(a, b)
+            admit(sum(bit[h] for (h,) in acc), [h for (h,) in acc])
+        i += 1
+    if len(pivots) < len(letters):
+        raise RuntimeError(
+            f"{len(gens)} letters generate a Lie subalgebra of dimension "
+            f"{len(pivots)}, not all {len(letters)} letters of "
+            f"gl_{alg.size}[t]/(t^{alg.trunc})")
+    return gens
+
+
 # -- symmetric-superalgebra layer (for the invariants report) -------------------
 
 
@@ -261,12 +340,18 @@ def adjoint_rows(alg: CurrentAlgebra, g: int, sites: dict) -> dict:
     inserted into rest in sorted order, or dropped when it is odd and
     already there (odd squares vanish).  Contributions that cancel, such
     as the two positions of an even square, can leave a zero row; those
-    are dropped.
+    are dropped.  Only the letters b with [g, b] nonzero are visited
+    (CurrentAlgebra.bracket_partners), and of those only the ones with
+    sites.
     """
     odd = alg._odd
     rows: dict = {}
-    for b, (ks, rests) in sites.items():
-        for (h,) in alg._bracket_gens(g, b):
+    for b, brackets in alg.bracket_partners(g):
+        site = sites.get(b)
+        if site is None:
+            continue
+        ks, rests = site
+        for (h,) in brackets:
             h_odd = h in odd
             for k, rest in zip(ks, rests):
                 i = bisect_left(rest, h)
@@ -298,6 +383,39 @@ def sample_triples(items: list, rng, limit: int) -> list[tuple]:
     return [(items[p // (n * n)], items[p // n % n], items[p % n]) for p in picks]
 
 
+def jacobi_failures(alg: CurrentAlgebra, triples) -> int:
+    """How many letter triples (a, b, c) have
+    [[a, b], c] + [[b, c], a] + [[c, a], b] != 0, each nested bracket
+    read letter by letter from the bracket table."""
+    bracket = alg._bracket_gens
+
+    def nested(a: int, b: int, c: int) -> set:
+        acc: set = set()
+        for (h,) in bracket(a, b):
+            acc ^= bracket(h, c)
+        return acc
+
+    return sum(1 for a, b, c in triples
+               if nested(a, b, c) ^ nested(b, c, a) ^ nested(c, a, b))
+
+
+def first_noncentral(alg: CurrentAlgebra, x: Element,
+                     gen_elems: list) -> Element | None:
+    """The first g of gen_elems (every letter, in packed order) with
+    [x, g] != 0, or None when x is central.
+
+    x is tested against the Lie generators first: the letters g with
+    [x, g] = 0 span a Lie subalgebra, because [x, .] is a derivation of
+    the enveloping algebra, so if every generator commutes with x every
+    letter does.  Only a failing x is scanned in full, so the witness is
+    the one the full scan names.
+    """
+    lie = (Element(alg, frozenset({(s,)})) for s in alg.lie_generators())
+    if not any(alg.commutator(x, s) for s in lie):
+        return None
+    return next(g for g in gen_elems if alg.commutator(x, g))
+
+
 def classical_suite(alg: CurrentAlgebra, seed: int, samples: int,
                     pbw_degree: int, invariants_degree: int) -> Report:
     """Verification suite for the classical oracle.
@@ -307,6 +425,22 @@ def classical_suite(alg: CurrentAlgebra, seed: int, samples: int,
     quadratic-map identities on random inputs, restricted-structure
     semilinearity via centrality of x^2 + x^[2] for random even x, the
     PBW count at small degree, and the invariants comparison.
+
+    Jacobi is evaluated on the sampled letter triples straight from the
+    bracket table (jacobi_failures); the draw depends only on the number
+    of letters, so every later random draw is unchanged.
+
+    Centrality is asked of the Lie generating set S of
+    CurrentAlgebra.lie_generators, not of every letter.  For a fixed x in
+    the enveloping algebra U, the elements y of gl_{m+n}[t]/(t^T) with
+    xy + yx = 0 form a Lie subalgebra: [x, .] is a derivation of U, so
+    [x, ab + ba] = [x, a]b + a[x, b] + [x, b]a + b[x, a], with no signs
+    mod 2, and ab + ba is the bracket of a and b in U.  S is certified to
+    generate every letter, so x is central as soon as it commutes with S.
+    Witness rule: only when some generator fails are all the letters
+    scanned in packed order, and the first letter g with [x, g] != 0 is
+    the witness (first_noncentral), as in a scan of every letter, so
+    failing payloads name the same letter.
     """
     import random as _random
 
@@ -324,25 +458,19 @@ def classical_suite(alg: CurrentAlgebra, seed: int, samples: int,
         x = Element(alg, frozenset({(g,)}))
         report.add("bracket-self", {"g": render_cword((g,))},
                    not alg.bracket(x, x))
-    triples = sample_triples(gen_elems, rng, 4000)
-    jac_fail = 0
-    for a, b, c in triples:
-        lhs = (alg.bracket(alg.bracket(a, b), c)
-               + alg.bracket(alg.bracket(b, c), a)
-               + alg.bracket(alg.bracket(c, a), b))
-        if lhs:
-            jac_fail += 1
+    triples = sample_triples(gens, rng, 4000)
+    jac_fail = jacobi_failures(alg, triples)
     report.add("jacobi", {"triples": len(triples)}, jac_fail == 0,
                witness=None if jac_fail == 0 else f"{jac_fail} failing triples")
 
     # centrality of z_r and of the even p-center inside the truncation
     for r in range(alg.trunc):
         z = alg.z_element(r)
-        bad = next((g for g in gen_elems if alg.commutator(z, g)), None)
+        bad = first_noncentral(alg, z, gen_elems)
         report.add("central-z", {"r": r}, bad is None,
                    witness=None if bad is None else alg.commutator(z, bad).canonical())
     for params, xi in alg.classical_p_center():
-        bad = next((g for g in gen_elems if alg.commutator(xi, g)), None)
+        bad = first_noncentral(alg, xi, gen_elems)
         report.add("central-xi", params, bad is None,
                    witness=None if bad is None else alg.commutator(xi, bad).canonical())
 
@@ -368,7 +496,7 @@ def classical_suite(alg: CurrentAlgebra, seed: int, samples: int,
         even = Element(alg, frozenset(
             w for w in x.words if alg.gen_parity(w[0]) == 0))
         xi = alg.multiply(even, even) + alg.p_map(even)
-        bad = next((g for g in gen_elems if alg.commutator(xi, g)), None)
+        bad = first_noncentral(alg, xi, gen_elems)
         report.add("central-xi-random", {"sample": k}, bad is None,
                    witness=None if bad is None else even.canonical())
 
@@ -430,11 +558,23 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
     leave the truncation act as zero), so the report asserts containment
     of the generated span and records both dimensions; equality is data.
 
-    The invariants are the kernel of the adjoint action stacked over all
-    generators, so their dimension is len(basis) minus the rank of the
-    action matrix.  That matrix is block-diagonal.  Grade a word by its
-    weight, the sum of e_i - e_j over its letters E[i,j]t^r, and its
-    t-degree, the sum of their r (word_grade).  The bracket of
+    The invariants are the kernel of the adjoint action stacked over the
+    Lie generating set S of CurrentAlgebra.lie_generators, so their
+    dimension is len(basis) minus the rank of the action matrix.  That
+    kernel is the kernel over all letters.  For a vector v of S_super, the
+    Lie elements a with ad_a(v) = 0 form a Lie subalgebra, because
+    ad_[a,b] = ad_a ad_b + ad_b ad_a: both sides are derivations of
+    S_super (a derivation keeps odd squares at zero, D(y^2) = 2yD(y) = 0)
+    that agree on letters by the Jacobi identity, and the commutator of
+    two derivations is a derivation, with no signs mod 2.  S generates
+    every letter, a fact certified on first use
+    (certified_lie_generators), so v is killed by every letter once it is
+    killed by S.  The containment check of the generated side asks the
+    same question of S for the same reason.
+
+    The action matrix is block-diagonal.  Grade a word by its weight,
+    the sum of e_i - e_j over its letters E[i,j]t^r, and its t-degree,
+    the sum of their r (word_grade).  The bracket of
     E[i,j]t^r with E[k,l]t^s lies in weight e_i - e_j + e_k - e_l and
     t-degree r + s, so ad g maps the block of grade (mu, d) into the
     block (mu + wt g, d + r(g)), and the grade of an output word and g
@@ -450,16 +590,16 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
     into the remaining word and XOR-ed into that output word's row as
     bit k (adjoint_rows).  The distinct nonzero rows of one generator go
     into the block's echelon before the next generator is taken; row
-    rank equals column rank, so no dense column of gens * len(block) bits
-    is built.  A block whose rank reaches len(block) has no invariants,
-    and no later row can add to it, so its generator loop stops there.
-    s_adjoint stays the word-by-word reference and serves the containment
-    check.  The generated products come one at a time from
+    rank equals column rank, so no dense column of len(S) * len(block)
+    bits is built.  A block whose rank reaches len(block) has no
+    invariants, and no later row can add to it, so its generator loop
+    stops there.  s_adjoint stays the word-by-word reference and serves
+    the containment check.  The generated products come one at a time from
     bounded_words, folded along shared prefixes.
     """
     basis = [w for w in alg.supermonomials(degree) if len(w) == degree]
     index = {w: k for k, w in enumerate(basis)}
-    gens = alg.generators()
+    gens = alg.lie_generators()
 
     blocks: dict = {}
     for w in basis:
@@ -488,7 +628,7 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
         if d != degree or not prod_words:
             continue
         ech.add(words_row(prod_words, index, degree))
-        # containment: every generated product must be killed by every generator
+        # containment: every generated product must be killed by S
         for g in gens:
             if not contained:
                 break

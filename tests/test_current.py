@@ -4,11 +4,16 @@ import random
 
 import pytest
 
+from yangian2 import cli, current
 from yangian2.current import (CurrentAlgebra, adjoint_rows, adjoint_sites,
-                              classical_suite, invariants_dimension,
-                              random_lie_element, s_adjoint, sample_triples)
+                              block_rank, certified_lie_generators,
+                              classical_suite, first_noncentral,
+                              invariants_dimension, jacobi_failures,
+                              random_lie_element, s_adjoint, sample_triples,
+                              word_grade)
 from yangian2.linalg import BitEchelon, rank_of
-from yangian2.rtt import Element, RTTAlgebra, Shape, merge_product, pack
+from yangian2.rtt import (Element, RTTAlgebra, Shape, merge_product, pack,
+                         unpack)
 
 
 @pytest.fixture(scope="module")
@@ -406,7 +411,7 @@ def test_adjoint_rows_are_graded(m, n, trunc, top):
 def test_invariants_blocks_stop_when_full(monkeypatch):
     """Each grading block stops at a full echelon: at (2,2,T=6), degree 2,
     one echelon over the whole basis takes 149,127 rows for a rank of
-    4,539; the blocks take under 19,000."""
+    4,539; the blocks, acted on by the 12 Lie generators, take 6,881."""
     adds = [0]
     add = BitEchelon.add
 
@@ -465,6 +470,7 @@ def test_caches_are_transparent():
         alg._pair_cache.clear()
         alg._nf_cache.clear()
         alg._letter_cache.clear()
+        alg._partner_cache.clear()
         return fn()
 
     assert [cold(lambda: alg.bracket(x, y).words)
@@ -556,3 +562,215 @@ def test_yangian_and_classical_words_do_not_mix(cl):
     twin = CurrentAlgebra(1, 1, 3)
     assert twin.gen(1, 1, 1) == e
     assert twin.gen(1, 1, 1) + e == cl.zero()
+
+
+LIE_GENERATOR_SHAPES = [(1, 1, t) for t in range(1, 7)] + [
+    (2, 1, 3), (1, 2, 3), (3, 1, 3), (2, 2, 6), (3, 2, 2)]
+
+
+def _closure_rank(alg, gens):
+    """Dimension of the Lie subalgebra generated by gens, by a walk apart
+    from the certificate's: it is spanned by the left-normed brackets
+    [s1, [s2, ... [sk-1, sk]]], so close the span under ad s for s in gens
+    alone, with Element brackets and rank_of."""
+    bit = {g: 1 << k for k, g in enumerate(alg.generators())}
+    elems = [alg.gen(*unpack(g)) for g in gens]
+    span, frontier = list(elems), list(elems)
+    while frontier:
+        new = []
+        for y in frontier:
+            for s in elems:
+                z = alg.bracket(s, y)
+                vecs = [sum(bit[h] for (h,) in x.words) for x in span + [z]]
+                if rank_of(vecs) > len(span):
+                    span.append(z)
+                    new.append(z)
+        frontier = new
+    return len(span)
+
+
+@pytest.mark.parametrize("m,n,trunc", LIE_GENERATOR_SHAPES)
+def test_lie_generators_span(m, n, trunc):
+    alg = CurrentAlgebra(m, n, trunc)
+    size = m + n
+    expected = ({pack(1, 1, r) for r in range(trunc)}
+                | {pack(i, i + 1, 0) for i in range(1, size)}
+                | {pack(i + 1, i, 0) for i in range(1, size)})
+    gens = alg.lie_generators()
+    assert gens == tuple(sorted(expected))
+    assert len(gens) == 2 * (size - 1) + trunc
+    assert _closure_rank(alg, gens) == len(alg.generators())
+
+
+def test_lie_generators_certified_lazily_once(monkeypatch):
+    calls = []
+    real = current.certified_lie_generators
+
+    def spy(alg, gens):
+        calls.append(alg)
+        return real(alg, gens)
+
+    monkeypatch.setattr(current, "certified_lie_generators", spy)
+    alg = CurrentAlgebra(2, 2, 6)
+    assert alg._lie_generators is None and not calls
+    first = alg.lie_generators()
+    for d in range(3):
+        invariants_dimension(alg, d)
+    assert alg.lie_generators() is first
+    assert calls == [alg]
+
+
+@pytest.mark.parametrize("m,n,trunc", [(1, 1, 1), (1, 1, 4), (2, 1, 3),
+                                       (1, 2, 3), (2, 2, 6), (3, 2, 2)])
+def test_lie_generator_mutants_are_refused(m, n, trunc):
+    alg = CurrentAlgebra(m, n, trunc)
+    gens = set(alg.lie_generators())
+    # the top t-degree has trace, which no bracket has
+    with pytest.raises(RuntimeError, match="generate a Lie subalgebra"):
+        certified_lie_generators(alg, gens - {pack(1, 1, trunc - 1)})
+    for i in range(1, m + n):
+        for root in (pack(i, i + 1, 0), pack(i + 1, i, 0)):
+            with pytest.raises(RuntimeError, match="generate a Lie subalgebra"):
+                certified_lie_generators(alg, gens - {root})
+    # any superset still certifies, and comes back sorted
+    assert certified_lie_generators(alg, alg.generators()[::-1]) == \
+        tuple(alg.generators())
+
+
+def test_short_generating_set_exits_3(monkeypatch, tmp_path, capsys):
+    real = current.certified_lie_generators
+    monkeypatch.setattr(
+        current, "certified_lie_generators",
+        lambda alg, gens: real(alg, set(gens) - {pack(1, 1, alg.trunc - 1)}))
+    out = tmp_path / "c.json"
+    code = cli.main(["--m", "1", "--n", "1", "-L", "2", "-T", "3",
+                     "--out", str(out), "verify", "classical"])
+    assert code == 3
+    assert not out.exists()
+    assert "generate a Lie subalgebra" in capsys.readouterr().err
+
+
+def _full_scan(alg, x, gen_elems):
+    return next((g for g in gen_elems if alg.commutator(x, g)), None)
+
+
+@pytest.mark.parametrize("m,n,trunc", [(1, 1, 3), (2, 1, 3), (2, 2, 4)])
+def test_centrality_witness_matches_full_scan(m, n, trunc):
+    alg = CurrentAlgebra(m, n, trunc)
+    gen_elems = [alg.gen(*unpack(g)) for g in alg.generators()]
+    rng = random.Random(m + n + trunc)
+    xs = [alg.z_element(0) + alg.gen(1, 2, 0),
+          alg.z_element(trunc - 1) + alg.gen(m + n, 1, 1),
+          alg.gen(2, 2, 1) * alg.gen(1, 1, 0),
+          # commutes with every E[1,j]t^r before E[1,m+n]t^0, which at
+          # three or more rows is not a generator
+          alg.gen(m + n, m + n, 1)]
+    xs += [alg.z_element(r) for r in range(trunc)]
+    xs += [xi for _, xi in alg.classical_p_center()]
+    xs += [random_lie_element(alg, rng) for _ in range(5)]
+    failing = 0
+    for x in xs:
+        bad = first_noncentral(alg, x, gen_elems)
+        ref = _full_scan(alg, x, gen_elems)
+        assert bad == ref
+        if ref is not None:
+            failing += 1
+            assert alg.commutator(x, bad) == alg.commutator(x, ref)
+    assert failing >= 3
+
+
+def test_failing_centrality_payload_matches_full_scan(monkeypatch):
+    """With z_r broken, the suite names the witnesses of a scan of every
+    letter: the payload equals the one with every letter as generator.
+    The first letter that z_r + E[3,3]t^1 fails to commute with is
+    E[1,3]t^0, which is not a generator."""
+    real_z = CurrentAlgebra.z_element
+    monkeypatch.setattr(CurrentAlgebra, "z_element",
+                        lambda self, r: real_z(self, r) + self.gen(3, 3, 1))
+
+    def payload(every_letter):
+        alg = CurrentAlgebra(2, 1, 3)
+        if every_letter:
+            alg._lie_generators = tuple(alg.generators())
+        return classical_suite(alg, seed=4, samples=3, pbw_degree=1,
+                               invariants_degree=1).to_payload()
+
+    got = payload(False)
+    assert got == payload(True)
+    assert got["totals"]["by_id"]["central-z"]["failures"] == 3
+
+
+def _jacobi_by_elements(alg, triples):
+    """The former Jacobi count, through CurrentAlgebra.bracket."""
+    fails = 0
+    for a, b, c in ([Element(alg, frozenset({(g,)})) for g in t]
+                    for t in triples):
+        fails += bool(alg.bracket(alg.bracket(a, b), c)
+                      + alg.bracket(alg.bracket(b, c), a)
+                      + alg.bracket(alg.bracket(c, a), b))
+    return fails
+
+
+@pytest.mark.parametrize("m,n,trunc", [(1, 1, 3), (2, 1, 2)])
+def test_jacobi_failures_match_element_brackets(m, n, trunc):
+    alg = CurrentAlgebra(m, n, trunc)
+    triples = list(itertools.product(alg.generators(), repeat=3))
+    assert jacobi_failures(alg, triples) == 0
+    # a broken table: [E[1,1]t^0, b] gains a spurious E[1,2]t^0
+    broken = CurrentAlgebra(m, n, trunc)
+    real = broken._bracket_gens
+    e11, e12 = pack(1, 1, 0), pack(1, 2, 0)
+
+    def spurious(a, b):
+        words = real(a, b)
+        return words ^ {(e12,)} if a == e11 and words else words
+
+    broken._bracket_gens = spurious
+    fails = jacobi_failures(broken, triples)
+    assert fails > 0
+    assert fails == _jacobi_by_elements(broken, triples)
+
+
+def test_suite_jacobi_keeps_the_draw():
+    """The letter triples are the former Element triples, and the draws
+    after them are unchanged."""
+    alg = CurrentAlgebra(2, 2, 2)
+    gens = alg.generators()
+    new_rng, old_rng = random.Random(7), random.Random(7)
+    letters = sample_triples(gens, new_rng, 4000)
+    elems = sample_triples([alg.gen(*unpack(g)) for g in gens],
+                           old_rng, 4000)
+    assert [tuple(x.words for x in t) for t in elems] == \
+        [tuple(frozenset({(g,)}) for g in t) for t in letters]
+    assert new_rng.getstate() == old_rng.getstate()
+
+
+@pytest.mark.parametrize("m,n,trunc,top",
+                         [(1, 1, 3, 2), (2, 1, 3, 2), (2, 2, 3, 2),
+                          (1, 1, 2, 3), (2, 1, 2, 3), (1, 2, 2, 3)])
+def test_invariants_over_lie_generators_match_all_letters(m, n, trunc, top):
+    alg = CurrentAlgebra(m, n, trunc)
+    lie = alg.lie_generators()
+    for degree in range(top + 1):
+        basis = _degree_piece(alg, degree)
+        blocks = collections.defaultdict(list)
+        for w in basis:
+            blocks[word_grade(w, alg.size)].append(w)
+        for block in blocks.values():
+            assert block_rank(alg, lie, block) == \
+                block_rank(alg, alg.generators(), block)
+        # the payload is the one of every letter as generator
+        every = CurrentAlgebra(m, n, trunc)
+        every._lie_generators = tuple(every.generators())
+        assert invariants_dimension(alg, degree).to_payload() == \
+            invariants_dimension(every, degree).to_payload()
+
+
+@pytest.mark.parametrize("m,n,trunc", [(1, 1, 3), (2, 1, 2), (2, 2, 2)])
+def test_bracket_partners(m, n, trunc):
+    alg = CurrentAlgebra(m, n, trunc)
+    for g in alg.generators():
+        expected = tuple((b, alg._bracket_gens(g, b))
+                         for b in alg.generators() if alg._bracket_gens(g, b))
+        assert alg.bracket_partners(g) == expected
+        assert alg.bracket_partners(g) is alg.bracket_partners(g)
