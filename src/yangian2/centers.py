@@ -483,8 +483,8 @@ def centrality_report(centers: CenterTable, c_max: int, b_max: int,
     """Centrality suite for c coefficients, even-b coefficients and squares.
 
     Each element is tested at the largest budget its degree leaves inside
-    the cap.  b_i^(1) is asserted to vanish identically; odd b coefficients
-    carry no claim and are skipped.
+    the cap.  b_i^(1) is asserted to vanish identically when the series
+    has it; odd b coefficients carry no claim and are skipped.
     """
     tab = centers.tab
     alg = tab.alg
@@ -503,8 +503,9 @@ def centrality_report(centers: CenterTable, c_max: int, b_max: int,
                    witness=None if ok else sub.failures[0].witness)
 
     for i, coeffs in sorted(centers.b.items()):
-        report.add("b1-vanishes", {"i": i}, not coeffs[1],
-                   witness=None if not coeffs[1] else coeffs[1].canonical())
+        if len(coeffs) > 1:     # a series of order 0 has no b_i^(1)
+            report.add("b1-vanishes", {"i": i}, not coeffs[1],
+                       witness=None if not coeffs[1] else coeffs[1].canonical())
         for two_r in range(2, min(b_max, len(coeffs) - 1) + 1, 2):
             x = coeffs[two_r]
             budget = cap - x.degree()

@@ -192,7 +192,8 @@ def _cmd_verify_centers(cfg: RunConfig, args) -> Report:
         tab, table, classical, max_r=cfg.order))
     gens = [(f"c^({r})", table.c[r]) for r in range(1, cfg.order + 1)
             if table.c[r].degree() <= cfg.cap]
-    gens += [(f"b_{i}^(2)", table.b[i][2]) for i in sorted(table.b) if i >= 2]
+    gens += [(f"b_{i}^(2)", table.b[i][2]) for i in sorted(table.b)
+             if i >= 2 and len(table.b[i]) > 2]
     gens += [(sq.label, sq.element) for sq in table.squares if sq.parity == 0]
     gens = [(label, el) for label, el in gens if el]
     if gens:

@@ -11,13 +11,14 @@ characteristic 2 is the quadratic map Q = matrix squaring restricted to
 the odd part, and the enveloping algebra used throughout is the super
 one: odd basis squares rewrite to Q(basis) = 0.
 
-Elements, normal forms, products and commutators come from the word-algebra
-core in ``rtt``, the one that serves the Yangian: ``rtt.Element``,
-``rtt.straighten`` (which kills the odd squares because the odd symbols are
-its ``nilsquare``) and the Leibniz kernel ``rtt.commutator_words``.  This
-module supplies only what is classical: the bracket ``_bracket_gens``, the
-truncation, ``p_map`` and ``quadratic_q``, and the invariants layer, whose
-products are ``rtt.merge_product`` over the odd symbols.
+Elements, normal forms, products and commutators come from
+``rtt.WordAlgebra``, the word-algebra core that serves the Yangian too.
+``CurrentAlgebra`` subclasses it and supplies its bracket rule
+``_bracket_rule`` and its ``_nilsquare``, the odd symbols, whose squares
+``rtt.straighten`` then kills.  The rest of this module is classical: the
+truncation, ``p_map`` and ``quadratic_q``, the Lie generating set, and the
+invariants layer, whose products are ``rtt.merge_product`` over the odd
+symbols.
 
 The truncation is a genuine quotient Lie superalgebra (the ideal t^T g is
 stable under both the bracket and the squaring map), so every identity
@@ -33,9 +34,8 @@ from functools import partial
 
 from .linalg import BitEchelon, words_row
 from .report import Report
-from .rtt import (Element, Shape, bounded_words, check_operands,
-                  commutator_words, graded_words, letter, merge_product,
-                  pack, pack_gen, pack_generators, straighten, unpack)
+from .rtt import (Element, Shape, WordAlgebra, bounded_words, check_operands,
+                  graded_words, merge_product, pack, unpack)
 
 
 def render_cword(word) -> str:
@@ -44,29 +44,24 @@ def render_cword(word) -> str:
     return "*".join(f"E[{g >> 16},{(g >> 8) & 0xFF}]t^{g & 0xFF}" for g in word)
 
 
-class CurrentAlgebra:
-    """gl_{m+n}[t]/(t^T) and its super enveloping algebra over GF(2).
-
-    The memo caches (word normal forms, generator brackets, the
-    commutator's letter tables and the bracket partners of each letter)
-    are transparent: results are identical with them cleared, they only
-    buy speed.  The bracket cache holds at most one entry per generator
-    pair.
+class CurrentAlgebra(WordAlgebra):
+    """gl_{m+n}[t]/(t^T) and its super enveloping algebra over GF(2): the
+    classical bracket rule, the odd squares that vanish, the Lie-level
+    maps and the Lie generating set, on ``rtt.WordAlgebra``.  The memo of
+    each letter's bracket partners is transparent like its caches.
     """
 
     render_word = staticmethod(render_cword)
 
     def __init__(self, m: int, n: int, trunc: int):
-        self.shape = Shape(m, n, trunc)
+        super().__init__(Shape(m, n, trunc), range(trunc))
         self.m, self.n, self.trunc = m, n, trunc
-        self.superscripts = range(trunc)
-        self._nf_cache: dict = {}
-        self._pair_cache: dict = {}
-        self._letter_cache: dict = {}   # (letter a, y.words) -> NF of [a, y]
+        self._nilsquare = self._odd     # odd squares rewrite to Q(basis) = 0
         self._partner_cache: dict = {}  # letter g -> ((b, [g, b]), ...)
         self._lie_generators = None     # certified on first use
-        self._letters = frozenset(self.generators())
-        self._odd = self.shape.odd_letters(self._letters)
+
+    # bound on each algebra, so that perfbench/traced.py times them apart
+    multiply = WordAlgebra.multiply
 
     @property
     def size(self) -> int:
@@ -74,9 +69,6 @@ class CurrentAlgebra:
 
     def gen_parity(self, g: int) -> int:
         return 1 if g in self._odd else 0
-
-    def generators(self) -> list[int]:
-        return pack_generators(self, self.superscripts)
 
     def lie_generators(self) -> tuple:
         """A Lie generating set S of gl_{m+n}[t]/(t^T), in packed order:
@@ -105,27 +97,14 @@ class CurrentAlgebra:
         if hit is None:
             hit = self._partner_cache[g] = tuple(
                 (b, brackets) for b in self.generators()
-                if (brackets := self._bracket_gens(g, b)))
+                if (brackets := self._bracket(g, b)))
         return hit
-
-    # -- constructors --------------------------------------------------------
-
-    def zero(self) -> Element:
-        return Element(self, frozenset())
-
-    def one(self) -> Element:
-        return Element(self, frozenset({()}))
-
-    def gen(self, i: int, j: int, r: int) -> Element:
-        return Element(self, frozenset({(pack_gen(self, i, j, r),)}))
 
     # -- Lie structure ---------------------------------------------------------
 
-    def _bracket_gens(self, a: int, b: int) -> frozenset:
-        key = (a << 32) | b
-        hit = self._pair_cache.get(key)
-        if hit is not None:
-            return hit
+    def _bracket_rule(self, a: int, b: int) -> frozenset:
+        """The letter [a, b] as a set of one-letter words, empty once the
+        t-degree reaches the truncation."""
         i, j, r = unpack(a)
         k, l, s = unpack(b)
         out: set = set()
@@ -134,8 +113,7 @@ class CurrentAlgebra:
                 out ^= {(pack(i, l, r + s),)}
             if l == i:
                 out ^= {(pack(k, j, r + s),)}
-        result = self._pair_cache[key] = frozenset(out)
-        return result
+        return frozenset(out)
 
     def bracket(self, x: Element, y: Element) -> Element:
         """Lie bracket, bilinear over degree-1 elements."""
@@ -146,7 +124,7 @@ class CurrentAlgebra:
         acc: set = set()
         for (a,) in x.words:
             for (b,) in y.words:
-                acc ^= self._bracket_gens(a, b)
+                acc ^= self._bracket(a, b)
         return Element(self, frozenset(acc))
 
     def p_map(self, x: Element) -> Element:
@@ -173,40 +151,6 @@ class CurrentAlgebra:
         if any(self.gen_parity(w[0]) == 0 for w in y.words):
             raise ValueError("quadratic_q needs a purely odd element")
         return self.p_map(y)
-
-    # -- super enveloping algebra ----------------------------------------------
-
-    def normal_form(self, words) -> Element:
-        """Normal form of a sum of raw words (tuples of (i, j, r) triples or
-        packed ints); ValueError for a letter outside the truncation."""
-        acc: set = set()
-        for w in words:
-            packed = tuple(letter(self, g) for g in w)
-            acc.symmetric_difference_update(
-                straighten(packed, self._nf_cache, self._bracket_gens,
-                           self._odd))
-        return Element(self, frozenset(acc))
-
-    def multiply(self, x: Element, y: Element) -> Element:
-        if x.alg is not self or y.alg is not self:
-            check_operands(self, x, y)
-        acc: set = set()
-        cache, bracket, odd = self._nf_cache, self._bracket_gens, self._odd
-        for wa in x.words:
-            for wb in y.words:
-                acc.symmetric_difference_update(
-                    straighten(wa + wb, cache, bracket, odd))
-        return Element(self, frozenset(acc))
-
-    def commutator(self, x: Element, y: Element) -> Element:
-        """xy + yx by the Leibniz rule (``rtt.commutator_words``), on the
-        algebra's letter tables; the top-degree words of xy and yx, which
-        cancel, are never formed."""
-        if x.alg is not self or y.alg is not self:
-            check_operands(self, x, y)
-        return Element(self, commutator_words(
-            x.words, y.words, self._nf_cache, self._letter_cache,
-            self._bracket_gens, self._odd))
 
     # -- distinguished central elements -----------------------------------------
 
@@ -252,7 +196,7 @@ def certified_lie_generators(alg: CurrentAlgebra, gens) -> tuple:
 
     Span vectors are bitmasks over the letters.  The closure walks the pairs
     of a growing list of independent vectors, brackets them letter by
-    letter through _bracket_gens and keeps each bracket that a pivot dict
+    letter through _bracket and keeps each bracket that a pivot dict
     (top bit -> reduced vector) cannot reduce to zero.  Once every pair has
     been bracketed the span is closed under the bracket, so it is the Lie
     subalgebra generated by gens; the walk stops early when the span is
@@ -281,7 +225,7 @@ def certified_lie_generators(alg: CurrentAlgebra, gens) -> tuple:
             acc: set = set()
             for a in basis[i]:
                 for b in basis[j]:
-                    acc ^= alg._bracket_gens(a, b)
+                    acc ^= alg._bracket(a, b)
             admit(sum(bit[h] for (h,) in acc), [h for (h,) in acc])
         i += 1
     if len(pivots) < len(letters):
@@ -299,7 +243,7 @@ def s_adjoint(alg: CurrentAlgebra, g: int, word: tuple) -> frozenset:
     """Adjoint action of a generator on an S-supermonomial, as a derivation."""
     acc: set = set()
     for pos, b in enumerate(word):
-        brackets = alg._bracket_gens(g, b)
+        brackets = alg._bracket(g, b)
         if brackets:
             acc ^= merge_product((word[:pos] + word[pos + 1:],), brackets,
                                  alg._odd)
@@ -387,7 +331,7 @@ def jacobi_failures(alg: CurrentAlgebra, triples) -> int:
     """How many letter triples (a, b, c) have
     [[a, b], c] + [[b, c], a] + [[c, a], b] != 0, each nested bracket
     read letter by letter from the bracket table."""
-    bracket = alg._bracket_gens
+    bracket = alg._bracket
 
     def nested(a: int, b: int, c: int) -> set:
         acc: set = set()

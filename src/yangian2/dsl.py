@@ -289,14 +289,15 @@ class EvalContext:
             i, r = args
             self._check_order(r)
             return tab.dprime[i][r]
-        if kind == "e":
-            i, j, r = args
+        if kind in ("e", "f"):
+            a, b, r = args
             self._check_order(r)
-            return tab.e[(i, j)][r]
-        if kind == "f":
-            j, i, r = args
-            self._check_order(r)
-            return tab.f[(j, i)][r]
+            by_r = (tab.e if kind == "e" else tab.f)[(a, b)]
+            if r not in by_r:
+                # the higher roots stop at min(K, L - 1)
+                raise ValueError(f"superscript {r} of {kind}[{a},{b}] exceeds "
+                                 f"its top superscript {max(by_r, default=0)}")
+            return by_r[r]
         if kind == "c":
             (r,) = args
             self._check_order(r)

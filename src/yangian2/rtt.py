@@ -25,12 +25,16 @@ This module is the word-algebra core of both algebras the package
 computes in: the Yangian here and its classical limit, the super
 enveloping algebra of the truncated current algebra (``current``), whose
 letters are packed the same way.  The two differ only in their bracket
-rule and in which squares vanish, so one element class, ``Element``, and
-one set of module functions serve both: ``straighten`` for products and
-normal forms, ``commutator_words`` for commutators, ``merge_product`` for
-the product of their associated graded (super)commutative algebras, and
-``graded_words`` for their ordered monomials.  Each algebra holds its odd
-letters in one set, ``_odd``, that every parity question reads.
+rule and in which squares vanish, so one class, ``WordAlgebra``, holds
+the rest, and a subclass supplies its rule, ``_bracket_rule``, and the
+letters whose squares vanish, ``_nilsquare``; the Yangian's cap enters
+through two hooks, ``_check_word`` and ``_check_product_cap``.  One
+element class, ``Element``, and one set of module functions serve both:
+``straighten`` for products and normal forms, ``commutator_words`` for
+commutators, ``merge_product`` for the product of their associated
+graded (super)commutative algebras, and ``graded_words`` for their
+ordered monomials.  Each algebra holds its odd letters in one set,
+``_odd``, that every parity question reads.
 
 A ``straighten`` call finds the first out-of-order pair and carries its
 out-of-place generator through the already-ordered part of the word, swap
@@ -78,6 +82,7 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
+from functools import reduce
 
 from .errors import DegreeCapError
 from .report import Report
@@ -406,10 +411,7 @@ class Element:
     def __pow__(self, k: int) -> "Element":
         if k < 0:
             raise ValueError("negative powers are not defined")
-        out = self.alg.one()
-        for _ in range(k):
-            out = self.alg.multiply(out, self)
-        return out
+        return self.alg.product(*[self] * k)
 
     def degree(self) -> int:
         if self._degree is None:
@@ -444,24 +446,33 @@ class Element:
         return self.canonical()
 
 
-class RTTAlgebra:
-    """The Yangian of gl_{m+n} over GF(2), truncated at a hard degree cap.
-
-    All operations are pure; the memo caches (word normal forms, pair
-    brackets and the commutator's letter tables) are transparent: results
-    are identical with them cleared, they only buy speed.
+class WordAlgebra:
+    """What the Yangian and its classical limit share.  A subclass passes
+    its shape and superscripts to ``__init__`` and supplies ``render_word``
+    and ``_bracket_rule(a, b)``, the raw words of ab + ba; the Yangian's
+    cap enters through ``_check_word`` and ``_check_product_cap``, and
+    ``_nilsquare`` holds the letters whose squares vanish (none in the
+    Yangian).  The memo caches (word normal forms, letter brackets and the
+    commutator's letter tables) are transparent: results are identical
+    with them cleared, they only buy speed.
     """
 
-    render_word = staticmethod(render_word)
+    _nilsquare: frozenset = frozenset()
 
-    def __init__(self, shape: Shape):
+    def __init__(self, shape: Shape, superscripts: range):
         self.shape = shape
-        self.superscripts = range(1, shape.cap + 1)
+        self.superscripts = superscripts
         self._letters = frozenset(self.generators())
         self._odd = shape.odd_letters(self._letters)
         self._nf_cache: dict = {}
         self._pair_cache: dict = {}
         self._letter_cache: dict = {}   # (letter a, y.words) -> NF of [a, y]
+
+    def generators(self, max_degree: int | None = None) -> list[int]:
+        """The packed letters with superscript up to max_degree (default:
+        all of them), in PBW order."""
+        top = self.superscripts[-1] if max_degree is None else max_degree
+        return pack_generators(self, range(self.superscripts[0], top + 1))
 
     # -- constructors ------------------------------------------------------
 
@@ -474,19 +485,80 @@ class RTTAlgebra:
     def gen(self, i: int, j: int, r: int) -> Element:
         return Element(self, frozenset({(pack_gen(self, i, j, r),)}))
 
-    def generators(self, max_degree: int | None = None) -> list[int]:
-        """All packed generators with superscript up to max_degree (default cap)."""
-        bound = self.shape.cap if max_degree is None else max_degree
-        return pack_generators(self, range(1, bound + 1))
+    # -- the bracket and its hooks ------------------------------------------
+
+    def _bracket(self, a: int, b: int) -> frozenset:
+        """``_bracket_rule(a, b)``, memoised per pair of letters."""
+        key = (a << 32) | b
+        hit = self._pair_cache.get(key)
+        if hit is None:
+            hit = self._pair_cache[key] = self._bracket_rule(a, b)
+        return hit
+
+    def _check_word(self, word: tuple) -> None:
+        """Raise for a raw word that ``normal_form`` must refuse."""
+
+    def _check_product_cap(self, x: Element, y: Element) -> None:
+        """Raise for a product xy that ``multiply`` must refuse."""
+
+    # -- straightening -----------------------------------------------------
+
+    def normal_form(self, words) -> Element:
+        """Normal form of a sum of raw words (tuples of (i, j, r) triples or
+        packed ints); ValueError for a letter that is not a generator."""
+        acc: set = set()
+        for w in words:
+            packed = tuple(letter(self, g) for g in w)
+            self._check_word(packed)
+            acc.symmetric_difference_update(straighten(
+                packed, self._nf_cache, self._bracket, self._nilsquare))
+        return Element(self, frozenset(acc))
+
+    def multiply(self, x: Element, y: Element) -> Element:
+        if x.alg is not self or y.alg is not self:
+            check_operands(self, x, y)
+        self._check_product_cap(x, y)
+        acc: set = set()
+        cache, bracket, nilsquare = (self._nf_cache, self._bracket,
+                                     self._nilsquare)
+        for wa in x.words:
+            for wb in y.words:
+                acc.symmetric_difference_update(
+                    straighten(wa + wb, cache, bracket, nilsquare))
+        return Element(self, frozenset(acc))
+
+    def product(self, *elements: Element) -> Element:
+        return reduce(self.multiply, elements, self.one())
+
+    def commutator(self, x: Element, y: Element) -> Element:
+        """xy + yx by the Leibniz rule (``commutator_words``), on the
+        algebra's letter tables.  The words straightened are a degree
+        lower than those of xy and would pass a cap silently, so
+        ``_check_product_cap`` sees x and y first, as in ``multiply``."""
+        if x.alg is not self or y.alg is not self:
+            check_operands(self, x, y)
+        self._check_product_cap(x, y)
+        return Element(self, commutator_words(
+            x.words, y.words, self._nf_cache, self._letter_cache,
+            self._bracket, self._nilsquare))
+
+
+class RTTAlgebra(WordAlgebra):
+    """The Yangian of gl_{m+n} over GF(2), truncated at a hard degree cap:
+    the RTT bracket rule and the cap on ``WordAlgebra``."""
+
+    render_word = staticmethod(render_word)
+
+    def __init__(self, shape: Shape):
+        super().__init__(shape, range(1, shape.cap + 1))
+
+    # bound on each algebra, so that perfbench/traced.py times them apart
+    multiply = WordAlgebra.multiply
 
     # -- the defining relation --------------------------------------------
 
-    def _bracket_words(self, a: int, b: int) -> frozenset:
+    def _bracket_rule(self, a: int, b: int) -> frozenset:
         """Raw right-hand side of [a, b] as a set of words, before straightening."""
-        key = (a << 32) | b
-        hit = self._pair_cache.get(key)
-        if hit is not None:
-            return hit
         i, j, r = unpack(a)
         k, l, s = unpack(b)
         out: set = set()
@@ -501,9 +573,7 @@ class RTTAlgebra:
             else:
                 out ^= {(pack(k, j, t), pack(i, l, hi))}
                 out ^= {(pack(k, j, hi), pack(i, l, t))}
-        result = frozenset(out)
-        self._pair_cache[key] = result
-        return result
+        return frozenset(out)
 
     def rtt_rhs(self, g1: tuple, g2: tuple, super_sign: bool = False) -> Element:
         """Normal form of the displayed right-hand side for [g1, g2].
@@ -523,29 +593,14 @@ class RTTAlgebra:
             bi, bj, bk = (self.shape.block(i), self.shape.block(j),
                           self.shape.block(k))
             coeff = (-1) ** (bi * bj + bi * bk + bj * bk) % 2
-        acc: set = set()
-        if coeff:
-            for w in self._bracket_words(a, b):
-                acc.symmetric_difference_update(
-                    straighten(w, self._nf_cache, self._bracket_words))
-        return Element(self, frozenset(acc))
+        return self.normal_form(self._bracket(a, b) if coeff else ())
 
-    # -- straightening -----------------------------------------------------
-
-    def normal_form(self, words) -> Element:
-        """Normal form of a sum of raw words (tuples of (i, j, r) triples or
-        packed ints); ValueError for a letter that is not a generator."""
+    def _check_word(self, word: tuple) -> None:
         cap = self.shape.cap
-        acc: set = set()
-        for w in words:
-            packed = tuple(letter(self, g) for g in w)
-            d = word_degree(packed)
-            if d > cap:
-                raise DegreeCapError(
-                    f"word {render_word(packed)} has degree {d} > cap {cap}")
-            acc.symmetric_difference_update(
-                straighten(packed, self._nf_cache, self._bracket_words))
-        return Element(self, frozenset(acc))
+        d = word_degree(word)
+        if d > cap:
+            raise DegreeCapError(
+                f"word {render_word(word)} has degree {d} > cap {cap}")
 
     def _check_product_cap(self, x: Element, y: Element) -> None:
         """Raise DegreeCapError at the first pair of words of xy over the
@@ -565,44 +620,12 @@ class RTTAlgebra:
                         f"product term {render_word(wa + wb)} has degree "
                         f"{da + db} > cap {cap}")
 
-    def multiply(self, x: Element, y: Element) -> Element:
-        if x.alg is not self or y.alg is not self:
-            check_operands(self, x, y)
-        self._check_product_cap(x, y)
-        acc: set = set()
-        cache, bracket = self._nf_cache, self._bracket_words
-        for wa in x.words:
-            for wb in y.words:
-                acc.symmetric_difference_update(
-                    straighten(wa + wb, cache, bracket))
-        return Element(self, frozenset(acc))
-
-    def product(self, *elements: Element) -> Element:
-        out = self.one()
-        for e in elements:
-            out = self.multiply(out, e)
-        return out
-
-    def commutator(self, x: Element, y: Element) -> Element:
-        """xy + yx by the Leibniz rule (``commutator_words``), on the
-        algebra's letter tables.  Being a degree lower, the words
-        straightened would pass the cap silently where xy exceeds it, so
-        the cap is checked on the words of xy first, in ``multiply``'s
-        order and with its message.
-        """
-        if x.alg is not self or y.alg is not self:
-            check_operands(self, x, y)
-        self._check_product_cap(x, y)
-        return Element(self, commutator_words(
-            x.words, y.words, self._nf_cache, self._letter_cache,
-            self._bracket_words))
-
     def transpose(self, x: Element) -> Element:
         """tau(x) for the transposition tau: t[i,j,r] -> t[j,i,r], extended
         to an anti-automorphism: every word of x reversed with the indices
         of each letter swapped, then straightened on the algebra's memo.
 
-        tau is well defined.  Write B(a, b) = ``_bracket_words(a, b)``, so
+        tau is well defined.  Write B(a, b) = ``_bracket_rule(a, b)``, so
         the defining relations are ab + ba + B(a, b) for letters a > b.  An
         anti-automorphism of the free algebra sends this to
         tau(a)tau(b) + tau(b)tau(a) + tau(B(a, b)), with no sign mod 2, and
@@ -624,7 +647,7 @@ class RTTAlgebra:
         if x.alg is not self:
             check_operands(self, x)
         acc: set = set()
-        cache, bracket = self._nf_cache, self._bracket_words
+        cache, bracket = self._nf_cache, self._bracket
         for w in x.words:
             acc.symmetric_difference_update(straighten(
                 tuple(pack(j, i, r) for i, j, r in map(unpack, reversed(w))),

@@ -139,6 +139,36 @@ def test_verify_centers_refuses_short_series(tmp_path, capsys):
     assert "order >= 3" in capsys.readouterr().err
 
 
+SMALL_CENTER_RUNS = [(m, n, cap, order)
+                     for m, n in [(1, 1), (2, 1), (1, 2)]
+                     for cap in range(1, 5)
+                     for order in range(cap // 2, cap + 1)]
+
+
+@pytest.mark.parametrize("m, n, cap, order", SMALL_CENTER_RUNS)
+def test_verify_centers_at_small_order(tmp_path, m, n, cap, order):
+    """Every K >= L/2 runs, including K <= 1, where the b series have no
+    b_i^(2) (K = 1) or not even b_i^(1) (K = 0)."""
+    code, doc = run(["--m", str(m), "--n", str(n), "-L", str(cap),
+                     "-K", str(order), "verify", "centers"], tmp_path)
+    assert code == 0
+    ids = doc["report"]["totals"]["by_id"]
+    assert ("b1-vanishes" in ids) == (order >= 1)
+
+
+@pytest.mark.parametrize("shape, expr, top", [
+    (["-L", "3"], "e[1,3,3]", 2),
+    (["-L", "3"], "f[3,1,3]", 2),
+    (["-L", "2", "-K", "2"], "e[1,3,2]", 1),
+    (["-L", "2", "-K", "2"], "f[3,1,2]", 1),
+])
+def test_higher_root_past_its_top_is_usage_error(tmp_path, capsys, shape,
+                                                 expr, top):
+    code, doc = run(["--m", "2", "--n", "1"] + shape + ["nf", expr], tmp_path)
+    assert code == 2 and doc is None
+    assert f"top superscript {top}" in capsys.readouterr().err
+
+
 def test_quotient_dim_reads_series_to_half_the_cap(tmp_path):
     """quotient-dim builds its table at order L/2 whatever K is; only the
     echoed config differs."""

@@ -718,14 +718,14 @@ def test_jacobi_failures_match_element_brackets(m, n, trunc):
     assert jacobi_failures(alg, triples) == 0
     # a broken table: [E[1,1]t^0, b] gains a spurious E[1,2]t^0
     broken = CurrentAlgebra(m, n, trunc)
-    real = broken._bracket_gens
+    real = broken._bracket
     e11, e12 = pack(1, 1, 0), pack(1, 2, 0)
 
     def spurious(a, b):
         words = real(a, b)
         return words ^ {(e12,)} if a == e11 and words else words
 
-    broken._bracket_gens = spurious
+    broken._bracket = spurious
     fails = jacobi_failures(broken, triples)
     assert fails > 0
     assert fails == _jacobi_by_elements(broken, triples)
@@ -770,7 +770,7 @@ def test_invariants_over_lie_generators_match_all_letters(m, n, trunc, top):
 def test_bracket_partners(m, n, trunc):
     alg = CurrentAlgebra(m, n, trunc)
     for g in alg.generators():
-        expected = tuple((b, alg._bracket_gens(g, b))
-                         for b in alg.generators() if alg._bracket_gens(g, b))
+        expected = tuple((b, alg._bracket(g, b))
+                         for b in alg.generators() if alg._bracket(g, b))
         assert alg.bracket_partners(g) == expected
         assert alg.bracket_partners(g) is alg.bracket_partners(g)

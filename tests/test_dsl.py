@@ -94,6 +94,20 @@ def test_table_atoms(alg, ctx):
     assert evaluate(parse("b[1,2]", alg.shape), ctx) == b_series(tab, 1).coeffs[2]
 
 
+@pytest.mark.parametrize("kind, key", [("e", (1, 3)), ("f", (3, 1))])
+def test_higher_root_stops_at_its_top(kind, key):
+    """The higher roots of (2,1,L=3,K=3) stop at min(K, L - 1) = 2; one
+    past it is a ValueError that names the top, not a KeyError."""
+    alg = RTTAlgebra(Shape(2, 1, 3))
+    ctx = EvalContext(alg, 3)
+    a, b = key
+    by_r = getattr(ctx.table, kind)[key]
+    for r in (1, 2):
+        assert evaluate(parse(f"{kind}[{a},{b},{r}]", alg.shape), ctx) == by_r[r]
+    with pytest.raises(ValueError, match="top superscript 2"):
+        evaluate(parse(f"{kind}[{a},{b},3]", alg.shape), ctx)
+
+
 def test_atom_order_guard(alg, ctx):
     with pytest.raises(ValueError):
         evaluate(parse("d[1,4]", alg.shape), ctx)

@@ -651,9 +651,9 @@ def test_transpose_maps_relations_into_the_ideal(m, n, cap):
              if (a & 0xFF) + (b & 0xFF) - 1 <= cap]
     for a, b in pairs:
         (ta,), (tb,) = _transposed_word((a,)), _transposed_word((b,))
-        raw = alg._bracket_words(a, b)
-        assert alg._bracket_words(ta, tb) == set(map(_transposed_word, raw))
-        assert alg.normal_form(raw) == alg.normal_form(alg._bracket_words(b, a))
+        raw = alg._bracket(a, b)
+        assert alg._bracket(ta, tb) == set(map(_transposed_word, raw))
+        assert alg.normal_form(raw) == alg.normal_form(alg._bracket(b, a))
     assert len(pairs) == {(2, 1): 1701, (2, 2): 3840}[(m, n)]
 
 
