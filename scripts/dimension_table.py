@@ -3,9 +3,8 @@
 
 For each shape and degree bound the table shows the full ordered-monomial
 count, the rank of the odd-square ideal, the resulting quotient dimension,
-the ordered-supermonomial count the quotient must match, and which ideal
-rows were formed ("one-sided" when every odd square passed its centrality
-certificate, "two-sided" otherwise).
+the ordered-supermonomial count the quotient must match, and whether the
+quotient's dimension certificate holds.
 """
 
 import pathlib
@@ -26,14 +25,14 @@ def main() -> int:
         tab = build_table(alg, top)
         print(f"shape ({m},{n})")
         print(f"  {'L':>2} {'dim':>6} {'ideal':>6} {'quotient':>9} "
-              f"{'supercount':>10} {'match':>6} {'path':>9}")
+              f"{'supercount':>10} {'match':>6}")
         for bound in range(top + 1):
             q = build_quotient(alg, bound, tab)
             match = q.certificate_ok
             ok = ok and match
             print(f"  {bound:>2} {q.dim_full:>6} {q.ideal_rank:>6} "
                   f"{q.dim_super:>9} {q.expected_super:>10} "
-                  f"{str(match):>6} {q.path:>9}")
+                  f"{str(match):>6}")
         print()
     return 0 if ok else 1
 

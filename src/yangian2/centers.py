@@ -8,24 +8,24 @@ belong to the p-center of the quotient.
 
 The quotient is handled as bounded-degree linear algebra: J_bound is the
 span of a * z * b over PBW monomials a, b and odd squares z with
-deg a + deg z + deg b <= bound.  Each odd square is first tested against
-every generator of superscript <= bound - deg z; when all of them commute,
-z * b = b * z inside the bound, so J_bound is already the span of the
-one-sided products a * z and only those rows are formed.  If any square
-fails that centrality certificate the two-sided rows a * z * b are formed
-instead; QuotientModel.path records which was used.  Either way a * z is
-built along the PBW order as g * (a' * z), where g is the first letter of a
-and a' the rest: a' precedes a in (degree, word) order, so its product with
-z is already straightened and only the words g * w are new.  Columns put the
-non-supermonomials first, so they are the preferred pivots, and the
-supermonomial block runs in descending (degree, word) order, so the pivot
-of a residue-supported row is its top-degree monomial.  When the rank
-equals dim F_bound minus the supermonomial count and every pivot is a
-non-supermonomial, the reduction map computes canonical representatives
-supported on super-ordered monomials (independent of the order inside the
-supermonomial block); that dimension certificate is exactly the
-bounded-degree shadow of the freeness of the parent algebra over the odd
-p-center.
+deg a + deg z + deg b <= bound.  Each odd square is tested for centrality
+up to superscript bound - deg z (WordAlgebra.first_noncentral); when it
+commutes with all of those generators, z * b = b * z inside the bound, so
+J_bound is the span of the one-sided products a * z, and only those rows
+are formed.  A square that fails makes certificate_ok False, and the
+dimension check names it as its witness, so nothing falls back silently.
+Each a * z is built along the PBW order as g * (a' * z), where g is the
+first letter of a and a' the rest: a' precedes a in (degree, word) order,
+so its product with z is already straightened and only the words g * w are
+new.  Columns put the non-supermonomials first, so they are the preferred
+pivots, and the supermonomial block runs in descending (degree, word)
+order, so the pivot of a residue-supported row is its top-degree monomial.
+When the rank equals dim F_bound minus the supermonomial count and every
+pivot is a non-supermonomial, the reduction map computes canonical
+representatives supported on super-ordered monomials (independent of the
+order inside the supermonomial block); that dimension certificate is
+exactly the bounded-degree shadow of the freeness of the parent algebra
+over the odd p-center.
 
 The freeness shadow (products of center monomials and square-free
 generator monomials, which must be a basis of the bounded quotient) is
@@ -125,25 +125,6 @@ def build_center_table(tab: DrinfeldTable, square_bound: int | None = None) -> C
     return CenterTable(tab, c, b, p_center_squares(tab, bound))
 
 
-def is_central(x: Element, budget: int) -> Report:
-    """Commutators of x against every generator with superscript <= budget."""
-    alg = x.alg
-    if x.degree() + budget > alg.shape.cap:
-        raise DegreeCapError(
-            f"centrality budget {budget} plus degree {x.degree()} "
-            f"exceeds cap {alg.shape.cap}")
-    report = Report("centrality", config={"budget": budget})
-    size = alg.shape.size
-    for s in range(1, budget + 1):
-        for i in range(1, size + 1):
-            for j in range(1, size + 1):
-                c = alg.commutator(x, alg.gen(i, j, s))
-                ok = not c
-                report.add("commutes", {"i": i, "j": j, "s": s}, ok,
-                           witness=None if ok else c.canonical())
-    return report
-
-
 # -- the super quotient -------------------------------------------------------
 
 
@@ -171,7 +152,7 @@ class QuotientModel:
     dim_super: int
     expected_super: int
     certificate_ok: bool
-    path: str               # "one-sided" (a * z rows) or "two-sided" (a * z * b)
+    noncentral: str | None  # label of the first odd square that is not central
     odd_squares: tuple      # the ideal's generators
 
     def to_vector(self, x: Element) -> int:
@@ -195,13 +176,18 @@ class QuotientModel:
 def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientModel:
     """Row-reduce the bounded odd-square ideal and certify the dimension count.
 
-    The monomials a run in (degree, word) order, and each row a * z is
-    formed as g * (a' * z) from the first letter g of a and the row of its
-    suffix a', built earlier for the same square; the suffix rows of one
-    square are dropped before the next.
+    The rows are the one-sided products a * z, which span J_bound only when
+    every odd square z is central up to superscript bound - deg z; the
+    certificate fails on the first square that is not.  The monomials a run
+    in (degree, word) order, and each row a * z is formed as g * (a' * z)
+    from the first letter g of a and the row of its suffix a', built
+    earlier for the same square; the suffix rows of one square are dropped
+    before the next.
     """
-    odd_squares = [sq.element for sq in p_center_squares(tab, bound)
-                   if sq.parity == 1]
+    odd = [sq for sq in p_center_squares(tab, bound) if sq.parity == 1]
+    odd_squares = tuple(sq.element for sq in odd)
+    noncentral = next((sq.label for sq in odd if alg.first_noncentral(
+        sq.element, bound - sq.element.degree())), None)
     all_monos = alg.pbw_monomials(bound)
     non_super, super_list = [], []
     for w in all_monos:
@@ -211,29 +197,18 @@ def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientM
     index = {w: k for k, w in enumerate(basis)}
     degrees = [word_degree(w) for w in all_monos]
 
-    def monos_upto(d: int) -> list:
-        return all_monos[:bisect_right(degrees, d)]
-
     def mono(w: tuple) -> Element:
         return Element(alg, frozenset({w}))
 
-    one_sided = all(is_central(z, bound - z.degree()).ok for z in odd_squares)
     ech = BitEchelon()
     for z in odd_squares:
         room = bound - z.degree()
         prods = {(): z}   # a * z for the monomials a built so far
-        for wa in monos_upto(room):
+        for wa in all_monos[:bisect_right(degrees, room)]:
             if wa:
                 # a' = wa[1:] precedes wa in (degree, word) order
                 prods[wa] = alg.multiply(mono(wa[:1]), prods[wa[1:]])
-            left = prods[wa]
-            if one_sided:
-                rows = [left]
-            else:
-                rows = (alg.multiply(left, mono(wb))
-                        for wb in monos_upto(room - word_degree(wa)))
-            for row_el in rows:
-                ech.add(words_row(row_el.words, index, bound))
+            ech.add(words_row(prods[wa].words, index, bound))
 
     dim_full = len(basis)
     ideal_rank = ech.rank
@@ -242,9 +217,9 @@ def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientM
     pivots_in_nonsuper = all(c < len(non_super) for c in ech.pivots)
     return QuotientModel(alg, bound, basis, index, ech, dim_full, ideal_rank,
                          dim_super, expected,
-                         dim_super == expected and pivots_in_nonsuper,
-                         "one-sided" if one_sided else "two-sided",
-                         tuple(odd_squares))
+                         (noncentral is None and dim_super == expected
+                          and pivots_in_nonsuper),
+                         noncentral, odd_squares)
 
 
 def quotient_report(quotient: QuotientModel) -> Report:
@@ -257,7 +232,9 @@ def quotient_report(quotient: QuotientModel) -> Report:
                 "ideal_rank": quotient.ideal_rank,
                 "dim_super": quotient.dim_super,
                 "expected": quotient.expected_super},
-               quotient.certificate_ok)
+               quotient.certificate_ok,
+               witness=None if quotient.noncentral is None
+               else f"{quotient.noncentral} is not central")
     return report
 
 
@@ -494,38 +471,30 @@ def centrality_report(centers: CenterTable, c_max: int, b_max: int,
                             "c_max": c_max, "b_max": b_max,
                             "square_bound": square_bound})
 
-    for r in range(1, min(c_max, len(centers.c) - 1) + 1):
-        x = centers.c[r]
+    def central(check_id: str, params: dict, x: Element) -> None:
         budget = cap - x.degree()
-        sub = is_central(x, budget)
-        ok = sub.ok
-        report.add("central-c", {"r": r, "budget": budget}, ok,
-                   witness=None if ok else sub.failures[0].witness)
+        bad = alg.first_noncentral(x, budget)
+        report.add(check_id, {**params, "budget": budget}, bad is None,
+                   witness=None if bad is None
+                   else alg.commutator(x, bad).canonical())
+
+    for r in range(1, min(c_max, len(centers.c) - 1) + 1):
+        central("central-c", {"r": r}, centers.c[r])
 
     for i, coeffs in sorted(centers.b.items()):
         if len(coeffs) > 1:     # a series of order 0 has no b_i^(1)
             report.add("b1-vanishes", {"i": i}, not coeffs[1],
                        witness=None if not coeffs[1] else coeffs[1].canonical())
         for two_r in range(2, min(b_max, len(coeffs) - 1) + 1, 2):
-            x = coeffs[two_r]
-            budget = cap - x.degree()
-            sub = is_central(x, budget)
-            ok = sub.ok
-            report.add("central-b", {"i": i, "2r": two_r, "budget": budget}, ok,
-                       witness=None if ok else sub.failures[0].witness)
+            central("central-b", {"i": i, "2r": two_r}, coeffs[two_r])
         # odd coefficients beyond the first carry no claim; record values only
         for odd_r in range(3, min(b_max, len(coeffs) - 1) + 1, 2):
             report.add("b-odd-recorded", {"i": i, "r": odd_r}, True,
                        value=coeffs[odd_r].canonical())
 
     for sq in centers.squares:
-        if 2 * sq.r > square_bound:
-            continue
-        budget = cap - sq.element.degree()
-        sub = is_central(sq.element, budget)
-        ok = sub.ok
-        report.add("central-square",
-                   {"kind": sq.kind, "i": sq.i, "j": sq.j, "r": sq.r,
-                    "parity": sq.parity, "budget": budget}, ok,
-                   witness=None if ok else sub.failures[0].witness)
+        if 2 * sq.r <= square_bound:
+            central("central-square",
+                    {"kind": sq.kind, "i": sq.i, "j": sq.j, "r": sq.r,
+                     "parity": sq.parity}, sq.element)
     return report

@@ -15,10 +15,11 @@ Elements, normal forms, products and commutators come from
 ``rtt.WordAlgebra``, the word-algebra core that serves the Yangian too.
 ``CurrentAlgebra`` subclasses it and supplies its bracket rule
 ``_bracket_rule`` and its ``_nilsquare``, the odd symbols, whose squares
-``rtt.straighten`` then kills.  The rest of this module is classical: the
-truncation, ``p_map`` and ``quadratic_q``, the Lie generating set, and the
-invariants layer, whose products are ``rtt.merge_product`` over the odd
-symbols.
+``rtt.straighten`` then kills.  Centrality and invariance are asked of
+the Lie generating set that ``WordAlgebra.lie_generators`` certifies for
+both algebras.  The rest of this module is classical: the truncation,
+``p_map`` and ``quadratic_q``, and the invariants layer, whose products
+are ``rtt.merge_product`` over the odd symbols.
 
 The truncation is a genuine quotient Lie superalgebra (the ideal t^T g is
 stable under both the bracket and the squaring map), so every identity
@@ -46,8 +47,8 @@ def render_cword(word) -> str:
 
 class CurrentAlgebra(WordAlgebra):
     """gl_{m+n}[t]/(t^T) and its super enveloping algebra over GF(2): the
-    classical bracket rule, the odd squares that vanish, the Lie-level
-    maps and the Lie generating set, on ``rtt.WordAlgebra``.  The memo of
+    classical bracket rule, the odd squares that vanish and the Lie-level
+    maps, on ``rtt.WordAlgebra``.  The memo of
     each letter's bracket partners is transparent like its caches.
     """
 
@@ -58,7 +59,6 @@ class CurrentAlgebra(WordAlgebra):
         self.m, self.n, self.trunc = m, n, trunc
         self._nilsquare = self._odd     # odd squares rewrite to Q(basis) = 0
         self._partner_cache: dict = {}  # letter g -> ((b, [g, b]), ...)
-        self._lie_generators = None     # certified on first use
 
     # bound on each algebra, so that perfbench/traced.py times them apart
     multiply = WordAlgebra.multiply
@@ -69,26 +69,6 @@ class CurrentAlgebra(WordAlgebra):
 
     def gen_parity(self, g: int) -> int:
         return 1 if g in self._odd else 0
-
-    def lie_generators(self) -> tuple:
-        """A Lie generating set S of gl_{m+n}[t]/(t^T), in packed order:
-        the simple root vectors E[i,i+1]t^0 and E[i+1,i]t^0 for
-        1 <= i < m+n, and E[1,1]t^r for 0 <= r < T, 2(m+n-1) + T letters.
-
-        [E[1,1]t^r, E[1,2]t^0] = E[1,2]t^r moves the t-degree onto a root
-        vector, [E[i,i+1]t^r, E[i+1,i]t^0] = E[i,i]t^r + E[i+1,i+1]t^r
-        walks it down the diagonal, and nested brackets of the simple root
-        vectors reach every off-diagonal position.  The set is not
-        trusted: on first use certified_lie_generators checks that the Lie
-        closure of its span is every letter, and raises if it is not.
-        The result is cached on the algebra.
-        """
-        if self._lie_generators is None:
-            gens = {pack(1, 1, r) for r in self.superscripts}
-            for i in range(1, self.size):
-                gens |= {pack(i, i + 1, 0), pack(i + 1, i, 0)}
-            self._lie_generators = certified_lie_generators(self, gens)
-        return self._lie_generators
 
     def bracket_partners(self, g: int) -> tuple:
         """The pairs (b, [g, b]) over the letters b, in packed order, whose
@@ -188,52 +168,6 @@ class CurrentAlgebra(WordAlgebra):
         and then lexicographically."""
         gens = self.generators()
         return graded_words(gens, [1] * len(gens), max_len, self._odd)
-
-
-def certified_lie_generators(alg: CurrentAlgebra, gens) -> tuple:
-    """The letters gens, in packed order, once their Lie closure is checked
-    to span every letter of alg; RuntimeError (an internal failure) if not.
-
-    Span vectors are bitmasks over the letters.  The closure walks the pairs
-    of a growing list of independent vectors, brackets them letter by
-    letter through _bracket and keeps each bracket that a pivot dict
-    (top bit -> reduced vector) cannot reduce to zero.  Once every pair has
-    been bracketed the span is closed under the bracket, so it is the Lie
-    subalgebra generated by gens; the walk stops early when the span is
-    full.
-    """
-    letters = alg.generators()
-    bit = {g: 1 << k for k, g in enumerate(letters)}
-    gens = tuple(sorted(gens))
-    basis: list = []      # independent span vectors, as letter lists
-    pivots: dict = {}
-
-    def admit(vec: int, members: list) -> None:
-        while vec:
-            top = vec.bit_length() - 1
-            if top not in pivots:
-                pivots[top] = vec
-                basis.append(members)
-                return
-            vec ^= pivots[top]
-
-    for g in gens:
-        admit(bit[g], [g])
-    i = 0
-    while len(pivots) < len(letters) and i < len(basis):
-        for j in range(i):
-            acc: set = set()
-            for a in basis[i]:
-                for b in basis[j]:
-                    acc ^= alg._bracket(a, b)
-            admit(sum(bit[h] for (h,) in acc), [h for (h,) in acc])
-        i += 1
-    if len(pivots) < len(letters):
-        raise RuntimeError(
-            f"{len(gens)} letters generate a Lie subalgebra of dimension "
-            f"{len(pivots)}, not all {len(letters)} letters of "
-            f"gl_{alg.size}[t]/(t^{alg.trunc})")
-    return gens
 
 
 # -- symmetric-superalgebra layer (for the invariants report) -------------------
@@ -343,23 +277,6 @@ def jacobi_failures(alg: CurrentAlgebra, triples) -> int:
                if nested(a, b, c) ^ nested(b, c, a) ^ nested(c, a, b))
 
 
-def first_noncentral(alg: CurrentAlgebra, x: Element,
-                     gen_elems: list) -> Element | None:
-    """The first g of gen_elems (every letter, in packed order) with
-    [x, g] != 0, or None when x is central.
-
-    x is tested against the Lie generators first: the letters g with
-    [x, g] = 0 span a Lie subalgebra, because [x, .] is a derivation of
-    the enveloping algebra, so if every generator commutes with x every
-    letter does.  Only a failing x is scanned in full, so the witness is
-    the one the full scan names.
-    """
-    lie = (Element(alg, frozenset({(s,)})) for s in alg.lie_generators())
-    if not any(alg.commutator(x, s) for s in lie):
-        return None
-    return next(g for g in gen_elems if alg.commutator(x, g))
-
-
 def classical_suite(alg: CurrentAlgebra, seed: int, samples: int,
                     pbw_degree: int, invariants_degree: int) -> Report:
     """Verification suite for the classical oracle.
@@ -374,17 +291,11 @@ def classical_suite(alg: CurrentAlgebra, seed: int, samples: int,
     bracket table (jacobi_failures); the draw depends only on the number
     of letters, so every later random draw is unchanged.
 
-    Centrality is asked of the Lie generating set S of
-    CurrentAlgebra.lie_generators, not of every letter.  For a fixed x in
-    the enveloping algebra U, the elements y of gl_{m+n}[t]/(t^T) with
-    xy + yx = 0 form a Lie subalgebra: [x, .] is a derivation of U, so
-    [x, ab + ba] = [x, a]b + a[x, b] + [x, b]a + b[x, a], with no signs
-    mod 2, and ab + ba is the bracket of a and b in U.  S is certified to
-    generate every letter, so x is central as soon as it commutes with S.
-    Witness rule: only when some generator fails are all the letters
-    scanned in packed order, and the first letter g with [x, g] != 0 is
-    the witness (first_noncentral), as in a scan of every letter, so
-    failing payloads name the same letter.
+    Centrality is asked of the certified Lie generating set
+    (WordAlgebra.first_noncentral), not of every letter.  Only when some
+    generator fails are all the letters scanned in packed order, and the
+    first letter g with [x, g] != 0 is the witness, as in a scan of every
+    letter, so failing payloads name the same letter.
     """
     import random as _random
 
@@ -395,7 +306,6 @@ def classical_suite(alg: CurrentAlgebra, seed: int, samples: int,
                             "pbw_degree": pbw_degree,
                             "invariants_degree": invariants_degree})
     gens = alg.generators()
-    gen_elems = [Element(alg, frozenset({(g,)})) for g in gens]
 
     # skew-symmetry and Jacobi on basis triples (sampled when large)
     for g in gens:
@@ -410,11 +320,11 @@ def classical_suite(alg: CurrentAlgebra, seed: int, samples: int,
     # centrality of z_r and of the even p-center inside the truncation
     for r in range(alg.trunc):
         z = alg.z_element(r)
-        bad = first_noncentral(alg, z, gen_elems)
+        bad = alg.first_noncentral(z)
         report.add("central-z", {"r": r}, bad is None,
                    witness=None if bad is None else alg.commutator(z, bad).canonical())
     for params, xi in alg.classical_p_center():
-        bad = first_noncentral(alg, xi, gen_elems)
+        bad = alg.first_noncentral(xi)
         report.add("central-xi", params, bad is None,
                    witness=None if bad is None else alg.commutator(xi, bad).canonical())
 
@@ -440,7 +350,7 @@ def classical_suite(alg: CurrentAlgebra, seed: int, samples: int,
         even = Element(alg, frozenset(
             w for w in x.words if alg.gen_parity(w[0]) == 0))
         xi = alg.multiply(even, even) + alg.p_map(even)
-        bad = first_noncentral(alg, xi, gen_elems)
+        bad = alg.first_noncentral(xi)
         report.add("central-xi-random", {"sample": k}, bad is None,
                    witness=None if bad is None else even.canonical())
 
@@ -503,7 +413,7 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
     of the generated span and records both dimensions; equality is data.
 
     The invariants are the kernel of the adjoint action stacked over the
-    Lie generating set S of CurrentAlgebra.lie_generators, so their
+    Lie generating set S of WordAlgebra.lie_generators, so their
     dimension is len(basis) minus the rank of the action matrix.  That
     kernel is the kernel over all letters.  For a vector v of S_super, the
     Lie elements a with ad_a(v) = 0 form a Lie subalgebra, because
@@ -512,7 +422,7 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
     that agree on letters by the Jacobi identity, and the commutator of
     two derivations is a derivation, with no signs mod 2.  S generates
     every letter, a fact certified on first use
-    (certified_lie_generators), so v is killed by every letter once it is
+    (rtt.certified_lie_generators), so v is killed by every letter once it is
     killed by S.  The containment check of the generated side asks the
     same question of S for the same reason.
 

@@ -34,7 +34,8 @@ element class, ``Element``, and one set of module functions serve both:
 commutators, ``merge_product`` for the product of their associated
 graded (super)commutative algebras, and ``graded_words`` for their
 ordered monomials.  Each algebra holds its odd letters in one set,
-``_odd``, that every parity question reads.
+``_odd``, that every parity question reads.  Both test centrality with
+``WordAlgebra.first_noncentral``, on one certified generating set.
 
 A ``straighten`` call finds the first out-of-order pair and carries its
 out-of-place generator through the already-ordered part of the word, swap
@@ -340,6 +341,55 @@ def graded_words(gens, weights, bound: int, odd=frozenset()) -> list[tuple]:
     return [w for words in by_weight for w in sorted(words)]
 
 
+def certified_lie_generators(alg, gens, top: int) -> tuple:
+    """The letters gens, in packed order, once their closure under the
+    bracket spans every letter of alg up to superscript top; RuntimeError
+    (an internal failure) if not.
+
+    Span vectors are bitmasks over those letters.  The closure walks the
+    pairs of a growing list of independent vectors, brackets them letter
+    by letter through ``_bracket(max, min)`` and keeps each bracket that a
+    pivot dict (top bit -> reduced vector) cannot reduce to zero.  It skips
+    a pair whose bracket has a word that is not a single letter: classically
+    none has, and in the Yangian every bracket with a letter of superscript
+    1 is a sum of letters, an identity of the algebra.  The walk stops early
+    when the span is full.
+    """
+    letters = alg.generators(top)
+    bit = {g: 1 << k for k, g in enumerate(letters)}
+    gens = tuple(sorted(gens))
+    basis: list = []      # independent span vectors, as letter lists
+    pivots: dict = {}
+
+    def admit(vec: int, members: list) -> None:
+        while vec:
+            high = vec.bit_length() - 1
+            if high not in pivots:
+                pivots[high] = vec
+                basis.append(members)
+                return
+            vec ^= pivots[high]
+
+    for g in gens:
+        admit(bit[g], [g])
+    i = 0
+    while len(pivots) < len(letters) and i < len(basis):
+        for j in range(i):
+            acc: set = set()
+            for a in basis[i]:
+                for b in basis[j]:
+                    acc ^= alg._bracket(max(a, b), min(a, b))
+            if all(len(w) == 1 for w in acc):
+                admit(sum(bit[h] for (h,) in acc), [h for (h,) in acc])
+        i += 1
+    if len(pivots) < len(letters):
+        raise RuntimeError(
+            f"{len(gens)} letters generate a Lie subalgebra of dimension "
+            f"{len(pivots)}, not all {len(letters)} letters of "
+            f"{type(alg).__name__} {alg.shape} up to superscript {top}")
+    return gens
+
+
 @dataclass(frozen=True)
 class Shape:
     """Block sizes m, n and the hard cap: the canonical-degree cap L of the
@@ -458,6 +508,7 @@ class WordAlgebra:
     """
 
     _nilsquare: frozenset = frozenset()
+    _scan_key = None    # order of a failing centrality scan; None: packed
 
     def __init__(self, shape: Shape, superscripts: range):
         self.shape = shape
@@ -467,6 +518,7 @@ class WordAlgebra:
         self._nf_cache: dict = {}
         self._pair_cache: dict = {}
         self._letter_cache: dict = {}   # (letter a, y.words) -> NF of [a, y]
+        self._lie_generators: dict = {}  # top -> certified generating set
 
     def generators(self, max_degree: int | None = None) -> list[int]:
         """The packed letters with superscript up to max_degree (default:
@@ -542,6 +594,54 @@ class WordAlgebra:
             x.words, y.words, self._nf_cache, self._letter_cache,
             self._bracket, self._nilsquare))
 
+    # -- centrality on a generating set ------------------------------------
+
+    def lie_generators(self, top: int | None = None) -> tuple:
+        """S_top, in packed order: t[i,i+1,b] and t[i+1,i,b] for
+        1 <= i < m+n, and t[1,1,r] for b <= r <= top, with b the lowest
+        superscript (t^0 classically, 1 in the Yangian) and top the highest
+        by default; empty when top < b.
+
+        A letter of superscript b brackets alike in both algebras,
+        [t[i,j,b], t[k,l,s]] = delta_kj t[i,l,s] + delta_il t[k,j,s]:
+        [t[1,1,r], t[1,2,b]] = t[1,2,r] moves the superscript onto a root,
+        [t[i,i+1,b], t[i+1,i,r]] = t[i,i,r] + t[i+1,i+1,r] walks it down the
+        diagonal, and nested brackets of the roots reach every position.
+        The set is not trusted: certified_lie_generators checks it on first
+        use for each top, and the result is kept on the algebra.
+        """
+        top = self.superscripts[-1] if top is None else top
+        hit = self._lie_generators.get(top)
+        if hit is None:
+            b = self.superscripts[0]
+            gens = {pack(1, 1, r) for r in range(b, top + 1)}
+            if top >= b:
+                for i in range(1, self.shape.size):
+                    gens |= {pack(i, i + 1, b), pack(i + 1, i, b)}
+            hit = self._lie_generators[top] = certified_lie_generators(
+                self, gens, top)
+        return hit
+
+    def first_noncentral(self, x: Element,
+                         top: int | None = None) -> Element | None:
+        """The first letter g of superscript <= top (default: all) with
+        [x, g] != 0, or None when x commutes with all of them.
+
+        x is asked of S_top (lie_generators) first.  The elements that
+        commute with x form a subalgebra closed under the bracket, because
+        [x, .] is a derivation (no signs mod 2), and the closure of S_top is
+        certified to be every letter up to top.  Only a failing x is
+        scanned letter by letter, in ``_scan_key`` order, so the witness is
+        the one a scan of every letter names.
+        """
+        top = self.superscripts[-1] if top is None else top
+        if not any(self.commutator(x, self.gen(*unpack(s)))
+                   for s in self.lie_generators(top)):
+            return None
+        scan = sorted(self.generators(top), key=self._scan_key)
+        return next(g for g in (self.gen(*unpack(s)) for s in scan)
+                    if self.commutator(x, g))
+
 
 class RTTAlgebra(WordAlgebra):
     """The Yangian of gl_{m+n} over GF(2), truncated at a hard degree cap:
@@ -554,6 +654,17 @@ class RTTAlgebra(WordAlgebra):
 
     # bound on each algebra, so that perfbench/traced.py times them apart
     multiply = WordAlgebra.multiply
+
+    # a failing centrality scan meets t[i,j,s] in (s, i, j) order
+    _scan_key = staticmethod(lambda g: (g & 0xFF, g))
+
+    def first_noncentral(self, x: Element, top: int) -> Element | None:
+        # deg x + top must fit the cap, so that every [x, g] is exact
+        if x.degree() + top > self.shape.cap:
+            raise DegreeCapError(
+                f"centrality budget {top} plus degree {x.degree()} "
+                f"exceeds cap {self.shape.cap}")
+        return super().first_noncentral(x, top)
 
     # -- the defining relation --------------------------------------------
 
@@ -686,6 +797,8 @@ class RTTAlgebra(WordAlgebra):
     def associativity_fuzz(self, samples: int, seed: int) -> Report:
         """Compare ((ab)c) and (a(bc)) on random in-cap triples.
 
+        Factors have degree up to max(1, cap // 3), b and c within what the
+        factors before them leave of the cap, which binds only below cap 3.
         Failures are recorded with witnesses, not raised: they would
         falsify the implementation, so the report is the artefact.
         """
@@ -694,11 +807,13 @@ class RTTAlgebra(WordAlgebra):
                         config={"samples": samples, "seed": seed,
                                 "m": self.shape.m, "n": self.shape.n,
                                 "cap": self.shape.cap})
-        third = max(1, self.shape.cap // 3)
+        cap = self.shape.cap
+        third = max(1, cap // 3)
         for idx in range(samples):
             a = self.random_element(rng, third)
-            b = self.random_element(rng, third)
-            c = self.random_element(rng, third)
+            b = self.random_element(rng, min(third, cap - a.degree()))
+            c = self.random_element(
+                rng, min(third, cap - a.degree() - b.degree()))
             left = self.multiply(self.multiply(a, b), c)
             right = self.multiply(a, self.multiply(b, c))
             ok = left == right

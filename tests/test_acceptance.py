@@ -15,8 +15,7 @@ import pytest
 from yangian2 import CurrentAlgebra, RTTAlgebra, Shape
 from yangian2.centers import (build_center_table, build_quotient,
                               centrality_report, gr_bridge_report,
-                              independence_check, is_central,
-                              p_center_squares)
+                              independence_check, p_center_squares)
 from yangian2.current import classical_suite
 from yangian2.drinfeld import (build_table, drinfeld_pbw_check,
                                verify_drinfeld_relations,
@@ -189,7 +188,7 @@ def test_criterion_07_centrality(stack11, stack21):
     # multi-block parities: every square at (2,1) with 2r <= 2, budget 2
     alg21, tab21 = stack21
     for sq in p_center_squares(tab21, 2):
-        assert is_central(sq.element, 2).ok, sq.label
+        assert alg21.first_noncentral(sq.element, 2) is None, sq.label
     elapsed = time.time() - start
     announce(7, True, "c^(r) r <= 5, b^(2), b^(4), all squares 2r <= 4 central; "
                       "b^(1) = 0; (2,1) squares central at budget 2", elapsed)

@@ -8,12 +8,11 @@ from yangian2 import centers
 from yangian2.centers import (b_series, build_center_table, build_quotient,
                               c_series, centrality_report,
                               freeness_shadow_report, gr_bridge_report,
-                              gr_leading_term, independence_check, is_central,
+                              gr_leading_term, independence_check,
                               leading_word, p_center_squares, quotient_report)
 from yangian2.current import CurrentAlgebra
 from yangian2.errors import DegreeCapError
-from yangian2.linalg import BitEchelon, words_row
-from yangian2.report import Report
+from yangian2.linalg import BitEchelon, rank_of, words_row
 from yangian2.rtt import Element, bounded_words, pack, word_degree
 
 from oracles import count_full, count_super
@@ -67,24 +66,25 @@ def test_b_series_values(setup11):
 
 def test_is_central_trivial_and_frozen_failure(setup11):
     alg, tab = setup11
-    assert is_central(alg.one(), 3).ok
-    report = is_central(alg.gen(1, 2, 1), 2)
-    assert not report.ok
-    failing = {(c.params["i"], c.params["j"], c.params["s"]): c.witness
-               for c in report.failures}
-    assert failing[(2, 1, 1)] == "t[1,1,1] + t[2,2,1]"
+    assert alg.first_noncentral(alg.one(), 3) is None
+    assert alg.first_noncentral(alg.one(), 0) is None
+    x = alg.gen(1, 2, 1)
+    # the first failing letter in (s, i, j) order
+    assert alg.first_noncentral(x, 2) == alg.gen(1, 1, 1)
+    assert alg.commutator(x, alg.gen(2, 1, 1)).canonical() == \
+        "t[1,1,1] + t[2,2,1]"
 
 
 def test_is_central_c2(setup11):
     alg, tab = setup11
     c2 = c_series(tab).coeffs[2]
-    assert is_central(c2, 3).ok
+    assert alg.first_noncentral(c2, 3) is None
 
 
 def test_is_central_budget_guard(setup11):
     alg, tab = setup11
-    with pytest.raises(DegreeCapError):
-        is_central(c_series(tab).coeffs[2], 4)
+    with pytest.raises(DegreeCapError, match="centrality budget 4"):
+        alg.first_noncentral(c_series(tab).coeffs[2], 4)
 
 
 def test_p_center_squares_parities(setup11, setup21):
@@ -104,7 +104,7 @@ def test_p_center_squares_parities(setup11, setup21):
     assert tagged[("e", 2, 3)] == 1
     assert tagged[("f", 2, 1)] == 0
     for sq in squares21:
-        assert is_central(sq.element, 2).ok
+        assert alg21.first_noncentral(sq.element, 2) is None
 
 
 def test_build_quotient_dimensions(setup11):
@@ -141,41 +141,10 @@ def test_quotient_21(setup21):
         assert q.certificate_ok
 
 
-def _fail_centrality(monkeypatch):
-    """Make every centrality certificate fail, forcing the two-sided ideal."""
-    failed = Report("centrality")
-    failed.add("commutes", {}, False)
-    monkeypatch.setattr(centers, "is_central", lambda x, budget: failed)
-
-
-@pytest.mark.parametrize("fixture, top", [("setup11", 5), ("setup21", 4)])
-def test_one_sided_ideal_matches_two_sided(request, monkeypatch, fixture, top):
-    alg, tab = request.getfixturevalue(fixture)
-    rng = random.Random(top)
-    # odd squares start at degree 2; below that the ideal has no rows at all
-    bounds = range(2, top + 1)
-    one = [build_quotient(alg, bound, tab) for bound in bounds]
-    _fail_centrality(monkeypatch)
-    two = [build_quotient(alg, bound, tab) for bound in bounds]
-    for bound, q1, q2 in zip(bounds, one, two):
-        assert (q1.path, q2.path) == ("one-sided", "two-sided")
-        assert q1.basis == q2.basis
-        assert q1.ideal_rank == q2.ideal_rank
-        assert set(q1.echelon.pivots) == set(q2.echelon.pivots)
-        assert q1.certificate_ok and q2.certificate_ok
-        squares = [sq.element for sq in p_center_squares(tab, bound)]
-        samples = [alg.random_element(rng, bound) for _ in range(20)]
-        samples += [alg.multiply(z, alg.gen(i, j, bound - z.degree()))
-                    for z in squares if z.degree() < bound
-                    for i in range(1, alg.shape.size + 1)
-                    for j in range(1, alg.shape.size + 1)]
-        for x in samples:
-            assert q1.reduce(x) == q2.reduce(x)
-
-
 def _direct_rows(alg, tab, bound, two_sided):
     """The ideal rows straightened from scratch: multiply(mono(a), z), then
-    times mono(b) on the two-sided path, in build_quotient's order."""
+    times mono(b) for the two-sided rows a * z * b that span J_bound by
+    definition, in build_quotient's order."""
     monos = alg.pbw_monomials(bound)
     upto = {d: [w for w in monos if word_degree(w) <= d]
             for d in range(bound + 1)}
@@ -197,6 +166,84 @@ def _direct_rows(alg, tab, bound, two_sided):
             rows += [alg.multiply(left, mono(wb))
                      for wb in upto[room - word_degree(wa)]]
     return rows
+
+
+def _two_sided_echelon(alg, tab, bound, index):
+    """The reference echelon of J_bound, from the two-sided rows."""
+    ech = BitEchelon()
+    for row in _direct_rows(alg, tab, bound, two_sided=True):
+        ech.add(words_row(row.words, index, bound))
+    return ech
+
+
+@pytest.mark.parametrize("fixture, top", [("setup11", 5), ("setup21", 4)])
+def test_one_sided_ideal_matches_two_sided(request, fixture, top):
+    """The one-sided quotient reduces every element as the two-sided
+    reference echelon does: one span, one set of pivots."""
+    alg, tab = request.getfixturevalue(fixture)
+    rng = random.Random(top)
+    # odd squares start at degree 2; below that the ideal has no rows at all
+    for bound in range(2, top + 1):
+        q = build_quotient(alg, bound, tab)
+        ref = _two_sided_echelon(alg, tab, bound, q.index)
+        assert q.certificate_ok and q.noncentral is None
+        assert q.ideal_rank == ref.rank
+        assert set(q.echelon.pivots) == set(ref.pivots)
+        squares = [sq.element for sq in p_center_squares(tab, bound)]
+        samples = [alg.random_element(rng, bound) for _ in range(20)]
+        samples += [alg.multiply(z, alg.gen(i, j, bound - z.degree()))
+                    for z in squares if z.degree() < bound
+                    for i in range(1, alg.shape.size + 1)
+                    for j in range(1, alg.shape.size + 1)]
+        for x in samples:
+            assert q.residue(x) == ref.reduce(q.to_vector(x))
+
+
+def test_noncentral_odd_square_fails_the_certificate(setup11, monkeypatch):
+    """An odd square that is not central fails certificate_ok even where
+    the dimension count matches, and the dimension check names it."""
+    alg, tab = setup11
+    real = centers.p_center_squares
+
+    def broken(tab, bound):
+        squares = real(tab, bound)
+        k = next(k for k, sq in enumerate(squares) if sq.parity == 1)
+        squares[k] = dataclasses.replace(
+            squares[k], element=squares[k].element + alg.gen(1, 2, 1))
+        return squares
+
+    monkeypatch.setattr(centers, "p_center_squares", broken)
+    # at bound 2 the squares fill the bound and nothing is left to test
+    assert build_quotient(alg, 2, tab).certificate_ok
+    for bound in (3, 4):
+        q = build_quotient(alg, bound, tab)
+        assert q.dim_super == q.expected_super
+        assert not q.certificate_ok
+        assert q.noncentral == "(e[1,2]^(1))^2"
+        (check,) = quotient_report(q).checks
+        assert not check.ok
+        assert check.witness == "(e[1,2]^(1))^2 is not central"
+
+
+def test_failing_centrality_names_the_full_scan_witness():
+    """With c^(r) broken by t[3,3,1], centrality_report names the witnesses
+    of a scan of every t[i,j,s] in (s, i, j) order: the payload equals the
+    one with every letter as the generating set.  The first letter that
+    t[3,3,1] fails to commute with is t[1,3,1], which is not in S."""
+    def payload(every_letter):
+        alg = RTTAlgebra(Shape(2, 1, 4))
+        table = build_center_table(build_table(alg, 4))
+        table.c = [c + alg.gen(3, 3, 1) if r else c
+                   for r, c in enumerate(table.c)]
+        if every_letter:
+            for top in range(5):
+                alg._lie_generators[top] = tuple(alg.generators(top))
+        return centrality_report(table, 4, 4, 4).to_payload()
+
+    got = payload(False)
+    assert got == payload(True)
+    # c^(4) + t[3,3,1] has degree 4 and leaves no budget to test
+    assert got["totals"]["by_id"]["central-c"]["failures"] == 3
 
 
 def _logged_build(monkeypatch, alg, tab, bound):
@@ -223,17 +270,19 @@ def _logged_build(monkeypatch, alg, tab, bound):
 def test_tree_rows_match_direct_products(monkeypatch, m, n, cap, order,
                                          bounds, two_sided):
     """Each row a * z built as g * (a' * z) along the PBW order is the
-    product multiply(mono(a), z) straightened from scratch, row for row."""
+    product multiply(mono(a), z) straightened from scratch, row for row;
+    and those rows span the two-sided rows a * z * b."""
     alg = RTTAlgebra(Shape(m, n, cap))
     tab = build_table(alg, order)
-    if two_sided:
-        _fail_centrality(monkeypatch)
     for bound in bounds:
         q, logged = _logged_build(monkeypatch, alg, tab, bound)
-        assert q.path == ("two-sided" if two_sided else "one-sided")
         want = [words_row(row.words, q.index, bound)
                 for row in _direct_rows(alg, tab, bound, two_sided)]
-        assert logged == want, bound
+        if two_sided:
+            assert rank_of(want) == q.ideal_rank, bound
+            assert not any(map(q.echelon.reduce, want)), bound
+        else:
+            assert logged == want, bound
 
 
 def test_tree_rows_straighten_less():

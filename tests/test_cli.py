@@ -292,3 +292,44 @@ def test_module_invocation_smoke():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "verify" in proc.stdout
+
+
+# every command, each with the L and K where it documents a usage error
+SWEEP_COMMANDS = [
+    # the expression has degree 2, past a cap of 1
+    pytest.param(["nf", "t[2,1,1]*t[1,2,1]"], lambda cap, order: cap < 2,
+                 id="nf"),
+    pytest.param(["gauss"], None, id="gauss"),
+    pytest.param(["verify", "drinfeld"], None, id="verify-drinfeld"),
+    pytest.param(["verify", "centers"], None, id="verify-centers"),
+    pytest.param(["verify", "classical"], None, id="verify-classical"),
+    pytest.param(["pbw"], None, id="pbw"),
+    pytest.param(["pbw", "--super"], None, id="pbw-super"),
+    pytest.param(["quotient-dim"], None, id="quotient-dim"),
+    pytest.param(["fuzz", "--samples", "5"], None, id="fuzz"),
+]
+
+
+@pytest.mark.parametrize("command, usage", SWEEP_COMMANDS)
+def test_every_command_at_small_shapes(tmp_path, capsys, command, usage):
+    """Each command at (1,1), (2,1) and (1,2), L = 1..3 and every
+    L // 2 <= K <= L, exits 0, or 2 with one error line where it
+    documents a usage error."""
+    unexpected = []
+    for m, n in [(1, 1), (2, 1), (1, 2)]:
+        for cap in range(1, 4):
+            for order in range(cap // 2, cap + 1):
+                out = tmp_path / f"{m}-{n}-{cap}-{order}.json"
+                code = cli.main(["--m", str(m), "--n", str(n),
+                                 "-L", str(cap), "-K", str(order),
+                                 "--out", str(out), *command])
+                err = capsys.readouterr().err.splitlines()
+                refused = usage is not None and usage(cap, order)
+                if refused:
+                    ok = (code == 2 and not out.exists() and len(err) == 1
+                          and err[0].startswith("error:"))
+                else:
+                    ok = code == 0 and out.exists()
+                if not ok:
+                    unexpected.append((m, n, cap, order, code, err[-1:]))
+    assert not unexpected

@@ -4,16 +4,15 @@ import random
 
 import pytest
 
-from yangian2 import cli, current
+from yangian2 import cli, rtt
 from yangian2.current import (CurrentAlgebra, adjoint_rows, adjoint_sites,
-                              block_rank, certified_lie_generators,
-                              classical_suite, first_noncentral,
+                              block_rank, classical_suite,
                               invariants_dimension, jacobi_failures,
                               random_lie_element, s_adjoint, sample_triples,
                               word_grade)
 from yangian2.linalg import BitEchelon, rank_of
-from yangian2.rtt import (Element, RTTAlgebra, Shape, merge_product, pack,
-                         unpack)
+from yangian2.rtt import (Element, RTTAlgebra, Shape, certified_lie_generators,
+                          merge_product, pack, unpack)
 
 
 @pytest.fixture(scope="module")
@@ -604,19 +603,20 @@ def test_lie_generators_span(m, n, trunc):
 
 def test_lie_generators_certified_lazily_once(monkeypatch):
     calls = []
-    real = current.certified_lie_generators
+    real = rtt.certified_lie_generators
 
-    def spy(alg, gens):
+    def spy(alg, gens, top):
         calls.append(alg)
-        return real(alg, gens)
+        return real(alg, gens, top)
 
-    monkeypatch.setattr(current, "certified_lie_generators", spy)
+    monkeypatch.setattr(rtt, "certified_lie_generators", spy)
     alg = CurrentAlgebra(2, 2, 6)
-    assert alg._lie_generators is None and not calls
+    assert alg._lie_generators == {} and not calls
     first = alg.lie_generators()
     for d in range(3):
         invariants_dimension(alg, d)
     assert alg.lie_generators() is first
+    assert alg.lie_generators(5) is first
     assert calls == [alg]
 
 
@@ -627,21 +627,24 @@ def test_lie_generator_mutants_are_refused(m, n, trunc):
     gens = set(alg.lie_generators())
     # the top t-degree has trace, which no bracket has
     with pytest.raises(RuntimeError, match="generate a Lie subalgebra"):
-        certified_lie_generators(alg, gens - {pack(1, 1, trunc - 1)})
+        certified_lie_generators(alg, gens - {pack(1, 1, trunc - 1)},
+                                 trunc - 1)
     for i in range(1, m + n):
         for root in (pack(i, i + 1, 0), pack(i + 1, i, 0)):
             with pytest.raises(RuntimeError, match="generate a Lie subalgebra"):
-                certified_lie_generators(alg, gens - {root})
+                certified_lie_generators(alg, gens - {root}, trunc - 1)
     # any superset still certifies, and comes back sorted
-    assert certified_lie_generators(alg, alg.generators()[::-1]) == \
+    assert certified_lie_generators(alg, alg.generators()[::-1],
+                                    trunc - 1) == \
         tuple(alg.generators())
 
 
 def test_short_generating_set_exits_3(monkeypatch, tmp_path, capsys):
-    real = current.certified_lie_generators
+    real = rtt.certified_lie_generators
     monkeypatch.setattr(
-        current, "certified_lie_generators",
-        lambda alg, gens: real(alg, set(gens) - {pack(1, 1, alg.trunc - 1)}))
+        rtt, "certified_lie_generators",
+        lambda alg, gens, top: real(
+            alg, set(gens) - {pack(1, 1, alg.trunc - 1)}, top))
     out = tmp_path / "c.json"
     code = cli.main(["--m", "1", "--n", "1", "-L", "2", "-T", "3",
                      "--out", str(out), "verify", "classical"])
@@ -652,6 +655,11 @@ def test_short_generating_set_exits_3(monkeypatch, tmp_path, capsys):
 
 def _full_scan(alg, x, gen_elems):
     return next((g for g in gen_elems if alg.commutator(x, g)), None)
+
+
+def _every_letter_generates(alg):
+    """Make every letter the certified generating set of alg."""
+    alg._lie_generators[alg.superscripts[-1]] = tuple(alg.generators())
 
 
 @pytest.mark.parametrize("m,n,trunc", [(1, 1, 3), (2, 1, 3), (2, 2, 4)])
@@ -670,7 +678,7 @@ def test_centrality_witness_matches_full_scan(m, n, trunc):
     xs += [random_lie_element(alg, rng) for _ in range(5)]
     failing = 0
     for x in xs:
-        bad = first_noncentral(alg, x, gen_elems)
+        bad = alg.first_noncentral(x)
         ref = _full_scan(alg, x, gen_elems)
         assert bad == ref
         if ref is not None:
@@ -691,7 +699,7 @@ def test_failing_centrality_payload_matches_full_scan(monkeypatch):
     def payload(every_letter):
         alg = CurrentAlgebra(2, 1, 3)
         if every_letter:
-            alg._lie_generators = tuple(alg.generators())
+            _every_letter_generates(alg)
         return classical_suite(alg, seed=4, samples=3, pbw_degree=1,
                                invariants_degree=1).to_payload()
 
@@ -761,7 +769,7 @@ def test_invariants_over_lie_generators_match_all_letters(m, n, trunc, top):
                 block_rank(alg, alg.generators(), block)
         # the payload is the one of every letter as generator
         every = CurrentAlgebra(m, n, trunc)
-        every._lie_generators = tuple(every.generators())
+        _every_letter_generates(every)
         assert invariants_dimension(alg, degree).to_payload() == \
             invariants_dimension(every, degree).to_payload()
 

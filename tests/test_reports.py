@@ -35,7 +35,7 @@ def test_dimension_table(capsys):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()
             if line.split()[:1] and line.split()[0].isdigit()]
     assert len(rows) == sum(top + 1 for _, _, top in script.SHAPES)
-    assert all(row[-1] == "one-sided" for row in rows)
+    assert all(row[-1] == "True" for row in rows)
 
 
 # a seconds-long stand-in for the frontier ladder

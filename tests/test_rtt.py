@@ -7,8 +7,9 @@ from hypothesis import given, settings, strategies as st
 from yangian2 import RTTAlgebra, Shape
 from yangian2.current import CurrentAlgebra
 from yangian2.errors import DegreeCapError
-from yangian2.rtt import (Element, bounded_words, pack, unpack, word_degree,
-                          word_loop_degree)
+from yangian2.linalg import rank_of
+from yangian2.rtt import (Element, bounded_words, certified_lie_generators,
+                          pack, unpack, word_degree, word_loop_degree)
 
 from oracles import (count_full, count_super, gl_bracket_mod2,
                      naive_normal_form)
@@ -688,3 +689,116 @@ def test_multiply_over_the_cap_straightens_nothing():
         alg.multiply(x, y)
     assert not alg._nf_cache
     assert x.degree() == 3 and y.degree() == 2
+
+
+# -- centrality on a certified generating set ------------------------------------
+
+YANGIAN_GENERATOR_SHAPES = [(1, 1, 6), (2, 1, 6), (2, 2, 5), (3, 1, 5)]
+
+
+def _simple_roots(size, b):
+    return ({pack(i, i + 1, b) for i in range(1, size)}
+            | {pack(i + 1, i, b) for i in range(1, size)})
+
+
+def _yangian_closure_rank(alg, gens, top):
+    """Dimension of the span of the letters up to top reached from gens by
+    commutators with their superscript-1 members, by a walk apart from the
+    certificate's: Element commutators straightened by the engine (each
+    [t[i,j,1], y] with deg y < cap fits it) and rank_of."""
+    bit = {g: 1 << k for k, g in enumerate(alg.generators(top))}
+    elems = [alg.gen(*unpack(g)) for g in gens]
+    ones = [s for s in elems if s.degree() == 1]
+    span, frontier = list(elems), list(elems)
+    while frontier:
+        new = []
+        for y in frontier:
+            for s in ones:
+                z = alg.commutator(s, y)
+                assert z.is_lie()
+                vecs = [sum(bit[h] for (h,) in x.words) for x in span + [z]]
+                if rank_of(vecs) > len(span):
+                    span.append(z)
+                    new.append(z)
+        frontier = new
+    return len(span)
+
+
+@pytest.mark.parametrize("m, n, cap", YANGIAN_GENERATOR_SHAPES)
+def test_yangian_lie_generators_span(m, n, cap):
+    alg = RTTAlgebra(Shape(m, n, cap))
+    size = m + n
+    assert alg.lie_generators(0) == ()
+    for top in range(1, cap):
+        expected = {pack(1, 1, r) for r in range(1, top + 1)} | \
+            _simple_roots(size, 1)
+        gens = alg.lie_generators(top)
+        assert gens == tuple(sorted(expected))
+        assert len(gens) == 2 * (size - 1) + top
+        assert _yangian_closure_rank(alg, gens, top) == len(alg.generators(top))
+        assert alg.lie_generators(top) is gens
+    # the classical limit's set at b = t^0 and top = T - 1 is the same shape
+    cl = CurrentAlgebra(m, n, cap)
+    assert cl.lie_generators() == cl.lie_generators(cap - 1) == tuple(sorted(
+        {pack(1, 1, r) for r in range(cap)} | _simple_roots(size, 0)))
+
+
+@pytest.mark.parametrize("m, n, cap", YANGIAN_GENERATOR_SHAPES)
+def test_yangian_lie_generator_mutants_are_refused(m, n, cap):
+    alg = RTTAlgebra(Shape(m, n, cap))
+    for top in range(1, cap):
+        gens = set(alg.lie_generators(top))
+        with pytest.raises(RuntimeError, match="generate"):
+            certified_lie_generators(alg, gens - {pack(1, 1, top)}, top)
+        for root in _simple_roots(m + n, 1):
+            with pytest.raises(RuntimeError, match="generate"):
+                certified_lie_generators(alg, gens - {root}, top)
+
+
+@pytest.mark.parametrize("m, n, cap", YANGIAN_GENERATOR_SHAPES)
+def test_yangian_centrality_witness_matches_full_scan(m, n, cap):
+    """first_noncentral names the letter that a scan of every t[i,j,s] in
+    (s, i, j) order names first, including letters outside S_top and
+    where the first failing letter of S_top is another one."""
+    alg = RTTAlgebra(Shape(m, n, cap))
+    size = m + n
+    rng = random.Random(m + n + cap)
+    c1 = alg.normal_form([((i, i, 1),) for i in range(1, size + 1)])
+    xs = [alg.one(), c1, c1 * c1, alg.gen(1, 2, 1), alg.gen(2, 1, 2),
+          # commutes with t[1,1,1] and t[1,2,1]; fails t[1,3,1] at three
+          # or more rows, which is not in S
+          alg.gen(size, size, 1),
+          # fails t[1,1,2] first among S, but t[1,2,1] first in the scan
+          alg.gen(2, 2, 2),
+          c1 + alg.gen(size, 1, 1) * alg.gen(1, size, 1)]
+    xs += [alg.gen(i, j, 1) * alg.gen(i, j, 1)
+           for i in range(1, size + 1) for j in range(1, size + 1)
+           if alg.shape.parity(i, j)]
+    xs += [alg.random_element(rng, 3) for _ in range(6)]
+    failing = outside = other_than_s = 0
+    for x in xs:
+        for top in sorted({cap - x.degree(), (cap - x.degree()) // 2}):
+            bad = alg.first_noncentral(x, top)
+            scan = [alg.gen(i, j, s) for s in range(1, top + 1)
+                    for i in range(1, size + 1) for j in range(1, size + 1)]
+            ref = next((g for g in scan if alg.commutator(x, g)), None)
+            assert bad == ref, (x, top)
+            if ref is None:
+                continue
+            failing += 1
+            (word,) = ref.words
+            outside += word[0] not in alg.lie_generators(top)
+            first_s = next(s for s in alg.lie_generators(top)
+                           if alg.commutator(x, alg.gen(*unpack(s))))
+            other_than_s += first_s != word[0]
+    assert failing >= 5
+    assert other_than_s >= 1
+    assert outside >= (1 if size >= 3 else 0)
+
+
+def test_yangian_centrality_budget_zero_and_guard():
+    alg = RTTAlgebra(Shape(2, 1, 3))
+    x = alg.gen(1, 2, 3)
+    assert alg.first_noncentral(x, 0) is None
+    with pytest.raises(DegreeCapError, match="centrality budget 1"):
+        alg.first_noncentral(x, 1)
