@@ -39,9 +39,13 @@ ROWS = [
      ["verify", "centers"]),
     ("centers-2-1-L7", ["--m", "2", "--n", "1", "-L", "7", "-K", "7"],
      ["verify", "centers"]),
+    ("centers-2-2-L6", ["--m", "2", "--n", "2", "-L", "6", "-K", "6"],
+     ["verify", "centers"]),
     ("drinfeld-2-2-L7", ["--m", "2", "--n", "2", "-L", "7", "-K", "7"],
      ["verify", "drinfeld"]),
     ("drinfeld-3-1-L7", ["--m", "3", "--n", "1", "-L", "7", "-K", "7"],
+     ["verify", "drinfeld"]),
+    ("drinfeld-2-2-L8", ["--m", "2", "--n", "2", "-L", "8", "-K", "8"],
      ["verify", "drinfeld"]),
     ("classical-2-2-L4-T8", ["--m", "2", "--n", "2", "-L", "4", "-T", "8"],
      ["verify", "classical"]),

@@ -63,7 +63,7 @@ from .drinfeld import DrinfeldTable, generator_params
 from .errors import DegreeCapError
 from .linalg import BitEchelon, words_row
 from .report import Report
-from .rtt import (Element, RTTAlgebra, bounded_words, pack,
+from .rtt import (Element, RTTAlgebra, bounded_words, pack, product_rank,
                   repeats_nilsquare, word_degree, word_loop_degree)
 from .series import YSeries, series_mul, series_shift
 
@@ -294,7 +294,7 @@ def independence_check(gens: list[tuple[str, Element]], bound: int,
     """Linear independence of all products of the given elements up to bound.
 
     Products are formed in the listed order with multiplicities, along
-    shared prefixes (rtt.bounded_words), and the dependent ones are named by
+    shared prefixes (rtt.product_rank), and the dependent ones are named by
     their exponent vectors in that order; when a quotient model is supplied
     the products are reduced first, realising the freeness statement inside
     the quotient.
@@ -321,24 +321,15 @@ def independence_check(gens: list[tuple[str, Element]], bound: int,
     else:
         index = quotient.index
 
-    def times(prod: tuple, k: int) -> tuple:
-        element, exponents = prod
-        bumped = exponents[:k] + (exponents[k] + 1,) + exponents[k + 1:]
-        return alg.multiply(element, gens[k][1]), bumped
-
-    ech = BitEchelon()
-    count = 0
-    dependents = []
-    for (element, exponents), _ in bounded_words(
-            range(len(gens)), degrees, bound, fold=times,
-            one=(alg.one(), (0,) * len(gens))):
-        count += 1
+    def row(element: Element) -> int:
         if quotient is not None:
             element = quotient.reduce(element)
-        if ech.add(words_row(element.words, index, bound)) == 0:
-            dependents.append(exponents)
+        return words_row(element.words, index, bound)
+
+    count, rank, dependents = product_rank(
+        alg, [el for _, el in gens], degrees, bound, row)
     ok = not dependents
-    report.add("rank", {"products": count, "rank": ech.rank}, ok,
+    report.add("rank", {"products": count, "rank": rank}, ok,
                witness=None if ok else f"dependent exponents: {dependents[:5]}")
     return report
 
@@ -432,26 +423,20 @@ def freeness_shadow_report(centers: CenterTable, quotient: QuotientModel,
 
     count = graded_basis_count(quotient, factors)
     if count is not None:
-        rank, dependent = count, 0
+        rank, dependent = count, []
     else:
         values, degrees, tops = zip(*factors)
-        ech = BitEchelon()
-        count = dependent = 0
-        for prod, _ in bounded_words(values, degrees, bound, tops,
-                                     alg.multiply, alg.one()):
-            count += 1
-            if ech.add(quotient.residue(prod)) == 0:
-                dependent += 1
-        rank = ech.rank
+        count, rank, dependent = product_rank(alg, values, degrees, bound,
+                                              quotient.residue, tops)
 
     report = Report("freeness-shadow",
                     config={"m": alg.shape.m, "n": alg.shape.n,
                             "bound": bound, "flavour": flavour})
-    ok = dependent == 0 and count == rank == quotient.dim_super
+    ok = not dependent and count == rank == quotient.dim_super
     report.add("basis", {"products": count, "rank": rank,
                          "dim_super": quotient.dim_super, "flavour": flavour},
                ok,
-               witness=None if ok else f"{dependent} dependent products")
+               witness=None if ok else f"{len(dependent)} dependent products")
     return report
 
 

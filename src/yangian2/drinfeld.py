@@ -18,28 +18,31 @@ canonical degree of every product in an instance: quadratic families
 enumerate r+s <= budget, cubic ones r+s+t <= budget, the quartic ones
 r+s+2 <= budget.
 
-Seven f-side families mirror the e-side family before them.  The
-transposition tau: t_ij(u) -> t_ji(u) is an anti-automorphism of the
-Yangian (``RTTAlgebra.transpose``), and over GF(2) [x, y] = xy + yx =
-[y, x], so tau[x, y] = [tau y, tau x] = [tau x, tau y].  On a table
-where tau fixes every d_i^(r) and sends e_i^(r) to f_i^(r)
-(``transpose_symmetric``), tau sends the residual of each e-side family
-to that of its f-side twin at the same parameters:
-  - D3 -> D4: [d, e] + sum d^(t) e goes to [d, f] + sum f d^(t);
-  - D8 -> D9: the two brackets go to theirs, e_j^(r) e_(j+1)^(s) to
-    f_(j+1)^(s) f_j^(r);
+Seven f-side families are transposes of the e-side family before them.
+The transposition tau: t_ij(u) -> t_ji(u) is an involutive
+anti-automorphism of the Yangian (``RTTAlgebra.transpose``), and over
+GF(2) [x, y] = xy + yx = [y, x], so tau[x, y] = [tau y, tau x] =
+[tau x, tau y].  Let tau T be the table with d_i^(r) -> tau(d_i^(r)) and
+e_i^(r) -> tau(f_i^(r)) (``transposed_table``).  For every table T, tau
+sends the residual of each e-side family on tau T to that of its f-side
+twin on T at the same parameters:
+  - D3 -> D4: [tau d, tau f] + sum tau d^(t) tau f goes to
+    [d, f] + sum f d^(t);
+  - D8 -> D9: the two brackets go to theirs, and the product
+    tau f_j^(r) tau f_(j+1)^(s) to f_(j+1)^(s) f_j^(r);
   - D10 -> D11, D12 -> D13, D14 -> D15, D16 -> D17: brackets and nested
     brackets alone, term by term;
   - D6 -> D7 needs one reindexing.  With n = r+s-1 and
-    P_k = sum_{t=1}^{k-1} x^(t) x^(n-t), tau(e^(t) e^(n-t)) = f^(n-t) f^(t),
-    so tau(P_k) = P_n + P_(n-k+1) on the f side, and
+    P_k = sum_{t=1}^{k-1} x^(t) x^(n-t), tau(e^(t) e^(n-t)) = f^(n-t) f^(t)
+    for e = tau f, so tau(P_k) = P_n + P_(n-k+1) on the f side, and
     tau(P_s + P_r) = P_(n-s+1) + P_(n-r+1) = P_r + P_s mod 2.
 D1, D2 and D5 have no twin: D5's right-hand side goes to
-sum d_(i+1)^(t) d'_i^(n-t), which is not term by term its own.  Each twin
-comes just before its mirror in ``ALL_FAMILIES``, with the same parameters
-in the same order, so ``verify_drinfeld_relations`` keeps one family's
-residuals and reports their transposes for the next; it checks the table
-first, and a table that fails the check is verified family by family.
+sum d_(i+1)^(t) d'_i^(n-t), which is not term by term its own.  No f-side
+family has code of its own: ``verify_drinfeld_relations`` reports the
+transposes of its twin's residuals on tau T.  The Gauss table is its own
+tau T, and each twin comes just before its f-side family in
+``ALL_FAMILIES``, so a twin chosen too has its residuals kept and
+transposed instead of formed again on the same table.
 """
 
 from __future__ import annotations
@@ -47,9 +50,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DegreeCapError
-from .linalg import BitEchelon, words_row
+from .linalg import words_row
 from .report import Report
-from .rtt import Element, RTTAlgebra, bounded_words
+from .rtt import Element, RTTAlgebra, product_rank
 from .series import YMatrix, YSeries, gauss_decompose, t_matrix
 
 RELATION_TEXT = {
@@ -193,24 +196,26 @@ def _superscript_pairs(budget: int):
 
 
 def _relation_instances(tab: DrinfeldTable, family: str, budget: int):
-    """Yield (params, residual_element) for every valid instance of a family.
+    """Yield (params, residual_element) for every valid instance of one of
+    D1, D2, D3, D5, D6, D8, D10, D12, D14 and D16.  An f-side family has no
+    instances of its own (see the module docstring) and raises ValueError.
 
     Each bracket and each product of a family is formed once.  Brackets go
     through one memo for the family, keyed on the unordered operand pair
     since xy + yx = yx + xy: D2 meets [d_j^s, d_i^r] after [d_i^r, d_j^s],
-    D8/D9 and the nested families meet inner brackets in several instances.
+    D8 and the nested families meet inner brackets in several instances.
     Right-hand sides are running sums within each index block, relying on
     the pairs (r, s) coming with r ascending:
-      - D3/D4: the sum at (r, s) is the one at (r-1, s+1), of the same
+      - D3: the sum at (r, s) is the one at (r-1, s+1), of the same
         n = r+s-1, plus its term t = r-1;
       - D5: the sum depends on r+s alone;
-      - D6/D7: both sums are prefixes, over t >= 1, of one list per n.
+      - D6: both sums are prefixes, over t >= 1, of one list per n.
     The memo dies with the generator: a run-wide one costs peak memory.
     """
     alg = tab.alg
     size = alg.shape.size
     n_ef = size - 1
-    mul = alg.multiply
+    mul, e = alg.multiply, tab.e_simple
     brackets: dict = {}
 
     def com(x: Element, y: Element) -> Element:
@@ -236,22 +241,16 @@ def _relation_instances(tab: DrinfeldTable, family: str, budget: int):
                     yield ({"i": i, "j": j, "r": r, "s": s},
                            com(tab.d[i][r], tab.d[j][s]))
 
-    elif family in ("D3", "D4"):
+    elif family == "D3":
         for i in range(1, size + 1):
             for j in range(1, n_ef + 1):
                 sums: dict = {}     # n -> sum over t < r of the n-th rhs
                 for r, s in _superscript_pairs(budget):
-                    if family == "D3":
-                        lhs = com(tab.d[i][r], tab.e_simple(j, s))
-                    else:
-                        lhs = com(tab.d[i][r], tab.f_simple(j, s))
+                    lhs = com(tab.d[i][r], e(j, s))
                     rhs = alg.zero()
                     if i == j or i == j + 1:
-                        # the new term t = r-1 has e/f superscript s
-                        if family == "D3":
-                            term = mul(tab.d[i][r - 1], tab.e_simple(j, s))
-                        else:
-                            term = mul(tab.f_simple(j, s), tab.d[i][r - 1])
+                        # the new term t = r-1 has e superscript s
+                        term = mul(tab.d[i][r - 1], e(j, s))
                         n = r + s - 1
                         rhs = sums[n] = sums.get(n, alg.zero()) + term
                     yield {"i": i, "j": j, "r": r, "s": s}, lhs + rhs
@@ -261,7 +260,7 @@ def _relation_instances(tab: DrinfeldTable, family: str, budget: int):
             for j in range(1, n_ef + 1):
                 sums = {}           # r+s -> the rhs
                 for r, s in _superscript_pairs(budget):
-                    lhs = com(tab.e_simple(i, r), tab.f_simple(j, s))
+                    lhs = com(e(i, r), tab.f_simple(j, s))
                     rhs = alg.zero()
                     if i == j:
                         rhs = sums.get(r + s)
@@ -273,46 +272,39 @@ def _relation_instances(tab: DrinfeldTable, family: str, budget: int):
                             sums[r + s] = rhs
                     yield {"i": i, "j": j, "r": r, "s": s}, lhs + rhs
 
-    elif family in ("D6", "D7"):
-        pick = tab.e_simple if family == "D6" else tab.f_simple
+    elif family == "D6":
         for j in range(1, n_ef + 1):
-            # n -> [P_1, P_2, ...] with P_k = sum_{t=1}^{k-1} x^(t) x^(n-t)
+            # n -> [P_1, P_2, ...] with P_k = sum_{t=1}^{k-1} e^(t) e^(n-t)
             prefixes: dict = {}
             for r, s in _superscript_pairs(budget):
-                lhs = com(pick(j, r), pick(j, s))
+                lhs = com(e(j, r), e(j, s))
                 n = r + s - 1
                 sums = prefixes.setdefault(n, [alg.zero()])
                 while len(sums) < max(r, s):
                     t = len(sums)
-                    sums.append(sums[-1] + mul(pick(j, t), pick(j, n - t)))
+                    sums.append(sums[-1] + mul(e(j, t), e(j, n - t)))
                 yield {"j": j, "r": r, "s": s}, lhs + sums[s - 1] + sums[r - 1]
 
-    elif family in ("D8", "D9"):
-        pick = tab.e_simple if family == "D8" else tab.f_simple
+    elif family == "D8":
         for j in range(1, n_ef):
             for r in range(1, budget):
                 for s in range(1, budget - r):
                     # highest term degree is r + s + 1
-                    lhs = (com(pick(j, r + 1), pick(j + 1, s))
-                           + com(pick(j, r), pick(j + 1, s + 1)))
-                    if family == "D8":
-                        rhs = mul(pick(j, r), pick(j + 1, s))
-                    else:
-                        rhs = mul(pick(j + 1, s), pick(j, r))
+                    lhs = (com(e(j, r + 1), e(j + 1, s))
+                           + com(e(j, r), e(j + 1, s + 1)))
+                    rhs = mul(e(j, r), e(j + 1, s))
                     yield {"j": j, "r": r, "s": s}, lhs + rhs
 
-    elif family in ("D10", "D11"):
-        pick = tab.e_simple if family == "D10" else tab.f_simple
+    elif family == "D10":
         for i in range(1, n_ef + 1):
             for j in range(1, n_ef + 1):
                 if abs(i - j) <= 1:
                     continue
                 for r, s in _superscript_pairs(budget):
                     yield ({"i": i, "j": j, "r": r, "s": s},
-                           com(pick(i, r), pick(j, s)))
+                           com(e(i, r), e(j, s)))
 
-    elif family in ("D12", "D13"):
-        pick = tab.e_simple if family == "D12" else tab.f_simple
+    elif family == "D12":
         for i in range(1, n_ef + 1):
             for j in range(1, n_ef + 1):
                 if abs(i - j) != 1:
@@ -320,62 +312,70 @@ def _relation_instances(tab: DrinfeldTable, family: str, budget: int):
                 for r in range(1, budget - 1):
                     for s in range(1, budget - r):
                         for t in range(1, budget - r - s + 1):
-                            res = (com(com(pick(i, r), pick(j, s)),
-                                       pick(j, t))
-                                   + com(com(pick(i, r), pick(j, t)),
-                                         pick(j, s)))
+                            res = (com(com(e(i, r), e(j, s)), e(j, t))
+                                   + com(com(e(i, r), e(j, t)), e(j, s)))
                             yield {"i": i, "j": j, "r": r, "s": s, "t": t}, res
 
-    elif family in ("D14", "D15"):
-        pick = tab.e_simple if family == "D14" else tab.f_simple
+    elif family == "D14":
         for i in range(1, n_ef + 1):
             for j in range(1, n_ef + 1):
                 if abs(i - j) != 1:
                     continue
                 for t in range(1, (budget - 1) // 2 + 1):
                     for r in range(1, budget - 2 * t + 1):
-                        res = com(com(pick(i, r), pick(j, t)), pick(j, t))
+                        res = com(com(e(i, r), e(j, t)), e(j, t))
                         yield {"i": i, "j": j, "r": r, "t": t}, res
 
-    elif family in ("D16", "D17"):
-        pick = tab.e_simple if family == "D16" else tab.f_simple
+    elif family == "D16":
         for i in range(2, n_ef):
             for r in range(1, budget - 2):
                 for s in range(1, budget - r - 1):
-                    inner_left = com(pick(i - 1, r), pick(i, 1))
-                    inner_right = com(pick(i, 1), pick(i + 1, s))
+                    inner_left = com(e(i - 1, r), e(i, 1))
+                    inner_right = com(e(i, 1), e(i + 1, s))
                     yield ({"i": i, "r": r, "s": s},
                            com(inner_left, inner_right))
 
     else:
-        raise ValueError(f"unknown relation family {family}")
+        raise ValueError(f"family {family} has no instances of its own")
 
 
-def transpose_symmetric(tab: DrinfeldTable, budget: int) -> bool:
-    """Whether tau fixes d_i^(r) and sends e_(i,i+1)^(r) to f_(i+1,i)^(r)
-    for every r < budget in the table: the entries the mirrored families
-    read (D4 reads d_i^(0), D7 f^(budget-1)).  d_i^(budget) is not read."""
+def transposed_table(tab: DrinfeldTable, budget: int) -> DrinfeldTable:
+    """tau T: d_i^(r) -> tau(d_i^(r)) and e_(i,i+1)^(r) -> tau(f_(i+1,i)^(r))
+    for every r < budget in the table, the entries the e-side twins read
+    (D3 reads d_i^(0), D6 e^(budget-1)); tab itself when tau fixes every
+    one of them.  d_i^(budget) is not read."""
     alg = tab.alg
     top = min(budget - 1, tab.order)
-    return (all(alg.transpose(by_r[r]) == by_r[r]
-                for by_r in tab.d.values() for r in range(top + 1))
-            and all(alg.transpose(tab.e_simple(i, r)) == tab.f_simple(i, r)
-                    for i in range(1, alg.shape.size)
-                    for r in range(1, top + 1)))
+    d = {i: {r: by_r[r] for r in range(top + 1)} for i, by_r in tab.d.items()}
+    e = {(i, i + 1): {r: tab.e_simple(i, r) for r in range(1, top + 1)}
+         for i in range(1, alg.shape.size)}
+    tau = DrinfeldTable(
+        alg, tab.order,
+        d={i: {r: alg.transpose(x) for r, x in by_r.items()}
+           for i, by_r in d.items()},
+        e={(i, j): {r: alg.transpose(tab.f[(j, i)][r]) for r in by_r}
+           for (i, j), by_r in e.items()})
+    return tab if (tau.d, tau.e) == (d, e) else tau
 
 
 def verify_drinfeld_relations(tab: DrinfeldTable, budget: int,
                               families=None) -> Report:
     """Evaluate every relation instance within the degree budget.
 
-    An f-side family whose e-side twin is also chosen reports the
-    transposes of the twin's residuals, instance by instance, when the
-    table is transpose-symmetric up to the budget (see the module
-    docstring); every other family, and every family of a table that is
-    not, forms its own brackets and products.  Both give the same report.
+    An f-side family reports, instance by instance, the transposes of its
+    e-side twin's residuals on the transposed table (see the module
+    docstring).  When that table is tab and the twin is chosen too, the
+    twin's own residuals are kept and transposed instead of formed again.
     Vacuous families (no valid instance) are reported explicitly so the
-    per-family counts always cover D1..D17.
+    per-family counts always cover D1..D17.  Unknown family names, or a
+    bare string in place of a collection, raise ValueError.
     """
+    if isinstance(families, str):
+        raise ValueError(f"families must be a collection of names, "
+                         f"not the string {families!r}")
+    unknown = sorted(set(families or ()) - set(ALL_FAMILIES))
+    if unknown:
+        raise ValueError(f"unknown relation families {unknown}")
     chosen = ALL_FAMILIES if families is None else tuple(
         f for f in ALL_FAMILIES if f in set(families))
     shape = tab.alg.shape
@@ -393,23 +393,26 @@ def verify_drinfeld_relations(tab: DrinfeldTable, budget: int,
                     config={"m": shape.m, "n": shape.n, "cap": shape.cap,
                             "order": tab.order, "budget": budget,
                             "families": list(chosen)})
-    mirrored = {f for f in chosen if TWINS.get(f) in chosen}
-    if mirrored and not transpose_symmetric(tab, budget):
-        mirrored = set()
-    twins = {TWINS[f] for f in mirrored}
+    f_side = [f for f in chosen if f in TWINS]
+    tau_tab = transposed_table(tab, budget) if f_side else None
+    reused = {TWINS[f] for f in f_side
+              if tau_tab is tab and TWINS[f] in chosen}
     transpose = tab.alg.transpose
     kept: list = []     # the (params, residual) pairs of the last twin
     for family in chosen:
-        if family in mirrored:
-            instances = ((dict(params), transpose(residual))
-                         for params, residual in kept)
-        else:
+        twin = TWINS.get(family)
+        if twin is None:
             instances = _relation_instances(tab, family, budget)
+        else:
+            source = (kept if twin in reused
+                      else _relation_instances(tau_tab, twin, budget))
+            instances = ((dict(params), transpose(residual))
+                         for params, residual in source)
         kept = []
         count = 0
         for params, residual in instances:
             count += 1
-            if family in twins:
+            if family in reused:
                 kept.append((params, residual))
             ok = not residual
             report.add(family, params, ok,
@@ -469,38 +472,27 @@ def drinfeld_pbw_check(tab: DrinfeldTable, bound: int,
                 f"pbw check at bound {bound} needs every root family up to "
                 f"superscript {bound}; raise the cap to at least {bound + 1}")
 
-    # Drinfeld generators with their symbols (kind, a, b, r)
-    factors = [((kind, a, b, r), value)
-               for kind, a, b, r, value in tab.generators(bound)]
-
-    def times(prod: tuple, factor: tuple) -> tuple:
-        element, mono = prod
-        sym, value = factor
-        return alg.multiply(element, value), mono + (sym,)
-
+    gens = list(tab.generators(bound))
     caps = [1 if super_only and shape.parity(a, b) else bound
-            for (_, a, b, _), _ in factors]
+            for _, a, b, _, _ in gens]
     basis = alg.pbw_monomials(bound)
     index = {w: k for k, w in enumerate(basis)}
-    ech = BitEchelon()
-    count = 0
-    dependent = []
-    for (element, mono), _ in bounded_words(
-            factors, [sym[3] for sym, _ in factors], bound, caps, times,
-            (alg.one(), ())):
-        count += 1
-        if ech.add(words_row(element.words, index, bound)) == 0:
-            dependent.append(mono)
+    count, rank, dependent = product_rank(
+        alg, [g[4] for g in gens], [g[3] for g in gens], bound,
+        lambda x: words_row(x.words, index, bound), caps)
+    # the first dependent monomials, each as its symbols (kind, a, b, r)
+    named = [tuple(g[:4] for g, e in zip(gens, exponents) for _ in range(e))
+             for exponents in dependent[:3]]
 
     report = Report("drinfeld-pbw",
                     config={"m": shape.m, "n": shape.n, "bound": bound,
                             "super": super_only})
-    rank_ok = ech.rank == count
-    report.add("rank", {"monomials": count, "rank": ech.rank,
+    rank_ok = rank == count
+    report.add("rank", {"monomials": count, "rank": rank,
                         "dim_full": len(basis)},
                rank_ok,
-               witness=None if rank_ok else f"dependent: {dependent[:3]}")
+               witness=None if rank_ok else f"dependent: {named}")
     if not super_only:
-        report.add("rank-equals-dim", {"rank": ech.rank, "dim": len(basis)},
-                   ech.rank == len(basis))
+        report.add("rank-equals-dim", {"rank": rank, "dim": len(basis)},
+                   rank == len(basis))
     return report

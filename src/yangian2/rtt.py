@@ -86,6 +86,7 @@ from dataclasses import dataclass
 from functools import reduce
 
 from .errors import DegreeCapError
+from .linalg import BitEchelon
 from .report import Report
 
 
@@ -428,6 +429,29 @@ class Shape:
                          if self.parity(g >> 16, (g >> 8) & 0xFF))
 
 
+def product_rank(alg, values, degrees, bound: int, row, max_mult=None):
+    """Rank the products of values that bounded_words forms up to bound,
+    with the same degrees and max_mult, as the bitmask rows row(product).
+
+    Returns the product count, their GF(2) rank and the exponent vectors
+    of the products that depend on earlier ones, in walk order.
+    """
+    def times(prod: tuple, k: int) -> tuple:
+        element, exponents = prod
+        bumped = exponents[:k] + (exponents[k] + 1,) + exponents[k + 1:]
+        return alg.multiply(element, values[k]), bumped
+
+    ech = BitEchelon()
+    dependent = []
+    for (element, exponents), _ in bounded_words(
+            range(len(values)), degrees, bound, max_mult, times,
+            (alg.one(), (0,) * len(values))):
+        if ech.add(row(element)) == 0:
+            dependent.append(exponents)
+    # every product either raised the rank or was dependent
+    return ech.rank + len(dependent), ech.rank, dependent
+
+
 class Element:
     """Normal-form element of either algebra: a frozenset of ordered words
     over GF(2), rendered by its algebra."""
@@ -459,9 +483,20 @@ class Element:
         return self.alg.multiply(self, other)
 
     def __pow__(self, k: int) -> "Element":
+        """x^k, one factor at a time.  x^0 = 1, and 0 and 1 are their own
+        powers; any other x has positive degree, so in the Yangian each
+        factor raises the top degree and the cap ends a huge k within
+        cap + 1 products."""
         if k < 0:
             raise ValueError("negative powers are not defined")
-        return self.alg.product(*[self] * k)
+        if k == 0:
+            return self.alg.one()
+        if not self or self == self.alg.one():
+            return self
+        out = self
+        for _ in range(k - 1):
+            out = self.alg.multiply(out, self)
+        return out
 
     def degree(self) -> int:
         if self._degree is None:

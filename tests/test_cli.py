@@ -66,6 +66,21 @@ def test_nf_deep_word(tmp_path, capsys):
     assert "*".join(["t[1,2,1]"] * 32 + ["t[2,2,1]"] * 32) in out
 
 
+@pytest.mark.parametrize("base, code, shown", [
+    ("t[1,1,1]", 2, "error: product term t[1,1,1]*t[1,1,1]*t[1,1,1]*t[1,1,1] "
+                    "has degree 4 > cap 3"),
+    ("1", 0, "1"),
+    ("0", 0, "0"),
+])
+def test_nf_huge_power(tmp_path, capsys, base, code, shown):
+    """A 20-digit exponent multiplies one factor at a time: the cap stops a
+    generator at its fourth factor, and 0 and 1 return at once."""
+    got, _ = run(["-L", "3", "nf", f"{base}^10000000000000000000"], tmp_path)
+    assert got == code
+    captured = capsys.readouterr()
+    assert shown in (captured.err if code else captured.out).splitlines()
+
+
 def test_superscript_beyond_packing_width(tmp_path, capsys):
     code, _ = run(["-L", "300", "nf", "t[1,1,256]"], tmp_path)
     assert code == 2

@@ -6,8 +6,9 @@ from yangian2 import drinfeld
 from yangian2.drinfeld import (ALL_FAMILIES, RELATION_TEXT, TWINS,
                                _relation_instances, drinfeld_generators,
                                drinfeld_pbw_check, higher_roots,
-                               transpose_symmetric, verify_drinfeld_relations,
+                               transposed_table, verify_drinfeld_relations,
                                verify_odd_square_relations)
+from yangian2.report import Report
 
 
 @pytest.fixture(scope="module")
@@ -466,18 +467,42 @@ def tab21_l6():
     return build_table(RTTAlgebra(Shape(2, 1, 6)), 5)
 
 
+def _direct_report(tab, budget, families):
+    """The checks verify_drinfeld_relations should write, from
+    _direct_instances: every family, the f side too, formed directly."""
+    report = Report("drinfeld-relations")
+    for family in families:
+        count = 0
+        for params, residual in _direct_instances(tab, family, budget):
+            count += 1
+            report.add(family, params, not residual,
+                       witness=residual.canonical() if residual else None)
+        if count == 0:
+            report.add(family, {"instances": 0}, True, value="vacuous")
+    return report
+
+
 @pytest.mark.parametrize("m, n, cap, families", [
     (2, 1, 6, ALL_FAMILIES),
     (1, 2, 6, ALL_FAMILIES),
     (2, 2, 5, ("D12", "D16", "D17")),
 ])
 def test_instances_match_direct_sums(m, n, cap, families):
-    """Memoised brackets and running sums give every family the stream of
-    (params, residual) pairs that direct evaluation gives."""
+    """Memoised brackets and running sums give every e-side family the
+    stream of (params, residual) pairs that direct evaluation gives; an
+    f-side family has no instances of its own, and its report is the
+    direct one."""
     tab, budget = build_table(RTTAlgebra(Shape(m, n, cap)), cap - 1), cap
     for family in families:
-        got = list(_relation_instances(tab, family, budget))
-        assert got == list(_direct_instances(tab, family, budget)), family
+        if family in TWINS:
+            with pytest.raises(ValueError, match=family):
+                next(_relation_instances(tab, family, budget))
+            report = verify_drinfeld_relations(tab, budget, [family])
+            assert (report.checks
+                    == _direct_report(tab, budget, [family]).checks), family
+        else:
+            got = list(_relation_instances(tab, family, budget))
+            assert got == list(_direct_instances(tab, family, budget)), family
 
 
 def test_letter_tables_once_per_letter_and_operand():
@@ -516,7 +541,7 @@ def test_d2_brackets_each_unordered_pair_once(tab21_l6, monkeypatch):
     assert len(calls) == len(set(calls)) and set(calls) == wanted
 
 
-@pytest.mark.parametrize("family", ["D3", "D4", "D5", "D6", "D7"])
+@pytest.mark.parametrize("family", ["D3", "D5", "D6"])
 def test_right_hand_products_once_per_block(tab21_l6, monkeypatch, family):
     """Running sums form each product of a block once, and only the
     products that the displayed sums contain."""
@@ -586,14 +611,15 @@ def test_generators_walk_order(request, name):
 @pytest.mark.parametrize("m, n, cap", [(1, 1, 6), (2, 1, 6), (1, 2, 6),
                                        (2, 2, 5)])
 def test_tables_are_transpose_symmetric(m, n, cap):
-    """tau fixes d_i^(r) and sends e_i^(r) to f_i^(r) on the Gauss table."""
+    """tau fixes d_i^(r) and sends f_i^(r) to e_i^(r) on the Gauss table,
+    so the table is its own transposed table."""
     tab = build_table(RTTAlgebra(Shape(m, n, cap)), cap - 1)
-    assert transpose_symmetric(tab, cap)
+    assert transposed_table(tab, cap) is tab
 
 
 def test_twins_precede_their_mirrors():
     """Each f-side family follows its e-side twin and shares its text up
-    to e -> f; D1, D2 and D5 are not mirrored."""
+    to e -> f; D1, D2 and D5 have no twin."""
     assert sorted(TWINS, key=ALL_FAMILIES.index) == [
         "D4", "D7", "D9", "D11", "D13", "D15", "D17"]
     for f_side, e_side in TWINS.items():
@@ -621,25 +647,21 @@ def test_d7_reindexing(tab21_l6):
 
 
 def _reports(tab, budget, families, monkeypatch):
-    """The mirrored report, the report forced through the direct path, and
-    the families that reached _relation_instances in each."""
-    reached = {"mirrored": [], "direct": []}
+    """The report of verify_drinfeld_relations, the one built from
+    _direct_instances, and the (family, table) pairs that reached
+    _relation_instances, the table named "tab" when it was tab itself and
+    "tau" otherwise."""
+    reached = []
     original = drinfeld._relation_instances
 
-    def spying(path):
-        def instances(tab, family, budget):
-            reached[path].append(family)
-            return original(tab, family, budget)
-        return instances
+    def spying(table, family, budget):
+        reached.append((family, "tab" if table is tab else "tau"))
+        return original(table, family, budget)
 
     with monkeypatch.context() as patch:
-        patch.setattr(drinfeld, "_relation_instances", spying("mirrored"))
-        mirrored = verify_drinfeld_relations(tab, budget, families)
-        patch.setattr(drinfeld, "_relation_instances", spying("direct"))
-        patch.setattr(drinfeld, "transpose_symmetric", lambda tab, budget: False)
-        direct = verify_drinfeld_relations(tab, budget, families)
-    assert reached["direct"] == list(families)
-    return mirrored, direct, reached["mirrored"]
+        patch.setattr(drinfeld, "_relation_instances", spying)
+        report = verify_drinfeld_relations(tab, budget, families)
+    return report, _direct_report(tab, budget, families), reached
 
 
 @pytest.mark.parametrize("m, n, cap, families", [
@@ -649,30 +671,34 @@ def _reports(tab, budget, families, monkeypatch):
 ])
 def test_mirror_matches_direct_reports(monkeypatch, m, n, cap, families):
     """Transposed e-side residuals report what the f-side families report
-    directly, and the f side never reaches _relation_instances."""
+    directly; on a table that is its own transposed table the chosen twins'
+    residuals are reused, so no family reaches _relation_instances twice."""
     tab = build_table(RTTAlgebra(Shape(m, n, cap)), cap - 1)
-    mirrored, direct, reached = _reports(tab, cap, families, monkeypatch)
-    assert mirrored.checks == direct.checks
-    assert mirrored.to_payload() == direct.to_payload()
-    assert mirrored.ok
-    assert reached == [f for f in families if f not in TWINS]
+    report, direct, reached = _reports(tab, cap, families, monkeypatch)
+    assert report.checks == direct.checks
+    assert report.ok
+    assert reached == [(f, "tab") for f in families if f not in TWINS]
 
 
 def test_mirror_needs_the_twin(monkeypatch, tab21_l6):
-    """An f-side family chosen without its twin runs directly."""
-    mirrored, direct, reached = _reports(tab21_l6, 6, ("D3", "D7", "D9"),
-                                         monkeypatch)
-    assert mirrored.checks == direct.checks
-    assert reached == ["D3", "D7", "D9"]
+    """An f-side family chosen without its twin runs the twin on the
+    transposed table, here tab itself."""
+    report, direct, reached = _reports(tab21_l6, 6, ("D3", "D7", "D9"),
+                                       monkeypatch)
+    assert report.checks == direct.checks
+    assert reached == [("D3", "tab"), ("D6", "tab"), ("D8", "tab")]
 
 
 def _corrupted(tab, monkeypatch, kind, r):
-    """Make d_1^(r) or f_1^(r) wrong, so that tau no longer fixes it or
-    sends e_1^(r) to it."""
+    """Make d_1^(r), e_1^(r) or f_1^(r) wrong on its own, so that tau no
+    longer fixes d_1^(r) or sends f_1^(r) to e_1^(r)."""
     alg = tab.alg
     if kind == "d":
         wrong = tab.d[1][r] + alg.gen(1, 2, 1)
         monkeypatch.setitem(tab.d[1], r, wrong)
+    elif kind == "e":
+        wrong = tab.e_simple(1, r) + tab.e_simple(1, 1) * tab.d[1][r - 1]
+        monkeypatch.setitem(tab.e[(1, 2)], r, wrong)
     else:
         wrong = tab.f_simple(1, r) + alg.gen(1, 1, 1) * alg.gen(2, 1, r - 1)
         monkeypatch.setitem(tab.f[(2, 1)], r, wrong)
@@ -682,32 +708,82 @@ def _corrupted(tab, monkeypatch, kind, r):
                                      ("f", 2), ("f", 5)])
 def test_corrupted_entry_fails_the_precondition(monkeypatch, tab21_l6,
                                                 kind, r):
-    """A d or f entry broken on its own, up to superscript budget - 1, is
-    caught by the check, and the families then run directly."""
+    """A d or f entry broken on its own, up to superscript budget - 1,
+    makes the transposed table a new one, and each f-side family runs its
+    twin on it instead of reusing the twin's residuals on tab."""
     families = ("D3", "D4", "D6", "D7")
     _corrupted(tab21_l6, monkeypatch, kind, r)
-    assert not transpose_symmetric(tab21_l6, 6)
-    mirrored, direct, reached = _reports(tab21_l6, 6, families, monkeypatch)
-    assert reached == list(families)
-    assert mirrored.checks == direct.checks
+    assert transposed_table(tab21_l6, 6) is not tab21_l6
+    report, direct, reached = _reports(tab21_l6, 6, families, monkeypatch)
+    assert reached == [("D3", "tab"), ("D3", "tau"), ("D6", "tab"),
+                       ("D6", "tau")]
+    assert report.checks == direct.checks
     assert direct.counts_by_id()["D4"]["failures"]
+
+
+@pytest.mark.parametrize("m, n, cap", [(2, 1, 6), (1, 2, 6), (3, 1, 5),
+                                       (2, 2, 5)])
+@pytest.mark.parametrize("kind", ["d", "e", "f"])
+def test_one_corrupted_entry_matches_direct_reports(monkeypatch, m, n, cap,
+                                                    kind):
+    """With one d, e or f entry wrong, every f-side family still reports
+    the direct f-side residuals, witnesses included."""
+    tab = build_table(RTTAlgebra(Shape(m, n, cap)), cap - 1)
+    _corrupted(tab, monkeypatch, kind, 2)
+    families = ALL_FAMILIES if cap > 5 else tuple(
+        f for f in ALL_FAMILIES if f not in ("D1", "D2", "D5"))
+    assert transposed_table(tab, cap) is not tab
+    report, direct, reached = _reports(tab, cap, families, monkeypatch)
+    assert report.checks == direct.checks
+    assert [f for f, table in reached if table == "tau"] == [
+        TWINS[f] for f in families if f in TWINS]
+    failing = {c.check_id for c in direct.failures}
+    # the f-side families read d and f, never e
+    assert failing and failing.isdisjoint(TWINS) == (kind == "e")
+
+
+@pytest.mark.parametrize("kind", [None, "e", "f"])
+def test_d7_chosen_alone(monkeypatch, tab21_l6, kind):
+    """D7 alone, the family that needs the reindexing, is D6 run on the
+    transposed table and transposed, on a good or a corrupted table; it
+    reads f alone, so a wrong e leaves it passing."""
+    if kind:
+        _corrupted(tab21_l6, monkeypatch, kind, 3)
+    report, direct, reached = _reports(tab21_l6, 6, ("D7",), monkeypatch)
+    assert report.checks == direct.checks
+    assert reached == [("D6", "tau" if kind else "tab")]
+    assert report.ok == (kind != "f")
 
 
 @pytest.mark.parametrize("m, n, cap", [(2, 1, 6), (1, 2, 6), (2, 2, 5)])
 def test_consistent_corruption_is_mirrored(monkeypatch, m, n, cap):
-    """A wrong e entry with f set to its transpose keeps the table
-    symmetric: the mirror reports the same failures, witnesses included."""
+    """A wrong e entry with f set to its transpose leaves the table its own
+    transposed table: the twins' residuals are reused, and the report is
+    the direct one, failures and witnesses included."""
     alg = RTTAlgebra(Shape(m, n, cap))
     tab = build_table(alg, cap - 1)
     wrong = tab.e_simple(1, 2) + tab.e_simple(1, 1) * tab.d[1][1]
     tab.e[(1, 2)][2] = wrong
     tab.f[(2, 1)][2] = alg.transpose(wrong)
-    assert transpose_symmetric(tab, cap)
+    assert transposed_table(tab, cap) is tab
     families = ("D3", "D4", "D6", "D7", "D8", "D9")
-    mirrored, direct, reached = _reports(tab, cap, families, monkeypatch)
-    assert reached == ["D3", "D6", "D8"]
-    assert mirrored.checks == direct.checks
+    report, direct, reached = _reports(tab, cap, families, monkeypatch)
+    assert reached == [("D3", "tab"), ("D6", "tab"), ("D8", "tab")]
+    assert report.checks == direct.checks
     counts = direct.counts_by_id()
     for family in families:
         assert counts[family]["failures"] > 0, family
     assert all(c.witness for c in direct.failures)
+
+
+@pytest.mark.parametrize("families, message", [
+    (["D18"], "unknown relation families ['D18']"),
+    (["D3", "D12x"], "unknown relation families ['D12x']"),
+    ("D12", "families must be a collection of names, not the string 'D12'"),
+])
+def test_unknown_families_are_refused(tab11, families, message):
+    """A family name outside D1..D17, or a bare string, is an error rather
+    than a run that checks nothing."""
+    with pytest.raises(ValueError) as err:
+        verify_drinfeld_relations(tab11, 3, families=families)
+    assert str(err.value) == message

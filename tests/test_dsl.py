@@ -77,6 +77,9 @@ def test_powers(alg, ctx):
     assert evaluate(parse("t[1,1,1]^0", alg.shape), ctx) == alg.one()
     assert evaluate(parse("(t[1,1,1] + t[2,2,1])^2", alg.shape), ctx) == \
         (g + alg.gen(2, 2, 1)) ** 2
+    assert evaluate(parse("0^0", alg.shape), ctx) == alg.one()
+    assert evaluate(parse("(1 + t[1,1,1])^3", alg.shape), ctx) == \
+        (alg.one() + g) * (alg.one() + g) * (alg.one() + g)
 
 
 def test_sum_and_cancellation(alg, ctx):
