@@ -49,6 +49,8 @@ ROWS = [
      ["verify", "drinfeld"]),
     ("classical-2-2-L4-T8", ["--m", "2", "--n", "2", "-L", "4", "-T", "8"],
      ["verify", "classical"]),
+    ("classical-3-2-L4-T6", ["--m", "3", "--n", "2", "-L", "4", "-T", "6"],
+     ["verify", "classical"]),
 ]
 
 

@@ -33,16 +33,29 @@ from array import array
 from bisect import bisect_left
 from functools import partial
 
-from .linalg import BitEchelon, words_row
+from .linalg import BitEchelon, rank_of, words_row
 from .report import Report
 from .rtt import (Element, Shape, WordAlgebra, bounded_words, check_operands,
-                  graded_words, merge_product, pack, unpack)
+                  graded_words, merge_product, pack, straighten, unpack)
 
 
 def render_cword(word) -> str:
     if not word:
         return "1"
     return "*".join(f"E[{g >> 16},{(g >> 8) & 0xFF}]t^{g & 0xFF}" for g in word)
+
+
+# the shift of a letter's row index i and of its column index j
+ROW, COLUMN = 16, 8
+
+
+def matrix_lines(x: Element, field: int) -> dict:
+    """The letters E[i,j]t^r of a Lie element x by their row i (field ROW)
+    or by their column j (field COLUMN)."""
+    lines: dict = {}
+    for (g,) in x.words:
+        lines.setdefault((g >> field) & 0xFF, []).append(g)
+    return lines
 
 
 class CurrentAlgebra(WordAlgebra):
@@ -96,31 +109,42 @@ class CurrentAlgebra(WordAlgebra):
         return frozenset(out)
 
     def bracket(self, x: Element, y: Element) -> Element:
-        """Lie bracket, bilinear over degree-1 elements."""
+        """Lie bracket, bilinear over degree-1 elements.
+
+        The bracket of E[i,j]t^r with E[k,l]t^s vanishes unless k == j or
+        l == i, so each letter of x is bracketed, through the pair memo,
+        only with the letters of y in row j and in column i."""
         if x.alg is not self or y.alg is not self:
             check_operands(self, x, y)
         if not (x.is_lie() and y.is_lie()):
             raise ValueError("bracket is defined on Lie elements")
+        rows, cols = matrix_lines(y, ROW), matrix_lines(y, COLUMN)
         acc: set = set()
         for (a,) in x.words:
-            for (b,) in y.words:
+            i, j, _ = unpack(a)
+            for b in rows.get(j, ()):
                 acc ^= self._bracket(a, b)
+            for b in cols.get(i, ()):
+                if b >> 16 != j:    # row j was bracketed above
+                    acc ^= self._bracket(a, b)
         return Element(self, frozenset(acc))
 
     def p_map(self, x: Element) -> Element:
         """Matrix square of a Lie element, re-expanded in the basis.
 
         On basis symbols this is E[i,j]t^r -> delta_{i,j} E[i,j]t^(2r),
-        with t-overflow truncating to zero.
+        with t-overflow truncating to zero.  Only the products of
+        E[i,j]t^r with the letters of x in row j contribute.
         """
         if not x.is_lie():
             raise ValueError("p_map is defined on Lie elements")
+        rows = matrix_lines(x, ROW)
         acc: set = set()
         for (a,) in x.words:
             i, j, r = unpack(a)
-            for (b,) in x.words:
-                k, l, s = unpack(b)
-                if j == k and r + s < self.trunc:
+            for b in rows.get(j, ()):
+                _, l, s = unpack(b)
+                if r + s < self.trunc:
                     acc ^= {(pack(i, l, r + s),)}
         return Element(self, frozenset(acc))
 
@@ -287,6 +311,20 @@ def classical_suite(alg: CurrentAlgebra, seed: int, samples: int,
     semilinearity via centrality of x^2 + x^[2] for random even x, the
     PBW count at small degree, and the invariants comparison.
 
+    The PBW count asks whether the normal forms of all words of length
+    <= pbw_degree span the supermonomials.  Its rank is read off unit rows.
+    Every row lies in the supermonomial columns, since words_row raises
+    otherwise, so the rank is at most their number.  Every supermonomial
+    is one of the words counted, and when it is its own normal form its
+    row is the unit row of its column; when all of them are, the rows hold
+    every unit row and the rank is the number of supermonomials.  Every
+    word is still straightened and its row still checked, and the fixed
+    points are counted; only when some supermonomial is not fixed does
+    the echelon walk run, for the exact rank.  Each counted word
+    straightens on a memo of its own, so none of them enters the
+    algebra's word memo, which no check after the count reads: the
+    invariants use rtt.merge_product and the adjoint index.
+
     Jacobi is evaluated on the sampled letter triples straight from the
     bracket table (jacobi_failures); the draw depends only on the number
     of letters, so every later random draw is unchanged.
@@ -358,18 +396,26 @@ def classical_suite(alg: CurrentAlgebra, seed: int, samples: int,
     if pbw_degree >= 0:
         supers = alg.supermonomials(pbw_degree)
         index = {w: k for k, w in enumerate(supers)}
-        ech = BitEchelon()
-        total_words = 0
 
-        for length in range(pbw_degree + 1):
-            for w in itertools.product(gens, repeat=length):
-                total_words += 1
-                ech.add(words_row(alg.normal_form([w]).words, index,
-                                  pbw_degree))
+        def counted():
+            """(word, normal form, row) of every word, each straightened
+            on a memo of its own."""
+            for length in range(pbw_degree + 1):
+                for w in itertools.product(gens, repeat=length):
+                    nf = straighten(w, {}, alg._bracket, alg._nilsquare)
+                    yield w, nf, words_row(nf, index, pbw_degree)
+
+        total_words = fixed = 0
+        for w, nf, _ in counted():
+            total_words += 1
+            # words_row has placed every word of nf among the columns
+            fixed += nf == (w,)
+        rank = (len(supers) if fixed == len(supers)
+                else rank_of(row for _, _, row in counted()))
         report.add("pbw-count",
                    {"degree": pbw_degree, "words": total_words,
-                    "supermonomials": len(supers), "rank": ech.rank},
-                   ech.rank == len(supers))
+                    "supermonomials": len(supers), "rank": rank},
+                   rank == len(supers))
 
     for d in range(invariants_degree + 1):
         report.extend(invariants_dimension(alg, d))

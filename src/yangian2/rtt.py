@@ -52,6 +52,11 @@ thousands of entries, most of one or two words, and a small frozenset
 costs 216 bytes where a tuple of two costs 56; tuples of int tuples also
 drop out of the cyclic collector.  Callers sum the tuples into a set with
 ``symmetric_difference_update``, and only elements hold frozensets.
+The pair memo of letter brackets keeps frozensets, which its readers XOR
+into sets, but it stores every bracket that vanishes as one shared value,
+``EMPTY_BRACKET``: ``frozenset()`` is not a singleton, and in the
+classical algebra most letter pairs commute, thousands of 216-byte empty
+sets at the suite's shapes.
 
 Commutators never straighten a top-degree word.  Both algebras are
 filtered deformations of supercommutative ones (by canonical degree here,
@@ -59,7 +64,8 @@ by word length classically), so [x, y] has filtration degree at most
 deg x + deg y - 1, and the top-degree words of xy and yx would only
 cancel.  ``commutator_words`` expands by the Leibniz rule instead: [a, y]
 is straightened into a letter table, and each word of x is straightened
-with one of its letters replaced by a word of [a, y].  The tables are a
+with one of its letters replaced by a word of [a, y]; ``commutator``
+passes as x the operand with more letters.  The tables are a
 third memo beside the word and pair caches, keyed on the letter and y's
 words, so a letter met again in any later commutator with an equal y
 reuses its table.  No top-degree chain head enters the memo, which is
@@ -92,6 +98,9 @@ from .report import Report
 
 # every packed field is 8 bits wide; larger indices would alias
 FIELD_LIMIT = 256
+
+# the pair memo's one value for every vanishing bracket
+EMPTY_BRACKET = frozenset()
 
 
 def pack(i: int, j: int, r: int) -> int:
@@ -575,11 +584,13 @@ class WordAlgebra:
     # -- the bracket and its hooks ------------------------------------------
 
     def _bracket(self, a: int, b: int) -> frozenset:
-        """``_bracket_rule(a, b)``, memoised per pair of letters."""
+        """``_bracket_rule(a, b)``, memoised per pair of letters; every
+        empty value is the one ``EMPTY_BRACKET``."""
         key = (a << 32) | b
         hit = self._pair_cache.get(key)
         if hit is None:
-            hit = self._pair_cache[key] = self._bracket_rule(a, b)
+            hit = self._pair_cache[key] = (self._bracket_rule(a, b)
+                                           or EMPTY_BRACKET)
         return hit
 
     def _check_word(self, word: tuple) -> None:
@@ -621,10 +632,19 @@ class WordAlgebra:
         """xy + yx by the Leibniz rule (``commutator_words``), on the
         algebra's letter tables.  The words straightened are a degree
         lower than those of xy and would pass a cap silently, so
-        ``_check_product_cap`` sees x and y first, as in ``multiply``."""
+        ``_check_product_cap`` sees x and y first, as in ``multiply``.
+
+        [x, x] = 2x^2 is 0 mod 2.  Otherwise the operand with more letters,
+        summed over its words, is the one expanded letter by letter, x on a
+        tie: NF(xy + yx) is symmetric in x and y, so the order is free, and
+        the letter tables are then built against the smaller operand."""
         if x.alg is not self or y.alg is not self:
             check_operands(self, x, y)
         self._check_product_cap(x, y)
+        if x.words == y.words:
+            return self.zero()
+        if sum(map(len, y.words)) > sum(map(len, x.words)):
+            x, y = y, x
         return Element(self, commutator_words(
             x.words, y.words, self._nf_cache, self._letter_cache,
             self._bracket, self._nilsquare))

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from yangian2 import cli, rtt
+from yangian2 import cli, current, rtt
 from yangian2.current import (CurrentAlgebra, adjoint_rows, adjoint_sites,
                               block_rank, classical_suite,
                               invariants_dimension, jacobi_failures,
@@ -782,3 +782,152 @@ def test_bracket_partners(m, n, trunc):
                          for b in alg.generators() if alg._bracket(g, b))
         assert alg.bracket_partners(g) == expected
         assert alg.bracket_partners(g) is alg.bracket_partners(g)
+
+
+# -- the quadratic maps against their pairwise definitions ------------------------
+
+
+def _pairwise_bracket(alg, x, y):
+    acc: set = set()
+    for (a,) in x.words:
+        for (b,) in y.words:
+            acc ^= alg._bracket_rule(a, b)
+    return Element(alg, frozenset(acc))
+
+
+def _pairwise_p_map(alg, x):
+    acc: set = set()
+    for (a,) in x.words:
+        i, j, r = unpack(a)
+        for (b,) in x.words:
+            k, l, s = unpack(b)
+            if j == k and r + s < alg.trunc:
+                acc ^= {(pack(i, l, r + s),)}
+    return Element(alg, frozenset(acc))
+
+
+@pytest.mark.parametrize("m,n,trunc", [(1, 1, 3), (2, 1, 4), (2, 2, 6)])
+def test_bracket_and_p_map_match_pairwise(m, n, trunc):
+    alg = CurrentAlgebra(m, n, trunc)
+    rng = random.Random(10 * m + n + trunc)
+    xs = [alg.zero(), alg.gen(1, 1, 0), alg.gen(1, 2, trunc - 1)]
+    xs += [random_lie_element(alg, rng, odd_only=k % 2) for k in range(30)]
+    nonzero = 0
+    for x in xs:
+        assert alg.p_map(x) == _pairwise_p_map(alg, x)
+        nonzero += bool(alg.p_map(x))
+        for y in rng.sample(xs, 6) + [x]:
+            got = alg.bracket(x, y)
+            assert got == _pairwise_bracket(alg, x, y)
+            nonzero += bool(got)
+    assert nonzero > len(xs)
+
+
+# -- the PBW count of the classical suite ------------------------------------------
+
+
+def _pbw_check(alg, degree):
+    """The suite's pbw-count check, from its own report."""
+    report = classical_suite(alg, seed=2, samples=0, pbw_degree=degree,
+                             invariants_degree=-1)
+    [check] = [c for c in report.checks if c.check_id == "pbw-count"]
+    return check.to_obj()
+
+
+def _echelon_pbw_check(alg, degree, straighten=rtt.straighten):
+    """The pbw-count check by the echelon walk: every word's normal-form
+    row ranked in one BitEchelon."""
+    supers = alg.supermonomials(degree)
+    index = {w: k for k, w in enumerate(supers)}
+    ech = BitEchelon()
+    words = 0
+    for length in range(degree + 1):
+        for w in itertools.product(alg.generators(), repeat=length):
+            words += 1
+            nf = straighten(w, {}, alg._bracket, alg._nilsquare)
+            ech.add(sum(1 << index[v] for v in nf))
+    params = {"degree": degree, "words": words,
+              "supermonomials": len(supers), "rank": ech.rank}
+    return {"id": "pbw-count", "params": params,
+            "pass": ech.rank == len(supers)}
+
+
+def _recording_rank_of(monkeypatch):
+    calls = []
+
+    def recording(rows):
+        calls.append(1)
+        return rank_of(rows)
+
+    monkeypatch.setattr(current, "rank_of", recording)
+    return calls
+
+
+@pytest.mark.parametrize("m,n,trunc,degree", [(1, 1, 2, 3), (2, 1, 3, 2),
+                                               (1, 2, 2, 2), (2, 2, 2, 0)])
+def test_pbw_count_reads_unit_rows(m, n, trunc, degree, monkeypatch):
+    calls = _recording_rank_of(monkeypatch)
+    alg = CurrentAlgebra(m, n, trunc)
+    got = _pbw_check(alg, degree)
+    assert got == _echelon_pbw_check(alg, degree)
+    assert got["pass"] and not calls
+
+
+@pytest.mark.parametrize("image", ["zero", "unit", "sum"])
+def test_pbw_count_falls_back_to_the_echelon(image, monkeypatch):
+    """One supermonomial that is not its own normal form sends the count
+    down the echelon walk, whose rank and payload it then reports."""
+    alg = CurrentAlgebra(2, 1, 2)
+    supers = alg.supermonomials(2)
+    target = supers[-1]
+    assert len(target) == 2
+    nf = {"zero": (), "unit": ((),), "sum": (target, supers[5])}[image]
+    real = rtt.straighten
+
+    def moved(word, cache, bracket, nilsquare=frozenset()):
+        return nf if word == target else real(word, cache, bracket, nilsquare)
+
+    monkeypatch.setattr(current, "straighten", moved)
+    calls = _recording_rank_of(monkeypatch)
+    got = _pbw_check(alg, 2)
+    want = _echelon_pbw_check(alg, 2, moved)
+    assert got == want and calls == [1]
+    # a moved unit row leaves the rank full only when the others span it
+    assert got["pass"] == (image == "sum")
+    assert want["params"]["rank"] == len(supers) - (image != "sum")
+
+
+def test_pbw_count_stays_out_of_the_word_memo():
+    """The count's words straighten on memos of their own: the word memo
+    after the suite is the one of the suite without the count."""
+    def memo(degree):
+        alg = CurrentAlgebra(2, 1, 3)
+        classical_suite(alg, seed=7, samples=3, pbw_degree=degree,
+                        invariants_degree=1)
+        return alg, set(alg._nf_cache)
+
+    alg, counted = memo(2)
+    assert counted == memo(-1)[1]
+    pairs = set(itertools.product(alg.generators(), repeat=2))
+    assert pairs - counted
+
+
+def test_empty_brackets_are_one_object():
+    """Both algebras store every vanishing letter bracket as the one
+    EMPTY_BRACKET, and every bracket as a frozenset."""
+    for alg in (CurrentAlgebra(2, 1, 3), RTTAlgebra(Shape(2, 1, 4))):
+        letters = alg.generators()
+        for a in letters:
+            for b in letters:
+                if a > b or isinstance(alg, CurrentAlgebra):
+                    alg._bracket(a, b)
+        values = list(alg._pair_cache.values())
+        assert all(type(v) is frozenset for v in values)
+        empty = [v for v in values if not v]
+        assert len(empty) > len(letters)
+        assert all(v is rtt.EMPTY_BRACKET for v in empty)
+    # and so after the classical suite
+    alg = CurrentAlgebra(2, 1, 3)
+    classical_suite(alg, seed=1, samples=3, pbw_degree=2, invariants_degree=2)
+    assert {id(v) for v in alg._pair_cache.values() if not v} == {
+        id(rtt.EMPTY_BRACKET)}

@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from yangian2 import RTTAlgebra, Shape
+from yangian2 import RTTAlgebra, Shape, rtt
 from yangian2.current import CurrentAlgebra
 from yangian2.errors import DegreeCapError
 from yangian2.linalg import rank_of
@@ -282,6 +282,47 @@ def test_commutator_edges(alg21):
             assert not alg21.commutator(special, x)
         assert not alg21.commutator(x, x)
     assert any(alg21.commutator(x, y) for x in xs for y in xs)
+
+
+def test_commutator_expands_the_larger_operand(alg21, monkeypatch):
+    """The operand with more letters, summed over its words, goes to
+    commutator_words as the side the Leibniz rule expands, the first one
+    on a tie; [x, x] is 0 without a call, after the cap check."""
+    seen = []
+    real = rtt.commutator_words
+
+    def recording(xwords, ywords, *rest):
+        seen.append((xwords, ywords))
+        return real(xwords, ywords, *rest)
+
+    def letters(z):
+        return sum(map(len, z.words))
+
+    monkeypatch.setattr(rtt, "commutator_words", recording)
+    rng = random.Random(59)
+    xs = [alg21.random_element(rng, 2, 4) for _ in range(12)]
+    xs += [alg21.gen(1, 2, 1), alg21.gen(2, 1, 1)]
+    swapped = ties = 0
+    for x in xs:
+        for y in xs:
+            seen.clear()
+            got = alg21.commutator(x, y)
+            assert got == _products_bracket(alg21, x, y)
+            if x.words == y.words:
+                assert not got and not seen
+                continue
+            swapped += letters(y) > letters(x)
+            ties += letters(y) == letters(x)
+            big, small = (y, x) if letters(y) > letters(x) else (x, y)
+            assert seen == [(big.words, small.words)]
+    assert swapped and ties
+    alg = RTTAlgebra(Shape(2, 1, 4))
+    g = alg.gen(1, 1, 3)
+    with pytest.raises(DegreeCapError) as err:
+        alg.multiply(g, g)
+    with pytest.raises(DegreeCapError) as again:
+        alg.commutator(g, g)
+    assert str(again.value) == str(err.value)
 
 
 def test_commutator_cap_violation_matches_multiply():
