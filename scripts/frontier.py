@@ -51,6 +51,8 @@ ROWS = [
      ["verify", "classical"]),
     ("classical-3-2-L4-T6", ["--m", "3", "--n", "2", "-L", "4", "-T", "6"],
      ["verify", "classical"]),
+    ("nf-1-1-L97", ["--m", "1", "--n", "1", "-L", "97"],
+     ["nf", "t[2,2,1]^48*t[1,2,1]^49"]),
 ]
 
 

@@ -12,14 +12,14 @@ The defining commutation rule, with every sign collapsed to + mod 2, is
     [t[i,j,r], t[k,l,s]] = sum_{t=0}^{min(r,s)-1}
         (t[k,j,t] * t[i,l,r+s-1-t] + t[k,j,r+s-1-t] * t[i,l,t])
 
-with t[a,b,0] = delta_{a,b}.  Straightening rewrites the leftmost adjacent
-out-of-order pair until every monomial is non-decreasing; each step either
-drops the total degree (bracket terms) or keeps it while removing one
-inversion (the swap), so the rewrite terminates.  Confluence is checked,
-not proved: the tests compare every word of low degree with an independent
-rewriter that takes the last inversion first (``tests/oracles.py``),
-the associativity fuzz multiplies random triples both ways, and the PBW
-dimension counts match the ordered monomials.
+with t[a,b,0] = delta_{a,b}.  Straightening inserts the letters of a word,
+one at a time, into ordered words until every monomial is non-decreasing;
+each insertion either shortens the word or lowers its degree, so it
+terminates (``straighten``).  Confluence is checked, not proved: the tests
+compare every word of low degree with an independent rewriter that takes
+the last inversion first (``tests/oracles.py``), the associativity fuzz
+multiplies random triples both ways, and the PBW dimension counts match
+the ordered monomials.
 
 This module is the word-algebra core of both algebras the package
 computes in: the Yangian here and its classical limit, the super
@@ -37,16 +37,21 @@ ordered monomials.  Each algebra holds its odd letters in one set,
 ``_odd``, that every parity question reads.  Both test centrality with
 ``WordAlgebra.first_noncentral``, on one certified generating set.
 
-A ``straighten`` call finds the first out-of-order pair and carries its
-out-of-place generator through the already-ordered part of the word, swap
-by swap, adding the straightened bracket term of each swap; it then
-recurses once on the word where the generator came to rest.  That word is
-ordered one position further than the call's own, so chain recursion is
-bounded by the word length, not by the inversion count, and each bracket
-term starts a chain of lower degree.  Only chain heads are memoised: the intermediate
-words of a carry are never looked up again.
+A ``straighten`` call inserts one letter at a time into ordered words.
+Its one rule inserts a letter b into an ordered word w1 a with a > b:
+NF(w1 a b) is the sum of NF(s a) over the words s of NF(w1 b), plus
+NF(w1 mid) over the words mid of the bracket of a and b.  w1 b is one
+letter shorter, and of the words s a only the top-degree one has the
+original degree, and it is already ordered, so recursion follows the word
+length, not the inversion count.  A word with more out-of-place letters
+is straightened by inserting them, left to right, into every word of the
+running sum.  So the memo holds only three kinds of key: ordered words,
+ordered words but for their last letter, and the words callers pass in
+(the pair words of ``multiply``, the Leibniz words of
+``commutator_words``).  An insertion with a single branch stores its
+child's tuple itself, so a run of plain swaps shares one value.
 
-The memo maps each chain head to its normal form as a tuple of distinct
+The memo maps each key to its normal form as a tuple of distinct
 ordered words, not a frozenset: at the frontier it holds hundreds of
 thousands of entries, most of one or two words, and a small frozenset
 costs 216 bytes where a tuple of two costs 56; tuples of int tuples also
@@ -68,8 +73,8 @@ with one of its letters replaced by a word of [a, y]; ``commutator``
 passes as x the operand with more letters.  The tables are a
 third memo beside the word and pair caches, keyed on the letter and y's
 words, so a letter met again in any later commutator with an equal y
-reuses its table.  No top-degree chain head enters the memo, which is
-what makes it smaller.  The Yangian still checks its cap on the words of
+reuses its table.  No top-degree word of xy or yx enters the memo, which
+is what makes it smaller.  The Yangian still checks its cap on the words of
 xy: the Leibniz words are one degree lower and would pass it silently.
 
 One walker, ``bounded_words``, enumerates the products of a list of items
@@ -183,40 +188,104 @@ def straighten(word: tuple, cache: dict, bracket,
     memoised in *cache*.
 
     ``bracket(a, b)`` gives the raw words of ab + ba for generators a > b;
-    a square of a generator in *nilsquare* rewrites to 0.  The first
-    out-of-place pair is rewritten first; the tests compare the result
-    with an independent rewriter that takes the last one first
-    (``tests/oracles.py``).  Callers sum results with
-    ``set.symmetric_difference_update``; no word repeats within a result,
-    so nothing cancels by accident.
+    a square of a generator in *nilsquare* rewrites to 0.  Callers sum
+    results with ``set.symmetric_difference_update``; no word repeats
+    within a result, so nothing cancels by accident.
+
+    Straightening inserts letters into ordered words, one at a time.
+    An ordered word is its own normal form.  Any other word is an ordered
+    prefix, its first out-of-place letter and a tail: the letter is
+    inserted into the prefix, then each tail letter g into every word s of
+    the running sum, as NF(s + (g,)), and the sum is memoised under the
+    whole word.  Inserting b into an ordered word w1 + (a,) with a > b is
+    the one rule (``_insert``):
+
+        NF(w1 a b) = sum_{s in NF(w1 b)} NF(s a) + sum_{mid} NF(w1 mid)
+
+    over the words mid of ``bracket(a, b)``, each NF(w1 mid) inserted
+    letter by letter; with a == b in *nilsquare* it is 0.  Each result is
+    memoised under w1 a b.
+
+    The rule terminates, by induction on (filtration degree, length); the
+    filtration degree is the canonical degree in the Yangian and the
+    length classically, where every bracket word is one letter.  w1 b is
+    shorter than w1 a b and of lower degree.  The top-degree word of
+    NF(w1 b) is sorted(w1 + (b,)), and a is no smaller than any letter of
+    w1 and greater than b, so appending a leaves it ordered; every other
+    s a, and every w1 mid, is of lower degree.  Each recursion thus
+    shortens the word or lowers its degree, and its depth follows the
+    word length, not the number of inversions.  By Bergman's diamond
+    lemma any reduction order gives the same normal forms once the
+    ambiguities resolve; the tests compare this order with an independent
+    rewriter that takes the last inversion first (``tests/oracles.py``).
+
+    The memo's keys are therefore of three kinds: ordered words, ordered
+    words but for their last letter, and words a caller passed in.  A
+    result with one branch is its child's tuple itself, not a copy.
     """
     hit = cache.get(word)
     if hit is not None:
         return hit
-    for p in range(len(word) - 1):
-        a, b = word[p], word[p + 1]
+    for p in range(1, len(word)):
+        a, b = word[p - 1], word[p]
         if a > b or (a == b and a in nilsquare):
             break
     else:
         result = cache[word] = (word,)
         return result
-    acc: set = set()
-    if a != b:
-        # carry b leftwards through the ordered word[:p+1]
-        tail = word[p + 2:]
-        q = p
-        while q >= 0 and word[q] > b:
-            for mid in bracket(word[q], b):
-                acc.symmetric_difference_update(straighten(
-                    word[:q] + mid + word[q + 1:p + 1] + tail,
-                    cache, bracket, nilsquare))
-            q -= 1
-        if q < 0 or word[q] != b or b not in nilsquare:
-            acc.symmetric_difference_update(straighten(
-                word[:q + 1] + (b,) + word[q + 1:p + 1] + tail,
-                cache, bracket, nilsquare))
-    result = cache[word] = tuple(acc)
+    result = _insert_letters((word[:p],), word[p:], cache, bracket,
+                             nilsquare)
+    if p + 1 < len(word):
+        # an insertion word is memoised by _insert; any other word here
+        cache[word] = result
     return result
+
+
+def _insert(s: tuple, b: int, cache: dict, bracket, nilsquare) -> tuple:
+    """NF(s + (b,)) for an ordered word s, memoised under s + (b,): the
+    insertion rule of ``straighten``."""
+    word = s + (b,)
+    hit = cache.get(word)
+    if hit is not None:
+        return hit
+    a = s[-1] if s else -1
+    if a < b or (a == b and b not in nilsquare):
+        result = (word,)
+    elif a == b:
+        result = ()
+    else:
+        w1 = s[:-1]
+        terms = _insert(w1, b, cache, bracket, nilsquare)
+        mids = bracket(a, b)
+        if len(terms) == 1 and not mids:
+            result = _insert(terms[0], a, cache, bracket, nilsquare)
+        else:
+            acc: set = set()
+            for t in terms:
+                acc.symmetric_difference_update(
+                    _insert(t, a, cache, bracket, nilsquare))
+            for mid in mids:
+                acc.symmetric_difference_update(_insert_letters(
+                    (w1,), mid, cache, bracket, nilsquare))
+            result = tuple(acc)
+    cache[word] = result
+    return result
+
+
+def _insert_letters(terms: tuple, letters: tuple, cache: dict, bracket,
+                    nilsquare) -> tuple:
+    """NF(sum of s + letters over the ordered words s of *terms*), one
+    letter at a time; a step with one word keeps its child's tuple."""
+    for g in letters:
+        if len(terms) == 1:
+            terms = _insert(terms[0], g, cache, bracket, nilsquare)
+        else:
+            acc: set = set()
+            for s in terms:
+                acc.symmetric_difference_update(
+                    _insert(s, g, cache, bracket, nilsquare))
+            terms = tuple(acc)
+    return terms
 
 
 def commutator_words(xwords, ywords, cache: dict, tables: dict, bracket,
@@ -235,8 +304,8 @@ def commutator_words(xwords, ywords, cache: dict, tables: dict, bracket,
     straightens with one letter replaced by a word of its table.  Every
     word straightened has filtration degree at most deg x + deg y - 1: the
     top-degree words of xy and yx, which cancel, are never formed, so
-    their chains never enter *cache*.  *cache*, *bracket* and *nilsquare*
-    are those of ``straighten``.
+    they never enter *cache*.  *cache*, *bracket* and *nilsquare* are
+    those of ``straighten``.
     """
     acc: set = set()
     for wa in xwords:

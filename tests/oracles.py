@@ -75,6 +75,43 @@ def naive_normal_form(words) -> set:
     return {w for w, c in done.items() if c % 2}
 
 
+def naive_classical_normal_form(words, m: int, trunc: int) -> set:
+    """Worklist rewriting in U(gl_{m|n}[t]/(t^T)) mod 2, rightmost
+    out-of-place pair first: a swap plus the letter of the bracket
+    [E_ij t^r, E_kl t^s] = delta_kj E_il t^(r+s) + delta_li E_kj t^(r+s),
+    which vanishes once r + s reaches T, and the square of an odd
+    letter (i and j in different blocks) rewrites to 0."""
+    def odd(g):
+        return (g[0] <= m) != (g[1] <= m)
+
+    pending: Counter = Counter()
+    for w in words:
+        pending[tuple(tuple(g) for g in w)] += 1
+    done: Counter = Counter()
+    while pending:
+        word, mult = pending.popitem()
+        if mult % 2 == 0:
+            continue
+        idx = None
+        for p in range(len(word) - 2, -1, -1):
+            if word[p] > word[p + 1] or (word[p] == word[p + 1]
+                                         and odd(word[p])):
+                idx = p
+                break
+        if idx is None:
+            done[word] += mult
+            continue
+        (i, j, r), (k, l, s) = g1, g2 = word[idx], word[idx + 1]
+        if g1 == g2:
+            continue
+        pending[word[:idx] + (g2, g1) + word[idx + 2:]] += mult
+        if r + s < trunc:
+            for hit, mid in ((k == j, (i, l, r + s)), (l == i, (k, j, r + s))):
+                if hit:
+                    pending[word[:idx] + (mid,) + word[idx + 2:]] += mult
+    return {w for w, c in done.items() if c % 2}
+
+
 def gl_bracket_mod2(g1, g2) -> set:
     """Degree-one structure constants of gl over GF(2): [E_ij, E_kl]."""
     (i, j), (k, l) = g1, g2

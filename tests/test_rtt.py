@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -12,7 +13,7 @@ from yangian2.rtt import (Element, bounded_words, certified_lie_generators,
                           pack, unpack, word_degree, word_loop_degree)
 
 from oracles import (count_full, count_super, gl_bracket_mod2,
-                     naive_normal_form)
+                     naive_classical_normal_form, naive_normal_form)
 
 
 def to_triples(word):
@@ -195,12 +196,104 @@ def _all_words_up_to_degree(alg, bound):
     return set(words)
 
 
-def test_strategy_independence_exhaustive_degree3(alg11):
-    words = _all_words_up_to_degree(alg11, 3)
-    assert len(words) > 100
-    for w in words:
-        assert element_words_as_triples(alg11.normal_form([w])) == \
-            naive_normal_form([w])
+def test_strategy_independence_exhaustive_degree3(alg11, alg21):
+    """Every word up to degree 3 at (1,1) and (2,1), and up to degree 4
+    at (1,1), straightens as the rightmost-first oracle does."""
+    for alg, bound, least in ((alg11, 3, 100), (alg21, 3, 999),
+                              (alg11, 4, 600)):
+        words = _all_words_up_to_degree(alg, bound)
+        assert len(words) > least
+        for w in words:
+            assert element_words_as_triples(alg.normal_form([w])) == \
+                naive_normal_form([w])
+
+
+@pytest.mark.parametrize("m,n,trunc,length", [(1, 1, 3, 4), (2, 1, 2, 3),
+                                              (1, 2, 2, 3)])
+def test_classical_strategy_independence_exhaustive(m, n, trunc, length):
+    """Every classical word up to *length* letters, odd squares included,
+    straightens as the rightmost-first oracle does."""
+    calg = CurrentAlgebra(m, n, trunc)
+    letters = [unpack(g) for g in calg.generators()]
+    assert calg._odd
+    for k in range(length + 1):
+        for w in itertools.product(letters, repeat=k):
+            assert element_words_as_triples(calg.normal_form([w])) == \
+                naive_classical_normal_form([w], m, trunc)
+
+
+def test_deep_word_closed_form():
+    """t[2,2,1]^48 t[1,2,1]^49 at (1,1,L=97): t[2,2,1] t[1,2,1] =
+    t[1,2,1] (t[2,2,1] + 1), so moving the 49 letters t[1,2,1] left turns
+    t[2,2,1] into t[2,2,1] + 49 = t[2,2,1] + 1, and (x + 1)^48 = x^48 +
+    x^32 + x^16 + 1 mod 2.  97 letters and 2352 inversions, within the
+    default recursion limit."""
+    deep = RTTAlgebra(Shape(1, 1, 97))
+    a, b = pack(2, 2, 1), pack(1, 2, 1)
+    got = deep.normal_form([(a,) * 48 + (b,) * 49])
+    assert got.words == {(b,) * 49 + (a,) * k for k in (48, 32, 16, 0)}
+
+
+def _ordered(word, nilsquare):
+    return all(a < b or (a == b and a not in nilsquare)
+               for a, b in zip(word, word[1:]))
+
+
+@pytest.mark.parametrize("make", [lambda: RTTAlgebra(Shape(2, 1, 8)),
+                                  lambda: CurrentAlgebra(2, 1, 3)])
+def test_memo_keys_are_ordered_or_one_letter_off_or_callers(make,
+                                                            monkeypatch):
+    """After multiply, commutator and normal_form on a fresh algebra every
+    memo key is an ordered word, an ordered word but for its last letter,
+    or a word that a caller passed to ``straighten``."""
+    called = set()
+    depth = [0]
+    real = rtt.straighten
+
+    def recording(word, *args):
+        if not depth[0]:
+            called.add(word)
+        depth[0] += 1
+        try:
+            return real(word, *args)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(rtt, "straighten", recording)
+    alg = make()
+    rng = random.Random(41)
+    # superscripts up to 2, so that some bracket words have two letters
+    gens = alg.generators(2)
+    xs = [alg.normal_form([tuple(rng.choice(gens)
+                                 for _ in range(rng.randint(1, 2)))
+                           for _ in range(rng.randint(1, 3))])
+          for _ in range(6)]
+    for x in xs:
+        for y in xs:
+            alg.multiply(x, y)
+            alg.commutator(x, y)
+    nil = alg._nilsquare
+    kinds = collections.Counter(
+        "ordered" if _ordered(key, nil)
+        else "insertion" if _ordered(key[:-1], nil)
+        else "caller" if key in called else "stray"
+        for key in alg._nf_cache)
+    assert not kinds["stray"]
+    assert kinds["ordered"] and kinds["insertion"] and kinds["caller"]
+
+
+def test_one_branch_results_share_the_child_tuple():
+    """A result with one branch is its child's tuple, not a copy: an
+    insertion with one word and no bracket terms, and a fold step on one
+    word."""
+    alg = RTTAlgebra(Shape(1, 1, 4))
+    t11, t22, t22_2 = pack(1, 1, 1), pack(2, 2, 1), pack(2, 2, 2)
+    assert not alg._bracket(t22, t11)
+    alg.normal_form([(t22, t11), (t22, t11, t22_2)])
+    cache = alg._nf_cache
+    assert cache[(t22, t11)] is cache[(t11, t22)]
+    assert cache[(t22, t11, t22_2)] is cache[(t11, t22, t22_2)]
+    assert cache[(t11, t22)] == ((t11, t22),)
 
 
 def test_multiply_cap_violation_names_term(alg11):
