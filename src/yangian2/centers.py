@@ -57,6 +57,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import islice
 
 from .current import CurrentAlgebra
 from .drinfeld import DrinfeldTable, generator_params
@@ -191,11 +192,11 @@ def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientM
     all_monos = alg.pbw_monomials(bound)
     non_super, super_list = [], []
     for w in all_monos:
-        (non_super if repeats_nilsquare(w, alg._odd) else super_list).append(w)
-    super_list.reverse()
-    basis = tuple(non_super + super_list)
+        # a word of distinct letters repeats none
+        nil = len(set(w)) < len(w) and repeats_nilsquare(w, alg._odd)
+        (non_super if nil else super_list).append(w)
+    basis = (*non_super, *reversed(super_list))
     index = {w: k for k, w in enumerate(basis)}
-    degrees = [word_degree(w) for w in all_monos]
 
     def mono(w: tuple) -> Element:
         return Element(alg, frozenset({w}))
@@ -204,7 +205,8 @@ def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientM
     for z in odd_squares:
         room = bound - z.degree()
         prods = {(): z}   # a * z for the monomials a built so far
-        for wa in all_monos[:bisect_right(degrees, room)]:
+        fits = bisect_right(all_monos, room, key=word_degree)
+        for wa in islice(all_monos, fits):
             if wa:
                 # a' = wa[1:] precedes wa in (degree, word) order
                 prods[wa] = alg.multiply(mono(wa[:1]), prods[wa[1:]])
@@ -346,6 +348,12 @@ def graded_basis_count(quotient: QuotientModel, factors) -> int | None:
     leading words), (4) no two equal, (5) none repeating an odd letter and
     (6) exactly dim_super of them.
 
+    The leads are not kept: each is looked up in quotient.index and its
+    column flagged in a bytearray of dim_full bytes.  The basis puts the
+    non-super words first, so a column below dim_full - expected_super
+    breaks (5) and a flag already set breaks (4); a lead missing from the
+    index, which holds every ordered word of degree <= bound, declines.
+
     For a monomial a that fits, a * sigma(z) lies in gr(J_bound), with
     lead a * (t, t); by (2) every non-super word of degree <= bound is such
     a lead.  By (1) gr(J_bound) has dimension ideal_rank, the number of
@@ -366,16 +374,19 @@ def graded_basis_count(quotient: QuotientModel, factors) -> int | None:
         if not value or value.degree() != deg:
             return None
     values, degrees, tops = zip(*factors)
-    leads = set()
+    index = quotient.index
+    first_super = quotient.dim_full - quotient.expected_super
+    seen = bytearray(quotient.dim_full)     # the columns of the leads so far
+    count = 0
     for lead, _ in bounded_words([leading_word(v) for v in values], degrees,
                                  quotient.bound, tops,
                                  lambda p, x: tuple(sorted(p + x)), ()):
-        if lead in leads or repeats_nilsquare(lead, odd):
+        col = index.get(lead)
+        if col is None or col < first_super or seen[col]:
             return None
-        leads.add(lead)
-    if len(leads) != quotient.dim_super:
-        return None
-    return len(leads)
+        seen[col] = 1
+        count += 1
+    return count if count == quotient.dim_super else None
 
 
 def freeness_shadow_report(centers: CenterTable, quotient: QuotientModel,

@@ -1,7 +1,10 @@
 """Drinfeld generators, higher root elements and the relation verifier.
 
 The table holds exact normal-form elements for d_i^(r), its inverse-series
-coefficients d'_i^(r), and root elements e_(i,j)^(r), f_(j,i)^(r).
+coefficients d'_i^(r), and root elements e_(i,j)^(r), f_(j,i)^(r).  The
+Gauss decomposition inverts every pivot but the last; d'_N is formed on
+its first read (PivotInverses), so a command that reads no d'_N never
+inverts d_N.
 Superdiagonal entries come straight from the Gauss decomposition; entries
 with j > i + 1 are the inductive brackets
 
@@ -47,13 +50,14 @@ transposed instead of formed again on the same table.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import DegreeCapError
 from .linalg import words_row
 from .report import Report
 from .rtt import Element, RTTAlgebra, product_rank
-from .series import YMatrix, YSeries, gauss_decompose, t_matrix
+from .series import YMatrix, YSeries, gauss_decompose, series_inv, t_matrix
 
 RELATION_TEXT = {
     "D1": "sum_{t=0}^{r} d_i^(t)*d_i'^(r-t) = delta_{r,0},  d_i^(0) = 1",
@@ -91,12 +95,43 @@ TWINS = {"D4": "D3", "D7": "D6", "D9": "D8", "D11": "D10", "D13": "D12",
          "D15": "D14", "D17": "D16"}
 
 
+class PivotInverses(Mapping):
+    """i -> {r: d'_i^(r)} for i = 1..N, from the N - 1 pivot inverses that
+    gauss_decompose forms and the last pivot d_N, which F and E never use.
+    d_N is inverted on the first read of d'_N, once, so commands that read
+    no d'_N never form it.  The mapping holds the last pivot's series only,
+    not the table."""
+
+    def __init__(self, inverses: list, last: YSeries):
+        self._rows = {i: dict(enumerate(inv.coeffs))
+                      for i, inv in enumerate(inverses, 1)}
+        self._last = last
+        self._size = len(inverses) + 1
+
+    def __getitem__(self, i: int) -> dict:
+        rows = self._rows
+        if i not in rows:
+            if i != self._size:
+                raise KeyError(i)
+            rows[i] = dict(enumerate(series_inv(self._last).coeffs))
+            self._last = None
+        return rows[i]
+
+    def __iter__(self):
+        return iter(range(1, self._size + 1))
+
+    def __len__(self) -> int:
+        return self._size
+
+
 @dataclass
 class DrinfeldTable:
     alg: RTTAlgebra
     order: int
     d: dict = field(default_factory=dict)       # i -> {r: Element}, r from 0
-    dprime: dict = field(default_factory=dict)  # i -> {r: Element}
+    # i -> {r: Element}; from drinfeld_generators a PivotInverses, which
+    # inverts the last pivot on the first read of d'_N
+    dprime: Mapping = field(default_factory=dict)
     e: dict = field(default_factory=dict)       # (i, j) -> {r: Element}, i < j
     f: dict = field(default_factory=dict)       # (j, i) -> {r: Element}, j > i
     t: YMatrix | None = None                    # the T matrix the table came from
@@ -140,16 +175,16 @@ def generator_params(kind: str, a: int, b: int, r: int) -> dict:
 
 
 def drinfeld_generators(alg: RTTAlgebra, order: int) -> DrinfeldTable:
-    """Extract d, d' and the superdiagonal e, f coefficients via Gauss."""
+    """Extract d, d' and the superdiagonal e, f coefficients via Gauss;
+    d'_N comes from inverting the last pivot on its first read."""
     t = t_matrix(alg, order)
     inverses: list = []
     f_mat, diag, e_mat = gauss_decompose(t, inverses)
-    tab = DrinfeldTable(alg, order, t=t, gauss=(f_mat, diag, e_mat))
+    tab = DrinfeldTable(alg, order, dprime=PivotInverses(inverses, diag[-1]),
+                        t=t, gauss=(f_mat, diag, e_mat))
     size = alg.shape.size
     for i in range(1, size + 1):
-        d, dinv = diag[i - 1], inverses[i - 1]
-        tab.d[i] = {r: d.coeffs[r] for r in range(order + 1)}
-        tab.dprime[i] = {r: dinv.coeffs[r] for r in range(order + 1)}
+        tab.d[i] = dict(enumerate(diag[i - 1].coeffs))
     for i in range(1, size):
         tab.e[(i, i + 1)] = {r: e_mat.entry(i, i + 1).coeffs[r]
                              for r in range(1, order + 1)}

@@ -564,7 +564,10 @@ class Element:
         """x^k, one factor at a time.  x^0 = 1, and 0 and 1 are their own
         powers; any other x has positive degree, so in the Yangian each
         factor raises the top degree and the cap ends a huge k within
-        cap + 1 products."""
+        cap + 1 products.  The first power that is 0 is returned at once,
+        so a nilpotent x takes at most its nilpotency index of products.
+        An algebra without a cap, such as the classical one, puts no bound
+        on x^k for an x that is not nilpotent: it takes k - 1 products."""
         if k < 0:
             raise ValueError("negative powers are not defined")
         if k == 0:
@@ -574,6 +577,8 @@ class Element:
         out = self
         for _ in range(k - 1):
             out = self.alg.multiply(out, self)
+            if not out:
+                break
         return out
 
     def degree(self) -> int:

@@ -200,8 +200,10 @@ def gauss_decompose(t: YMatrix, inverses: list | None = None
 
     Requires unit diagonal and vanishing off-diagonal constant terms; both
     hold for t_matrix output and for every Schur complement it produces.
-    Each pivot is inverted once; when *inverses* is a list, those inverses
-    (the diagonal of D^(-1)) are appended to it in pivot order.
+    Each pivot but the last is inverted once, for the row of E and the
+    column of F it heads; the last pivot heads neither and is not inverted.
+    When *inverses* is a list, those N - 1 inverses (the diagonal of
+    D^(-1) without its last entry) are appended to it in pivot order.
     """
     size = t.size
     alg = t.entries[0][0].alg
@@ -223,6 +225,8 @@ def gauss_decompose(t: YMatrix, inverses: list | None = None
     for p in range(size):
         d = work[p][p]
         diag.append(d)
+        if p + 1 == size:
+            break
         dinv = series_inv(d)
         if inverses is not None:
             inverses.append(dinv)

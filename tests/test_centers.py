@@ -688,21 +688,40 @@ def test_graded_shadow_needs_every_square_lead(setup11, monkeypatch):
     assert graded[0]["instances"][0]["pass"]
 
 
+def _p_center_factors(tab, q, monkeypatch):
+    """The factors freeness_shadow_report hands the graded certificate for
+    the p-center flavour, checked to certify as they are."""
+    calls = []
+    monkeypatch.setattr(centers, "graded_basis_count",
+                        lambda quotient, factors: calls.append(factors))
+    freeness_shadow_report(build_center_table(tab), q, "p-center")
+    monkeypatch.undo()
+    factors = list(calls[0])
+    assert centers.graded_basis_count(q, factors) == q.dim_super
+    return factors
+
+
 def test_graded_count_declines_off_nominal_degree(setup11, monkeypatch):
     """(3): d_1^(1) and d_1^(2) trading nominal degrees keep the count and
     leave the product leads distinct and super, yet the walk would place
     them at the wrong degrees, so the certificate must decline."""
     alg, tab = setup11
     q = build_quotient(alg, 4, tab)
-    certify, calls = centers.graded_basis_count, []
-    monkeypatch.setattr(centers, "graded_basis_count",
-                        lambda quotient, factors: calls.append(factors))
-    freeness_shadow_report(build_center_table(tab), q, "p-center")
-    factors = list(calls[0])
-    assert certify(q, factors) == q.dim_super
+    factors = _p_center_factors(tab, q, monkeypatch)
     k1, k2 = (factors.index((tab.d[1][r], r, 1)) for r in (1, 2))
     factors[k1], factors[k2] = (tab.d[1][1], 2, 1), (tab.d[1][2], 1, 1)
-    assert certify(q, factors) is None
+    assert centers.graded_basis_count(q, factors) is None
+
+
+def test_graded_count_declines_on_repeated_leads(setup11, monkeypatch):
+    """(4): d_2^(1) swapped for a second d_1^(1) keeps the count and every
+    lead super, but products through both copies lead with t[1,1,1]^2, as
+    does b_1^(2), so two leads meet one column and the count must decline."""
+    alg, tab = setup11
+    q = build_quotient(alg, 4, tab)
+    factors = _p_center_factors(tab, q, monkeypatch)
+    factors[factors.index((tab.d[2][1], 1, 1))] = (tab.d[1][1], 1, 1)
+    assert centers.graded_basis_count(q, factors) is None
 
 
 @pytest.mark.parametrize("m, n, cap", [(1, 1, 6), (2, 1, 5), (2, 2, 4),

@@ -931,3 +931,29 @@ def test_empty_brackets_are_one_object():
     classical_suite(alg, seed=1, samples=3, pbw_degree=2, invariants_degree=2)
     assert {id(v) for v in alg._pair_cache.values() if not v} == {
         id(rtt.EMPTY_BRACKET)}
+
+
+def test_nilpotent_power_stops_at_zero(monkeypatch):
+    """The classical algebra has no cap, so only the first vanishing power
+    ends a huge exponent: an odd letter squares to 0 and an odd sum with a
+    vanishing bracket too, each after one product."""
+    alg = CurrentAlgebra(1, 1, 2)
+    odd = alg.gen(1, 2, 0)
+    even = alg.gen(1, 1, 0)
+    for k in range(1, 6):
+        assert odd ** k == alg.product(*[odd] * k)
+        assert even ** k == alg.product(*[even] * k)
+    calls = []
+    original = alg.multiply
+
+    def counted(x, y):
+        calls.append(1)
+        if len(calls) > 3:      # a regression fails instead of running on
+            raise AssertionError("x^k kept multiplying after a zero power")
+        return original(x, y)
+
+    monkeypatch.setattr(alg, "multiply", counted)
+    for x in (odd, odd + alg.gen(1, 2, 1)):
+        calls.clear()
+        assert not x ** 10**19
+        assert len(calls) == 1

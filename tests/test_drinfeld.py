@@ -54,9 +54,10 @@ def test_dprime_convolution(tab11):
             assert backward == expected
 
 
-def test_one_series_inverse_per_pivot(monkeypatch):
-    """d' reuses the Gauss pivot inverses: one series_inv call per pivot."""
-    from yangian2 import drinfeld, series
+def _count_series_inv(monkeypatch):
+    """Route every binding of series_inv through a spy; the list of the
+    series it was called on, and the original."""
+    from yangian2 import series
     calls = []
     original = series.series_inv
 
@@ -65,13 +66,58 @@ def test_one_series_inverse_per_pivot(monkeypatch):
         return original(a)
 
     monkeypatch.setattr(series, "series_inv", counting)
-    monkeypatch.setattr(drinfeld, "series_inv", counting, raising=False)
-    alg = RTTAlgebra(Shape(2, 1, 4))
-    tab = drinfeld_generators(alg, 3)
-    assert len(calls) == alg.shape.size
-    for i in range(1, alg.shape.size + 1):
-        dinv = original(tab.d_series(i))
-        assert tab.dprime[i] == dict(enumerate(dinv.coeffs))
+    monkeypatch.setattr(drinfeld, "series_inv", counting)
+    return calls, original
+
+
+def test_one_series_inverse_per_pivot(monkeypatch):
+    """d' reuses the N - 1 Gauss pivot inverses that F and E use; d'_N
+    inverts the last pivot on its first read, once."""
+    calls, original = _count_series_inv(monkeypatch)
+    for m, n in [(1, 1), (2, 1), (2, 2)]:
+        calls.clear()
+        alg = RTTAlgebra(Shape(m, n, 4))
+        size = alg.shape.size
+        tab = drinfeld_generators(alg, 3)
+        assert len(calls) == size - 1
+        assert list(tab.dprime) == [*range(1, size + 1)]
+        for i in range(1, size):
+            tab.dprime[i]
+        assert len(calls) == size - 1
+        first = tab.dprime[size]
+        assert len(calls) == size and calls[-1] == tab.d_series(size)
+        assert tab.dprime[size] is first
+        assert len(calls) == size
+        for i in range(1, size + 1):
+            dinv = original(tab.d_series(i))
+            assert tab.dprime[i] == dict(enumerate(dinv.coeffs))
+        with pytest.raises(KeyError):
+            tab.dprime[size + 1]
+
+
+@pytest.mark.parametrize("command", [
+    ["-K", "4", "verify", "centers"], ["-K", "4", "pbw"], ["quotient-dim"]])
+def test_commands_without_dprime_skip_the_last_pivot(monkeypatch, tmp_path,
+                                                     command):
+    """verify centers, pbw and quotient-dim read no d'_N, so the last pivot
+    is never inverted: N - 1 inversions, none of them of d_N."""
+    from yangian2 import cli
+    calls, _ = _count_series_inv(monkeypatch)
+    built = []
+    real = drinfeld.drinfeld_generators
+
+    def keep(alg, order):
+        built.append(real(alg, order))
+        return built[-1]
+
+    monkeypatch.setattr(drinfeld, "drinfeld_generators", keep)
+    code = cli.main(["--m", "2", "--n", "1", "-L", "4",
+                     "--out", str(tmp_path / "report.json"), *command])
+    assert code == 0
+    (tab,) = built
+    size = tab.alg.shape.size
+    assert len(calls) == size - 1
+    assert tab.d_series(size) not in calls
 
 
 def test_higher_roots_11_unchanged(tab11):

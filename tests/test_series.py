@@ -161,7 +161,8 @@ def test_gauss_pivot_inverses(m, n, order):
     inverses = []
     f_mat, diag, e_mat = gauss_decompose(t_matrix(alg, order), inverses)
     assert (f_mat, diag, e_mat) == gauss_decompose(t_matrix(alg, order))
-    assert inverses == [series_inv(d) for d in diag]
+    # the last pivot heads no row of E and no column of F: not inverted
+    assert inverses == [series_inv(d) for d in diag[:-1]]
 
 
 def test_gauss_triangular_structure():

@@ -51,3 +51,17 @@ def test_tracer_runs_and_reads_the_caches(tmp_path, cli_args, caches, fired):
         assert header["caches"][key] > 0, key
     assert fired <= families
     assert "cli.write_report" in families
+
+
+WORKLOADS = json.loads(
+    (ROOT / "perfbench" / "workloads.json").read_text())["workloads"]
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_benchmark_workload_fires_its_expected_spans(tmp_path, name):
+    """Each benchmark workload, run with its own argv, reaches every layer
+    that perfbench/run.py --trace 1 requires of it."""
+    spec = WORKLOADS[name]
+    _, families = traced(tmp_path, spec["argv"])
+    missing = sorted(set(spec["expected_spans"]) - families)
+    assert not missing, missing
