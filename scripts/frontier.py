@@ -35,6 +35,8 @@ ROWS = [
     ("quotient-1-1-L12", ["--m", "1", "--n", "1", "-L", "12"], ["quotient-dim"]),
     ("quotient-2-1-L8", ["--m", "2", "--n", "1", "-L", "8"], ["quotient-dim"]),
     ("quotient-2-2-L6", ["--m", "2", "--n", "2", "-L", "6"], ["quotient-dim"]),
+    ("quotient-2-2-L7", ["--m", "2", "--n", "2", "-L", "7"], ["quotient-dim"]),
+    ("quotient-3-1-L7", ["--m", "3", "--n", "1", "-L", "7"], ["quotient-dim"]),
     ("centers-1-1-L10", ["--m", "1", "--n", "1", "-L", "10", "-K", "10"],
      ["verify", "centers"]),
     ("centers-2-1-L7", ["--m", "2", "--n", "1", "-L", "7", "-K", "7"],
@@ -53,6 +55,8 @@ ROWS = [
      ["verify", "classical"]),
     ("nf-1-1-L97", ["--m", "1", "--n", "1", "-L", "97"],
      ["nf", "t[2,2,1]^48*t[1,2,1]^49"]),
+    ("pbw-super-2-1-L8", ["--m", "2", "--n", "1", "-L", "8", "-K", "8"],
+     ["pbw", "--super"]),
 ]
 
 

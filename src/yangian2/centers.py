@@ -27,6 +27,18 @@ order inside the supermonomial block); that dimension certificate is
 exactly the bounded-degree shadow of the freeness of the parent algebra
 over the odd p-center.
 
+The rows are ranked one root-lattice weight at a time, and this is exact.
+t[i,j,r] has weight e_i - e_j (rtt.word_weight) and every RTT relation is
+homogeneous, so every odd square, the square of a root element, is
+homogeneous, and so is every row a * z.  Each weight block keeps its
+columns in the global order above, so its first columns are its
+non-super words; a row of one weight reduces only against rows of that
+weight, and the block echelons together have the rank, the pivots
+(mapped back to global columns) and the residues of one dense echelon
+over all columns (linalg).  A row is only as wide as its block, not as
+dim F_bound, and a row spanning two weights raises instead of being
+split.  Reduction splits an element by weight and reduces each part.
+
 The freeness shadow (products of center monomials and square-free
 generator monomials, which must be a basis of the bounded quotient) is
 first tried by counting leading words.  In the canonical degree every
@@ -57,15 +69,16 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice
+from itertools import accumulate, islice
 
 from .current import CurrentAlgebra
 from .drinfeld import DrinfeldTable, generator_params
 from .errors import DegreeCapError
-from .linalg import BitEchelon, words_row
+from .linalg import BlockColumns, BlockEchelon
 from .report import Report
 from .rtt import (Element, RTTAlgebra, bounded_words, pack, product_rank,
-                  repeats_nilsquare, word_degree, word_loop_degree)
+                  repeats_nilsquare, word_degree, word_loop_degree,
+                  word_weight)
 from .series import YSeries, series_mul, series_shift
 
 
@@ -145,9 +158,9 @@ def leading_word(x: Element) -> tuple:
 class QuotientModel:
     alg: RTTAlgebra
     bound: int
-    basis: tuple            # non-super block ascending, then super block descending
-    index: dict
-    echelon: BitEchelon
+    columns: BlockColumns   # by weight: non-super words ascending, then super descending
+    nonsuper: list          # the number of non-super columns of each block
+    echelon: BlockEchelon
     dim_full: int
     ideal_rank: int
     dim_super: int
@@ -156,22 +169,18 @@ class QuotientModel:
     noncentral: str | None  # label of the first odd square that is not central
     odd_squares: tuple      # the ideal's generators
 
-    def to_vector(self, x: Element) -> int:
-        return words_row(x.words, self.index, self.bound)
+    def to_vector(self, x: Element) -> dict:
+        """The vector {block: row} of x, one row per weight of its words."""
+        return self.columns.vector(x.words, self.bound)
 
-    def residue(self, x: Element) -> int:
-        """Row of the canonical representative of x modulo the odd-square ideal."""
+    def residue(self, x: Element) -> dict:
+        """Vector of the canonical representative of x modulo the
+        odd-square ideal: every weight component of x reduced in its block."""
         return self.echelon.reduce(self.to_vector(x))
 
     def reduce(self, x: Element) -> Element:
         """Canonical representative of x modulo the odd-square ideal."""
-        residue = self.residue(x)
-        words = set()
-        while residue:
-            low = residue & -residue
-            words.add(self.basis[low.bit_length() - 1])
-            residue ^= low
-        return Element(self.alg, frozenset(words))
+        return Element(self.alg, frozenset(self.columns.words_of(self.residue(x))))
 
 
 def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientModel:
@@ -184,24 +193,40 @@ def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientM
     from the first letter g of a and the row of its suffix a', built
     earlier for the same square; the suffix rows of one square are dropped
     before the next.
+
+    The rows are ranked by weight.  Each column's weight is computed once,
+    as the columns are laid out, and each block keeps its columns in the
+    global order (non-super ascending, then super descending); every row
+    a * z is homogeneous, of weight wt(a) + wt(z), so it lands in one block,
+    and one spanning two would raise.  By linalg's exactness argument the
+    rank, the pivots and every residue are those of one dense echelon over
+    the global columns, and a local pivot is a non-super column exactly when
+    it falls among its block's first nonsuper columns.
     """
     odd = [sq for sq in p_center_squares(tab, bound) if sq.parity == 1]
     odd_squares = tuple(sq.element for sq in odd)
     noncentral = next((sq.label for sq in odd if alg.first_noncentral(
         sq.element, bound - sq.element.degree())), None)
     all_monos = alg.pbw_monomials(bound)
-    non_super, super_list = [], []
+    blocks: dict = {}   # weight -> its non-super words, its super words
     for w in all_monos:
         # a word of distinct letters repeats none
         nil = len(set(w)) < len(w) and repeats_nilsquare(w, alg._odd)
-        (non_super if nil else super_list).append(w)
-    basis = (*non_super, *reversed(super_list))
-    index = {w: k for k, w in enumerate(basis)}
+        split = blocks.get(k := word_weight(w))
+        if split is None:
+            split = blocks[k] = ([], [])
+        split[0 if nil else 1].append(w)
+    nonsuper = []
+    for words, supers in blocks.values():
+        nonsuper.append(len(words))
+        words.extend(reversed(supers))
+    columns = BlockColumns(words for words, _ in blocks.values())
+    del blocks   # drop the super lists, copied into the columns
 
     def mono(w: tuple) -> Element:
         return Element(alg, frozenset({w}))
 
-    ech = BitEchelon()
+    ech = BlockEchelon()
     for z in odd_squares:
         room = bound - z.degree()
         prods = {(): z}   # a * z for the monomials a built so far
@@ -210,15 +235,17 @@ def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientM
             if wa:
                 # a' = wa[1:] precedes wa in (degree, word) order
                 prods[wa] = alg.multiply(mono(wa[:1]), prods[wa[1:]])
-            ech.add(words_row(prods[wa].words, index, bound))
+            ech.add(columns.vector(prods[wa].words, bound))
 
-    dim_full = len(basis)
+    dim_full = len(all_monos)
     ideal_rank = ech.rank
     dim_super = dim_full - ideal_rank
-    expected = len(super_list)
-    pivots_in_nonsuper = all(c < len(non_super) for c in ech.pivots)
-    return QuotientModel(alg, bound, basis, index, ech, dim_full, ideal_rank,
-                         dim_super, expected,
+    expected = dim_full - sum(nonsuper)
+    pivots_in_nonsuper = all(c < nonsuper[block]
+                             for block, held in ech.blocks.items()
+                             for c in held.pivots)
+    return QuotientModel(alg, bound, columns, nonsuper, ech, dim_full,
+                         ideal_rank, dim_super, expected,
                          (noncentral is None and dim_super == expected
                           and pivots_in_nonsuper),
                          noncentral, odd_squares)
@@ -296,10 +323,10 @@ def independence_check(gens: list[tuple[str, Element]], bound: int,
     """Linear independence of all products of the given elements up to bound.
 
     Products are formed in the listed order with multiplicities, along
-    shared prefixes (rtt.product_rank), and the dependent ones are named by
-    their exponent vectors in that order; when a quotient model is supplied
-    the products are reduced first, realising the freeness statement inside
-    the quotient.
+    shared prefixes (rtt.product_rank), each ranked in its weight block,
+    and the dependent ones are named by their exponent vectors in that
+    order; when a quotient model is supplied the products are reduced
+    first, realising the freeness statement inside the quotient.
     """
     if not gens:
         raise ValueError("need at least one generator")
@@ -319,17 +346,17 @@ def independence_check(gens: list[tuple[str, Element]], bound: int,
         raise DegreeCapError("generator degree exceeds the requested bound")
 
     if quotient is None:
-        index = {w: k for k, w in enumerate(alg.pbw_monomials(bound))}
+        columns = BlockColumns.by_key(alg.pbw_monomials(bound), word_weight)
     else:
-        index = quotient.index
+        columns = quotient.columns
 
-    def row(element: Element) -> int:
+    def vector(element: Element) -> dict:
         if quotient is not None:
             element = quotient.reduce(element)
-        return words_row(element.words, index, bound)
+        return columns.vector(element.words, bound)
 
     count, rank, dependents = product_rank(
-        alg, [el for _, el in gens], degrees, bound, row)
+        alg, [el for _, el in gens], degrees, bound, vector)
     ok = not dependents
     report.add("rank", {"products": count, "rank": rank}, ok,
                witness=None if ok else f"dependent exponents: {dependents[:5]}")
@@ -348,11 +375,12 @@ def graded_basis_count(quotient: QuotientModel, factors) -> int | None:
     leading words), (4) no two equal, (5) none repeating an odd letter and
     (6) exactly dim_super of them.
 
-    The leads are not kept: each is looked up in quotient.index and its
-    column flagged in a bytearray of dim_full bytes.  The basis puts the
-    non-super words first, so a column below dim_full - expected_super
-    breaks (5) and a flag already set breaks (4); a lead missing from the
-    index, which holds every ordered word of degree <= bound, declines.
+    The leads are not kept: each is looked up in the quotient's column
+    index and its column flagged in a bytearray of dim_full bytes, at its
+    block's offset plus its local column.  Each block puts its non-super
+    words first, so a local column below the block's nonsuper count breaks
+    (5) and a flag already set breaks (4); a lead missing from the index,
+    which holds every ordered word of degree <= bound, declines.
 
     For a monomial a that fits, a * sigma(z) lies in gr(J_bound), with
     lead a * (t, t); by (2) every non-super word of degree <= bound is such
@@ -374,17 +402,21 @@ def graded_basis_count(quotient: QuotientModel, factors) -> int | None:
         if not value or value.degree() != deg:
             return None
     values, degrees, tops = zip(*factors)
-    index = quotient.index
-    first_super = quotient.dim_full - quotient.expected_super
+    columns, nonsuper = quotient.columns, quotient.nonsuper
+    offsets = list(accumulate(columns.sizes(), initial=0))
     seen = bytearray(quotient.dim_full)     # the columns of the leads so far
     count = 0
     for lead, _ in bounded_words([leading_word(v) for v in values], degrees,
                                  quotient.bound, tops,
                                  lambda p, x: tuple(sorted(p + x)), ()):
-        col = index.get(lead)
-        if col is None or col < first_super or seen[col]:
+        place = columns.locate(lead)
+        if place is None:
             return None
-        seen[col] = 1
+        block, col = place
+        flag = offsets[block] + col
+        if col < nonsuper[block] or seen[flag]:
+            return None
+        seen[flag] = 1
         count += 1
     return count if count == quotient.dim_super else None
 

@@ -22,7 +22,7 @@ from .current import CurrentAlgebra, classical_suite
 from .drinfeld import (build_table, drinfeld_pbw_check, generator_params,
                        verify_drinfeld_relations)
 from .report import Report
-from .rtt import RTTAlgebra, Shape
+from .rtt import RTTAlgebra, Shape, pbw_count
 from .series import diagonal_matrix, matrix_mul
 
 
@@ -228,7 +228,7 @@ def _cmd_pbw(cfg: RunConfig, args) -> Report:
     tab = build_table(alg, cfg.order)
     report = drinfeld_pbw_check(tab, bound, super_only=args.super_only)
     report.config.update(cfg.as_dict())
-    count = len(alg.pbw_monomials(bound, super_only=args.super_only))
+    count = pbw_count(alg.shape, bound, super_only=args.super_only)
     report.add("ordered-monomial-count", {"bound": bound, "count": count}, True,
                value=str(count))
     return report

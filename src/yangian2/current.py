@@ -36,7 +36,8 @@ from functools import partial
 from .linalg import BitEchelon, rank_of, words_row
 from .report import Report
 from .rtt import (Element, Shape, WordAlgebra, bounded_words, check_operands,
-                  graded_words, merge_product, pack, straighten, unpack)
+                  graded_words, merge_product, pack, straighten, unpack,
+                  word_degree, word_weight)
 
 
 def render_cword(word) -> str:
@@ -422,18 +423,11 @@ def classical_suite(alg: CurrentAlgebra, seed: int, samples: int,
     return report
 
 
-def word_grade(word, size: int) -> tuple:
-    """(weight, t-degree) of a word over gl_size: the weight is the tuple
-    of coefficients of e_1..e_size in the sum of e_i - e_j over its letters
-    E[i,j]t^r, the t-degree the sum of their r."""
-    weight = [0] * size
-    t_degree = 0
-    for g in word:
-        i, j, r = unpack(g)
-        weight[i - 1] += 1
-        weight[j - 1] -= 1
-        t_degree += r
-    return tuple(weight), t_degree
+def word_grade(word) -> tuple:
+    """(weight, t-degree) of a word: the weight is rtt.word_weight, the sum
+    of e_i - e_j over its letters E[i,j]t^r, the t-degree the sum of their
+    r (rtt.word_degree, which reads the same packed field)."""
+    return word_weight(word), word_degree(word)
 
 
 def block_rank(alg: CurrentAlgebra, gens: list[int], block: list[tuple]) -> int:
@@ -503,7 +497,7 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
 
     blocks: dict = {}
     for w in basis:
-        blocks.setdefault(word_grade(w, alg.size), []).append(w)
+        blocks.setdefault(word_grade(w), []).append(w)
     invariant_dim = len(basis) - sum(
         block_rank(alg, gens, block) for block in blocks.values())
 

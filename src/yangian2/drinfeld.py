@@ -54,9 +54,9 @@ from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .errors import DegreeCapError
-from .linalg import words_row
+from .linalg import BlockColumns
 from .report import Report
-from .rtt import Element, RTTAlgebra, product_rank
+from .rtt import Element, RTTAlgebra, product_rank, word_weight
 from .series import YMatrix, YSeries, gauss_decompose, series_inv, t_matrix
 
 RELATION_TEXT = {
@@ -492,7 +492,9 @@ def drinfeld_pbw_check(tab: DrinfeldTable, bound: int,
     Each monomial in the table generators is expanded to RTT normal form
     and the coefficient matrix against the degree-<=bound PBW basis must
     have full rank (equal to the monomial count; in the plain case that
-    count is exactly dim F_bound).
+    count is exactly dim F_bound).  Every generator is homogeneous for the
+    root-lattice weight, so each monomial is ranked in its weight block
+    (rtt.product_rank).
     """
     alg = tab.alg
     shape = alg.shape
@@ -511,10 +513,10 @@ def drinfeld_pbw_check(tab: DrinfeldTable, bound: int,
     caps = [1 if super_only and shape.parity(a, b) else bound
             for _, a, b, _, _ in gens]
     basis = alg.pbw_monomials(bound)
-    index = {w: k for k, w in enumerate(basis)}
+    columns = BlockColumns.by_key(basis, word_weight)
     count, rank, dependent = product_rank(
         alg, [g[4] for g in gens], [g[3] for g in gens], bound,
-        lambda x: words_row(x.words, index, bound), caps)
+        lambda x: columns.vector(x.words, bound), caps)
     # the first dependent monomials, each as its symbols (kind, a, b, r)
     named = [tuple(g[:4] for g, e in zip(gens, exponents) for _ in range(e))
              for exponents in dependent[:3]]

@@ -86,7 +86,13 @@ words that share a prefix share its partial product.
 
 Two degree functions coexist on every monomial: the canonical degree puts
 t[i,j,r] in degree r and governs the hard cap; the loop degree puts it in
-degree r-1 and feeds the classical leading-term bridge.
+degree r-1 and feeds the classical leading-term bridge.  Both algebras are
+also graded by the root lattice: a letter (i, j, r) has weight e_i - e_j
+(``word_weight``), and every bracket rule is homogeneous, so products of
+homogeneous elements are homogeneous.  ``product_rank`` ranks each product
+in its weight block (``linalg.BlockEchelon``), and the classical invariants
+grade their words by (weight, t-degree).  ``pbw_count`` counts the ordered
+(super)monomials by their generating function, without listing them.
 """
 
 from __future__ import annotations
@@ -94,10 +100,10 @@ from __future__ import annotations
 import operator
 import random
 from dataclasses import dataclass
-from functools import reduce
+from functools import lru_cache, reduce
 
 from .errors import DegreeCapError
-from .linalg import BitEchelon
+from .linalg import BlockEchelon
 from .report import Report
 
 
@@ -106,6 +112,9 @@ FIELD_LIMIT = 256
 
 # the pair memo's one value for every vanishing bracket
 EMPTY_BRACKET = frozenset()
+
+# the bits of one coordinate of word_weight's int, more than any word has letters
+WEIGHT_FIELD = 64
 
 
 def pack(i: int, j: int, r: int) -> int:
@@ -122,6 +131,22 @@ def word_degree(word) -> int:
 
 def word_loop_degree(word) -> int:
     return sum((g & 0xFF) - 1 for g in word)
+
+
+@lru_cache(maxsize=None)
+def _letter_weight(g: int) -> int:
+    """The weight e_i - e_j of the letter (i, j, r), packed as word_weight
+    packs it."""
+    return (1 << WEIGHT_FIELD * (g >> 16)) - (1 << WEIGHT_FIELD * ((g >> 8) & 0xFF))
+
+
+def word_weight(word) -> int:
+    """The root-lattice weight of a word, the sum of e_i - e_j over its
+    letters (i, j, r), in either algebra, as one int: the sum of
+    c_i * 2^(WEIGHT_FIELD * i) over its coefficients c_i.  Each |c_i| is
+    at most the word's length, far below 2^(WEIGHT_FIELD - 1), so equal
+    ints are equal weights."""
+    return sum(map(_letter_weight, word))
 
 
 def render_word(word) -> str:
@@ -507,27 +532,58 @@ class Shape:
                          if self.parity(g >> 16, (g >> 8) & 0xFF))
 
 
-def product_rank(alg, values, degrees, bound: int, row, max_mult=None):
+def product_rank(alg, values, degrees, bound: int, vector, max_mult=None):
     """Rank the products of values that bounded_words forms up to bound,
-    with the same degrees and max_mult, as the bitmask rows row(product).
+    with the same degrees and max_mult, as the vectors vector(product)
+    ({block: row}, linalg.BlockColumns), each in its own block.
 
-    Returns the product count, their GF(2) rank and the exponent vectors
-    of the products that depend on earlier ones, in walk order.
+    Every product must be homogeneous; one whose vector spans two blocks
+    raises ValueError.  Returns the product count, their GF(2) rank and
+    the exponent vectors of the products that depend on earlier ones, in
+    walk order.
     """
     def times(prod: tuple, k: int) -> tuple:
         element, exponents = prod
         bumped = exponents[:k] + (exponents[k] + 1,) + exponents[k + 1:]
         return alg.multiply(element, values[k]), bumped
 
-    ech = BitEchelon()
+    ech = BlockEchelon()
     dependent = []
     for (element, exponents), _ in bounded_words(
             range(len(values)), degrees, bound, max_mult, times,
             (alg.one(), (0,) * len(values))):
-        if ech.add(row(element)) == 0:
+        if ech.add(vector(element)) == 0:
             dependent.append(exponents)
     # every product either raised the rank or was dependent
     return ech.rank + len(dependent), ech.rank, dependent
+
+
+def pbw_count(shape: Shape, bound: int, super_only: bool = False) -> int:
+    """The number of ordered (super)monomials of canonical degree <= bound
+    in the Yangian of shape, len(pbw_monomials(bound, super_only)),
+    without listing them.
+
+    It is the sum of the coefficients up to x^bound of the product over
+    the superscripts r <= min(bound, cap) of (1 - x^r)^(-N^2), N = m + n,
+    or, for supermonomials, of (1 - x^r)^(-(m^2 + n^2)) (1 + x^r)^(2mn):
+    each even letter of degree r contributes a geometric series, each odd
+    one 1 + x^r.
+    """
+    if bound < 0:
+        return 0
+    m, n = shape.m, shape.n
+    even, odd = m * m + n * n, 2 * m * n
+    if not super_only:
+        even, odd = even + odd, 0
+    coeffs = [1] + [0] * bound
+    for r in range(1, min(bound, shape.cap) + 1):
+        for _ in range(even):       # times 1 / (1 - x^r)
+            for k in range(r, bound + 1):
+                coeffs[k] += coeffs[k - r]
+        for _ in range(odd):        # times 1 + x^r
+            for k in range(bound, r - 1, -1):
+                coeffs[k] += coeffs[k - r]
+    return sum(coeffs)
 
 
 class Element:

@@ -12,8 +12,10 @@ from yangian2.centers import (b_series, build_center_table, build_quotient,
                               leading_word, p_center_squares, quotient_report)
 from yangian2.current import CurrentAlgebra
 from yangian2.errors import DegreeCapError
-from yangian2.linalg import BitEchelon, rank_of, words_row
-from yangian2.rtt import Element, bounded_words, pack, word_degree
+from yangian2.linalg import (BitEchelon, BlockColumns, BlockEchelon,
+                             rank_of, words_row)
+from yangian2.rtt import (Element, bounded_words, pack, product_rank,
+                          repeats_nilsquare, word_degree, word_weight)
 
 from oracles import count_full, count_super
 
@@ -168,6 +170,26 @@ def _direct_rows(alg, tab, bound, two_sided):
     return rows
 
 
+def _dense_index(alg, bound):
+    """The one global column order that the weight blocks refine: the
+    non-super words ascending, then the super words descending."""
+    monos = alg.pbw_monomials(bound)
+    nil = [w for w in monos if repeats_nilsquare(w, alg._odd)]
+    sup = [w for w in monos if not repeats_nilsquare(w, alg._odd)]
+    return {w: k for k, w in enumerate(nil + sup[::-1])}
+
+
+def _global_pivots(q, index):
+    """The quotient's pivots, each local pivot mapped to its global column."""
+    return {index[q.columns.words[block][c]]
+            for block, held in q.echelon.blocks.items() for c in held.pivots}
+
+
+def _dense_row(q, index, vector):
+    """A block vector of q as one row over the global columns."""
+    return words_row(q.columns.words_of(vector), index, q.bound)
+
+
 def _two_sided_echelon(alg, tab, bound, index):
     """The reference echelon of J_bound, from the two-sided rows."""
     ech = BitEchelon()
@@ -185,10 +207,11 @@ def test_one_sided_ideal_matches_two_sided(request, fixture, top):
     # odd squares start at degree 2; below that the ideal has no rows at all
     for bound in range(2, top + 1):
         q = build_quotient(alg, bound, tab)
-        ref = _two_sided_echelon(alg, tab, bound, q.index)
+        index = _dense_index(alg, bound)
+        ref = _two_sided_echelon(alg, tab, bound, index)
         assert q.certificate_ok and q.noncentral is None
         assert q.ideal_rank == ref.rank
-        assert set(q.echelon.pivots) == set(ref.pivots)
+        assert _global_pivots(q, index) == set(ref.pivots)
         squares = [sq.element for sq in p_center_squares(tab, bound)]
         samples = [alg.random_element(rng, bound) for _ in range(20)]
         samples += [alg.multiply(z, alg.gen(i, j, bound - z.degree()))
@@ -196,33 +219,57 @@ def test_one_sided_ideal_matches_two_sided(request, fixture, top):
                     for i in range(1, alg.shape.size + 1)
                     for j in range(1, alg.shape.size + 1)]
         for x in samples:
-            assert q.residue(x) == ref.reduce(q.to_vector(x))
+            assert _dense_row(q, index, q.residue(x)) == ref.reduce(
+                words_row(x.words, index, bound))
 
 
-def test_noncentral_odd_square_fails_the_certificate(setup11, monkeypatch):
-    """An odd square that is not central fails certificate_ok even where
-    the dimension count matches, and the dimension check names it."""
-    alg, tab = setup11
+def _broken_squares(monkeypatch, kind, r, extra):
+    """p_center_squares with extra added to the square of kind[1,2]^(r)."""
     real = centers.p_center_squares
 
     def broken(tab, bound):
         squares = real(tab, bound)
-        k = next(k for k, sq in enumerate(squares) if sq.parity == 1)
-        squares[k] = dataclasses.replace(
-            squares[k], element=squares[k].element + alg.gen(1, 2, 1))
+        for k, sq in enumerate(squares):
+            if (sq.kind, sq.i, sq.j, sq.r) == (kind, 1, 2, r):
+                squares[k] = dataclasses.replace(
+                    sq, element=sq.element + extra)
         return squares
 
     monkeypatch.setattr(centers, "p_center_squares", broken)
-    # at bound 2 the squares fill the bound and nothing is left to test
-    assert build_quotient(alg, 2, tab).certificate_ok
-    for bound in (3, 4):
+
+
+def test_noncentral_odd_square_fails_the_certificate(monkeypatch):
+    """An odd square that is not central fails certificate_ok even where
+    the dimension count matches, and the dimension check names it.  The
+    square (e[1,2]^(2))^2 gains t[1,2,1] t[1,2,2], a lower-degree word of
+    its own weight, so every row stays homogeneous."""
+    alg = RTTAlgebra(Shape(1, 1, 6))
+    tab = build_table(alg, 3)
+    extra = alg.multiply(alg.gen(1, 2, 1), alg.gen(1, 2, 2))
+    _broken_squares(monkeypatch, "e", 2, extra)
+    (square,) = [sq for sq in centers.p_center_squares(tab, 4)
+                 if (sq.kind, sq.r) == ("e", 2)]
+    assert len({word_weight(w) for w in square.element.words}) == 1
+    # at bound 4 the squares fill the bound and nothing is left to test
+    assert build_quotient(alg, 4, tab).certificate_ok
+    for bound in (5, 6):
         q = build_quotient(alg, bound, tab)
         assert q.dim_super == q.expected_super
         assert not q.certificate_ok
-        assert q.noncentral == "(e[1,2]^(1))^2"
+        assert q.noncentral == "(e[1,2]^(2))^2"
         (check,) = quotient_report(q).checks
         assert not check.ok
-        assert check.witness == "(e[1,2]^(1))^2 is not central"
+        assert check.witness == "(e[1,2]^(2))^2 is not central"
+
+
+def test_inhomogeneous_odd_square_raises(setup11, monkeypatch):
+    """A square whose words span two weights gives rows that span two
+    blocks: build_quotient raises rather than split them."""
+    alg, tab = setup11
+    _broken_squares(monkeypatch, "e", 1, alg.gen(1, 2, 1))
+    for bound in (2, 3, 4):
+        with pytest.raises(ValueError, match="spans blocks"):
+            build_quotient(alg, bound, tab)
 
 
 def test_failing_centrality_names_the_full_scan_witness():
@@ -250,14 +297,14 @@ def _logged_build(monkeypatch, alg, tab, bound):
     """build_quotient with every row handed to its echelon recorded."""
     logged = []
 
-    class Logged(BitEchelon):
-        def add(self, row):
-            logged.append(row)
-            return super().add(row)
+    class Logged(BlockEchelon):
+        def add(self, vector):
+            logged.append(vector)
+            return super().add(vector)
 
-    monkeypatch.setattr(centers, "BitEchelon", Logged)
+    monkeypatch.setattr(centers, "BlockEchelon", Logged)
     q = build_quotient(alg, bound, tab)
-    monkeypatch.setattr(centers, "BitEchelon", BitEchelon)
+    monkeypatch.setattr(centers, "BlockEchelon", BlockEchelon)
     return q, logged
 
 
@@ -276,13 +323,77 @@ def test_tree_rows_match_direct_products(monkeypatch, m, n, cap, order,
     tab = build_table(alg, order)
     for bound in bounds:
         q, logged = _logged_build(monkeypatch, alg, tab, bound)
-        want = [words_row(row.words, q.index, bound)
+        want = [q.to_vector(row)
                 for row in _direct_rows(alg, tab, bound, two_sided)]
         if two_sided:
-            assert rank_of(want) == q.ideal_rank, bound
+            index = _dense_index(alg, bound)
+            assert rank_of(_dense_row(q, index, v) for v in want) == \
+                q.ideal_rank, bound
             assert not any(map(q.echelon.reduce, want)), bound
         else:
             assert logged == want, bound
+
+
+@pytest.mark.parametrize("m, n, cap", [(1, 1, 6), (2, 1, 5), (1, 2, 4),
+                                        (2, 2, 4)])
+def test_weight_blocks_match_one_dense_echelon(monkeypatch, m, n, cap):
+    """The quotient's rows, ranked in one dense BitEchelon over the global
+    columns in the same order, give the same rank, rows found dependent,
+    pivots and residues, the latter on elements of mixed weight; every
+    pivot is a non-super column exactly when the certificate says so."""
+    alg = RTTAlgebra(Shape(m, n, cap))
+    tab = build_table(alg, cap // 2)
+    rng = random.Random(cap)
+    for bound in range(2, cap + 1):
+        q, logged = _logged_build(monkeypatch, alg, tab, bound)
+        index = _dense_index(alg, bound)
+        dense, check = BitEchelon(), BlockEchelon()
+        for vector in logged:
+            assert (check.add(vector) == 0) == \
+                (dense.add(_dense_row(q, index, vector)) == 0)
+        assert q.ideal_rank == dense.rank
+        assert _global_pivots(q, index) == set(dense.pivots)
+        non_super = q.dim_full - q.expected_super
+        assert q.certificate_ok == all(c < non_super for c in dense.pivots)
+        samples = [alg.random_element(rng, bound) for _ in range(20)]
+        assert any(len(q.to_vector(x)) > 1 for x in samples)
+        for x in samples:
+            assert _dense_row(q, index, q.residue(x)) == dense.reduce(
+                words_row(x.words, index, bound))
+
+
+@pytest.mark.parametrize("super_only", [False, True])
+def test_product_rank_by_weight_matches_one_block(super_only):
+    """rtt.product_rank finds the same count, rank and dependent products
+    with the columns split by weight as with all of them in one block,
+    which is the dense echelon; dependent products included."""
+    alg = RTTAlgebra(Shape(2, 1, 5))
+    tab = build_table(alg, 4)
+    gens = list(tab.generators(4))
+    values = [g[4] for g in gens] + [gens[0][4]]    # d_1^(1) twice
+    degrees = [g[3] for g in gens] + [gens[0][3]]
+    caps = [1 if super_only and alg.shape.parity(a, b) else 4
+            for _, a, b, _, _ in gens] + [4]
+    monos = alg.pbw_monomials(4)
+    results = []
+    for key in (word_weight, lambda w: 0):
+        columns = BlockColumns.by_key(monos, key)
+        results.append(product_rank(
+            alg, values, degrees, 4,
+            lambda x: columns.vector(x.words, 4), caps))
+    assert results[0] == results[1]
+    count, rank, dependent = results[0]
+    assert dependent and rank < count
+
+
+def test_product_rank_refuses_an_inhomogeneous_product(setup11):
+    alg, _ = setup11
+    monos = alg.pbw_monomials(3)
+    columns = BlockColumns.by_key(monos, word_weight)
+    mixed = alg.gen(1, 1, 1) + alg.gen(1, 2, 1)
+    with pytest.raises(ValueError, match="spans blocks"):
+        product_rank(alg, [mixed], [1], 3,
+                     lambda x: columns.vector(x.words, 3))
 
 
 def test_tree_rows_straighten_less():

@@ -54,9 +54,11 @@ def test_frontier_script(tmp_path, monkeypatch):
     script = _script("frontier")
     assert [label for label, _, _ in script.ROWS] == [
         "quotient-1-1-L12", "quotient-2-1-L8", "quotient-2-2-L6",
+        "quotient-2-2-L7", "quotient-3-1-L7",
         "centers-1-1-L10", "centers-2-1-L7", "centers-2-2-L6",
         "drinfeld-2-2-L7", "drinfeld-3-1-L7", "drinfeld-2-2-L8",
-        "classical-2-2-L4-T8", "classical-3-2-L4-T6", "nf-1-1-L97"]
+        "classical-2-2-L4-T8", "classical-3-2-L4-T6", "nf-1-1-L97",
+        "pbw-super-2-1-L8"]
     monkeypatch.setattr(script, "ROWS", TINY_FRONTIER)
     assert script.main(["--label", "tiny", "--out-dir", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "BENCH_frontier_tiny.json").read_text())

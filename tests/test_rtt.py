@@ -10,7 +10,8 @@ from yangian2.current import CurrentAlgebra
 from yangian2.errors import DegreeCapError
 from yangian2.linalg import rank_of
 from yangian2.rtt import (Element, bounded_words, certified_lie_generators,
-                          pack, unpack, word_degree, word_loop_degree)
+                          pack, pbw_count, unpack, word_degree,
+                          word_loop_degree, word_weight)
 
 from oracles import (count_full, count_super, gl_bracket_mod2,
                      naive_classical_normal_form, naive_normal_form)
@@ -599,6 +600,50 @@ def test_super_pbw_counts(m, n, bound):
                 i, j, _ = unpack(g)
                 if alg.shape.parity(i, j):
                     assert mult <= 1
+
+
+@pytest.mark.parametrize("m, n, cap, top", [
+    (1, 1, 4, 6), (1, 1, 12, 12), (2, 1, 8, 8), (1, 2, 5, 5), (2, 2, 6, 6),
+    (3, 1, 4, 4), (2, 2, 3, 5)])
+@pytest.mark.parametrize("super_only", [False, True])
+def test_pbw_count_matches_the_enumeration(m, n, cap, top, super_only):
+    """The generating-function count equals len(pbw_monomials) on a grid
+    of shapes and bounds, bounds past the cap included."""
+    alg = RTTAlgebra(Shape(m, n, cap))
+    for bound in range(-1, top + 1):
+        assert pbw_count(alg.shape, bound, super_only) == \
+            len(alg.pbw_monomials(bound, super_only=super_only)), bound
+
+
+def test_pbw_count_past_the_ladder():
+    """The counts the quotient certificate reads at (2,2,L=7) and
+    (3,1,L=7): dim_full 860,677, and dim_full minus the supermonomials is
+    the recorded ideal rank."""
+    for m, n, ideal_rank in [(2, 2, 304_116), (3, 1, 235_459)]:
+        shape = Shape(m, n, 7)
+        assert pbw_count(shape, 7) == 860_677
+        assert pbw_count(shape, 7) - pbw_count(shape, 7, True) == ideal_rank
+
+
+@pytest.mark.parametrize("alg", [RTTAlgebra(Shape(2, 2, 4)),
+                                 CurrentAlgebra(2, 1, 3)])
+def test_word_weight_is_the_root_lattice_weight(alg):
+    """word_weight partitions words exactly as their coefficient tuples
+    of e_1..e_N in the sum of e_i - e_j over their letters do."""
+    def coordinates(word):
+        weight = [0] * alg.shape.size
+        for g in word:
+            i, j, _ = unpack(g)
+            weight[i - 1] += 1
+            weight[j - 1] -= 1
+        return tuple(weight)
+
+    gens = alg.generators(2)
+    words = [w for w, _ in bounded_words(gens, [1] * len(gens), 3)]
+    pairs = {(coordinates(w), word_weight(w)) for w in words}
+    assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
+    assert word_weight(()) == 0
+    assert word_weight((pack(1, 2, 1), pack(2, 1, 3))) == 0
 
 
 def test_pbw_monomials_are_sorted_and_unique(alg11):
