@@ -69,16 +69,16 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, islice
+from itertools import accumulate, chain, islice
 
 from .current import CurrentAlgebra
 from .drinfeld import DrinfeldTable, generator_params
 from .errors import DegreeCapError
 from .linalg import BlockColumns, BlockEchelon
 from .report import Report
-from .rtt import (Element, RTTAlgebra, bounded_words, pack, product_rank,
-                  repeats_nilsquare, word_degree, word_loop_degree,
-                  word_weight)
+from .rtt import (Element, RTTAlgebra, bounded_words, pack, pbw_count,
+                  product_rank, repeats_nilsquare, word_degree,
+                  word_loop_degree, word_weight)
 from .series import YSeries, series_mul, series_shift
 
 
@@ -148,6 +148,13 @@ def symbol(x: Element) -> frozenset:
     return frozenset(w for w in x.words if word_degree(w) == top)
 
 
+def is_nonsuper(word: tuple, odd) -> bool:
+    """Whether an ordered word holds an odd letter twice: a column of the
+    quotient that is not a supermonomial."""
+    # a word of distinct letters repeats none
+    return len(set(word)) < len(word) and repeats_nilsquare(word, odd)
+
+
 def leading_word(x: Element) -> tuple:
     """Lead of the symbol of x: fewest letters, then the smallest sorted
     word, a monomial order within a degree, so leads multiply."""
@@ -159,7 +166,6 @@ class QuotientModel:
     alg: RTTAlgebra
     bound: int
     columns: BlockColumns   # by weight: non-super words ascending, then super descending
-    nonsuper: list          # the number of non-super columns of each block
     echelon: BlockEchelon
     dim_full: int
     ideal_rank: int
@@ -200,28 +206,22 @@ def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientM
     a * z is homogeneous, of weight wt(a) + wt(z), so it lands in one block,
     and one spanning two would raise.  By linalg's exactness argument the
     rank, the pivots and every residue are those of one dense echelon over
-    the global columns, and a local pivot is a non-super column exactly when
-    it falls among its block's first nonsuper columns.
+    the global columns, and each pivot's word says whether it is non-super
+    (is_nonsuper).  The expected number of supermonomials is counted
+    (rtt.pbw_count), not read off the columns.
     """
-    odd = [sq for sq in p_center_squares(tab, bound) if sq.parity == 1]
-    odd_squares = tuple(sq.element for sq in odd)
-    noncentral = next((sq.label for sq in odd if alg.first_noncentral(
+    squares = [sq for sq in p_center_squares(tab, bound) if sq.parity == 1]
+    odd_squares = tuple(sq.element for sq in squares)
+    noncentral = next((sq.label for sq in squares if alg.first_noncentral(
         sq.element, bound - sq.element.degree())), None)
     all_monos = alg.pbw_monomials(bound)
-    blocks: dict = {}   # weight -> its non-super words, its super words
+    odd = alg._odd
+    nonsuper, supers = [], []
     for w in all_monos:
-        # a word of distinct letters repeats none
-        nil = len(set(w)) < len(w) and repeats_nilsquare(w, alg._odd)
-        split = blocks.get(k := word_weight(w))
-        if split is None:
-            split = blocks[k] = ([], [])
-        split[0 if nil else 1].append(w)
-    nonsuper = []
-    for words, supers in blocks.values():
-        nonsuper.append(len(words))
-        words.extend(reversed(supers))
-    columns = BlockColumns(words for words, _ in blocks.values())
-    del blocks   # drop the super lists, copied into the columns
+        (nonsuper if is_nonsuper(w, odd) else supers).append(w)
+    columns = BlockColumns.by_key(chain(nonsuper, reversed(supers)),
+                                  word_weight)
+    del nonsuper, supers    # the columns hold the words
 
     def mono(w: tuple) -> Element:
         return Element(alg, frozenset({w}))
@@ -240,11 +240,11 @@ def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientM
     dim_full = len(all_monos)
     ideal_rank = ech.rank
     dim_super = dim_full - ideal_rank
-    expected = dim_full - sum(nonsuper)
-    pivots_in_nonsuper = all(c < nonsuper[block]
+    expected = pbw_count(alg.shape, bound, super_only=True)
+    pivots_in_nonsuper = all(is_nonsuper(columns.words[block][c], odd)
                              for block, held in ech.blocks.items()
                              for c in held.pivots)
-    return QuotientModel(alg, bound, columns, nonsuper, ech, dim_full,
+    return QuotientModel(alg, bound, columns, ech, dim_full,
                          ideal_rank, dim_super, expected,
                          (noncentral is None and dim_super == expected
                           and pivots_in_nonsuper),
@@ -377,8 +377,7 @@ def graded_basis_count(quotient: QuotientModel, factors) -> int | None:
 
     The leads are not kept: each is looked up in the quotient's column
     index and its column flagged in a bytearray of dim_full bytes, at its
-    block's offset plus its local column.  Each block puts its non-super
-    words first, so a local column below the block's nonsuper count breaks
+    block's offset plus its local column.  A lead that is_nonsuper breaks
     (5) and a flag already set breaks (4); a lead missing from the index,
     which holds every ordered word of degree <= bound, declines.
 
@@ -402,7 +401,7 @@ def graded_basis_count(quotient: QuotientModel, factors) -> int | None:
         if not value or value.degree() != deg:
             return None
     values, degrees, tops = zip(*factors)
-    columns, nonsuper = quotient.columns, quotient.nonsuper
+    columns = quotient.columns
     offsets = list(accumulate(columns.sizes(), initial=0))
     seen = bytearray(quotient.dim_full)     # the columns of the leads so far
     count = 0
@@ -414,7 +413,7 @@ def graded_basis_count(quotient: QuotientModel, factors) -> int | None:
             return None
         block, col = place
         flag = offsets[block] + col
-        if col < nonsuper[block] or seen[flag]:
+        if is_nonsuper(lead, odd) or seen[flag]:
             return None
         seen[flag] = 1
         count += 1

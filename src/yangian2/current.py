@@ -33,7 +33,7 @@ from array import array
 from bisect import bisect_left
 from functools import partial
 
-from .linalg import BitEchelon, rank_of, words_row
+from .linalg import BitEchelon, BlockColumns, BlockEchelon
 from .report import Report
 from .rtt import (Element, Shape, WordAlgebra, bounded_words, check_operands,
                   graded_words, merge_product, pack, straighten, unpack,
@@ -314,17 +314,19 @@ def classical_suite(alg: CurrentAlgebra, seed: int, samples: int,
 
     The PBW count asks whether the normal forms of all words of length
     <= pbw_degree span the supermonomials.  Its rank is read off unit rows.
-    Every row lies in the supermonomial columns, since words_row raises
-    otherwise, so the rank is at most their number.  Every supermonomial
-    is one of the words counted, and when it is its own normal form its
-    row is the unit row of its column; when all of them are, the rows hold
-    every unit row and the rank is the number of supermonomials.  Every
-    word is still straightened and its row still checked, and the fixed
-    points are counted; only when some supermonomial is not fixed does
-    the echelon walk run, for the exact rank.  Each counted word
-    straightens on a memo of its own, so none of them enters the
-    algebra's word memo, which no check after the count reads: the
-    invariants use rtt.merge_product and the adjoint index.
+    Every row lies in the supermonomial columns, one block of them, since
+    BlockColumns.vector raises otherwise, so the rank is at most their
+    number.  Every supermonomial is one of the words counted, and when it
+    is its own normal form its row is the unit row of its column; when all
+    of them are, the rows hold every unit row and the rank is the number
+    of supermonomials.  Every word is still straightened and its row
+    still checked, and the fixed points are counted; only when some
+    supermonomial is not fixed does the echelon walk run, for the exact
+    rank.  The one block keeps a normal form that mixes grades a rank,
+    not a ValueError.  Each counted word straightens on a memo of its
+    own, so none of them enters the algebra's word memo, which no check
+    after the count reads: the invariants use rtt.merge_product and the
+    adjoint index.
 
     Jacobi is evaluated on the sampled letter triples straight from the
     bracket table (jacobi_failures); the draw depends only on the number
@@ -396,23 +398,27 @@ def classical_suite(alg: CurrentAlgebra, seed: int, samples: int,
     # PBW count at small degree: rank of all words equals supermonomial count
     if pbw_degree >= 0:
         supers = alg.supermonomials(pbw_degree)
-        index = {w: k for k, w in enumerate(supers)}
+        columns = BlockColumns([supers])
 
         def counted():
-            """(word, normal form, row) of every word, each straightened
+            """(word, normal form, vector) of every word, each straightened
             on a memo of its own."""
             for length in range(pbw_degree + 1):
                 for w in itertools.product(gens, repeat=length):
                     nf = straighten(w, {}, alg._bracket, alg._nilsquare)
-                    yield w, nf, words_row(nf, index, pbw_degree)
+                    yield w, nf, columns.vector(nf, pbw_degree)
 
         total_words = fixed = 0
         for w, nf, _ in counted():
             total_words += 1
-            # words_row has placed every word of nf among the columns
+            # columns.vector has placed every word of nf among the columns
             fixed += nf == (w,)
-        rank = (len(supers) if fixed == len(supers)
-                else rank_of(row for _, _, row in counted()))
+        rank = len(supers)
+        if fixed != len(supers):
+            ech = BlockEchelon()
+            for _, _, vector in counted():
+                ech.add(vector)
+            rank = ech.rank
         report.add("pbw-count",
                    {"degree": pbw_degree, "words": total_words,
                     "supermonomials": len(supers), "rank": rank},
@@ -476,10 +482,11 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
     one input block, and rows from two input blocks never share a
     column: the rank is the sum of the block ranks.
 
-    Each block is ranked on its own, from its own letter index
-    (adjoint_sites: for each letter b, every word k of the block with b
-    at some position and the word left when that b is removed), so its
-    rows are len(block) bits wide.  For a generator g only the letters b
+    The blocks are those of one BlockColumns keyed by word_grade, whose
+    vectors also rank the generated side.  Each block is ranked on its
+    own, from its own letter index (adjoint_sites: for each letter b,
+    every word k of the block with b at some position and the word left
+    when that b is removed), so its rows are len(block) bits wide.  For a generator g only the letters b
     with [g, b] nonzero are visited, and each h in [g, b] is inserted
     into the remaining word and XOR-ed into that output word's row as
     bit k (adjoint_rows).  The distinct nonzero rows of one generator go
@@ -492,14 +499,10 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
     bounded_words, folded along shared prefixes.
     """
     basis = [w for w in alg.supermonomials(degree) if len(w) == degree]
-    index = {w: k for k, w in enumerate(basis)}
+    columns = BlockColumns.by_key(basis, word_grade)
     gens = alg.lie_generators()
-
-    blocks: dict = {}
-    for w in basis:
-        blocks.setdefault(word_grade(w), []).append(w)
     invariant_dim = len(basis) - sum(
-        block_rank(alg, gens, block) for block in blocks.values())
+        block_rank(alg, gens, block) for block in columns.words)
 
     # generated side: products of z_r (degree 1) and even squares (degree 2)
     z_list = [frozenset({(pack(i, i, r),) for i in range(1, alg.size + 1)})
@@ -513,7 +516,7 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
                 g = pack(i, j, r)
                 squares.append(frozenset({(g, g)}))
 
-    ech = BitEchelon()
+    ech = BlockEchelon()
     contained = True
     for prod_words, d in bounded_words(
             z_list + squares, [1] * len(z_list) + [2] * len(squares), degree,
@@ -521,7 +524,7 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
             one=frozenset({()})):
         if d != degree or not prod_words:
             continue
-        ech.add(words_row(prod_words, index, degree))
+        ech.add(columns.vector(prod_words, degree))
         # containment: every generated product must be killed by S
         for g in gens:
             if not contained:

@@ -1,4 +1,8 @@
-"""GF(2) linear algebra on integer bitmask rows, dense and by blocks.
+"""GF(2) linear algebra on integer bitmask rows, the package's one row
+vocabulary: every rank it certifies turns words into rows through
+BlockColumns.vector and ranks them in a BlockEchelon (or, for rows that
+are bitmasks already, in a BitEchelon).  The dense reference, one row
+over all columns, lives in tests/oracles.py.
 
 Rows are Python ints; bit c is column c.  Echelon form keeps one row per
 pivot column, the pivot being the lowest set bit, so reducing a vector by
@@ -173,25 +177,3 @@ class BlockEchelon:
                 out[block] = row
         return out
 
-
-def words_row(words, index: dict, bound: int) -> int:
-    """Bitmask row of a set of words over the columns in index.
-
-    The columns are the monomials of degree <= bound; a word outside them
-    raises DegreeCapError instead of being dropped.
-    """
-    row = 0
-    for w in words:
-        pos = index.get(w)
-        if pos is None:
-            raise DegreeCapError(f"element degree exceeds bound {bound}")
-        row |= 1 << pos
-    return row
-
-
-def rank_of(rows) -> int:
-    """GF(2) rank of an iterable of bitmask rows."""
-    ech = BitEchelon()
-    for row in rows:
-        ech.add(row)
-    return ech.rank

@@ -103,7 +103,7 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .errors import DegreeCapError
-from .linalg import BlockEchelon
+from .linalg import BitEchelon, BlockEchelon
 from .report import Report
 
 
@@ -452,44 +452,36 @@ def certified_lie_generators(alg, gens, top: int) -> tuple:
 
     Span vectors are bitmasks over those letters.  The closure walks the
     pairs of a growing list of independent vectors, brackets them letter
-    by letter through ``_bracket(max, min)`` and keeps each bracket that a
-    pivot dict (top bit -> reduced vector) cannot reduce to zero.  It skips
-    a pair whose bracket has a word that is not a single letter: classically
-    none has, and in the Yangian every bracket with a letter of superscript
-    1 is a sum of letters, an identity of the algebra.  The walk stops early
-    when the span is full.
+    by letter through ``_bracket(max, min)`` and keeps each bracket that
+    adds to the rank of a ``linalg.BitEchelon``.  It skips a pair whose
+    bracket has a word that is not a single letter: classically none has,
+    and in the Yangian every bracket with a letter of superscript 1 is a
+    sum of letters, an identity of the algebra.  The walk stops early when
+    the span is full.
     """
     letters = alg.generators(top)
     bit = {g: 1 << k for k, g in enumerate(letters)}
     gens = tuple(sorted(gens))
+    ech = BitEchelon()
     basis: list = []      # independent span vectors, as letter lists
-    pivots: dict = {}
-
-    def admit(vec: int, members: list) -> None:
-        while vec:
-            high = vec.bit_length() - 1
-            if high not in pivots:
-                pivots[high] = vec
-                basis.append(members)
-                return
-            vec ^= pivots[high]
-
     for g in gens:
-        admit(bit[g], [g])
+        if ech.add(bit[g]):
+            basis.append([g])
     i = 0
-    while len(pivots) < len(letters) and i < len(basis):
+    while ech.rank < len(letters) and i < len(basis):
         for j in range(i):
             acc: set = set()
             for a in basis[i]:
                 for b in basis[j]:
                     acc ^= alg._bracket(max(a, b), min(a, b))
-            if all(len(w) == 1 for w in acc):
-                admit(sum(bit[h] for (h,) in acc), [h for (h,) in acc])
+            if (all(len(w) == 1 for w in acc)
+                    and ech.add(sum(bit[h] for (h,) in acc))):
+                basis.append([h for (h,) in acc])
         i += 1
-    if len(pivots) < len(letters):
+    if ech.rank < len(letters):
         raise RuntimeError(
             f"{len(gens)} letters generate a Lie subalgebra of dimension "
-            f"{len(pivots)}, not all {len(letters)} letters of "
+            f"{ech.rank}, not all {len(letters)} letters of "
             f"{type(alg).__name__} {alg.shape} up to superscript {top}")
     return gens
 
@@ -641,9 +633,6 @@ class Element:
         if self._degree is None:
             self._degree = max(map(word_degree, self.words), default=0)
         return self._degree
-
-    def loop_degree(self) -> int:
-        return max((word_loop_degree(w) for w in self.words), default=0)
 
     def is_lie(self) -> bool:
         """Every word is one letter: a sum of generators."""
@@ -870,26 +859,6 @@ class RTTAlgebra(WordAlgebra):
                 out ^= {(pack(k, j, t), pack(i, l, hi))}
                 out ^= {(pack(k, j, hi), pack(i, l, t))}
         return frozenset(out)
-
-    def rtt_rhs(self, g1: tuple, g2: tuple, super_sign: bool = False) -> Element:
-        """Normal form of the displayed right-hand side for [g1, g2].
-
-        g1 and g2 are (i, j, r) triples.  The super flavour carries the
-        prefactor (-1)^(bi*bj + bi*bk + bj*bk); both reduce to the same
-        element mod 2, which is exactly the collapse this engine relies on,
-        and tests assert it by calling both.
-        """
-        a, b = pack_gen(self, *g1), pack_gen(self, *g2)
-        if g1[2] + g2[2] - 1 > self.shape.cap:
-            raise DegreeCapError(
-                f"bracket degree {g1[2] + g2[2] - 1} exceeds cap {self.shape.cap}")
-        coeff = 1
-        if super_sign:
-            (i, j, _), (k, l, _) = g1, g2
-            bi, bj, bk = (self.shape.block(i), self.shape.block(j),
-                          self.shape.block(k))
-            coeff = (-1) ** (bi * bj + bi * bk + bj * bk) % 2
-        return self.normal_form(self._bracket(a, b) if coeff else ())
 
     def _check_word(self, word: tuple) -> None:
         cap = self.shape.cap

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import OrderCapError
-from .gf2 import shift_expansion
 from .rtt import Element, RTTAlgebra
 
 
@@ -115,7 +114,10 @@ def series_inv(a: YSeries) -> YSeries:
 def series_shift(a: YSeries, shift: int) -> YSeries:
     """Substitute u -> u - shift; exact to the series order.
 
-    Mod 2 only the shift parity matters, so even shifts are the identity.
+    Mod 2 only the shift parity matters, so even shifts are the identity
+    and an odd one acts as u -> u - 1: (u - 1)^(-r) is the sum over k of
+    C(r+k-1, k) u^(-r-k), and by Lucas C(n, k) is odd iff the bits of k
+    lie in those of n.
     """
     if shift % 2 == 0:
         return a
@@ -127,9 +129,8 @@ def series_shift(a: YSeries, shift: int) -> YSeries:
         c = a.coeffs[r]
         if not c:
             continue
-        row = shift_expansion(r, shift, order)
-        for k, bit in enumerate(row.coeffs):
-            if bit:
+        for k in range(order - r + 1):
+            if k & (r + k - 1) == k:
                 out[r + k] = out[r + k] + c
     return YSeries(alg, tuple(out))
 

@@ -1,15 +1,22 @@
 """Independent reference implementations used as test oracles.
 
-Everything here is deliberately written without touching the package
+Most of this is deliberately written without touching the package
 internals: plain (i, j, r) triples, Counter coefficients, factorial
 binomials and generating-function counts.  Agreement between these and
-the engine is the point of the tests that import them.
+the engine is the point of the tests that import them.  The last section
+keeps what only tests read: the dense rows that the block echelons are
+checked against, and the displayed right-hand side of the defining
+relation and the loop degree of an element, on an algebra of the package.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
+
+from yangian2.errors import DegreeCapError
+from yangian2.linalg import BitEchelon
+from yangian2.rtt import pack_gen, word_loop_degree
 
 
 def pascal_table_mod2(limit: int) -> list[list[int]]:
@@ -178,3 +185,57 @@ def count_super(m: int, n: int, bound: int) -> list[int]:
         total += c
         out.append(total)
     return out
+
+
+# -- dense rows and test-only readings of the engine ---------------------------
+
+
+def words_row(words, index: dict, bound: int) -> int:
+    """Bitmask row of a set of words over the columns in index, one dense
+    row over every column.
+
+    The columns are the monomials of degree <= bound; a word outside them
+    raises DegreeCapError instead of being dropped.
+    """
+    row = 0
+    for w in words:
+        pos = index.get(w)
+        if pos is None:
+            raise DegreeCapError(f"element degree exceeds bound {bound}")
+        row |= 1 << pos
+    return row
+
+
+def rank_of(rows) -> int:
+    """GF(2) rank of an iterable of bitmask rows."""
+    ech = BitEchelon()
+    for row in rows:
+        ech.add(row)
+    return ech.rank
+
+
+def rtt_rhs(alg, g1: tuple, g2: tuple, super_sign: bool = False):
+    """Normal form in alg of the displayed right-hand side for [g1, g2].
+
+    g1 and g2 are (i, j, r) triples.  The super flavour carries the
+    prefactor (-1)^(bi*bj + bi*bk + bj*bk); both reduce to the same
+    element mod 2, which is exactly the collapse the engine relies on,
+    and tests assert it by calling both.
+    """
+    a, b = pack_gen(alg, *g1), pack_gen(alg, *g2)
+    if g1[2] + g2[2] - 1 > alg.shape.cap:
+        raise DegreeCapError(
+            f"bracket degree {g1[2] + g2[2] - 1} exceeds cap {alg.shape.cap}")
+    coeff = 1
+    if super_sign:
+        (i, j, _), (k, l, _) = g1, g2
+        bi, bj, bk = (alg.shape.block(i), alg.shape.block(j),
+                      alg.shape.block(k))
+        coeff = (-1) ** (bi * bj + bi * bk + bj * bk) % 2
+    return alg.normal_form(alg._bracket(a, b) if coeff else ())
+
+
+def loop_degree(x) -> int:
+    """Loop degree of an element: the largest over its words, t[i,j,r]
+    counting r - 1."""
+    return max((word_loop_degree(w) for w in x.words), default=0)

@@ -12,12 +12,11 @@ from yangian2.centers import (b_series, build_center_table, build_quotient,
                               leading_word, p_center_squares, quotient_report)
 from yangian2.current import CurrentAlgebra
 from yangian2.errors import DegreeCapError
-from yangian2.linalg import (BitEchelon, BlockColumns, BlockEchelon,
-                             rank_of, words_row)
+from yangian2.linalg import BitEchelon, BlockColumns, BlockEchelon
 from yangian2.rtt import (Element, bounded_words, pack, product_rank,
                           repeats_nilsquare, word_degree, word_weight)
 
-from oracles import count_full, count_super
+from oracles import count_full, count_super, rank_of, rtt_rhs, words_row
 
 
 @pytest.fixture(scope="module")
@@ -353,6 +352,8 @@ def test_weight_blocks_match_one_dense_echelon(monkeypatch, m, n, cap):
                 (dense.add(_dense_row(q, index, vector)) == 0)
         assert q.ideal_rank == dense.rank
         assert _global_pivots(q, index) == set(dense.pivots)
+        assert q.expected_super == len(alg.pbw_monomials(bound,
+                                                         super_only=True))
         non_super = q.dim_full - q.expected_super
         assert q.certificate_ok == all(c < non_super for c in dense.pivots)
         samples = [alg.random_element(rng, bound) for _ in range(20)]
@@ -627,7 +628,7 @@ def test_gr_bracket_compatibility(setup21):
             for k in range(1, 4):
                 for l in range(1, 4):
                     for r, s in ((1, 1), (1, 2), (2, 1), (2, 2)):
-                        bracket = alg.rtt_rhs((i, j, r), (k, l, s))
+                        bracket = rtt_rhs(alg, (i, j, r), (k, l, s))
                         got = gr_leading_term(bracket, r + s - 2, classical)
                         want = classical.bracket(classical.gen(i, j, r - 1),
                                                  classical.gen(k, l, s - 1))

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -302,9 +304,14 @@ def test_bad_config_file(tmp_path):
 
 
 def test_module_invocation_smoke():
+    # the source tree first, as pytest's pythonpath puts it on sys.path
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parents[1] / "src")]
+        + [p for p in [env.get("PYTHONPATH")] if p])
     proc = subprocess.run(
         [sys.executable, "-m", "yangian2.cli", "--help"],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 0
     assert "verify" in proc.stdout
 

@@ -10,9 +10,11 @@ from yangian2.current import (CurrentAlgebra, adjoint_rows, adjoint_sites,
                               invariants_dimension, jacobi_failures,
                               random_lie_element, s_adjoint, sample_triples,
                               word_grade)
-from yangian2.linalg import BitEchelon, rank_of
+from yangian2.linalg import BitEchelon, BlockEchelon
 from yangian2.rtt import (Element, RTTAlgebra, Shape, certified_lie_generators,
                           merge_product, pack, unpack)
+
+from oracles import rank_of
 
 
 @pytest.fixture(scope="module")
@@ -338,6 +340,8 @@ def test_invariants_rank_matches_dense_columns(m, n, trunc, monkeypatch):
 
     monkeypatch.setattr(BitEchelon, "add", recording_add)
     alg = CurrentAlgebra(m, n, trunc)
+    # certify the generating set first: its rows are one bit per letter
+    alg.lie_generators()
     for degree in range(3):
         expected = _dense_invariants(alg, degree)
         widths.clear()
@@ -853,13 +857,16 @@ def _echelon_pbw_check(alg, degree, straighten=rtt.straighten):
 
 
 def _recording_rank_of(monkeypatch):
+    """Record each BlockEchelon that current makes: the PBW count makes
+    one only when it ranks by the echelon walk."""
     calls = []
 
-    def recording(rows):
-        calls.append(1)
-        return rank_of(rows)
+    class Recording(BlockEchelon):
+        def __init__(self):
+            calls.append(1)
+            super().__init__()
 
-    monkeypatch.setattr(current, "rank_of", recording)
+    monkeypatch.setattr(current, "BlockEchelon", Recording)
     return calls
 
 
