@@ -48,8 +48,8 @@ is the product of its factors' symbols and is never zero.  Within a degree,
 fewest letters then the smallest sorted word is a monomial order, so the
 leading word of a product is the sorted merge of its factors' leading
 words.  When the quotient certificate holds, ideal_rank counts the
-non-super words; every a * (t, t) with t odd is the lead of a * sigma(z)
-for the odd square z led by (t, t), so the leads of gr(J_bound) are
+non-super words; every a * t t with t odd is the lead of a * sigma(z)
+for the odd square z led by t t, so the leads of gr(J_bound) are
 exactly the non-super words.  Products whose leading words are distinct
 supermonomials, dim_super of them, are then a basis modulo J_bound:
 exactly what the straightened walk would find.  When any condition fails,
@@ -76,8 +76,8 @@ from .drinfeld import DrinfeldTable, generator_params
 from .errors import DegreeCapError
 from .linalg import BlockColumns, BlockEchelon
 from .report import Report
-from .rtt import (Element, RTTAlgebra, bounded_words, pack, pbw_count,
-                  product_rank, repeats_nilsquare, word_degree,
+from .rtt import (Element, RTTAlgebra, bounded_words, pbw_count,
+                  product_rank, repeats_nilsquare, sort_word, word_degree,
                   word_loop_degree, word_weight)
 from .series import YSeries, series_mul, series_shift
 
@@ -148,14 +148,7 @@ def symbol(x: Element) -> frozenset:
     return frozenset(w for w in x.words if word_degree(w) == top)
 
 
-def is_nonsuper(word: tuple, odd) -> bool:
-    """Whether an ordered word holds an odd letter twice: a column of the
-    quotient that is not a supermonomial."""
-    # a word of distinct letters repeats none
-    return len(set(word)) < len(word) and repeats_nilsquare(word, odd)
-
-
-def leading_word(x: Element) -> tuple:
+def leading_word(x: Element) -> bytes:
     """Lead of the symbol of x: fewest letters, then the smallest sorted
     word, a monomial order within a degree, so leads multiply."""
     return min(symbol(x), key=lambda w: (len(w), w))
@@ -166,6 +159,8 @@ class QuotientModel:
     alg: RTTAlgebra
     bound: int
     columns: BlockColumns   # by weight: non-super words ascending, then super descending
+    offsets: list           # the global column of each block's first column
+    nonsuper: bytearray     # per global column: 1 when its word is not super
     echelon: BlockEchelon
     dim_full: int
     ideal_rank: int
@@ -206,45 +201,52 @@ def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientM
     a * z is homogeneous, of weight wt(a) + wt(z), so it lands in one block,
     and one spanning two would raise.  By linalg's exactness argument the
     rank, the pivots and every residue are those of one dense echelon over
-    the global columns, and each pivot's word says whether it is non-super
-    (is_nonsuper).  The expected number of supermonomials is counted
-    (rtt.pbw_count), not read off the columns.
+    the global columns.  Each word is classified once, as the columns are
+    laid out, and the flag kept at its global column (the block's offset
+    plus its local column) says whether a pivot is non-super.  The
+    expected number of supermonomials is counted (rtt.pbw_count), not read
+    off the columns.
     """
     squares = [sq for sq in p_center_squares(tab, bound) if sq.parity == 1]
     odd_squares = tuple(sq.element for sq in squares)
     noncentral = next((sq.label for sq in squares if alg.first_noncentral(
         sq.element, bound - sq.element.degree())), None)
     all_monos = alg.pbw_monomials(bound)
+    dim_full = len(all_monos)
     odd = alg._odd
     nonsuper, supers = [], []
     for w in all_monos:
-        (nonsuper if is_nonsuper(w, odd) else supers).append(w)
+        (nonsuper if repeats_nilsquare(w, odd) else supers).append(w)
     columns = BlockColumns.by_key(chain(nonsuper, reversed(supers)),
                                   word_weight)
+    offsets = list(accumulate(columns.sizes(), initial=0))
+    flags = bytearray(dim_full)
+    for w in nonsuper:
+        block, col = columns.locate(w)
+        flags[offsets[block] + col] = 1
     del nonsuper, supers    # the columns hold the words
 
-    def mono(w: tuple) -> Element:
+    def mono(w: bytes) -> Element:
         return Element(alg, frozenset({w}))
 
     ech = BlockEchelon()
     for z in odd_squares:
         room = bound - z.degree()
-        prods = {(): z}   # a * z for the monomials a built so far
+        prods = {b"": z}   # a * z for the monomials a built so far
         fits = bisect_right(all_monos, room, key=word_degree)
         for wa in islice(all_monos, fits):
             if wa:
-                # a' = wa[1:] precedes wa in (degree, word) order
-                prods[wa] = alg.multiply(mono(wa[:1]), prods[wa[1:]])
+                # a' = wa[3:] precedes wa in (degree, word) order
+                prods[wa] = alg.multiply(mono(wa[:3]), prods[wa[3:]])
             ech.add(columns.vector(prods[wa].words, bound))
 
-    dim_full = len(all_monos)
     ideal_rank = ech.rank
     dim_super = dim_full - ideal_rank
     expected = pbw_count(alg.shape, bound, super_only=True)
-    pivots_in_nonsuper = all(is_nonsuper(columns.words[block][c], odd)
+    pivots_in_nonsuper = all(flags[offsets[block] + c]
                              for block, held in ech.blocks.items()
                              for c in held.pivots)
-    return QuotientModel(alg, bound, columns, ech, dim_full,
+    return QuotientModel(alg, bound, columns, offsets, flags, ech, dim_full,
                          ideal_rank, dim_super, expected,
                          (noncentral is None and dim_super == expected
                           and pivots_in_nonsuper),
@@ -278,8 +280,10 @@ def gr_leading_term(x: Element, d: int, classical: CurrentAlgebra) -> Element:
         if ld > d:
             raise ValueError(f"element has loop degree {ld} > {d}")
         if ld == d:
-            top_words.append(tuple(
-                pack(g >> 16, (g >> 8) & 0xFF, (g & 0xFF) - 1) for g in w))
+            # each letter's superscript r becomes the t-exponent r - 1
+            image = bytearray(w)
+            image[2::3] = bytes(r - 1 for r in w[2::3])
+            top_words.append(bytes(image))
     return classical.normal_form(top_words)
 
 
@@ -369,7 +373,7 @@ def graded_basis_count(quotient: QuotientModel, factors) -> int | None:
     Proves, without one straightened product, what the exact walk of
     freeness_shadow_report would find: rank = count = dim_super.  It needs
     (1) quotient.certificate_ok, so ideal_rank is the number of non-super
-    words; (2) for every odd letter t with 2 deg t <= bound, (t, t) is the
+    words; (2) for every odd letter t with 2 deg t <= bound, t t is the
     leading word of an odd square; (3) every factor nonzero at its nominal
     degree; and, for the product leads (sorted merges of the factors'
     leading words), (4) no two equal, (5) none repeating an odd letter and
@@ -377,12 +381,13 @@ def graded_basis_count(quotient: QuotientModel, factors) -> int | None:
 
     The leads are not kept: each is looked up in the quotient's column
     index and its column flagged in a bytearray of dim_full bytes, at its
-    block's offset plus its local column.  A lead that is_nonsuper breaks
-    (5) and a flag already set breaks (4); a lead missing from the index,
-    which holds every ordered word of degree <= bound, declines.
+    block's offset plus its local column.  A lead whose column the layout
+    flagged non-super breaks (5) and a flag already set breaks (4); a lead
+    missing from the index, which holds every ordered word of degree <=
+    bound, declines.
 
     For a monomial a that fits, a * sigma(z) lies in gr(J_bound), with
-    lead a * (t, t); by (2) every non-super word of degree <= bound is such
+    lead a * t t; by (2) every non-super word of degree <= bound is such
     a lead.  By (1) gr(J_bound) has dimension ideal_rank, the number of
     non-super words, so its leads are exactly the non-super words.  A
     nonzero sum of products has as top-degree part a sum of product
@@ -393,27 +398,26 @@ def graded_basis_count(quotient: QuotientModel, factors) -> int | None:
     if not quotient.certificate_ok:
         return None
     square_leads = {leading_word(z) for z in quotient.odd_squares}
-    odd = quotient.alg._odd
-    if any((t, t) not in square_leads
-           for t in odd if 2 * (t & 0xFF) <= quotient.bound):
+    if any(t + t not in square_leads
+           for t in quotient.alg._odd if 2 * t[2] <= quotient.bound):
         return None
     for value, deg, _ in factors:
         if not value or value.degree() != deg:
             return None
     values, degrees, tops = zip(*factors)
-    columns = quotient.columns
-    offsets = list(accumulate(columns.sizes(), initial=0))
+    columns, offsets, nonsuper = (quotient.columns, quotient.offsets,
+                                  quotient.nonsuper)
     seen = bytearray(quotient.dim_full)     # the columns of the leads so far
     count = 0
     for lead, _ in bounded_words([leading_word(v) for v in values], degrees,
                                  quotient.bound, tops,
-                                 lambda p, x: tuple(sorted(p + x)), ()):
+                                 lambda p, x: sort_word(p + x), b""):
         place = columns.locate(lead)
         if place is None:
             return None
         block, col = place
         flag = offsets[block] + col
-        if is_nonsuper(lead, odd) or seen[flag]:
+        if nonsuper[flag] or seen[flag]:
             return None
         seen[flag] = 1
         count += 1

@@ -1,8 +1,8 @@
 """The classical oracle: gl_{m+n}[t]/(t^T) as a Lie superalgebra over GF(2).
 
 Basis symbols E[i,j]t^r (0 <= r < T) are packed like RTT generators,
-(i << 16) | (j << 8) | r, with the t-exponent zero-based, so that int
-order is the (i, j, r) lexicographic normal-form order.  The bracket is
+bytes((i, j, r)), with the t-exponent zero-based, so that byte order is
+the (i, j, r) lexicographic normal-form order.  The bracket is
 
     [E[i,j]t^r, E[k,l]t^s] = delta_{k,j} E[i,l]t^(r+s) + delta_{l,i} E[k,j]t^(r+s)
 
@@ -30,32 +30,31 @@ from __future__ import annotations
 
 import itertools
 from array import array
-from bisect import bisect_left
 from functools import partial
 
 from .linalg import BitEchelon, BlockColumns, BlockEchelon
 from .report import Report
 from .rtt import (Element, Shape, WordAlgebra, bounded_words, check_operands,
-                  graded_words, merge_product, pack, straighten, unpack,
-                  word_degree, word_weight)
+                  graded_words, merge_product, pack, straighten,
+                  word_degree, word_letters, word_weight)
 
 
-def render_cword(word) -> str:
+def render_cword(word: bytes) -> str:
     if not word:
         return "1"
-    return "*".join(f"E[{g >> 16},{(g >> 8) & 0xFF}]t^{g & 0xFF}" for g in word)
+    return "*".join(f"E[{i},{j}]t^{r}" for i, j, r in word_letters(word))
 
 
-# the shift of a letter's row index i and of its column index j
-ROW, COLUMN = 16, 8
+# the byte of a letter that holds its row index i and its column index j
+ROW, COLUMN = 0, 1
 
 
 def matrix_lines(x: Element, field: int) -> dict:
     """The letters E[i,j]t^r of a Lie element x by their row i (field ROW)
-    or by their column j (field COLUMN)."""
+    or by their column j (field COLUMN); each word of x is its letter."""
     lines: dict = {}
-    for (g,) in x.words:
-        lines.setdefault((g >> field) & 0xFF, []).append(g)
+    for g in x.words:
+        lines.setdefault(g[field], []).append(g)
     return lines
 
 
@@ -81,10 +80,10 @@ class CurrentAlgebra(WordAlgebra):
     def size(self) -> int:
         return self.shape.size
 
-    def gen_parity(self, g: int) -> int:
+    def gen_parity(self, g: bytes) -> int:
         return 1 if g in self._odd else 0
 
-    def bracket_partners(self, g: int) -> tuple:
+    def bracket_partners(self, g: bytes) -> tuple:
         """The pairs (b, [g, b]) over the letters b, in packed order, whose
         bracket with g is nonzero; memoised per letter."""
         hit = self._partner_cache.get(g)
@@ -96,17 +95,17 @@ class CurrentAlgebra(WordAlgebra):
 
     # -- Lie structure ---------------------------------------------------------
 
-    def _bracket_rule(self, a: int, b: int) -> frozenset:
+    def _bracket_rule(self, a: bytes, b: bytes) -> frozenset:
         """The letter [a, b] as a set of one-letter words, empty once the
         t-degree reaches the truncation."""
-        i, j, r = unpack(a)
-        k, l, s = unpack(b)
+        i, j, r = a
+        k, l, s = b
         out: set = set()
         if r + s < self.trunc:
             if k == j:
-                out ^= {(pack(i, l, r + s),)}
+                out ^= {pack(i, l, r + s)}
             if l == i:
-                out ^= {(pack(k, j, r + s),)}
+                out ^= {pack(k, j, r + s)}
         return frozenset(out)
 
     def bracket(self, x: Element, y: Element) -> Element:
@@ -121,12 +120,12 @@ class CurrentAlgebra(WordAlgebra):
             raise ValueError("bracket is defined on Lie elements")
         rows, cols = matrix_lines(y, ROW), matrix_lines(y, COLUMN)
         acc: set = set()
-        for (a,) in x.words:
-            i, j, _ = unpack(a)
+        for a in x.words:
+            i, j, _ = a
             for b in rows.get(j, ()):
                 acc ^= self._bracket(a, b)
             for b in cols.get(i, ()):
-                if b >> 16 != j:    # row j was bracketed above
+                if b[0] != j:    # row j was bracketed above
                     acc ^= self._bracket(a, b)
         return Element(self, frozenset(acc))
 
@@ -141,19 +140,19 @@ class CurrentAlgebra(WordAlgebra):
             raise ValueError("p_map is defined on Lie elements")
         rows = matrix_lines(x, ROW)
         acc: set = set()
-        for (a,) in x.words:
-            i, j, r = unpack(a)
+        for a in x.words:
+            i, j, r = a
             for b in rows.get(j, ()):
-                _, l, s = unpack(b)
+                _, l, s = b
                 if r + s < self.trunc:
-                    acc ^= {(pack(i, l, r + s),)}
+                    acc ^= {pack(i, l, r + s)}
         return Element(self, frozenset(acc))
 
     def quadratic_q(self, y: Element) -> Element:
         """The quadratic map of the superstructure: squaring on the odd part."""
         if not y.is_lie():
             raise ValueError("quadratic_q is defined on Lie elements")
-        if any(self.gen_parity(w[0]) == 0 for w in y.words):
+        if any(self.gen_parity(w) == 0 for w in y.words):
             raise ValueError("quadratic_q needs a purely odd element")
         return self.p_map(y)
 
@@ -163,7 +162,7 @@ class CurrentAlgebra(WordAlgebra):
         """Sum of all diagonal symbols at one t-exponent."""
         if not 0 <= r < self.trunc:
             raise ValueError(f"t-exponent {r} out of range 0..{self.trunc - 1}")
-        words = frozenset({(pack(i, i, r),) for i in range(1, self.size + 1)})
+        words = frozenset({pack(i, i, r) for i in range(1, self.size + 1)})
         return Element(self, words)
 
     def xi(self, i: int, j: int, r: int) -> Element:
@@ -188,7 +187,7 @@ class CurrentAlgebra(WordAlgebra):
                     out.append(({"i": i, "j": j, "r": r}, self.xi(i, j, r)))
         return out
 
-    def supermonomials(self, max_len: int) -> list[tuple]:
+    def supermonomials(self, max_len: int) -> list[bytes]:
         """Ordered supermonomials of polynomial degree <= max_len, by degree
         and then lexicographically."""
         gens = self.generators()
@@ -198,18 +197,18 @@ class CurrentAlgebra(WordAlgebra):
 # -- symmetric-superalgebra layer (for the invariants report) -------------------
 
 
-def s_adjoint(alg: CurrentAlgebra, g: int, word: tuple) -> frozenset:
+def s_adjoint(alg: CurrentAlgebra, g: bytes, word: bytes) -> frozenset:
     """Adjoint action of a generator on an S-supermonomial, as a derivation."""
     acc: set = set()
-    for pos, b in enumerate(word):
-        brackets = alg._bracket(g, b)
+    for pos in range(0, len(word), 3):
+        brackets = alg._bracket(g, word[pos:pos + 3])
         if brackets:
-            acc ^= merge_product((word[:pos] + word[pos + 1:],), brackets,
+            acc ^= merge_product((word[:pos] + word[pos + 3:],), brackets,
                                  alg._odd)
     return frozenset(acc)
 
 
-def adjoint_sites(basis: list[tuple]) -> dict:
+def adjoint_sites(basis: list[bytes]) -> dict:
     """Letter index of a list of supermonomials for the adjoint action.
 
     sites[b] pairs the index k with rest, for every word k of the list and
@@ -217,23 +216,25 @@ def adjoint_sites(basis: list[tuple]) -> dict:
     letter removed.  k indexes the list passed in, which
     invariants_dimension passes one grading block at a time, so k is a
     block-local index and the rows built from it stay small ints.  The
-    indices sit in an int array beside a list of the rest tuples, and
-    equal rest tuples are shared, which keeps the index small next to the
+    indices sit in an int array beside a list of the rest words, and
+    equal rest words are shared, which keeps the index small next to the
     words themselves.
     """
     sites: dict = {}
     interned: dict = {}
     for k, w in enumerate(basis):
-        for p, b in enumerate(w):
-            rest = w[:p] + w[p + 1:]
+        for p in range(0, len(w), 3):
+            rest = w[:p] + w[p + 3:]
             rest = interned.setdefault(rest, rest)
-            ks, rests = sites.setdefault(b, (array("l"), []))
-            ks.append(k)
-            rests.append(rest)
+            site = sites.get(b := w[p:p + 3])
+            if site is None:    # setdefault would build a site per call
+                site = sites[b] = (array("l"), [])
+            site[0].append(k)
+            site[1].append(rest)
     return sites
 
 
-def adjoint_rows(alg: CurrentAlgebra, g: int, sites: dict) -> dict:
+def adjoint_rows(alg: CurrentAlgebra, g: bytes, sites: dict) -> dict:
     """Nonzero rows of ad g on the words indexed by sites, by output word.
 
     The row of an output word has bit k for each indexed word k (the
@@ -254,20 +255,25 @@ def adjoint_rows(alg: CurrentAlgebra, g: int, sites: dict) -> dict:
         if site is None:
             continue
         ks, rests = site
-        for (h,) in brackets:
+        # in letter order: a set of bytes iterates in an order that changes
+        # from one process to the next, and so would the rows' order
+        for h in sorted(brackets):
             h_odd = h in odd
             for k, rest in zip(ks, rests):
-                i = bisect_left(rest, h)
-                if h_odd and i < len(rest) and rest[i] == h:
+                # the first letter of rest not below h
+                i, end = 0, len(rest)
+                while i < end and rest[i:i + 3] < h:
+                    i += 3
+                if h_odd and rest[i:i + 3] == h:
                     continue
-                out = rest[:i] + (h,) + rest[i:]
+                out = rest[:i] + h + rest[i:]
                 rows[out] = rows.get(out, 0) ^ (1 << k)
     return {w: row for w, row in rows.items() if row}
 
 
 def random_lie_element(alg: CurrentAlgebra, rng, odd_only: bool = False) -> Element:
     pool = [g for g in alg.generators() if not odd_only or alg.gen_parity(g)]
-    words = {(g,) for g in pool if rng.random() < 0.4}
+    words = {g for g in pool if rng.random() < 0.4}
     return Element(alg, frozenset(words))
 
 
@@ -292,9 +298,9 @@ def jacobi_failures(alg: CurrentAlgebra, triples) -> int:
     read letter by letter from the bracket table."""
     bracket = alg._bracket
 
-    def nested(a: int, b: int, c: int) -> set:
+    def nested(a: bytes, b: bytes, c: bytes) -> set:
         acc: set = set()
-        for (h,) in bracket(a, b):
+        for h in bracket(a, b):
             acc ^= bracket(h, c)
         return acc
 
@@ -350,8 +356,8 @@ def classical_suite(alg: CurrentAlgebra, seed: int, samples: int,
 
     # skew-symmetry and Jacobi on basis triples (sampled when large)
     for g in gens:
-        x = Element(alg, frozenset({(g,)}))
-        report.add("bracket-self", {"g": render_cword((g,))},
+        x = Element(alg, frozenset({g}))
+        report.add("bracket-self", {"g": render_cword(g)},
                    not alg.bracket(x, x))
     triples = sample_triples(gens, rng, 4000)
     jac_fail = jacobi_failures(alg, triples)
@@ -389,7 +395,7 @@ def classical_suite(alg: CurrentAlgebra, seed: int, samples: int,
     for k in range(samples):
         x = random_lie_element(alg, rng)
         even = Element(alg, frozenset(
-            w for w in x.words if alg.gen_parity(w[0]) == 0))
+            w for w in x.words if alg.gen_parity(w) == 0))
         xi = alg.multiply(even, even) + alg.p_map(even)
         bad = alg.first_noncentral(xi)
         report.add("central-xi-random", {"sample": k}, bad is None,
@@ -404,7 +410,8 @@ def classical_suite(alg: CurrentAlgebra, seed: int, samples: int,
             """(word, normal form, vector) of every word, each straightened
             on a memo of its own."""
             for length in range(pbw_degree + 1):
-                for w in itertools.product(gens, repeat=length):
+                for letters in itertools.product(gens, repeat=length):
+                    w = b"".join(letters)
                     nf = straighten(w, {}, alg._bracket, alg._nilsquare)
                     yield w, nf, columns.vector(nf, pbw_degree)
 
@@ -436,7 +443,7 @@ def word_grade(word) -> tuple:
     return word_weight(word), word_degree(word)
 
 
-def block_rank(alg: CurrentAlgebra, gens: list[int], block: list[tuple]) -> int:
+def block_rank(alg: CurrentAlgebra, gens: list[bytes], block: list[bytes]) -> int:
     """Rank of the adjoint action of gens on one grading block, stopping
     as soon as the block's echelon is full."""
     sites = adjoint_sites(block)
@@ -498,14 +505,14 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
     the containment check.  The generated products come one at a time from
     bounded_words, folded along shared prefixes.
     """
-    basis = [w for w in alg.supermonomials(degree) if len(w) == degree]
+    basis = [w for w in alg.supermonomials(degree) if len(w) == 3 * degree]
     columns = BlockColumns.by_key(basis, word_grade)
     gens = alg.lie_generators()
     invariant_dim = len(basis) - sum(
         block_rank(alg, gens, block) for block in columns.words)
 
     # generated side: products of z_r (degree 1) and even squares (degree 2)
-    z_list = [frozenset({(pack(i, i, r),) for i in range(1, alg.size + 1)})
+    z_list = [frozenset({pack(i, i, r) for i in range(1, alg.size + 1)})
               for r in range(alg.trunc)]
     squares = []
     for i in range(1, alg.size + 1):
@@ -514,14 +521,14 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
                 continue
             for r in range(alg.trunc):
                 g = pack(i, j, r)
-                squares.append(frozenset({(g, g)}))
+                squares.append(frozenset({g + g}))
 
     ech = BlockEchelon()
     contained = True
     for prod_words, d in bounded_words(
             z_list + squares, [1] * len(z_list) + [2] * len(squares), degree,
             fold=partial(merge_product, nilsquare=alg._odd),
-            one=frozenset({()})):
+            one=frozenset({b""})):
         if d != degree or not prod_words:
             continue
         ech.add(columns.vector(prod_words, degree))

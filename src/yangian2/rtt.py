@@ -1,11 +1,15 @@
 """Straightening engine for the RTT presentation of the Yangian over GF(2),
 and the word-algebra core it shares with its classical limit.
 
-Generators t[i,j,r] are packed into single ints ((i << 16) | (j << 8) | r)
-so that plain int comparison realises the fixed PBW order: (i, j, r)
-ascending lexicographic.  A monomial is a tuple of packed generators; an
-element is a frozenset of monomials, addition being symmetric difference
-(all coefficients live in the two-element field).
+Generators t[i,j,r] are packed into three bytes, bytes((i, j, r)), and a
+monomial is the concatenation of its letters, one ``bytes`` object: byte
+comparison is then letter-by-letter comparison in the fixed PBW order,
+(i, j, r) ascending lexicographic, with a proper prefix first, and a
+letter is its own one-letter word.  A word caches its hash, its letter
+count is len(word) // 3, and word[0::3], word[1::3] and word[2::3] are its
+row indices, column indices and superscripts.  An element is a frozenset
+of monomials, addition being symmetric difference (all coefficients live
+in the two-element field).
 
 The defining commutation rule, with every sign collapsed to + mod 2, is
 
@@ -54,8 +58,8 @@ child's tuple itself, so a run of plain swaps shares one value.
 The memo maps each key to its normal form as a tuple of distinct
 ordered words, not a frozenset: at the frontier it holds hundreds of
 thousands of entries, most of one or two words, and a small frozenset
-costs 216 bytes where a tuple of two costs 56; tuples of int tuples also
-drop out of the cyclic collector.  Callers sum the tuples into a set with
+costs 216 bytes where a tuple of two costs 56; tuples of bytes words
+also drop out of the cyclic collector.  Callers sum the tuples into a set with
 ``symmetric_difference_update``, and only elements hold frozensets.
 The pair memo of letter brackets keeps frozensets, which its readers XOR
 into sets, but it stores every bracket that vanishes as one shared value,
@@ -99,6 +103,7 @@ from __future__ import annotations
 
 import operator
 import random
+import re
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 
@@ -107,7 +112,7 @@ from .linalg import BitEchelon, BlockEchelon
 from .report import Report
 
 
-# every packed field is 8 bits wide; larger indices would alias
+# every packed field is one byte; pack refuses a larger one
 FIELD_LIMIT = 256
 
 # the pair memo's one value for every vanishing bracket
@@ -117,45 +122,53 @@ EMPTY_BRACKET = frozenset()
 WEIGHT_FIELD = 64
 
 
-def pack(i: int, j: int, r: int) -> int:
-    return (i << 16) | (j << 8) | r
+def pack(i: int, j: int, r: int) -> bytes:
+    """The letter (i, j, r); ValueError for a field outside 0..255."""
+    return bytes((i, j, r))
 
 
-def unpack(g: int) -> tuple[int, int, int]:
-    return (g >> 16, (g >> 8) & 0xFF, g & 0xFF)
+def word_letters(word: bytes) -> list[bytes]:
+    """The letters of a word, in order."""
+    return [word[k:k + 3] for k in range(0, len(word), 3)]
 
 
-def word_degree(word) -> int:
-    return sum(g & 0xFF for g in word)
+def sort_word(word: bytes) -> bytes:
+    """The ordered word of the same letters."""
+    return b"".join(sorted(word_letters(word)))
 
 
-def word_loop_degree(word) -> int:
-    return sum((g & 0xFF) - 1 for g in word)
+def word_degree(word: bytes) -> int:
+    return sum(word[2::3])
+
+
+def word_loop_degree(word: bytes) -> int:
+    return sum(word[2::3]) - len(word) // 3
 
 
 @lru_cache(maxsize=None)
-def _letter_weight(g: int) -> int:
-    """The weight e_i - e_j of the letter (i, j, r), packed as word_weight
-    packs it."""
-    return (1 << WEIGHT_FIELD * (g >> 16)) - (1 << WEIGHT_FIELD * ((g >> 8) & 0xFF))
+def _index_sum(indices: bytes) -> int:
+    """The sum of 2^(WEIGHT_FIELD * i) over the bytes i of indices."""
+    return sum(1 << WEIGHT_FIELD * i for i in indices)
 
 
-def word_weight(word) -> int:
+def word_weight(word: bytes) -> int:
     """The root-lattice weight of a word, the sum of e_i - e_j over its
     letters (i, j, r), in either algebra, as one int: the sum of
-    c_i * 2^(WEIGHT_FIELD * i) over its coefficients c_i.  Each |c_i| is
+    c_i * 2^(WEIGHT_FIELD * i) over its coefficients c_i, read off the row
+    indices word[0::3] and the column indices word[1::3].  Each |c_i| is
     at most the word's length, far below 2^(WEIGHT_FIELD - 1), so equal
-    ints are equal weights."""
-    return sum(map(_letter_weight, word))
+    ints are equal weights.  Many words share their index strings, so
+    each string's sum is cached."""
+    return _index_sum(word[0::3]) - _index_sum(word[1::3])
 
 
-def render_word(word) -> str:
+def render_word(word: bytes) -> str:
     if not word:
         return "1"
-    return "*".join(f"t[{g >> 16},{(g >> 8) & 0xFF},{g & 0xFF}]" for g in word)
+    return "*".join(f"t[{i},{j},{r}]" for i, j, r in word_letters(word))
 
 
-def pack_gen(alg, i: int, j: int, r: int) -> int:
+def pack_gen(alg, i: int, j: int, r: int) -> bytes:
     """The packed generator (i, j, r) of *alg*; ValueError when a field
     leaves its range, so no superscript aliases into the index bits."""
     size = alg.shape.size
@@ -167,7 +180,7 @@ def pack_gen(alg, i: int, j: int, r: int) -> int:
     return pack(i, j, r)
 
 
-def pack_generators(alg, superscripts) -> list[int]:
+def pack_generators(alg, superscripts) -> list[bytes]:
     """Every packed generator of *alg* with superscript in *superscripts*,
     in PBW order."""
     size = alg.shape.size
@@ -177,18 +190,20 @@ def pack_generators(alg, superscripts) -> list[int]:
             for r in superscripts]
 
 
-def letter(alg, g) -> int:
-    """The packed letter of *alg* given as an int or an (i, j, r) triple;
+def letter(alg, g) -> bytes:
+    """The packed letter of *alg* given packed or as an (i, j, r) triple;
     pack_gen's ValueError when it is not one of alg's generators."""
-    if isinstance(g, int):
-        # an int outside alg._letters has a field out of range: pack_gen raises
-        return g if g in alg._letters else pack_gen(alg, *unpack(g))
+    if isinstance(g, bytes):
+        if g in alg._letters:
+            return g
+        if len(g) != 3:
+            raise ValueError(f"{g!r} is not one packed letter")
     return pack_gen(alg, *g)
 
 
 def same_algebra(a, b) -> bool:
     """Algebras are equal when they are of one kind and one shape: a word
-    of the Yangian and a classical word with the same packed ints differ."""
+    of the Yangian and a classical word with the same bytes differ."""
     return a is b or (type(a) is type(b) and a.shape == b.shape)
 
 
@@ -201,13 +216,23 @@ def check_operands(alg, *elements) -> None:
                 f"{alg.shape}")
 
 
-def repeats_nilsquare(word, nilsquare) -> bool:
+# from its start, the first letter of a word that the next letter repeats
+_REPEATED_LETTER = re.compile(rb"(?:...)*?(...)\1", re.DOTALL)
+
+
+def repeats_nilsquare(word: bytes, nilsquare) -> bool:
     """Whether the ordered *word* holds a letter of *nilsquare* twice;
-    ordered words keep equal letters adjacent."""
-    return any(a == b and a in nilsquare for a, b in zip(word, word[1:]))
+    ordered words keep equal letters adjacent, so each letter that the
+    next one repeats is asked in turn."""
+    start = 0
+    while hit := _REPEATED_LETTER.match(word, start):
+        if hit.group(1) in nilsquare:
+            return True
+        start = hit.end(1)
+    return False
 
 
-def straighten(word: tuple, cache: dict, bracket,
+def straighten(word: bytes, cache: dict, bracket,
                nilsquare=frozenset()) -> tuple:
     """The distinct ordered words whose sum equals *word*, as a tuple
     memoised in *cache*.
@@ -221,8 +246,8 @@ def straighten(word: tuple, cache: dict, bracket,
     An ordered word is its own normal form.  Any other word is an ordered
     prefix, its first out-of-place letter and a tail: the letter is
     inserted into the prefix, then each tail letter g into every word s of
-    the running sum, as NF(s + (g,)), and the sum is memoised under the
-    whole word.  Inserting b into an ordered word w1 + (a,) with a > b is
+    the running sum, as NF(s + g), and the sum is memoised under the
+    whole word.  Inserting b into an ordered word w1 + a with a > b is
     the one rule (``_insert``):
 
         NF(w1 a b) = sum_{s in NF(w1 b)} NF(s a) + sum_{mid} NF(w1 mid)
@@ -235,7 +260,7 @@ def straighten(word: tuple, cache: dict, bracket,
     filtration degree is the canonical degree in the Yangian and the
     length classically, where every bracket word is one letter.  w1 b is
     shorter than w1 a b and of lower degree.  The top-degree word of
-    NF(w1 b) is sorted(w1 + (b,)), and a is no smaller than any letter of
+    NF(w1 b) is sort_word(w1 + b), and a is no smaller than any letter of
     w1 and greater than b, so appending a leaves it ordered; every other
     s a, and every w1 mid, is of lower degree.  Each recursion thus
     shortens the word or lowers its degree, and its depth follows the
@@ -244,42 +269,46 @@ def straighten(word: tuple, cache: dict, bracket,
     ambiguities resolve; the tests compare this order with an independent
     rewriter that takes the last inversion first (``tests/oracles.py``).
 
-    The memo's keys are therefore of three kinds: ordered words, ordered
-    words but for their last letter, and words a caller passed in.  A
-    result with one branch is its child's tuple itself, not a copy.
+    The memo's keys are therefore of three kinds, all of them bytes words
+    (each caches its hash, so a key is hashed once however often it is
+    probed): ordered words, ordered words but for their last letter, and
+    words a caller passed in.  A result with one branch is its child's
+    tuple itself, not a copy.
     """
     hit = cache.get(word)
     if hit is not None:
         return hit
-    for p in range(1, len(word)):
-        a, b = word[p - 1], word[p]
+    a = word[:3]
+    for p in range(3, len(word), 3):
+        b = word[p:p + 3]
         if a > b or (a == b and a in nilsquare):
             break
+        a = b
     else:
         result = cache[word] = (word,)
         return result
     result = _insert_letters((word[:p],), word[p:], cache, bracket,
                              nilsquare)
-    if p + 1 < len(word):
+    if p + 3 < len(word):
         # an insertion word is memoised by _insert; any other word here
         cache[word] = result
     return result
 
 
-def _insert(s: tuple, b: int, cache: dict, bracket, nilsquare) -> tuple:
-    """NF(s + (b,)) for an ordered word s, memoised under s + (b,): the
-    insertion rule of ``straighten``."""
-    word = s + (b,)
+def _insert(s: bytes, b: bytes, cache: dict, bracket, nilsquare) -> tuple:
+    """NF(s + b) for an ordered word s and a letter b, memoised under
+    s + b: the insertion rule of ``straighten``."""
+    word = s + b
     hit = cache.get(word)
     if hit is not None:
         return hit
-    a = s[-1] if s else -1
+    a = s[-3:]      # b"" for the empty word, below every letter
     if a < b or (a == b and b not in nilsquare):
         result = (word,)
     elif a == b:
         result = ()
     else:
-        w1 = s[:-1]
+        w1 = s[:-3]
         terms = _insert(w1, b, cache, bracket, nilsquare)
         mids = bracket(a, b)
         if len(terms) == 1 and not mids:
@@ -297,11 +326,12 @@ def _insert(s: tuple, b: int, cache: dict, bracket, nilsquare) -> tuple:
     return result
 
 
-def _insert_letters(terms: tuple, letters: tuple, cache: dict, bracket,
+def _insert_letters(terms: tuple, letters: bytes, cache: dict, bracket,
                     nilsquare) -> tuple:
     """NF(sum of s + letters over the ordered words s of *terms*), one
     letter at a time; a step with one word keeps its child's tuple."""
-    for g in letters:
+    for k in range(0, len(letters), 3):
+        g = letters[k:k + 3]
         if len(terms) == 1:
             terms = _insert(terms[0], g, cache, bracket, nilsquare)
         else:
@@ -334,20 +364,22 @@ def commutator_words(xwords, ywords, cache: dict, tables: dict, bracket,
     """
     acc: set = set()
     for wa in xwords:
-        for i, a in enumerate(wa):
+        for i in range(0, len(wa), 3):
+            a = wa[i:i + 3]
             nf = tables.get((a, ywords))
             if nf is None:
                 table: set = set()
                 for wb in ywords:
-                    for j, b in enumerate(wb):
+                    for j in range(0, len(wb), 3):
+                        b = wb[j:j + 3]
                         if b == a:
                             continue
-                        head, tail = wb[:j], wb[j + 1:]
+                        head, tail = wb[:j], wb[j + 3:]
                         for mid in bracket(max(a, b), min(a, b)):
                             table.symmetric_difference_update(straighten(
                                 head + mid + tail, cache, bracket, nilsquare))
                 nf = tables[(a, ywords)] = tuple(table)
-            head, tail = wa[:i], wa[i + 1:]
+            head, tail = wa[:i], wa[i + 3:]
             for c in nf:
                 acc.symmetric_difference_update(
                     straighten(head + c + tail, cache, bracket, nilsquare))
@@ -363,7 +395,7 @@ def merge_product(x, y, nilsquare=frozenset()) -> frozenset:
     acc: set = set()
     for a in x:
         for b in y:
-            w = tuple(sorted(a + b))
+            w = sort_word(a + b)
             if not (nilsquare and repeats_nilsquare(w, nilsquare)):
                 acc ^= {w}
     return frozenset(acc)
@@ -435,12 +467,13 @@ def bounded_words(items, weights, bound: int, max_mult=None, fold=None,
     return walk()
 
 
-def graded_words(gens, weights, bound: int, odd=frozenset()) -> list[tuple]:
-    """Every ordered word over *gens* of weight <= bound, with each letter
-    of *odd* at most once: graded by weight, then lexicographic."""
+def graded_words(gens, weights, bound: int, odd=frozenset()) -> list[bytes]:
+    """Every ordered word over the letters *gens* of weight <= bound, with
+    each letter of *odd* at most once: graded by weight, then
+    lexicographic."""
     caps = [1 if g in odd else bound for g in gens]
     by_weight: list[list] = [[] for _ in range(bound + 1)]
-    for w, d in bounded_words(gens, weights, bound, caps):
+    for w, d in bounded_words(gens, weights, bound, caps, operator.add, b""):
         by_weight[d].append(w)
     return [w for words in by_weight for w in sorted(words)]
 
@@ -474,9 +507,10 @@ def certified_lie_generators(alg, gens, top: int) -> tuple:
             for a in basis[i]:
                 for b in basis[j]:
                     acc ^= alg._bracket(max(a, b), min(a, b))
-            if (all(len(w) == 1 for w in acc)
-                    and ech.add(sum(bit[h] for (h,) in acc))):
-                basis.append([h for (h,) in acc])
+            # a one-letter word is its letter
+            if (all(len(w) == 3 for w in acc)
+                    and ech.add(sum(bit[h] for h in acc))):
+                basis.append(list(acc))
         i += 1
     if ech.rank < len(letters):
         raise RuntimeError(
@@ -520,8 +554,7 @@ class Shape:
 
     def odd_letters(self, letters) -> frozenset:
         """The odd ones among packed *letters*."""
-        return frozenset(g for g in letters
-                         if self.parity(g >> 16, (g >> 8) & 0xFF))
+        return frozenset(g for g in letters if self.parity(g[0], g[1]))
 
 
 def product_rank(alg, values, degrees, bound: int, vector, max_mult=None):
@@ -636,12 +669,12 @@ class Element:
 
     def is_lie(self) -> bool:
         """Every word is one letter: a sum of generators."""
-        return all(len(w) == 1 for w in self.words)
+        return all(len(w) == 3 for w in self.words)
 
     def parity(self):
         """Common parity of all monomials, or None when mixed; 0 for zero."""
         odd = self.alg._odd
-        seen = {sum(g in odd for g in w) % 2 for w in self.words}
+        seen = {sum(g in odd for g in word_letters(w)) % 2 for w in self.words}
         if not seen:
             return 0
         if len(seen) == 1:
@@ -683,7 +716,7 @@ class WordAlgebra:
         self._letter_cache: dict = {}   # (letter a, y.words) -> NF of [a, y]
         self._lie_generators: dict = {}  # top -> certified generating set
 
-    def generators(self, max_degree: int | None = None) -> list[int]:
+    def generators(self, max_degree: int | None = None) -> list[bytes]:
         """The packed letters with superscript up to max_degree (default:
         all of them), in PBW order."""
         top = self.superscripts[-1] if max_degree is None else max_degree
@@ -695,24 +728,24 @@ class WordAlgebra:
         return Element(self, frozenset())
 
     def one(self) -> Element:
-        return Element(self, frozenset({()}))
+        return Element(self, frozenset({b""}))
 
     def gen(self, i: int, j: int, r: int) -> Element:
-        return Element(self, frozenset({(pack_gen(self, i, j, r),)}))
+        return Element(self, frozenset({pack_gen(self, i, j, r)}))
 
     # -- the bracket and its hooks ------------------------------------------
 
-    def _bracket(self, a: int, b: int) -> frozenset:
-        """``_bracket_rule(a, b)``, memoised per pair of letters; every
-        empty value is the one ``EMPTY_BRACKET``."""
-        key = (a << 32) | b
+    def _bracket(self, a: bytes, b: bytes) -> frozenset:
+        """``_bracket_rule(a, b)``, memoised per pair of letters under the
+        word a + b; every empty value is the one ``EMPTY_BRACKET``."""
+        key = a + b
         hit = self._pair_cache.get(key)
         if hit is None:
             hit = self._pair_cache[key] = (self._bracket_rule(a, b)
                                            or EMPTY_BRACKET)
         return hit
 
-    def _check_word(self, word: tuple) -> None:
+    def _check_word(self, word: bytes) -> None:
         """Raise for a raw word that ``normal_form`` must refuse."""
 
     def _check_product_cap(self, x: Element, y: Element) -> None:
@@ -721,11 +754,14 @@ class WordAlgebra:
     # -- straightening -----------------------------------------------------
 
     def normal_form(self, words) -> Element:
-        """Normal form of a sum of raw words (tuples of (i, j, r) triples or
-        packed ints); ValueError for a letter that is not a generator."""
+        """Normal form of a sum of raw words: packed words, or sequences of
+        letters, each packed or an (i, j, r) triple; ValueError for a letter
+        that is not a generator."""
         acc: set = set()
         for w in words:
-            packed = tuple(letter(self, g) for g in w)
+            if isinstance(w, bytes):
+                w = word_letters(w)
+            packed = b"".join(letter(self, g) for g in w)
             self._check_word(packed)
             acc.symmetric_difference_update(straighten(
                 packed, self._nf_cache, self._bracket, self._nilsquare))
@@ -809,11 +845,11 @@ class WordAlgebra:
         the one a scan of every letter names.
         """
         top = self.superscripts[-1] if top is None else top
-        if not any(self.commutator(x, self.gen(*unpack(s)))
+        if not any(self.commutator(x, self.gen(*s))
                    for s in self.lie_generators(top)):
             return None
         scan = sorted(self.generators(top), key=self._scan_key)
-        return next(g for g in (self.gen(*unpack(s)) for s in scan)
+        return next(g for g in (self.gen(*s) for s in scan)
                     if self.commutator(x, g))
 
 
@@ -830,7 +866,7 @@ class RTTAlgebra(WordAlgebra):
     multiply = WordAlgebra.multiply
 
     # a failing centrality scan meets t[i,j,s] in (s, i, j) order
-    _scan_key = staticmethod(lambda g: (g & 0xFF, g))
+    _scan_key = staticmethod(lambda g: (g[2], g))
 
     def first_noncentral(self, x: Element, top: int) -> Element | None:
         # deg x + top must fit the cap, so that every [x, g] is exact
@@ -842,25 +878,25 @@ class RTTAlgebra(WordAlgebra):
 
     # -- the defining relation --------------------------------------------
 
-    def _bracket_rule(self, a: int, b: int) -> frozenset:
+    def _bracket_rule(self, a: bytes, b: bytes) -> frozenset:
         """Raw right-hand side of [a, b] as a set of words, before straightening."""
-        i, j, r = unpack(a)
-        k, l, s = unpack(b)
+        i, j, r = a
+        k, l, s = b
         out: set = set()
         for t in range(min(r, s)):
             hi = r + s - 1 - t
             if t == 0:
                 # t^(0) contracts to a Kronecker delta on either side
                 if k == j:
-                    out ^= {(pack(i, l, hi),)}
+                    out ^= {pack(i, l, hi)}
                 if i == l:
-                    out ^= {(pack(k, j, hi),)}
+                    out ^= {pack(k, j, hi)}
             else:
-                out ^= {(pack(k, j, t), pack(i, l, hi))}
-                out ^= {(pack(k, j, hi), pack(i, l, t))}
+                out ^= {pack(k, j, t) + pack(i, l, hi)}
+                out ^= {pack(k, j, hi) + pack(i, l, t)}
         return frozenset(out)
 
-    def _check_word(self, word: tuple) -> None:
+    def _check_word(self, word: bytes) -> None:
         cap = self.shape.cap
         d = word_degree(word)
         if d > cap:
@@ -869,15 +905,17 @@ class RTTAlgebra(WordAlgebra):
 
     def _check_product_cap(self, x: Element, y: Element) -> None:
         """Raise DegreeCapError at the first pair of words of xy over the
-        cap, in the order ``multiply`` meets them.
+        cap, x's words and then y's taken in sorted order: the hash of a
+        bytes word, and so a frozenset's own order, changes from one
+        process to the next, and the error names the same pair in each.
 
         A pair is over the cap only if the top degrees of x and y are, so
         the pairs are walked only then."""
         cap = self.shape.cap
         if x.degree() + y.degree() <= cap:
             return
-        right = [(wb, word_degree(wb)) for wb in y.words]
-        for wa in x.words:
+        right = [(wb, word_degree(wb)) for wb in sorted(y.words)]
+        for wa in sorted(x.words):
             da = word_degree(wa)
             for wb, db in right:
                 if da + db > cap:
@@ -914,21 +952,25 @@ class RTTAlgebra(WordAlgebra):
         acc: set = set()
         cache, bracket = self._nf_cache, self._bracket
         for w in x.words:
+            # w[::-1] holds each letter (i, j, r) as (r, j, i), in reverse
+            flipped = w[::-1]
+            image = bytearray(len(w))
+            image[0::3], image[1::3], image[2::3] = (
+                flipped[1::3], flipped[2::3], flipped[0::3])
             acc.symmetric_difference_update(straighten(
-                tuple(pack(j, i, r) for i, j, r in map(unpack, reversed(w))),
-                cache, bracket))
+                bytes(image), cache, bracket))
         return Element(self, frozenset(acc))
 
     # -- PBW enumeration ----------------------------------------------------
 
-    def pbw_monomials(self, bound: int, super_only: bool = False) -> list[tuple]:
+    def pbw_monomials(self, bound: int, super_only: bool = False) -> list[bytes]:
         """All ordered (super)monomials of canonical degree <= bound.
 
         Supermonomials additionally restrict odd generators to exponent <= 1.
         The list is deterministic: graded, then lexicographic in the word.
         """
         gens = self.generators(min(bound, self.shape.cap))
-        return graded_words(gens, [g & 0xFF for g in gens], bound,
+        return graded_words(gens, [g[2] for g in gens], bound,
                             self._odd if super_only else frozenset())
 
     # -- randomised health checks -------------------------------------------
@@ -945,8 +987,8 @@ class RTTAlgebra(WordAlgebra):
                 j = rng.randint(1, self.shape.size)
                 word.append(pack(i, j, r))
                 budget -= r
-            words.append(tuple(word))
-        return self.normal_form([tuple(w) for w in words])
+            words.append(b"".join(word))
+        return self.normal_form(words)
 
     def associativity_fuzz(self, samples: int, seed: int) -> Report:
         """Compare ((ab)c) and (a(bc)) on random in-cap triples.

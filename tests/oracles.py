@@ -3,10 +3,13 @@
 Most of this is deliberately written without touching the package
 internals: plain (i, j, r) triples, Counter coefficients, factorial
 binomials and generating-function counts.  Agreement between these and
-the engine is the point of the tests that import them.  The last section
-keeps what only tests read: the dense rows that the block echelons are
-checked against, and the displayed right-hand side of the defining
-relation and the loop degree of an element, on an algebra of the package.
+the engine is the point of the tests that import them.  The engine's
+words are bytes, three per letter; ``triples`` turns one into the tuple of
+(i, j, r) triples the references use, and is the one place that reads the
+encoding.  The last section keeps what only tests read: the dense rows
+that the block echelons are checked against, and the displayed right-hand
+side of the defining relation and the loop degree of an element, on an
+algebra of the package.
 """
 
 from __future__ import annotations
@@ -17,6 +20,12 @@ from collections import Counter
 from yangian2.errors import DegreeCapError
 from yangian2.linalg import BitEchelon
 from yangian2.rtt import pack_gen, word_loop_degree
+
+
+def triples(word: bytes) -> tuple:
+    """An engine word, or letter, as the tuple of its (i, j, r) triples."""
+    fields = iter(word)
+    return tuple(zip(fields, fields, fields))
 
 
 def pascal_table_mod2(limit: int) -> list[list[int]]:

@@ -21,12 +21,12 @@ from yangian2.drinfeld import (build_table, drinfeld_pbw_check,
                                verify_drinfeld_relations,
                                verify_odd_square_relations)
 from yangian2.dsl import EvalContext, evaluate, parse
-from yangian2.rtt import Element, unpack
+from yangian2.rtt import Element
 from yangian2.series import diagonal_matrix, gauss_decompose, matrix_mul, t_matrix
 from yangian2 import cli
 
 from oracles import (count_full, count_super, gl_bracket_mod2,
-                     naive_normal_form, rtt_rhs)
+                     naive_normal_form, rtt_rhs, triples)
 
 
 def announce(criterion, ok, detail, elapsed):
@@ -62,7 +62,7 @@ def test_criterion_01_degree_one_closure():
         alg = RTTAlgebra(Shape(m, n, 2))
         size = m + n
         for i, j, k, l in itertools.product(range(1, size + 1), repeat=4):
-            got = {tuple((g >> 16, (g >> 8) & 0xFF, g & 0xFF) for g in w)
+            got = {triples(w)
                    for w in rtt_rhs(alg, (i, j, 1), (k, l, 1)).words}
             want = {((a, b, 1),) for a, b in gl_bracket_mod2((i, j), (k, l))}
             assert got == want, (m, n, i, j, k, l)
@@ -289,7 +289,7 @@ def test_criterion_12_engine_health(tmp_path):
         frontier = nxt
     assert len(words) > 100
     for w in words:
-        assert {tuple(unpack(g) for g in v)
+        assert {triples(v)
                 for v in alg.normal_form([w]).words} == naive_normal_form([w])
 
     # CLI round-trip on all basis monomials of degree <= 3

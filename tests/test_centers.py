@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -13,10 +14,11 @@ from yangian2.centers import (b_series, build_center_table, build_quotient,
 from yangian2.current import CurrentAlgebra
 from yangian2.errors import DegreeCapError
 from yangian2.linalg import BitEchelon, BlockColumns, BlockEchelon
-from yangian2.rtt import (Element, bounded_words, pack, product_rank,
+from yangian2.rtt import (Element, bounded_words, product_rank,
                           repeats_nilsquare, word_degree, word_weight)
 
-from oracles import count_full, count_super, rank_of, rtt_rhs, words_row
+from oracles import (count_full, count_super, rank_of, rtt_rhs, triples,
+                     words_row)
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +108,32 @@ def test_p_center_squares_parities(setup11, setup21):
     assert tagged[("f", 2, 1)] == 0
     for sq in squares21:
         assert alg21.first_noncentral(sq.element, 2) is None
+
+
+def test_columns_are_classified_once(setup11, monkeypatch):
+    """build_quotient asks once of each column whether it repeats an odd
+    letter and keeps the answer at its global column; the pivot check and
+    the leading-word certificate read that flag and ask no word again."""
+    alg, tab = setup11
+    real, asked = centers.repeats_nilsquare, []
+
+    def counting(word, odd):
+        asked.append(word)
+        return real(word, odd)
+
+    monkeypatch.setattr(centers, "repeats_nilsquare", counting)
+    q = build_quotient(alg, 4, tab)
+    assert sorted(asked) == sorted(alg.pbw_monomials(4))
+    assert q.nonsuper == bytearray(real(w, alg._odd)
+                                   for block in q.columns.words for w in block)
+    assert q.offsets == [0, *itertools.accumulate(q.columns.sizes())]
+    asked.clear()
+    certify, counted = centers.graded_basis_count, []
+    monkeypatch.setattr(centers, "graded_basis_count",
+                        lambda quotient, factors: counted.append(
+                            certify(quotient, factors)) or counted[-1])
+    assert freeness_shadow_report(build_center_table(tab), q).ok
+    assert counted == [q.dim_super] and not asked
 
 
 def test_build_quotient_dimensions(setup11):
@@ -845,17 +873,18 @@ def test_leading_words(m, n, cap):
     alg = RTTAlgebra(Shape(m, n, cap))
     tab = build_table(alg, cap)
     for kind, a, b, r, x in tab.generators(cap):
-        assert leading_word(x) == (pack(a, b, r),), (kind, a, b, r)
+        assert triples(leading_word(x)) == ((a, b, r),), (kind, a, b, r)
     table = build_center_table(tab)
     for r in range(1, cap + 1):
-        assert leading_word(table.c[r]) == (pack(1, 1, r),), r
+        assert triples(leading_word(table.c[r])) == ((1, 1, r),), r
     for i, coeffs in table.b.items():
         for r in range(1, cap // 2 + 1):
-            assert leading_word(coeffs[2 * r]) == (pack(i, i, r),) * 2, (i, r)
+            assert triples(leading_word(coeffs[2 * r])) == ((i, i, r),) * 2, \
+                (i, r)
     assert table.squares
     for sq in table.squares:
-        t = pack(sq.i, sq.j, sq.r)
-        assert leading_word(sq.element) == (t, t), sq.label
+        t = (sq.i, sq.j, sq.r)
+        assert triples(leading_word(sq.element)) == (t, t), sq.label
 
 
 def test_graded_shadow_declines_below_nominal_degree(setup11, monkeypatch):

@@ -12,9 +12,9 @@ from yangian2.current import (CurrentAlgebra, adjoint_rows, adjoint_sites,
                               word_grade)
 from yangian2.linalg import BitEchelon, BlockEchelon
 from yangian2.rtt import (Element, RTTAlgebra, Shape, certified_lie_generators,
-                          merge_product, pack, unpack)
+                          merge_product, pack)
 
-from oracles import rank_of
+from oracles import rank_of, triples
 
 
 @pytest.fixture(scope="module")
@@ -41,7 +41,7 @@ def test_bracket_bilinear(cl):
 
 
 def test_jacobi_and_alternating_exhaustive(cl):
-    gens = [Element(cl, frozenset({(g,)})) for g in cl.generators()]
+    gens = [Element(cl, frozenset({g})) for g in cl.generators()]
     for x in gens:
         assert not cl.bracket(x, x)
     for a, b, c in itertools.product(gens, repeat=3):
@@ -113,7 +113,7 @@ def test_deep_word_straightens():
     word = (e22,) * 40 + (e11,) * 40 + (e12,)
     got = small.normal_form([word])
     # E22 E12 = E12 (E22 + 1), and (E22 + 1)^40 = E22^40 + E22^32 + E22^8 + 1
-    assert got.words == {(e11,) * 40 + (e12,) + (e22,) * k for k in (40, 32, 8, 0)}
+    assert got.words == {e11 * 40 + e12 + e22 * k for k in (40, 32, 8, 0)}
     # cut inside the E11 block so that both halves need straightening
     halves = small.normal_form([word[:41]]), small.normal_form([word[41:]])
     assert got == small.multiply(*halves)
@@ -130,7 +130,7 @@ def test_packing_width_limits():
 def test_z_elements(cl):
     z0 = cl.z_element(0)
     assert z0 == cl.gen(1, 1, 0) + cl.gen(2, 2, 0)
-    gens = [Element(cl, frozenset({(g,)})) for g in cl.generators()]
+    gens = [Element(cl, frozenset({g})) for g in cl.generators()]
     for r in range(cl.trunc):
         z = cl.z_element(r)
         for g in gens:
@@ -145,7 +145,7 @@ def test_classical_p_center(cl):
     # only even-parity positions appear, with doubled exponent in range
     assert (1, 2, 0) not in labels
     assert (1, 1, 0) in labels and (2, 2, 1) in labels
-    gens = [Element(cl, frozenset({(g,)})) for g in cl.generators()]
+    gens = [Element(cl, frozenset({g})) for g in cl.generators()]
     for params, xi in entries:
         for g in gens:
             assert not cl.commutator(xi, g)
@@ -161,7 +161,7 @@ def test_supermonomial_count_matches_oracle(cl):
     # degree-graded count over 12 generators: evens free, odds exponent <= 1
     monos = cl.supermonomials(3)
     by_len = {}
-    for w in monos:
+    for w in map(triples, monos):
         by_len[len(w)] = by_len.get(len(w), 0) + 1
     # independent count: multisets of generators with odd multiplicity <= 1
     import math
@@ -197,9 +197,9 @@ def test_pbw_rank_exhaustive(cl):
 def test_s_layer(cl):
     odd = next(g for g in cl.generators() if cl.gen_parity(g))
     even = next(g for g in cl.generators() if not cl.gen_parity(g))
-    assert merge_product({(odd,)}, {(odd,)}, cl._odd) == frozenset()
-    assert merge_product({(even,)}, {(even,)}, cl._odd) == {(even, even)}
-    mono = tuple(sorted((even, odd)))
+    assert merge_product({odd}, {odd}, cl._odd) == frozenset()
+    assert merge_product({even}, {even}, cl._odd) == {even + even}
+    mono = b"".join(sorted((even, odd)))
     image = s_adjoint(cl, pack(1, 2, 0), mono)
     assert isinstance(image, frozenset)
 
@@ -226,17 +226,18 @@ def test_invariants_dimension_reports_both_sides():
 
 def _degree_piece(alg, degree):
     """The S-supermonomials of exactly the given polynomial degree."""
-    return [w for w in alg.supermonomials(degree) if len(w) == degree]
+    return [w for w in alg.supermonomials(degree) if len(triples(w)) == degree]
 
 
 def test_s_supermonomials_enumeration(cl):
     d2 = _degree_piece(cl, 2)
-    assert all(len(w) == 2 for w in d2)
+    assert all(len(triples(w)) == 2 for w in d2)
     assert len(set(d2)) == len(d2)
     # odd letters never repeat inside one S-supermonomial
     for w in d2:
-        if w[0] == w[1]:
-            assert not cl.gen_parity(w[0])
+        a, b = triples(w)
+        if a == b:
+            assert not cl.gen_parity(pack(*a))
 
 
 def test_classical_suite_11(cl):
@@ -270,9 +271,9 @@ def _old_supermonomials(alg, max_len):
         g = gens[k]
         top = remaining if not alg.gen_parity(g) else min(remaining, 1)
         for mult in range(top + 1):
-            rec(k + 1, remaining - mult, word + (g,) * mult)
+            rec(k + 1, remaining - mult, word + g * mult)
 
-    rec(0, max_len, ())
+    rec(0, max_len, b"")
     out.sort(key=lambda w: (len(w), w))
     return out
 
@@ -299,26 +300,26 @@ def _dense_invariants(alg, degree):
         columns.append(col)
     invariant_dim = len(basis) - rank_of(columns)
 
-    z = [{(pack(i, i, r),) for i in range(1, alg.size + 1)}
+    z = [{pack(i, i, r) for i in range(1, alg.size + 1)}
          for r in range(alg.trunc)]
-    squares = [{(g, g)} for g in gens
-               if not alg.gen_parity(g) and g >> 8 != pack(1, 1, 0) >> 8]
+    squares = [{g + g} for g in gens
+               if not alg.gen_parity(g) and triples(g)[0][:2] != (1, 1)]
     factors = [(1, f) for f in z] + [(2, f) for f in squares]
     rows = []
     for k in range(degree + 1):
         for combo in itertools.combinations_with_replacement(factors, k):
             if sum(d for d, _ in combo) != degree:
                 continue
-            words = {()}
+            words = {b""}
             for _, f in combo:
                 prods = set()
                 for wa in words:
                     for wb in f:
-                        prod = tuple(sorted(wa + wb))
+                        prod = sorted(triples(wa + wb))
                         # odd squares vanish in S(g_0) tensor Lambda(g_1)
-                        if not any(a == b and alg.gen_parity(a)
+                        if not any(a == b and alg.gen_parity(pack(*a))
                                    for a, b in zip(prod, prod[1:])):
-                            prods ^= {prod}
+                            prods ^= {b"".join(pack(*g) for g in prod)}
                 words = prods
             row = 0
             for w in words:
@@ -388,11 +389,11 @@ def test_adjoint_rows_match_s_adjoint(m, n, trunc, top):
 def _grade(word):
     """(weight, t-degree): the weight as the multiset sum of e_i - e_j."""
     weight = collections.Counter()
-    for g in word:
-        weight[g >> 16] += 1
-        weight[(g >> 8) & 0xFF] -= 1
+    for i, j, _ in triples(word):
+        weight[i] += 1
+        weight[j] -= 1
     return (frozenset((i, c) for i, c in weight.items() if c),
-            sum(g & 0xFF for g in word))
+            sum(r for _, _, r in triples(word)))
 
 
 @pytest.mark.parametrize("m,n,trunc,top", ADJOINT_SHAPES)
@@ -408,7 +409,7 @@ def test_adjoint_rows_are_graded(m, n, trunc, top):
                 inputs = [basis[k] for k in range(len(basis)) if row >> k & 1]
                 assert len({_grade(w) for w in inputs}) == 1
                 # grades add, so input + g has the output word's grade
-                assert {_grade(w + (g,)) for w in inputs} == {_grade(out_word)}
+                assert {_grade(w + g) for w in inputs} == {_grade(out_word)}
 
 
 def test_invariants_blocks_stop_when_full(monkeypatch):
@@ -524,7 +525,7 @@ def test_commutator_matches_products(m, n):
             got = alg.commutator(a, b)
             assert got == alg.multiply(a, b) + alg.multiply(b, a)
             nonzero += bool(got)
-        with_odd += any(len(w) > 1 for w in z.words)
+        with_odd += any(len(triples(w)) > 1 for w in z.words)
     assert nonzero >= 40 and with_odd >= 10
 
 
@@ -552,7 +553,7 @@ def test_yangian_and_classical_words_do_not_mix(cl):
     """t[1,1,1] and E[1,1]t^1 have the same packed word but different algebras."""
     yangian = RTTAlgebra(Shape(1, 1, 3))
     t, e = yangian.gen(1, 1, 1), cl.gen(1, 1, 1)
-    assert t.words == e.words == {(0x010101,)}
+    assert t.words == e.words == {b"\x01\x01\x01"}
     assert t != e and e != t
     assert (t.canonical(), e.canonical()) == ("t[1,1,1]", "E[1,1]t^1")
     for op in (lambda: t + e, lambda: e + t,
@@ -577,14 +578,14 @@ def _closure_rank(alg, gens):
     [s1, [s2, ... [sk-1, sk]]], so close the span under ad s for s in gens
     alone, with Element brackets and rank_of."""
     bit = {g: 1 << k for k, g in enumerate(alg.generators())}
-    elems = [alg.gen(*unpack(g)) for g in gens]
+    elems = [alg.gen(*g) for g in gens]
     span, frontier = list(elems), list(elems)
     while frontier:
         new = []
         for y in frontier:
             for s in elems:
                 z = alg.bracket(s, y)
-                vecs = [sum(bit[h] for (h,) in x.words) for x in span + [z]]
+                vecs = [sum(bit[h] for h in x.words) for x in span + [z]]
                 if rank_of(vecs) > len(span):
                     span.append(z)
                     new.append(z)
@@ -669,7 +670,7 @@ def _every_letter_generates(alg):
 @pytest.mark.parametrize("m,n,trunc", [(1, 1, 3), (2, 1, 3), (2, 2, 4)])
 def test_centrality_witness_matches_full_scan(m, n, trunc):
     alg = CurrentAlgebra(m, n, trunc)
-    gen_elems = [alg.gen(*unpack(g)) for g in alg.generators()]
+    gen_elems = [alg.gen(*g) for g in alg.generators()]
     rng = random.Random(m + n + trunc)
     xs = [alg.z_element(0) + alg.gen(1, 2, 0),
           alg.z_element(trunc - 1) + alg.gen(m + n, 1, 1),
@@ -715,7 +716,7 @@ def test_failing_centrality_payload_matches_full_scan(monkeypatch):
 def _jacobi_by_elements(alg, triples):
     """The former Jacobi count, through CurrentAlgebra.bracket."""
     fails = 0
-    for a, b, c in ([Element(alg, frozenset({(g,)})) for g in t]
+    for a, b, c in ([Element(alg, frozenset({g})) for g in t]
                     for t in triples):
         fails += bool(alg.bracket(alg.bracket(a, b), c)
                       + alg.bracket(alg.bracket(b, c), a)
@@ -735,7 +736,7 @@ def test_jacobi_failures_match_element_brackets(m, n, trunc):
 
     def spurious(a, b):
         words = real(a, b)
-        return words ^ {(e12,)} if a == e11 and words else words
+        return words ^ {e12} if a == e11 and words else words
 
     broken._bracket = spurious
     fails = jacobi_failures(broken, triples)
@@ -750,10 +751,10 @@ def test_suite_jacobi_keeps_the_draw():
     gens = alg.generators()
     new_rng, old_rng = random.Random(7), random.Random(7)
     letters = sample_triples(gens, new_rng, 4000)
-    elems = sample_triples([alg.gen(*unpack(g)) for g in gens],
+    elems = sample_triples([alg.gen(*g) for g in gens],
                            old_rng, 4000)
     assert [tuple(x.words for x in t) for t in elems] == \
-        [tuple(frozenset({(g,)}) for g in t) for t in letters]
+        [tuple(frozenset({g}) for g in t) for t in letters]
     assert new_rng.getstate() == old_rng.getstate()
 
 
@@ -793,20 +794,20 @@ def test_bracket_partners(m, n, trunc):
 
 def _pairwise_bracket(alg, x, y):
     acc: set = set()
-    for (a,) in x.words:
-        for (b,) in y.words:
+    for a in x.words:
+        for b in y.words:
             acc ^= alg._bracket_rule(a, b)
     return Element(alg, frozenset(acc))
 
 
 def _pairwise_p_map(alg, x):
     acc: set = set()
-    for (a,) in x.words:
-        i, j, r = unpack(a)
-        for (b,) in x.words:
-            k, l, s = unpack(b)
+    for a in x.words:
+        i, j, r = a
+        for b in x.words:
+            k, l, s = b
             if j == k and r + s < alg.trunc:
-                acc ^= {(pack(i, l, r + s),)}
+                acc ^= {pack(i, l, r + s)}
     return Element(alg, frozenset(acc))
 
 
@@ -846,9 +847,10 @@ def _echelon_pbw_check(alg, degree, straighten=rtt.straighten):
     ech = BitEchelon()
     words = 0
     for length in range(degree + 1):
-        for w in itertools.product(alg.generators(), repeat=length):
+        for letters in itertools.product(alg.generators(), repeat=length):
             words += 1
-            nf = straighten(w, {}, alg._bracket, alg._nilsquare)
+            nf = straighten(b"".join(letters), {}, alg._bracket,
+                            alg._nilsquare)
             ech.add(sum(1 << index[v] for v in nf))
     params = {"degree": degree, "words": words,
               "supermonomials": len(supers), "rank": ech.rank}
@@ -887,8 +889,8 @@ def test_pbw_count_falls_back_to_the_echelon(image, monkeypatch):
     alg = CurrentAlgebra(2, 1, 2)
     supers = alg.supermonomials(2)
     target = supers[-1]
-    assert len(target) == 2
-    nf = {"zero": (), "unit": ((),), "sum": (target, supers[5])}[image]
+    assert len(triples(target)) == 2
+    nf = {"zero": (), "unit": (b"",), "sum": (target, supers[5])}[image]
     real = rtt.straighten
 
     def moved(word, cache, bracket, nilsquare=frozenset()):
@@ -915,7 +917,7 @@ def test_pbw_count_stays_out_of_the_word_memo():
 
     alg, counted = memo(2)
     assert counted == memo(-1)[1]
-    pairs = set(itertools.product(alg.generators(), repeat=2))
+    pairs = {a + b for a, b in itertools.product(alg.generators(), repeat=2)}
     assert pairs - counted
 
 

@@ -10,7 +10,7 @@ from yangian2.drinfeld import (ALL_FAMILIES, RELATION_TEXT, TWINS,
                                verify_odd_square_relations)
 from yangian2.report import Report
 
-from oracles import loop_degree
+from oracles import loop_degree, triples
 
 
 @pytest.fixture(scope="module")
@@ -141,9 +141,9 @@ def test_higher_roots_leading_letter(tab21):
     # top loop-degree part of e_(1,3)^(r) is the single letter t[1,3,r]
     for r in (1, 2):
         el = tab21.e[(1, 3)][r]
-        top = {w for w in el.words
-               if sum((g & 0xFF) - 1 for g in w) == r - 1}
-        assert top == {((1 << 16) | (3 << 8) | r,)}
+        top = {triples(w) for w in el.words
+               if sum(s - 1 for _, _, s in triples(w)) == r - 1}
+        assert top == {((1, 3, r),)}
 
 
 def test_parity_coherence(tab21):
@@ -570,7 +570,7 @@ def test_letter_tables_once_per_letter_and_operand():
         if x.words != y.words:
             if letters(y) > letters(x):
                 x, y = y, x
-            pairs.update((a, y.words) for w in x.words for a in w)
+            pairs.update((a, y.words) for w in x.words for a in triples(w))
         return original(x, y)
 
     alg.commutator = recording

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import operator
 import random
 
 import pytest
@@ -9,20 +10,17 @@ from yangian2 import RTTAlgebra, Shape, rtt
 from yangian2.current import CurrentAlgebra
 from yangian2.errors import DegreeCapError
 from yangian2.rtt import (Element, bounded_words, certified_lie_generators,
-                          pack, pbw_count, unpack, word_degree,
-                          word_loop_degree, word_weight)
+                          pack, pbw_count, render_word, sort_word,
+                          word_degree, word_letters, word_loop_degree,
+                          word_weight)
 
 from oracles import (count_full, count_super, gl_bracket_mod2, loop_degree,
                      naive_classical_normal_form, naive_normal_form, rank_of,
-                     rtt_rhs)
-
-
-def to_triples(word):
-    return tuple(unpack(g) for g in word)
+                     rtt_rhs, triples)
 
 
 def element_words_as_triples(x):
-    return {to_triples(w) for w in x.words}
+    return {triples(w) for w in x.words}
 
 
 # -- shape and parity --------------------------------------------------------------
@@ -33,7 +31,7 @@ def test_shape_validation():
         Shape(0, 1, 3)
     with pytest.raises(ValueError):
         Shape(1, 1, 0)
-    # packed fields are 8 bits wide
+    # packed fields are one byte wide
     assert Shape(1, 1, 255).cap == 255
     with pytest.raises(ValueError):
         Shape(1, 1, 256)
@@ -57,6 +55,66 @@ def test_parity_blocks_21():
     assert shape.parity(1, 2) == 0
     assert shape.parity(1, 3) == 1
     assert shape.parity(3, 3) == 0
+
+
+# -- the word codec ----------------------------------------------------------------
+
+# a letter of any shape: every field one byte
+RAW_WORDS = st.lists(st.tuples(*[st.integers(0, 255)] * 3), max_size=8).map(tuple)
+
+
+def _packed(word):
+    return b"".join(pack(*g) for g in word)
+
+
+@given(st.lists(RAW_WORDS, min_size=2, max_size=12))
+@settings(max_examples=200, deadline=None)
+def test_byte_order_is_the_tuple_order(words):
+    """Sorted packed words come in the order of their tuples of (i, j, r)
+    triples: letter by letter, each by (i, j, r), a proper prefix first."""
+    assert sorted(map(_packed, words)) == [_packed(w) for w in sorted(words)]
+
+
+@given(RAW_WORDS)
+@settings(max_examples=200, deadline=None)
+def test_codec_round_trips(word):
+    """A packed word decodes to its triples, holds len(w) // 3 letters, and
+    its readers read the fields they name."""
+    packed = _packed(word)
+    assert triples(packed) == word
+    assert len(packed) // 3 == len(word_letters(packed)) == len(word)
+    assert [triples(g) for g in word_letters(packed)] == [(g,) for g in word]
+    assert word_degree(packed) == sum(r for _, _, r in word)
+    assert word_loop_degree(packed) == sum(r - 1 for _, _, r in word)
+    assert triples(sort_word(packed)) == tuple(sorted(word))
+    assert render_word(packed) == (
+        "*".join(f"t[{i},{j},{r}]" for i, j, r in word) or "1")
+
+
+@given(RAW_WORDS, RAW_WORDS)
+@settings(max_examples=200, deadline=None)
+def test_word_weight_reads_the_index_bytes(a, b):
+    """Two words of any shape have one word_weight exactly when their sums
+    of e_i - e_j agree."""
+    def coordinates(word):
+        weight = collections.Counter()
+        for i, j, _ in word:
+            weight[i] += 1
+            weight[j] -= 1
+        return {i: c for i, c in weight.items() if c}
+
+    assert (word_weight(_packed(a)) == word_weight(_packed(b))) == \
+        (coordinates(a) == coordinates(b))
+    assert word_weight(_packed(a + b)) == \
+        word_weight(_packed(a)) + word_weight(_packed(b)) == \
+        word_weight(_packed(b + a[::-1]))
+
+
+@pytest.mark.parametrize("triple", [(256, 1, 1), (1, 256, 1), (1, 1, 256),
+                                    (1, 1, -1)])
+def test_pack_refuses_a_field_past_one_byte(triple):
+    with pytest.raises(ValueError):
+        pack(*triple)
 
 
 # -- the defining bracket -----------------------------------------------------------
@@ -135,7 +193,7 @@ def test_multiply_against_naive_oracle(m, n, cap):
     for _ in range(100):
         half = cap // 2
         wa = _random_word(rng, alg, half)
-        wb = _random_word(rng, alg, cap - word_degree(tuple(pack(*g) for g in wa)))
+        wb = _random_word(rng, alg, cap - word_degree(b"".join(pack(*g) for g in wa)))
         got = alg.multiply(alg.normal_form([wa]), alg.normal_form([wb]))
         # oracle multiplies by straightening the raw concatenation
         expected = naive_normal_form([wa + wb])
@@ -151,7 +209,7 @@ def test_square_against_naive_oracle(alg11):
         got = alg11.multiply(x, x)
         words = list(x.words)
         expected = naive_normal_form(
-            [to_triples(u + v) for u in words for v in words])
+            [triples(u + v) for u in words for v in words])
         assert element_words_as_triples(got) == expected
 
 
@@ -180,7 +238,7 @@ def test_normal_form_strategy_independence_example(alg11):
 
 
 def _all_words_up_to_degree(alg, bound):
-    gens = [unpack(g) for g in alg.generators(bound)]
+    gens = [tuple(g) for g in alg.generators(bound)]
     words = [()]
     frontier = [()]
     while frontier:
@@ -215,7 +273,7 @@ def test_classical_strategy_independence_exhaustive(m, n, trunc, length):
     """Every classical word up to *length* letters, odd squares included,
     straightens as the rightmost-first oracle does."""
     calg = CurrentAlgebra(m, n, trunc)
-    letters = [unpack(g) for g in calg.generators()]
+    letters = [tuple(g) for g in calg.generators()]
     assert calg._odd
     for k in range(length + 1):
         for w in itertools.product(letters, repeat=k):
@@ -231,13 +289,14 @@ def test_deep_word_closed_form():
     default recursion limit."""
     deep = RTTAlgebra(Shape(1, 1, 97))
     a, b = pack(2, 2, 1), pack(1, 2, 1)
-    got = deep.normal_form([(a,) * 48 + (b,) * 49])
-    assert got.words == {(b,) * 49 + (a,) * k for k in (48, 32, 16, 0)}
+    got = deep.normal_form([a * 48 + b * 49])
+    assert got.words == {b * 49 + a * k for k in (48, 32, 16, 0)}
 
 
 def _ordered(word, nilsquare):
+    letters = word_letters(word)
     return all(a < b or (a == b and a not in nilsquare)
-               for a, b in zip(word, word[1:]))
+               for a, b in zip(letters, letters[1:]))
 
 
 @pytest.mark.parametrize("make", [lambda: RTTAlgebra(Shape(2, 1, 8)),
@@ -276,7 +335,7 @@ def test_memo_keys_are_ordered_or_one_letter_off_or_callers(make,
     nil = alg._nilsquare
     kinds = collections.Counter(
         "ordered" if _ordered(key, nil)
-        else "insertion" if _ordered(key[:-1], nil)
+        else "insertion" if _ordered(key[:-3], nil)
         else "caller" if key in called else "stray"
         for key in alg._nf_cache)
     assert not kinds["stray"]
@@ -290,11 +349,11 @@ def test_one_branch_results_share_the_child_tuple():
     alg = RTTAlgebra(Shape(1, 1, 4))
     t11, t22, t22_2 = pack(1, 1, 1), pack(2, 2, 1), pack(2, 2, 2)
     assert not alg._bracket(t22, t11)
-    alg.normal_form([(t22, t11), (t22, t11, t22_2)])
+    alg.normal_form([t22 + t11, t22 + t11 + t22_2])
     cache = alg._nf_cache
-    assert cache[(t22, t11)] is cache[(t11, t22)]
-    assert cache[(t22, t11, t22_2)] is cache[(t11, t22, t22_2)]
-    assert cache[(t11, t22)] == ((t11, t22),)
+    assert cache[t22 + t11] is cache[t11 + t22]
+    assert cache[t22 + t11 + t22_2] is cache[t11 + t22 + t22_2]
+    assert cache[t11 + t22] == (t11 + t22,)
 
 
 def test_multiply_cap_violation_names_term(alg11):
@@ -332,7 +391,7 @@ def test_normal_form_rejects_out_of_range_triples():
 
 @pytest.mark.parametrize("triple", [(1, 1, 0), (3, 1, 1)])
 def test_normal_form_rejects_packed_ints_outside_the_generators(triple):
-    """A packed int letter is checked like a triple: t[1,1,0] is not a
+    """A packed letter is checked like a triple: t[1,1,0] is not a
     generator and index 3 is out of range at size 2."""
     alg = RTTAlgebra(Shape(1, 1, 5))
     with pytest.raises(ValueError) as from_gen:
@@ -472,7 +531,7 @@ def test_letter_tables_outlive_the_call():
     alg = RTTAlgebra(Shape(2, 1, 5))
     x = alg.gen(2, 1, 1) * alg.gen(1, 3, 2) + alg.gen(1, 1, 1)
     y = alg.gen(3, 2, 1) * alg.gen(1, 2, 1) + alg.gen(2, 2, 2)
-    letters = {a for w in x.words for a in w}
+    letters = {a for w in x.words for a in word_letters(w)}
     first = alg.commutator(x, y)
     assert first == _products_bracket(alg, x, y)
     assert set(alg._letter_cache) == {(a, y.words) for a in letters}
@@ -527,7 +586,7 @@ def test_sign_collapse(m, n):
 
 def _elements(alg, max_degree=2, max_terms=2):
     gens = alg.generators(max_degree)
-    words = st.lists(st.sampled_from(gens), max_size=2).map(tuple).filter(
+    words = st.lists(st.sampled_from(gens), max_size=2).map(b"".join).filter(
         lambda w: word_degree(w) <= max_degree)
     return st.frozensets(words, max_size=max_terms).map(
         lambda ws: alg.normal_form(list(ws)))
@@ -557,7 +616,7 @@ def test_degree_tags(alg11):
     x = alg11.normal_form([((1, 1, 2), (1, 2, 1)), ((2, 2, 1),)])
     assert x.degree() == 3
     assert loop_degree(x) == 1
-    assert word_loop_degree((pack(1, 1, 3),)) == 2
+    assert word_loop_degree(pack(1, 1, 3)) == 2
 
 
 def test_parity_tag(alg11):
@@ -573,7 +632,7 @@ def test_parity_tag(alg11):
 
 def test_pbw_counts_11(alg11):
     assert len(alg11.pbw_monomials(0)) == 1
-    assert alg11.pbw_monomials(0) == [()]
+    assert alg11.pbw_monomials(0) == [b""]
     assert len(alg11.pbw_monomials(1)) == 5
     assert len(alg11.pbw_monomials(2)) == 19
     oracle = count_full(1, 1, 4)
@@ -595,9 +654,9 @@ def test_super_pbw_counts(m, n, bound):
         monos = alg.pbw_monomials(b, super_only=True)
         assert len(monos) == oracle[b]
         # super rule: no odd generator repeats
-        for w in monos:
+        for w in map(triples, monos):
             for g, mult in ((g, w.count(g)) for g in set(w)):
-                i, j, _ = unpack(g)
+                i, j, _ = g
                 if alg.shape.parity(i, j):
                     assert mult <= 1
 
@@ -632,18 +691,18 @@ def test_word_weight_is_the_root_lattice_weight(alg):
     of e_1..e_N in the sum of e_i - e_j over their letters do."""
     def coordinates(word):
         weight = [0] * alg.shape.size
-        for g in word:
-            i, j, _ = unpack(g)
+        for i, j, _ in triples(word):
             weight[i - 1] += 1
             weight[j - 1] -= 1
         return tuple(weight)
 
     gens = alg.generators(2)
-    words = [w for w, _ in bounded_words(gens, [1] * len(gens), 3)]
+    words = [w for w, _ in bounded_words(gens, [1] * len(gens), 3, None,
+                                         operator.add, b"")]
     pairs = {(coordinates(w), word_weight(w)) for w in words}
     assert len(pairs) == len({a for a, _ in pairs}) == len({b for _, b in pairs})
-    assert word_weight(()) == 0
-    assert word_weight((pack(1, 2, 1), pack(2, 1, 3))) == 0
+    assert word_weight(b"") == 0
+    assert word_weight(pack(1, 2, 1) + pack(2, 1, 3)) == 0
 
 
 def test_pbw_monomials_are_sorted_and_unique(alg11):
@@ -651,7 +710,7 @@ def test_pbw_monomials_are_sorted_and_unique(alg11):
     assert len(set(monos)) == len(monos)
     keys = [(word_degree(w), w) for w in monos]
     assert keys == sorted(keys)
-    for w in monos:
+    for w in map(triples, monos):
         assert tuple(sorted(w)) == w
 
 
@@ -704,8 +763,9 @@ def test_super_pbw_monomials_match_old_recursion(m, n, top):
     alg = RTTAlgebra(Shape(m, n, top))
     for bound in range(top + 1):
         gens = alg.generators(bound)
-        caps = [1 if alg.shape.parity(*unpack(g)[:2]) else bound for g in gens]
-        old = _old_bounded_words(gens, [g & 0xFF for g in gens], bound, caps)
+        caps = [1 if alg.shape.parity(g[0], g[1]) else bound for g in gens]
+        old = [b"".join(w) for w in
+               _old_bounded_words(gens, [g[2] for g in gens], bound, caps)]
         old.sort(key=lambda w: (word_degree(w), w))
         assert alg.pbw_monomials(bound, super_only=True) == old
 
@@ -751,7 +811,7 @@ def test_cache_transparency():
     warm = run()
     assert run() == warm
     assert [element_words_as_triples(x) for x in warm[1]] == \
-        [naive_normal_form([to_triples(w)]) for w in raws]
+        [naive_normal_form([triples(w)]) for w in raws]
     assert alg._nf_cache and alg._pair_cache
     assert alg._letter_cache
 
@@ -776,7 +836,7 @@ def _random_raw_word(rng, size, budget):
         r = rng.randint(1, budget)
         word.append(pack(rng.randint(1, size), rng.randint(1, size), r))
         budget -= r
-    return tuple(word)
+    return b"".join(word)
 
 
 def _assert_memo_values(cache, nilsquare=frozenset()):
@@ -786,9 +846,10 @@ def _assert_memo_values(cache, nilsquare=frozenset()):
         # a repeated word would cancel itself under symmetric difference
         assert len(set(value)) == len(value)
         for w in value:
-            assert type(w) is tuple
+            assert type(w) is bytes
+            letters = word_letters(w)
             assert all(a < b or (a == b and a not in nilsquare)
-                       for a, b in zip(w, w[1:]))
+                       for a, b in zip(letters, letters[1:]))
 
 
 def test_memo_values_are_tuples_of_distinct_ordered_words():
@@ -816,7 +877,7 @@ def test_memo_values_are_tuples_of_distinct_ordered_words():
 
 def _transposed_word(word):
     """tau on a raw word: reversed, with the indices of each letter swapped."""
-    return tuple(pack(j, i, r) for i, j, r in map(unpack, reversed(word)))
+    return b"".join(pack(j, i, r) for i, j, r in reversed(triples(word)))
 
 
 @pytest.mark.parametrize("m, n, cap", [(2, 1, 6), (2, 2, 5)])
@@ -828,9 +889,9 @@ def test_transpose_maps_relations_into_the_ideal(m, n, cap):
     alg = RTTAlgebra(Shape(m, n, cap))
     gens = alg.generators()
     pairs = [(a, b) for a in gens for b in gens
-             if (a & 0xFF) + (b & 0xFF) - 1 <= cap]
+             if a[2] + b[2] - 1 <= cap]
     for a, b in pairs:
-        (ta,), (tb,) = _transposed_word((a,)), _transposed_word((b,))
+        ta, tb = _transposed_word(a), _transposed_word(b)
         raw = alg._bracket(a, b)
         assert alg._bracket(ta, tb) == set(map(_transposed_word, raw))
         assert alg.normal_form(raw) == alg.normal_form(alg._bracket(b, a))
@@ -886,7 +947,7 @@ def _yangian_closure_rank(alg, gens, top):
     certificate's: Element commutators straightened by the engine (each
     [t[i,j,1], y] with deg y < cap fits it) and rank_of."""
     bit = {g: 1 << k for k, g in enumerate(alg.generators(top))}
-    elems = [alg.gen(*unpack(g)) for g in gens]
+    elems = [alg.gen(*g) for g in gens]
     ones = [s for s in elems if s.degree() == 1]
     span, frontier = list(elems), list(elems)
     while frontier:
@@ -895,7 +956,7 @@ def _yangian_closure_rank(alg, gens, top):
             for s in ones:
                 z = alg.commutator(s, y)
                 assert z.is_lie()
-                vecs = [sum(bit[h] for (h,) in x.words) for x in span + [z]]
+                vecs = [sum(bit[h] for h in x.words) for x in span + [z]]
                 if rank_of(vecs) > len(span):
                     span.append(z)
                     new.append(z)
@@ -966,10 +1027,10 @@ def test_yangian_centrality_witness_matches_full_scan(m, n, cap):
                 continue
             failing += 1
             (word,) = ref.words
-            outside += word[0] not in alg.lie_generators(top)
+            outside += word not in alg.lie_generators(top)
             first_s = next(s for s in alg.lie_generators(top)
-                           if alg.commutator(x, alg.gen(*unpack(s))))
-            other_than_s += first_s != word[0]
+                           if alg.commutator(x, alg.gen(*s)))
+            other_than_s += first_s != word
     assert failing >= 5
     assert other_than_s >= 1
     assert outside >= (1 if size >= 3 else 0)
