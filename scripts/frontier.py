@@ -3,10 +3,15 @@
 
 Each row is one ``yangian2.cli`` command run to completion in a fresh Python
 process, one at a time.  For every row the script records its argv, its wall
-time from spawn to exit, its peak RSS from ``os.wait4`` (that process only),
-its exit status and the SHA-256 of its report payload in canonical JSON (the
+time from spawn to exit, its peak RSS from ``os.wait4``, its exit status and the SHA-256 of its report payload in canonical JSON (the
 same digest ``perfbench/run.py`` computes; the header is left out).  The rows
 go to BENCH_frontier_<label>.json.
+
+The peak RSS is that process's ``ru_maxrss``, which is the larger of the
+row's own peak and this script's RSS when it spawned the row: the forked
+child holds this script's pages until it execs, and the kernel keeps that
+high-water mark across exec.  A row that peaks below this script's own RSS
+reads that RSS.
 
 Usage, from the repository root:
 

@@ -14,27 +14,42 @@ import argparse
 import datetime
 import json
 import sys
-from dataclasses import dataclass
 
-from . import centers as centers_mod
-from . import dsl
-from .current import CurrentAlgebra, classical_suite
-from .drinfeld import (build_table, drinfeld_pbw_check, generator_params,
-                       verify_drinfeld_relations)
 from .report import Report
 from .rtt import RTTAlgebra, Shape, pbw_count
-from .series import diagonal_matrix, matrix_mul
+
+# drinfeld, series, centers, current and dsl are imported by the handlers
+# that use them, so a command compiles only the modules it runs.
 
 
-@dataclass
 class RunConfig:
-    m: int = 1
-    n: int = 1
-    cap: int = 3
-    order: int | None = None
-    trunc: int | None = None
-    seed: int = 0
-    out: str = "report.json"
+    """The resolved command-line settings, equal when every field is."""
+
+    __slots__ = ("m", "n", "cap", "order", "trunc", "seed", "out")
+
+    def __init__(self, m: int = 1, n: int = 1, cap: int = 3,
+                 order: int | None = None, trunc: int | None = None,
+                 seed: int = 0, out: str = "report.json") -> None:
+        self.m = m
+        self.n = n
+        self.cap = cap
+        self.order = order
+        self.trunc = trunc
+        self.seed = seed
+        self.out = out
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"RunConfig({fields})"
 
     def resolved(self) -> "RunConfig":
         order = self.cap if self.order is None else self.order
@@ -141,6 +156,8 @@ def _merge_config(args) -> RunConfig:
 
 
 def _cmd_nf(cfg: RunConfig, args) -> Report:
+    from . import dsl
+
     alg = RTTAlgebra(Shape(cfg.m, cfg.n, cfg.cap))
     node = dsl.parse(args.expr, alg.shape)
     ctx = dsl.EvalContext(alg, cfg.order)
@@ -151,6 +168,8 @@ def _cmd_nf(cfg: RunConfig, args) -> Report:
 
 
 def _cmd_gauss(cfg: RunConfig, args) -> Report:
+    from .drinfeld import build_table, generator_params
+
     alg = RTTAlgebra(Shape(cfg.m, cfg.n, cfg.cap))
     tab = build_table(alg, cfg.order)
     report = Report("gauss", config=cfg.as_dict())
@@ -163,6 +182,9 @@ def _cmd_gauss(cfg: RunConfig, args) -> Report:
 
 
 def _cmd_verify_drinfeld(cfg: RunConfig, args) -> Report:
+    from .drinfeld import build_table, verify_drinfeld_relations
+    from .series import diagonal_matrix, matrix_mul
+
     alg = RTTAlgebra(Shape(cfg.m, cfg.n, cfg.cap))
     budget = args.budget if args.budget is not None else min(cfg.cap, cfg.order + 1)
     tab = build_table(alg, cfg.order)
@@ -178,6 +200,10 @@ def _cmd_verify_drinfeld(cfg: RunConfig, args) -> Report:
 
 
 def _cmd_verify_centers(cfg: RunConfig, args) -> Report:
+    from . import centers as centers_mod
+    from .current import CurrentAlgebra
+    from .drinfeld import build_table
+
     alg = RTTAlgebra(Shape(cfg.m, cfg.n, cfg.cap))
     tab = build_table(alg, cfg.order)
     table = centers_mod.build_center_table(tab)
@@ -212,6 +238,8 @@ def _cmd_verify_centers(cfg: RunConfig, args) -> Report:
 
 
 def _cmd_verify_classical(cfg: RunConfig, args) -> Report:
+    from .current import CurrentAlgebra, classical_suite
+
     calg = CurrentAlgebra(cfg.m, cfg.n, cfg.trunc)
     pbw_degree = 2 if calg.size > 2 else 3
     report = classical_suite(calg, seed=cfg.seed, samples=25,
@@ -221,6 +249,8 @@ def _cmd_verify_classical(cfg: RunConfig, args) -> Report:
 
 
 def _cmd_pbw(cfg: RunConfig, args) -> Report:
+    from .drinfeld import build_table, drinfeld_pbw_check
+
     alg = RTTAlgebra(Shape(cfg.m, cfg.n, cfg.cap))
     # with three or more blocks the higher roots stop one short of the cap
     top = cfg.cap if alg.shape.size == 2 else cfg.cap - 1
@@ -235,6 +265,9 @@ def _cmd_pbw(cfg: RunConfig, args) -> Report:
 
 
 def _cmd_quotient_dim(cfg: RunConfig, args) -> Report:
+    from . import centers as centers_mod
+    from .drinfeld import build_table
+
     alg = RTTAlgebra(Shape(cfg.m, cfg.n, cfg.cap))
     # the odd squares with 2r <= L read no series coefficient past u^(-L/2)
     tab = build_table(alg, cfg.cap // 2)
@@ -295,7 +328,7 @@ def main(argv=None) -> int:
         return 2
     try:
         report = run_command(cfg, args)
-    except (dsl.DSLError, ValueError) as exc:
+    except ValueError as exc:  # dsl.DSLError among them
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # RecursionError, MemoryError or a defect

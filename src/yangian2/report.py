@@ -9,16 +9,34 @@ serialisation, which keeps concurrent or reordered evaluation invisible.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 
-@dataclass
 class Check:
-    check_id: str
-    params: dict
-    ok: bool
-    witness: str | None = None
-    value: str | None = None
+    """One checked instance: its id, parameters, verdict and the optional
+    witness and value strings.  Equal when every field is equal."""
+
+    __slots__ = ("check_id", "params", "ok", "witness", "value")
+
+    def __init__(self, check_id: str, params: dict, ok: bool,
+                 witness: str | None = None, value: str | None = None) -> None:
+        self.check_id = check_id
+        self.params = params
+        self.ok = ok
+        self.witness = witness
+        self.value = value
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"Check({fields})"
 
     def to_obj(self) -> dict:
         obj = {"id": self.check_id, "params": self.params, "pass": self.ok}
@@ -32,11 +50,24 @@ class Check:
         return (self.check_id, json.dumps(self.params, sort_keys=True))
 
 
-@dataclass
 class Report:
-    suite: str
-    config: dict = field(default_factory=dict)
-    checks: list[Check] = field(default_factory=list)
+    """A suite name, its config and the checks in the order added."""
+
+    def __init__(self, suite: str, config: dict | None = None,
+                 checks: list[Check] | None = None) -> None:
+        self.suite = suite
+        self.config = {} if config is None else config
+        self.checks = [] if checks is None else checks
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return ((self.suite, self.config, self.checks)
+                == (other.suite, other.config, other.checks))
+
+    def __repr__(self) -> str:
+        return (f"Report(suite={self.suite!r}, config={self.config!r}, "
+                f"checks={self.checks!r})")
 
     def add(self, check_id: str, params: dict, ok: bool,
             witness: str | None = None, value: str | None = None) -> Check:

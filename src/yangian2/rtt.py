@@ -104,7 +104,6 @@ from __future__ import annotations
 import operator
 import random
 import re
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 
 from .errors import DegreeCapError
@@ -520,23 +519,49 @@ def certified_lie_generators(alg, gens, top: int) -> tuple:
     return gens
 
 
-@dataclass(frozen=True)
-class Shape:
+class Frozen:
+    """Refuses attribute assignment and deletion; a subclass's __init__
+    sets its fields with object.__setattr__."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"cannot delete field {name!r} of {type(self).__name__}")
+
+
+class Shape(Frozen):
     """Block sizes m, n and the hard cap: the canonical-degree cap L of the
-    Yangian, or the truncation T of the classical algebra."""
+    Yangian, or the truncation T of the classical algebra.
 
-    m: int
-    n: int
-    cap: int
+    Immutable, and equal and hashed by (m, n, cap)."""
 
-    def __post_init__(self) -> None:
-        if self.m < 1 or self.n < 1:
+    def __init__(self, m: int, n: int, cap: int) -> None:
+        if m < 1 or n < 1:
             raise ValueError("block sizes m, n must be positive")
-        if self.cap < 1:
+        if cap < 1:
             raise ValueError("degree cap must be positive")
-        if self.cap >= FIELD_LIMIT or self.size >= FIELD_LIMIT:
+        if cap >= FIELD_LIMIT or m + n >= FIELD_LIMIT:
             raise ValueError(f"degree cap and block size must stay below "
                              f"{FIELD_LIMIT}")
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "cap", cap)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.m, self.n, self.cap) == (other.m, other.n, other.cap)
+
+    def __hash__(self) -> int:
+        return hash((self.m, self.n, self.cap))
+
+    def __repr__(self) -> str:
+        return f"Shape(m={self.m!r}, n={self.n!r}, cap={self.cap!r})"
 
     @property
     def size(self) -> int:

@@ -18,16 +18,16 @@ acceptance check that this convention produces the intended generators.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .errors import OrderCapError
-from .rtt import Element, RTTAlgebra
+from .rtt import Element, Frozen, RTTAlgebra
 
 
-@dataclass(frozen=True)
-class YSeries:
-    alg: RTTAlgebra
-    coeffs: tuple[Element, ...]
+class YSeries(Frozen):
+    """Immutable coefficients c_0..c_K over alg, equal and hashed by them."""
+
+    def __init__(self, alg: RTTAlgebra, coeffs: tuple[Element, ...]) -> None:
+        object.__setattr__(self, "alg", alg)
+        object.__setattr__(self, "coeffs", coeffs)
 
     @property
     def order(self) -> int:
@@ -135,9 +135,22 @@ def series_shift(a: YSeries, shift: int) -> YSeries:
     return YSeries(alg, tuple(out))
 
 
-@dataclass(frozen=True)
-class YMatrix:
-    entries: tuple[tuple[YSeries, ...], ...]
+class YMatrix(Frozen):
+    """An immutable square matrix of series, rows of entries."""
+
+    def __init__(self, entries: tuple[tuple[YSeries, ...], ...]) -> None:
+        object.__setattr__(self, "entries", entries)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self) -> int:
+        return hash(self.entries)
+
+    def __repr__(self) -> str:
+        return f"YMatrix(entries={self.entries!r})"
 
     @property
     def size(self) -> int:

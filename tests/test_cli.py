@@ -216,6 +216,21 @@ def test_usage_errors(tmp_path):
     assert code3 == 2
 
 
+@pytest.mark.parametrize("expr, line", [
+    ("t[1,2", "error: line 1, column 6: expected ',', found 'end of input'"),
+    ("t[1,1,1] +* t[1,1,1]",
+     "error: line 1, column 11: expected a factor, found '*'"),
+    ("", "error: line 1, column 1: expected a factor, found 'end of input'"),
+])
+def test_malformed_expression_is_usage_error(tmp_path, capsys, expr, line):
+    out = tmp_path / "nf.json"
+    code = cli.main(["--m", "1", "--n", "1", "-L", "3", "--out", str(out),
+                     "nf", expr])
+    assert code == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.splitlines() == [line]
+
+
 @pytest.mark.parametrize("command", [["gauss"], ["pbw"], ["verify", "drinfeld"]])
 def test_negative_order_is_usage_error(tmp_path, capsys, command):
     out = tmp_path / "neg.json"
