@@ -224,9 +224,7 @@ def _cmd_verify_centers(cfg: RunConfig, args) -> Report:
     gens = [(label, el) for label, el in gens if el]
     if gens:
         report.extend(centers_mod.independence_check(gens, cfg.cap, quotient))
-    # higher roots only exist below the cap for three or more blocks
-    shadow_bound = cfg.order if alg.shape.size == 2 else min(cfg.order,
-                                                             cfg.cap - 1)
+    shadow_bound = tab.root_top
     if shadow_bound >= 1:
         shadow_q = (quotient if shadow_bound == cfg.cap
                     else centers_mod.build_quotient(alg, shadow_bound, tab))
@@ -252,10 +250,8 @@ def _cmd_pbw(cfg: RunConfig, args) -> Report:
     from .drinfeld import build_table, drinfeld_pbw_check
 
     alg = RTTAlgebra(Shape(cfg.m, cfg.n, cfg.cap))
-    # with three or more blocks the higher roots stop one short of the cap
-    top = cfg.cap if alg.shape.size == 2 else cfg.cap - 1
-    bound = min(top, cfg.order)
     tab = build_table(alg, cfg.order)
+    bound = tab.root_top
     report = drinfeld_pbw_check(tab, bound, super_only=args.super_only)
     report.config.update(cfg.as_dict())
     count = pbw_count(alg.shape, bound, super_only=args.super_only)

@@ -527,7 +527,7 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
     contained = True
     for prod_words, d in bounded_words(
             z_list + squares, [1] * len(z_list) + [2] * len(squares), degree,
-            fold=partial(merge_product, nilsquare=alg._odd),
+            max_mult=None, fold=partial(merge_product, nilsquare=alg._odd),
             one=frozenset({b""})):
         if d != degree or not prod_words:
             continue

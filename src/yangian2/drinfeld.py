@@ -146,6 +146,16 @@ class DrinfeldTable:
     def d_series(self, i: int) -> YSeries:
         return YSeries(self.alg, tuple(self.d[i][r] for r in range(self.order + 1)))
 
+    @property
+    def root_top(self) -> int:
+        """The largest superscript that every e and f family reaches: the
+        order with two blocks, else min(order, cap - 1), since brackets
+        raise the canonical degree by one and the higher roots
+        (``higher_roots``) stop there."""
+        if self.alg.shape.size == 2:
+            return self.order
+        return min(self.order, self.alg.shape.cap - 1)
+
     def generators(self, bound: int):
         """Yield (kind, a, b, r, element) for every Drinfeld generator with
         superscript 1 <= r <= bound: d_a^(r) (b = a, r <= order), then
@@ -193,17 +203,12 @@ def drinfeld_generators(alg: RTTAlgebra, order: int) -> DrinfeldTable:
     return tab
 
 
-def higher_roots(tab: DrinfeldTable, max_r: int | None = None) -> DrinfeldTable:
-    """Fill the inductive root elements for all 1 <= i < j <= m+n.
-
-    Brackets raise the canonical degree by one, so superscripts are capped
-    at min(order, cap - 1) unless a tighter max_r is requested.
-    """
+def higher_roots(tab: DrinfeldTable) -> DrinfeldTable:
+    """Fill the inductive root elements for all 1 <= i < j <= m+n, with
+    superscripts up to tab.root_top."""
     alg = tab.alg
     size = alg.shape.size
-    top = min(tab.order, alg.shape.cap - 1)
-    if max_r is not None:
-        top = min(top, max_r)
+    top = tab.root_top
     for span in range(2, size):
         for i in range(1, size - span + 1):
             j = i + span
@@ -458,33 +463,6 @@ def verify_drinfeld_relations(tab: DrinfeldTable, budget: int,
     return report
 
 
-def verify_odd_square_relations(tab: DrinfeldTable, budget: int,
-                                quotient) -> Report:
-    """Check that [e_m^(r), e_m^(s)] and [f_m^(r), f_m^(s)] die in the quotient.
-
-    The quotient model supplies the reduction modulo the odd-square ideal;
-    in the parent algebra these brackets are generally nonzero.
-    """
-    alg = tab.alg
-    m = alg.shape.m
-    if budget - 1 > tab.order or budget > quotient.bound:
-        raise DegreeCapError(
-            f"budget {budget} needs table order >= {budget - 1} and "
-            f"quotient bound >= {budget}")
-    report = Report("odd-square-relations",
-                    config={"m": alg.shape.m, "n": alg.shape.n,
-                            "budget": budget})
-    for kind, pick in (("e", tab.e_simple), ("f", tab.f_simple)):
-        for r in range(1, budget):
-            for s in range(r, budget - r + 1):
-                bracket = alg.commutator(pick(m, r), pick(m, s))
-                image = quotient.reduce(bracket)
-                ok = not image
-                report.add(f"odd-square-{kind}", {"r": r, "s": s}, ok,
-                           witness=None if ok else image.canonical())
-    return report
-
-
 def drinfeld_pbw_check(tab: DrinfeldTable, bound: int,
                        super_only: bool = False) -> Report:
     """Rank certificate for ordered Drinfeld (super)monomials of degree <= bound.
@@ -501,13 +479,12 @@ def drinfeld_pbw_check(tab: DrinfeldTable, bound: int,
     if bound > tab.order:
         raise DegreeCapError(
             f"pbw check at bound {bound} needs table order >= {bound}")
-    for family in list(tab.e.values()) + list(tab.f.values()):
-        if family and max(family) < bound:
-            # higher roots stop at cap - 1; an incomplete symbol set would
-            # silently undercount the basis
-            raise DegreeCapError(
-                f"pbw check at bound {bound} needs every root family up to "
-                f"superscript {bound}; raise the cap to at least {bound + 1}")
+    if bound > tab.root_top:
+        # higher roots stop at cap - 1; an incomplete symbol set would
+        # silently undercount the basis
+        raise DegreeCapError(
+            f"pbw check at bound {bound} needs every root family up to "
+            f"superscript {bound}; raise the cap to at least {bound + 1}")
 
     gens = list(tab.generators(bound))
     caps = [1 if super_only and shape.parity(a, b) else bound

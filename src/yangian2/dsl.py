@@ -70,16 +70,17 @@ def _tokenize(text: str) -> list[Token]:
             col += pos - start
             continue
         if ch.isalpha():
-            name = ch
-            width = 1
-            if pos + 1 < len(text) and text[pos + 1] == "'":
-                name += "'"
-                width = 2
+            # a whole run of letters, so a misspelt name is named whole
+            start = pos
+            while pos < len(text) and text[pos].isalpha():
+                pos += 1
+            if pos < len(text) and text[pos] == "'":
+                pos += 1
+            name = text[start:pos]
             if name not in _NAMES:
                 raise DSLError(f"unknown name {name!r}", line, col)
             out.append(Token("NAME", name, line, col))
-            col += width
-            pos += width
+            col += pos - start
             continue
         raise DSLError(f"unexpected character {ch!r}", line, col)
     out.append(Token("EOF", "", line, col))

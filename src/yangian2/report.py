@@ -53,11 +53,10 @@ class Check:
 class Report:
     """A suite name, its config and the checks in the order added."""
 
-    def __init__(self, suite: str, config: dict | None = None,
-                 checks: list[Check] | None = None) -> None:
+    def __init__(self, suite: str, config: dict | None = None) -> None:
         self.suite = suite
         self.config = {} if config is None else config
-        self.checks = [] if checks is None else checks
+        self.checks: list[Check] = []
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

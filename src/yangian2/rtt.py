@@ -85,8 +85,8 @@ One walker, ``bounded_words``, enumerates the products of a list of items
 up to a weight bound: PBW monomials here and in the classical algebra,
 and the products behind every rank certificate (Drinfeld monomials,
 independence and freeness products, classical invariants).  It yields
-each word, or the word's left-folded product, lazily with its weight;
-words that share a prefix share its partial product.
+each word's left-folded product, lazily with its weight; words that
+share a prefix share its partial product.
 
 Two degree functions coexist on every monomial: the canonical degree puts
 t[i,j,r] in degree r and governs the hard cap; the loop degree puts it in
@@ -104,7 +104,7 @@ from __future__ import annotations
 import operator
 import random
 import re
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .errors import DegreeCapError
 from .linalg import BitEchelon, BlockEchelon
@@ -343,7 +343,7 @@ def _insert_letters(terms: tuple, letters: bytes, cache: dict, bracket,
 
 
 def commutator_words(xwords, ywords, cache: dict, tables: dict, bracket,
-                     nilsquare=frozenset()) -> frozenset:
+                     nilsquare) -> frozenset:
     """The normal form of xy + yx, for x and y given by their words; over
     GF(2) this is the (super)commutator in every flavour.
 
@@ -385,7 +385,7 @@ def commutator_words(xwords, ywords, cache: dict, tables: dict, bracket,
     return frozenset(acc)
 
 
-def merge_product(x, y, nilsquare=frozenset()) -> frozenset:
+def merge_product(x, y, nilsquare) -> frozenset:
     """Product of two sums of ordered words in the associated graded
     algebra, a polynomial ring, or S(g_0) tensor Lambda(g_1) when
     *nilsquare* holds the odd letters: the sorted merge of each pair of
@@ -400,30 +400,27 @@ def merge_product(x, y, nilsquare=frozenset()) -> frozenset:
     return frozenset(acc)
 
 
-def bounded_words(items, weights, bound: int, max_mult=None, fold=None,
-                  one=()):
+def bounded_words(items, weights, bound: int, max_mult, fold, one):
     """Lazily yield (product, weight) for every word items[k1]^e1 *
     items[k2]^e2 * ... (k1 < k2 < ...) of weight sum(e_k * weights[k]) <=
-    bound, with e_k <= max_mult[k] if given.
+    bound, with e_k <= max_mult[k] unless max_mult is None.
 
     The product of a word is the left fold of ``fold(product, item)`` over
-    its letters, starting from *one*; without *fold* it is the word itself.
-    Weights are positive ints, checked at the call.  The words come in
-    ascending lexicographic order of their exponent vectors, the first item
-    varying slowest, so the empty word is first.  The walk goes from each
-    word straight to its successor: raise the exponent of the last item
-    that still fits after the word's last letter, or else drop the trailing
-    run and retry before it.  A table of the last fitting item below each
-    index, per remaining weight, makes every step skip the items that
-    cannot occur.  A stack keeps one partial product per letter, so words
-    that share a prefix share its product and each word costs one fold.
+    its letters, starting from *one*.  Weights are positive ints, checked
+    at the call.  The words come in ascending lexicographic order of their
+    exponent vectors, the first item varying slowest, so the empty word is
+    first.  The walk goes from each word straight to its successor: raise
+    the exponent of the last item that still fits after the word's last
+    letter, or else drop the trailing run and retry before it.  A table of
+    the last fitting item below each index, per remaining weight, makes
+    every step skip the items that cannot occur.  A stack keeps one partial
+    product per letter, so words that share a prefix share its product and
+    each word costs one fold.
     """
     if bound < 0:
         return iter(())
     if any(w < 1 for w in weights):
         raise ValueError("word weights must be positive")
-    if fold is None:
-        items, fold = [(x,) for x in items], operator.add
     caps = [bound // w for w in weights]
     if max_mult is not None:
         caps = [min(c, top) for c, top in zip(caps, max_mult)]
@@ -466,7 +463,7 @@ def bounded_words(items, weights, bound: int, max_mult=None, fold=None,
     return walk()
 
 
-def graded_words(gens, weights, bound: int, odd=frozenset()) -> list[bytes]:
+def graded_words(gens, weights, bound: int, odd) -> list[bytes]:
     """Every ordered word over the letters *gens* of weight <= bound, with
     each letter of *odd* at most once: graded by weight, then
     lexicographic."""
@@ -506,8 +503,8 @@ def certified_lie_generators(alg, gens, top: int) -> tuple:
             for a in basis[i]:
                 for b in basis[j]:
                     acc ^= alg._bracket(max(a, b), min(a, b))
-            # a one-letter word is its letter
-            if (all(len(w) == 3 for w in acc)
+            # a one-letter word is its letter; an empty bracket adds nothing
+            if (acc and all(len(w) == 3 for w in acc)
                     and ech.add(sum(bit[h] for h in acc))):
                 basis.append(list(acc))
         i += 1
@@ -696,16 +693,6 @@ class Element:
         """Every word is one letter: a sum of generators."""
         return all(len(w) == 3 for w in self.words)
 
-    def parity(self):
-        """Common parity of all monomials, or None when mixed; 0 for zero."""
-        odd = self.alg._odd
-        seen = {sum(g in odd for g in word_letters(w)) % 2 for w in self.words}
-        if not seen:
-            return 0
-        if len(seen) == 1:
-            return seen.pop()
-        return None
-
     def canonical(self) -> str:
         """Terms sorted by word, each rendered by the algebra; for the
         Yangian, atoms t[i,j,r] that ``dsl.parse`` reads back to self."""
@@ -804,9 +791,6 @@ class WordAlgebra:
                 acc.symmetric_difference_update(
                     straighten(wa + wb, cache, bracket, nilsquare))
         return Element(self, frozenset(acc))
-
-    def product(self, *elements: Element) -> Element:
-        return reduce(self.multiply, elements, self.one())
 
     def commutator(self, x: Element, y: Element) -> Element:
         """xy + yx by the Leibniz rule (``commutator_words``), on the

@@ -33,11 +33,6 @@ class YSeries(Frozen):
     def order(self) -> int:
         return len(self.coeffs) - 1
 
-    def coeff(self, k: int) -> Element:
-        if not 0 <= k <= self.order:
-            raise OrderCapError(f"coefficient u^(-{k}) beyond order {self.order}")
-        return self.coeffs[k]
-
     def __add__(self, other: "YSeries") -> "YSeries":
         _check_compatible(self, other)
         return YSeries(self.alg, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))

@@ -7,9 +7,10 @@ the engine is the point of the tests that import them.  The engine's
 words are bytes, three per letter; ``triples`` turns one into the tuple of
 (i, j, r) triples the references use, and is the one place that reads the
 encoding.  The last section keeps what only tests read: the dense rows
-that the block echelons are checked against, and the displayed right-hand
-side of the defining relation and the loop degree of an element, on an
-algebra of the package.
+that the block echelons are checked against; the displayed right-hand
+side of the defining relation, the loop degree and the parity of an
+element, on an algebra of the package; and the check that the odd-square
+quotient kills the brackets of the odd simple roots.
 """
 
 from __future__ import annotations
@@ -19,7 +20,8 @@ from collections import Counter
 
 from yangian2.errors import DegreeCapError
 from yangian2.linalg import BitEchelon
-from yangian2.rtt import pack_gen, word_loop_degree
+from yangian2.report import Report
+from yangian2.rtt import pack_gen, word_letters, word_loop_degree
 
 
 def triples(word: bytes) -> tuple:
@@ -248,3 +250,41 @@ def loop_degree(x) -> int:
     """Loop degree of an element: the largest over its words, t[i,j,r]
     counting r - 1."""
     return max((word_loop_degree(w) for w in x.words), default=0)
+
+
+def parity(x):
+    """Common parity of all monomials of x, or None when mixed; 0 for
+    zero."""
+    odd = x.alg._odd
+    seen = {sum(g in odd for g in word_letters(w)) % 2 for w in x.words}
+    if not seen:
+        return 0
+    if len(seen) == 1:
+        return seen.pop()
+    return None
+
+
+def verify_odd_square_relations(tab, budget: int, quotient) -> Report:
+    """Check that [e_m^(r), e_m^(s)] and [f_m^(r), f_m^(s)] die in the quotient.
+
+    The quotient model supplies the reduction modulo the odd-square ideal;
+    in the parent algebra these brackets are generally nonzero.
+    """
+    alg = tab.alg
+    m = alg.shape.m
+    if budget - 1 > tab.order or budget > quotient.bound:
+        raise DegreeCapError(
+            f"budget {budget} needs table order >= {budget - 1} and "
+            f"quotient bound >= {budget}")
+    report = Report("odd-square-relations",
+                    config={"m": alg.shape.m, "n": alg.shape.n,
+                            "budget": budget})
+    for kind, pick in (("e", tab.e_simple), ("f", tab.f_simple)):
+        for r in range(1, budget):
+            for s in range(r, budget - r + 1):
+                bracket = alg.commutator(pick(m, r), pick(m, s))
+                image = quotient.reduce(bracket)
+                ok = not image
+                report.add(f"odd-square-{kind}", {"r": r, "s": s}, ok,
+                           witness=None if ok else image.canonical())
+    return report

@@ -18,15 +18,15 @@ from yangian2.centers import (build_center_table, build_quotient,
                               independence_check, p_center_squares)
 from yangian2.current import classical_suite
 from yangian2.drinfeld import (build_table, drinfeld_pbw_check,
-                               verify_drinfeld_relations,
-                               verify_odd_square_relations)
+                               verify_drinfeld_relations)
 from yangian2.dsl import EvalContext, evaluate, parse
 from yangian2.rtt import Element
 from yangian2.series import diagonal_matrix, gauss_decompose, matrix_mul, t_matrix
 from yangian2 import cli
 
 from oracles import (count_full, count_super, gl_bracket_mod2,
-                     naive_normal_form, rtt_rhs, triples)
+                     naive_normal_form, rtt_rhs, triples,
+                     verify_odd_square_relations)
 
 
 def announce(criterion, ok, detail, elapsed):

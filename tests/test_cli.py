@@ -221,6 +221,7 @@ def test_usage_errors(tmp_path):
     ("t[1,1,1] +* t[1,1,1]",
      "error: line 1, column 11: expected a factor, found '*'"),
     ("", "error: line 1, column 1: expected a factor, found 'end of input'"),
+    ("foo", "error: line 1, column 1: unknown name 'foo'"),
 ])
 def test_malformed_expression_is_usage_error(tmp_path, capsys, expr, line):
     out = tmp_path / "nf.json"

@@ -1,4 +1,5 @@
 import collections
+import functools
 import itertools
 import random
 
@@ -950,8 +951,9 @@ def test_nilpotent_power_stops_at_zero(monkeypatch):
     odd = alg.gen(1, 2, 0)
     even = alg.gen(1, 1, 0)
     for k in range(1, 6):
-        assert odd ** k == alg.product(*[odd] * k)
-        assert even ** k == alg.product(*[even] * k)
+        assert odd ** k == functools.reduce(alg.multiply, [odd] * k, alg.one())
+        assert even ** k == functools.reduce(alg.multiply, [even] * k,
+                                             alg.one())
     calls = []
     original = alg.multiply
 

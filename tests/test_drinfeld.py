@@ -6,11 +6,11 @@ from yangian2 import drinfeld
 from yangian2.drinfeld import (ALL_FAMILIES, RELATION_TEXT, TWINS,
                                _relation_instances, drinfeld_generators,
                                drinfeld_pbw_check, higher_roots,
-                               transposed_table, verify_drinfeld_relations,
-                               verify_odd_square_relations)
+                               transposed_table, verify_drinfeld_relations)
 from yangian2.report import Report
 
-from oracles import loop_degree, triples
+from oracles import (loop_degree, parity, triples,
+                     verify_odd_square_relations)
 
 
 @pytest.fixture(scope="module")
@@ -150,13 +150,13 @@ def test_parity_coherence(tab21):
     alg = tab21.alg
     for i in tab21.d:
         for r in range(1, tab21.order + 1):
-            assert tab21.d[i][r].parity() == 0
+            assert parity(tab21.d[i][r]) == 0
     for (i, j), by_r in tab21.e.items():
         for r, el in by_r.items():
-            assert el.parity() == alg.shape.parity(i, j)
+            assert parity(el) == alg.shape.parity(i, j)
     for (j, i), by_r in tab21.f.items():
         for r, el in by_r.items():
-            assert el.parity() == alg.shape.parity(j, i)
+            assert parity(el) == alg.shape.parity(j, i)
 
 
 def test_loop_degree_tags(tab21):
@@ -343,10 +343,12 @@ def test_pbw_check_dependence_witness(tab11, monkeypatch):
 
 def test_pbw_check_needs_complete_roots():
     from yangian2.errors import DegreeCapError
-    alg = RTTAlgebra(Shape(2, 1, 3))
-    tab = build_table(alg, 3)  # higher roots stop at superscript 2
-    with pytest.raises(DegreeCapError):
-        drinfeld_pbw_check(tab, 3)
+    # higher roots stop at superscript cap - 1: 2 at cap 3, none at cap 1
+    for cap, bound in ((3, 3), (1, 1)):
+        tab = build_table(RTTAlgebra(Shape(2, 1, cap)), cap)
+        assert tab.root_top == cap - 1
+        with pytest.raises(DegreeCapError, match="every root family"):
+            drinfeld_pbw_check(tab, bound)
 
 
 def test_extraction_matches_gauss_convention():
