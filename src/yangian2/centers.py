@@ -69,7 +69,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
+from itertools import islice
 
 from .current import CurrentAlgebra
 from .drinfeld import DrinfeldTable, generator_params
@@ -131,12 +131,11 @@ class CenterTable:
     squares: list[PSquare]
 
 
-def build_center_table(tab: DrinfeldTable, square_bound: int | None = None) -> CenterTable:
+def build_center_table(tab: DrinfeldTable) -> CenterTable:
     alg = tab.alg
-    bound = alg.shape.cap if square_bound is None else square_bound
     c = list(c_series(tab).coeffs)
     b = {i: list(b_series(tab, i).coeffs) for i in range(1, alg.shape.size + 1)}
-    return CenterTable(tab, c, b, p_center_squares(tab, bound))
+    return CenterTable(tab, c, b, p_center_squares(tab, alg.shape.cap))
 
 
 # -- the super quotient -------------------------------------------------------
@@ -159,8 +158,7 @@ class QuotientModel:
     alg: RTTAlgebra
     bound: int
     columns: BlockColumns   # by weight: non-super words ascending, then super descending
-    offsets: list           # the global column of each block's first column
-    nonsuper: bytearray     # per global column: 1 when its word is not super
+    split: list             # per block: the number of its non-super columns
     echelon: BlockEchelon
     dim_full: int
     ideal_rank: int
@@ -195,17 +193,17 @@ def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientM
     earlier for the same square; the suffix rows of one square are dropped
     before the next.
 
-    The rows are ranked by weight.  Each column's weight is computed once,
-    as the columns are laid out, and each block keeps its columns in the
-    global order (non-super ascending, then super descending); every row
-    a * z is homogeneous, of weight wt(a) + wt(z), so it lands in one block,
-    and one spanning two would raise.  By linalg's exactness argument the
-    rank, the pivots and every residue are those of one dense echelon over
-    the global columns.  Each word is classified once, as the columns are
-    laid out, and the flag kept at its global column (the block's offset
-    plus its local column) says whether a pivot is non-super.  The
-    expected number of supermonomials is counted (rtt.pbw_count), not read
-    off the columns.
+    The rows are ranked by weight.  The columns are laid out in one pass
+    over the PBW monomials, each word's weight and class computed once:
+    each block lists its non-super words ascending, then its super words
+    descending, which is the global order restricted to the block, and
+    split[block] is the number of its non-super words, so a pivot is
+    non-super exactly when its local column is below the block's split.
+    Every row a * z is homogeneous, of weight wt(a) + wt(z), so it lands
+    in one block, and one spanning two would raise.  By linalg's exactness
+    argument the rank, the pivots and every residue are those of one dense
+    echelon over the global columns.  The expected number of
+    supermonomials is counted (rtt.pbw_count), not read off the columns.
     """
     squares = [sq for sq in p_center_squares(tab, bound) if sq.parity == 1]
     odd_squares = tuple(sq.element for sq in squares)
@@ -214,17 +212,19 @@ def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientM
     all_monos = alg.pbw_monomials(bound)
     dim_full = len(all_monos)
     odd = alg._odd
-    nonsuper, supers = [], []
+    classes: dict = {}      # weight -> (its non-super words, its super words)
     for w in all_monos:
-        (nonsuper if repeats_nilsquare(w, odd) else supers).append(w)
-    columns = BlockColumns.by_key(chain(nonsuper, reversed(supers)),
-                                  word_weight)
-    offsets = list(accumulate(columns.sizes(), initial=0))
-    flags = bytearray(dim_full)
-    for w in nonsuper:
-        block, col = columns.locate(w)
-        flags[offsets[block] + col] = 1
-    del nonsuper, supers    # the columns hold the words
+        pair = classes.get(k := word_weight(w))
+        if pair is None:
+            pair = classes[k] = ([], [])
+        pair[0 if repeats_nilsquare(w, odd) else 1].append(w)
+    split = []
+    for nonsuper, supers in classes.values():
+        split.append(len(nonsuper))
+        nonsuper.extend(reversed(supers))   # in place: no third list
+        supers.clear()
+    columns = BlockColumns(nonsuper for nonsuper, _ in classes.values())
+    del classes             # the columns hold the words
 
     def mono(w: bytes) -> Element:
         return Element(alg, frozenset({w}))
@@ -243,10 +243,10 @@ def build_quotient(alg: RTTAlgebra, bound: int, tab: DrinfeldTable) -> QuotientM
     ideal_rank = ech.rank
     dim_super = dim_full - ideal_rank
     expected = pbw_count(alg.shape, bound, super_only=True)
-    pivots_in_nonsuper = all(flags[offsets[block] + c]
+    pivots_in_nonsuper = all(c < split[block]
                              for block, held in ech.blocks.items()
                              for c in held.pivots)
-    return QuotientModel(alg, bound, columns, offsets, flags, ech, dim_full,
+    return QuotientModel(alg, bound, columns, split, ech, dim_full,
                          ideal_rank, dim_super, expected,
                          (noncentral is None and dim_super == expected
                           and pivots_in_nonsuper),
@@ -323,21 +323,22 @@ def gr_bridge_report(tab: DrinfeldTable, centers: CenterTable,
 
 
 def independence_check(gens: list[tuple[str, Element]], bound: int,
-                       quotient: QuotientModel | None = None) -> Report:
-    """Linear independence of all products of the given elements up to bound.
+                       quotient: QuotientModel) -> Report:
+    """Linear independence modulo the odd-square ideal of all products of
+    the given elements up to bound.
 
     Products are formed in the listed order with multiplicities, along
-    shared prefixes (rtt.product_rank), each ranked in its weight block,
-    and the dependent ones are named by their exponent vectors in that
-    order; when a quotient model is supplied the products are reduced
-    first, realising the freeness statement inside the quotient.
+    shared prefixes (rtt.product_rank), reduced by the quotient model and
+    ranked in its weight blocks, and the dependent ones are named by their
+    exponent vectors in that order: the freeness statement inside the
+    quotient.
     """
     if not gens:
         raise ValueError("need at least one generator")
     alg = gens[0][1].alg
     report = Report("independence", config={"bound": bound,
                                             "generators": [g[0] for g in gens],
-                                            "quotient": quotient is not None})
+                                            "quotient": True})
     zeros = [label for label, el in gens if not el]
     if zeros:
         report.add("rank", {"products": 0, "rank": 0}, False,
@@ -349,15 +350,8 @@ def independence_check(gens: list[tuple[str, Element]], bound: int,
     if any(d > bound for d in degrees):
         raise DegreeCapError("generator degree exceeds the requested bound")
 
-    if quotient is None:
-        columns = BlockColumns.by_key(alg.pbw_monomials(bound), word_weight)
-    else:
-        columns = quotient.columns
-
     def vector(element: Element) -> dict:
-        if quotient is not None:
-            element = quotient.reduce(element)
-        return columns.vector(element.words, bound)
+        return quotient.columns.vector(quotient.reduce(element).words, bound)
 
     count, rank, dependents = product_rank(
         alg, [el for _, el in gens], degrees, bound, vector)
@@ -380,11 +374,11 @@ def graded_basis_count(quotient: QuotientModel, factors) -> int | None:
     (6) exactly dim_super of them.
 
     The leads are not kept: each is looked up in the quotient's column
-    index and its column flagged in a bytearray of dim_full bytes, at its
-    block's offset plus its local column.  A lead whose column the layout
-    flagged non-super breaks (5) and a flag already set breaks (4); a lead
-    missing from the index, which holds every ordered word of degree <=
-    bound, declines.
+    index and its local column flagged in its block's bytearray of seen
+    columns.  A lead whose local column is below its block's split, one of
+    the block's non-super words, breaks (5) and a flag already set breaks
+    (4); a lead missing from the index, which holds every ordered word of
+    degree <= bound, declines.
 
     For a monomial a that fits, a * sigma(z) lies in gr(J_bound), with
     lead a * t t; by (2) every non-super word of degree <= bound is such
@@ -405,9 +399,9 @@ def graded_basis_count(quotient: QuotientModel, factors) -> int | None:
         if not value or value.degree() != deg:
             return None
     values, degrees, tops = zip(*factors)
-    columns, offsets, nonsuper = (quotient.columns, quotient.offsets,
-                                  quotient.nonsuper)
-    seen = bytearray(quotient.dim_full)     # the columns of the leads so far
+    columns, split = quotient.columns, quotient.split
+    # per block, the local columns of the leads so far
+    seen = [bytearray(len(col)) for col in columns.words]
     count = 0
     for lead, _ in bounded_words([leading_word(v) for v in values], degrees,
                                  quotient.bound, tops,
@@ -416,16 +410,15 @@ def graded_basis_count(quotient: QuotientModel, factors) -> int | None:
         if place is None:
             return None
         block, col = place
-        flag = offsets[block] + col
-        if nonsuper[flag] or seen[flag]:
+        if col < split[block] or seen[block][col]:
             return None
-        seen[flag] = 1
+        seen[block][col] = 1
         count += 1
     return count if count == quotient.dim_super else None
 
 
 def freeness_shadow_report(centers: CenterTable, quotient: QuotientModel,
-                           flavour: str = "p-center") -> Report:
+                           flavour: str) -> Report:
     """Bounded shadow of the two freeness corollaries for the quotient.
 
     Products {center monomial} x {square-free generator monomial} of total

@@ -197,17 +197,6 @@ class CurrentAlgebra(WordAlgebra):
 # -- symmetric-superalgebra layer (for the invariants report) -------------------
 
 
-def s_adjoint(alg: CurrentAlgebra, g: bytes, word: bytes) -> frozenset:
-    """Adjoint action of a generator on an S-supermonomial, as a derivation."""
-    acc: set = set()
-    for pos in range(0, len(word), 3):
-        brackets = alg._bracket(g, word[pos:pos + 3])
-        if brackets:
-            acc ^= merge_product((word[:pos] + word[pos + 3:],), brackets,
-                                 alg._odd)
-    return frozenset(acc)
-
-
 def adjoint_sites(basis: list[bytes]) -> dict:
     """Letter index of a list of supermonomials for the adjoint action.
 
@@ -238,11 +227,11 @@ def adjoint_rows(alg: CurrentAlgebra, g: bytes, sites: dict) -> dict:
     """Nonzero rows of ad g on the words indexed by sites, by output word.
 
     The row of an output word has bit k for each indexed word k (the
-    block-local index of adjoint_sites) whose image under
-    s_adjoint(alg, g, .) contains it.  The action is a derivation, so
-    each (position, h in [g, b]) contribution is XOR-ed in directly: h is
-    inserted into rest in sorted order, or dropped when it is odd and
-    already there (odd squares vanish).  Contributions that cancel, such
+    block-local index of adjoint_sites) whose image under ad g contains
+    it.  The action is a derivation, so each (position, h in [g, b])
+    contribution is XOR-ed in directly: h is inserted into rest in sorted
+    order, or dropped when it is odd and already there (odd squares
+    vanish).  Contributions that cancel, such
     as the two positions of an even square, can leave a zero row; those
     are dropped.  Only the letters b with [g, b] nonzero are visited
     (CurrentAlgebra.bracket_partners), and of those only the ones with
@@ -443,17 +432,31 @@ def word_grade(word) -> tuple:
     return word_weight(word), word_degree(word)
 
 
-def block_rank(alg: CurrentAlgebra, gens: list[bytes], block: list[bytes]) -> int:
-    """Rank of the adjoint action of gens on one grading block, stopping
-    as soon as the block's echelon is full."""
+def adjoint_echelon(alg: CurrentAlgebra, gens: list[bytes],
+                    block: list[bytes]) -> BitEchelon:
+    """Echelon of the rows of the adjoint action of gens on one grading
+    block, one bit per word of the block, stopping as soon as it is full."""
     sites = adjoint_sites(block)
     ech = BitEchelon()
     for g in gens:
         for row in set(adjoint_rows(alg, g, sites).values()):
             ech.add(row)
             if ech.rank == len(block):
-                return ech.rank
-    return ech.rank
+                return ech
+    return ech
+
+
+def annihilated(ech: BitEchelon, vector: int) -> bool:
+    """Whether the vector of a block, one bit per word, is killed by the
+    generators whose adjoint rows on that block ech holds.
+
+    The output word of a row has coefficient popcount(row & vector) mod 2
+    in the image, so the vector is killed by each generator exactly when
+    it is orthogonal to all of the rows, and so to the pivot rows that
+    span them; a full echelon leaves only the zero vector.
+    """
+    return not any((row & vector).bit_count() & 1
+                   for row in ech.pivots.values())
 
 
 def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
@@ -501,15 +504,20 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
     rank equals column rank, so no dense column of len(S) * len(block)
     bits is built.  A block whose rank reaches len(block) has no
     invariants, and no later row can add to it, so its generator loop
-    stops there.  s_adjoint stays the word-by-word reference and serves
-    the containment check.  The generated products come one at a time from
-    bounded_words, folded along shared prefixes.
+    stops there.
+
+    The generated products come one at a time from bounded_words, folded
+    along shared prefixes, and are ranked in a BlockEchelon over the same
+    blocks, whose held rows span the generated side block by block.  The
+    blocks are then taken one at a time: the block's adjoint echelon is
+    built, gives the block's rank, checks that every held generated row
+    of the block is orthogonal to its rows (annihilated), and is dropped
+    before the next block, so only one adjoint echelon is alive at once.
+    The word-by-word action s_adjoint is the reference in tests/oracles.py.
     """
     basis = [w for w in alg.supermonomials(degree) if len(w) == 3 * degree]
     columns = BlockColumns.by_key(basis, word_grade)
     gens = alg.lie_generators()
-    invariant_dim = len(basis) - sum(
-        block_rank(alg, gens, block) for block in columns.words)
 
     # generated side: products of z_r (degree 1) and even squares (degree 2)
     z_list = [frozenset({pack(i, i, r) for i in range(1, alg.size + 1)})
@@ -523,24 +531,25 @@ def invariants_dimension(alg: CurrentAlgebra, degree: int) -> Report:
                 g = pack(i, j, r)
                 squares.append(frozenset({g + g}))
 
-    ech = BlockEchelon()
-    contained = True
+    generated = BlockEchelon()
     for prod_words, d in bounded_words(
             z_list + squares, [1] * len(z_list) + [2] * len(squares), degree,
             max_mult=None, fold=partial(merge_product, nilsquare=alg._odd),
             one=frozenset({b""})):
         if d != degree or not prod_words:
             continue
-        ech.add(columns.vector(prod_words, degree))
-        # containment: every generated product must be killed by S
-        for g in gens:
-            if not contained:
-                break
-            acc: set = set()
-            for w in prod_words:
-                acc ^= s_adjoint(alg, g, w)
-            contained = not acc
-    generated_dim = ech.rank
+        generated.add(columns.vector(prod_words, degree))
+    generated_dim = generated.rank
+
+    invariant_dim, contained = len(basis), True
+    for b, block in enumerate(columns.words):
+        ech = adjoint_echelon(alg, gens, block)
+        invariant_dim -= ech.rank
+        # containment: every generated row must be killed by S
+        held = generated.blocks.get(b)
+        if contained and held is not None:
+            contained = all(annihilated(ech, row)
+                            for row in held.pivots.values())
 
     report = Report("classical-invariants",
                     config={"m": alg.m, "n": alg.n, "trunc": alg.trunc,

@@ -105,10 +105,6 @@ class BlockColumns:
                 group.append(w)
         return cls(groups.values())
 
-    def sizes(self) -> list[int]:
-        """The number of columns in each block."""
-        return [len(col) for col in self.words]
-
     def locate(self, word) -> tuple[int, int] | None:
         """(block, local column) of a column's word; None for any other."""
         pos = self.index.get(word)

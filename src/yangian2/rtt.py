@@ -607,8 +607,9 @@ def product_rank(alg, values, degrees, bound: int, vector, max_mult=None):
 
 def pbw_count(shape: Shape, bound: int, super_only: bool = False) -> int:
     """The number of ordered (super)monomials of canonical degree <= bound
-    in the Yangian of shape, len(pbw_monomials(bound, super_only)),
-    without listing them.
+    in the Yangian of shape, without listing them: len(pbw_monomials(bound)),
+    or, for supermonomials, the number of those words that repeat no odd
+    letter.
 
     It is the sum of the coefficients up to x^bound of the product over
     the superscripts r <= min(bound, cap) of (1 - x^r)^(-N^2), N = m + n,
@@ -972,15 +973,13 @@ class RTTAlgebra(WordAlgebra):
 
     # -- PBW enumeration ----------------------------------------------------
 
-    def pbw_monomials(self, bound: int, super_only: bool = False) -> list[bytes]:
-        """All ordered (super)monomials of canonical degree <= bound.
+    def pbw_monomials(self, bound: int) -> list[bytes]:
+        """All ordered monomials of canonical degree <= bound.
 
-        Supermonomials additionally restrict odd generators to exponent <= 1.
         The list is deterministic: graded, then lexicographic in the word.
         """
         gens = self.generators(min(bound, self.shape.cap))
-        return graded_words(gens, [g[2] for g in gens], bound,
-                            self._odd if super_only else frozenset())
+        return graded_words(gens, [g[2] for g in gens], bound, frozenset())
 
     # -- randomised health checks -------------------------------------------
 

@@ -9,8 +9,10 @@ words are bytes, three per letter; ``triples`` turns one into the tuple of
 encoding.  The last section keeps what only tests read: the dense rows
 that the block echelons are checked against; the displayed right-hand
 side of the defining relation, the loop degree and the parity of an
-element, on an algebra of the package; and the check that the odd-square
-quotient kills the brackets of the odd simple roots.
+element, on an algebra of the package; the check that the odd-square
+quotient kills the brackets of the odd simple roots; the independence
+check in the full algebra, with no ideal; and the adjoint action of a
+classical letter on one supermonomial, word by word.
 """
 
 from __future__ import annotations
@@ -18,10 +20,12 @@ from __future__ import annotations
 import math
 from collections import Counter
 
+from yangian2.centers import independence_check
 from yangian2.errors import DegreeCapError
-from yangian2.linalg import BitEchelon
+from yangian2.linalg import BitEchelon, BlockColumns
 from yangian2.report import Report
-from yangian2.rtt import pack_gen, word_letters, word_loop_degree
+from yangian2.rtt import (merge_product, pack_gen, word_letters,
+                          word_loop_degree, word_weight)
 
 
 def triples(word: bytes) -> tuple:
@@ -288,3 +292,35 @@ def verify_odd_square_relations(tab, budget: int, quotient) -> Report:
                 report.add(f"odd-square-{kind}", {"r": r, "s": s}, ok,
                            witness=None if ok else image.canonical())
     return report
+
+
+class FullAlgebra:
+    """The quotient by the zero ideal up to bound, as independence_check
+    reads a quotient model: the PBW monomials by weight as its columns, and
+    a reduction that changes nothing."""
+
+    def __init__(self, alg, bound: int) -> None:
+        self.columns = BlockColumns.by_key(alg.pbw_monomials(bound),
+                                           word_weight)
+
+    def reduce(self, x):
+        return x
+
+
+def full_independence_check(gens, bound: int) -> Report:
+    """centers.independence_check in the parent algebra: the products are
+    ranked as they are, not modulo the odd-square ideal.  The payload's
+    "quotient" key still reads true."""
+    return independence_check(gens, bound, FullAlgebra(gens[0][1].alg, bound))
+
+
+def s_adjoint(alg, g: bytes, word: bytes) -> frozenset:
+    """Adjoint action of a classical letter on an S-supermonomial, as a
+    derivation, one position of the word at a time."""
+    acc: set = set()
+    for pos in range(0, len(word), 3):
+        brackets = alg._bracket(g, word[pos:pos + 3])
+        if brackets:
+            acc ^= merge_product((word[:pos] + word[pos + 3:],), brackets,
+                                 alg._odd)
+    return frozenset(acc)

@@ -176,7 +176,7 @@ def test_criterion_06_super_pbw_freeness(stack11, stack21):
 def test_criterion_07_centrality(stack11, stack21):
     start = time.time()
     alg, tab = stack11
-    table = build_center_table(tab, square_bound=4)
+    table = build_center_table(tab)
     report = centrality_report(table, c_max=5, b_max=4, square_bound=4)
     assert report.ok, report.failures[:3]
     counts = report.counts_by_id()
@@ -197,7 +197,7 @@ def test_criterion_07_centrality(stack11, stack21):
 def test_criterion_08_gr_bridge(stack11, stack21):
     start = time.time()
     for label, (alg, tab), trunc in (("(1,1)", stack11, 7), ("(2,1)", stack21, 6)):
-        table = build_center_table(tab, square_bound=2)
+        table = build_center_table(tab)
         classical = CurrentAlgebra(alg.shape.m, alg.shape.n, trunc)
         report = gr_bridge_report(tab, table, classical, max_r=4)
         assert report.ok, (label, report.failures[:3])
@@ -250,7 +250,7 @@ def test_criterion_10_odd_square_relations(stack11):
 def test_criterion_11_center_freeness_shadow(stack11):
     start = time.time()
     alg, tab = stack11
-    table = build_center_table(tab, square_bound=4)
+    table = build_center_table(tab)
     quotient = build_quotient(alg, 4, tab)
     gens = [(f"c^({r})", table.c[r]) for r in range(1, 5)]
     gens += [(f"b_{i}^(2)", table.b[i][2]) for i in sorted(table.b) if i >= 2]

@@ -1,6 +1,5 @@
 import dataclasses
 import functools
-import itertools
 import random
 
 import pytest
@@ -10,16 +9,15 @@ from yangian2 import centers
 from yangian2.centers import (b_series, build_center_table, build_quotient,
                               c_series, centrality_report,
                               freeness_shadow_report, gr_bridge_report,
-                              gr_leading_term, independence_check,
-                              leading_word, p_center_squares, quotient_report)
+                              gr_leading_term, leading_word, p_center_squares, quotient_report)
 from yangian2.current import CurrentAlgebra
 from yangian2.errors import DegreeCapError
 from yangian2.linalg import BitEchelon, BlockColumns, BlockEchelon
 from yangian2.rtt import (Element, bounded_words, product_rank,
                           repeats_nilsquare, word_degree, word_weight)
 
-from oracles import (count_full, count_super, parity, rank_of, rtt_rhs,
-                     triples, words_row)
+from oracles import (count_full, count_super, full_independence_check, parity,
+                     rank_of, rtt_rhs, triples, words_row)
 
 
 @pytest.fixture(scope="module")
@@ -113,8 +111,10 @@ def test_p_center_squares_parities(setup11, setup21):
 
 def test_columns_are_classified_once(setup11, monkeypatch):
     """build_quotient asks once of each column whether it repeats an odd
-    letter and keeps the answer at its global column; the pivot check and
-    the leading-word certificate read that flag and ask no word again."""
+    letter and lays each block out as its non-super words, split[block] of
+    them, then its super words in descending (degree, word) order; the
+    pivot check and the leading-word certificate read the split and ask no
+    word again."""
     alg, tab = setup11
     real, asked = centers.repeats_nilsquare, []
 
@@ -125,15 +125,19 @@ def test_columns_are_classified_once(setup11, monkeypatch):
     monkeypatch.setattr(centers, "repeats_nilsquare", counting)
     q = build_quotient(alg, 4, tab)
     assert sorted(asked) == sorted(alg.pbw_monomials(4))
-    assert q.nonsuper == bytearray(real(w, alg._odd)
-                                   for block in q.columns.words for w in block)
-    assert q.offsets == [0, *itertools.accumulate(q.columns.sizes())]
+    assert len(q.split) == len(q.columns.words)
+    for block, cut in zip(q.columns.words, q.split):
+        assert all(real(w, alg._odd) for w in block[:cut])
+        assert not any(real(w, alg._odd) for w in block[cut:])
+        keys = [(word_degree(w), w) for w in block]
+        assert keys[:cut] == sorted(keys[:cut])
+        assert keys[cut:] == sorted(keys[cut:], reverse=True)
     asked.clear()
     certify, counted = centers.graded_basis_count, []
     monkeypatch.setattr(centers, "graded_basis_count",
                         lambda quotient, factors: counted.append(
                             certify(quotient, factors)) or counted[-1])
-    assert freeness_shadow_report(build_center_table(tab), q).ok
+    assert freeness_shadow_report(build_center_table(tab), q, "p-center").ok
     assert counted == [q.dim_super] and not asked
 
 
@@ -290,6 +294,26 @@ def test_noncentral_odd_square_fails_the_certificate(monkeypatch):
         assert check.witness == "(e[1,2]^(2))^2 is not central"
 
 
+def test_super_pivot_alone_fails_the_certificate(setup11, monkeypatch):
+    """A block's largest word laid out as super, at the block's split,
+    becomes a pivot there: the rank and the expected count still match, so
+    only the pivot check can fail the certificate."""
+    alg, tab = setup11
+    real = centers.repeats_nilsquare
+    tops = {}
+    for w in alg.pbw_monomials(4):
+        k = word_weight(w)
+        tops[k] = max(tops.get(k, w), w, key=lambda v: (word_degree(v), v))
+    moved = next(w for w in tops.values() if real(w, alg._odd))
+    monkeypatch.setattr(centers, "repeats_nilsquare",
+                        lambda word, odd: word != moved and real(word, odd))
+    q = build_quotient(alg, 4, tab)
+    block, col = q.columns.locate(moved)
+    assert col == q.split[block] and col in q.echelon.blocks[block].pivots
+    assert q.noncentral is None and q.dim_super == q.expected_super
+    assert not q.certificate_ok
+
+
 def test_inhomogeneous_odd_square_raises(setup11, monkeypatch):
     """A square whose words span two weights gives rows that span two
     blocks: build_quotient raises rather than split them."""
@@ -381,8 +405,8 @@ def test_weight_blocks_match_one_dense_echelon(monkeypatch, m, n, cap):
                 (dense.add(_dense_row(q, index, vector)) == 0)
         assert q.ideal_rank == dense.rank
         assert _global_pivots(q, index) == set(dense.pivots)
-        assert q.expected_super == len(alg.pbw_monomials(bound,
-                                                         super_only=True))
+        assert q.expected_super == sum(not repeats_nilsquare(w, alg._odd)
+                                       for w in alg.pbw_monomials(bound))
         non_super = q.dim_full - q.expected_super
         assert q.certificate_ok == all(c < non_super for c in dense.pivots)
         samples = [alg.random_element(rng, bound) for _ in range(20)]
@@ -617,22 +641,23 @@ def test_gr_bridge_report_21(setup21):
 def test_independence_examples(setup11):
     alg, tab = setup11
     c = c_series(tab)
-    rep = independence_check([("c1", c.coeffs[1]), ("c2", c.coeffs[2])], 3)
+    rep = full_independence_check([("c1", c.coeffs[1]),
+                                   ("c2", c.coeffs[2])], 3)
     assert rep.ok
     assert rep.checks[0].params == {"products": 6, "rank": 6}
     b1 = b_series(tab, 1)
-    rep2 = independence_check([("c1", c.coeffs[1]), ("c2", c.coeffs[2]),
-                               ("b1_2", b1.coeffs[2])], 3)
+    rep2 = full_independence_check([("c1", c.coeffs[1]), ("c2", c.coeffs[2]),
+                                    ("b1_2", b1.coeffs[2])], 3)
     assert rep2.ok
     assert rep2.checks[0].params == {"products": 8, "rank": 8}
-    single = independence_check([("c1", c.coeffs[1])], 2)
+    single = full_independence_check([("c1", c.coeffs[1])], 2)
     assert single.ok
 
 
 def test_independence_detects_dependence(setup11):
     alg, tab = setup11
     c1 = c_series(tab).coeffs[1]
-    rep = independence_check([("a", c1), ("b", c1)], 2)
+    rep = full_independence_check([("a", c1), ("b", c1)], 2)
     assert not rep.ok
 
 
@@ -641,7 +666,7 @@ def test_independence_witness_order(setup11):
     order the products are enumerated: first generator slowest, ascending."""
     alg, tab = setup11
     d1, d2 = tab.d[1][1], tab.d[1][2]
-    rep = independence_check([("a", d1), ("b", d1), ("c", d2)], 4)
+    rep = full_independence_check([("a", d1), ("b", d1), ("c", d2)], 4)
     assert not rep.ok
     assert rep.checks[0].params == {"products": 22, "rank": 9}
     assert rep.checks[0].witness == ("dependent exponents: [(1, 0, 0), "
@@ -703,7 +728,7 @@ def test_centrality_report(setup11):
 
 def test_independence_zero_generator(setup11):
     alg, tab = setup11
-    rep = independence_check([("zero", alg.zero())], 2)
+    rep = full_independence_check([("zero", alg.zero())], 2)
     assert not rep.ok
     assert "zero generators" in rep.checks[0].witness
 
@@ -828,6 +853,29 @@ def test_graded_shadow_needs_every_square_lead(setup11, monkeypatch):
     assert seen == [None, None]
     assert graded == exact
     assert graded[0]["instances"][0]["pass"]
+
+
+def test_graded_count_declines_a_last_nonsuper_lead():
+    """(5) at the last non-super column of a block.  At bound 2 the
+    products of the letters, each at most once, and of the even squares
+    t[i,i,1]^2 are the square-free words and those squares: every super
+    word once, so they certify.  t[1,2,1]^2 or t[2,1,1]^2, each the one
+    non-super word of its block, in place of one square must not."""
+    alg = RTTAlgebra(Shape(1, 1, 2))
+    q = build_quotient(alg, 2, build_table(alg, 1))
+
+    def count(words):
+        return centers.graded_basis_count(q, [
+            (Element(alg, frozenset({w})), word_degree(w), 1) for w in words])
+
+    letters = alg.generators(2)
+    even_squares = [g + g for g in letters if g[2] == 1 and g not in alg._odd]
+    assert count(letters + even_squares) == q.dim_super
+    for g in letters:
+        if g[2] == 1 and g in alg._odd:
+            block, col = q.columns.locate(g + g)
+            assert col == q.split[block] - 1
+            assert count(letters + even_squares[1:] + [g + g]) is None
 
 
 def _p_center_factors(tab, q, monkeypatch):

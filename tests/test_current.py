@@ -6,16 +6,15 @@ import random
 import pytest
 
 from yangian2 import cli, current, rtt
-from yangian2.current import (CurrentAlgebra, adjoint_rows, adjoint_sites,
-                              block_rank, classical_suite,
+from yangian2.current import (CurrentAlgebra, adjoint_echelon, adjoint_rows,
+                              adjoint_sites, annihilated, classical_suite,
                               invariants_dimension, jacobi_failures,
-                              random_lie_element, s_adjoint, sample_triples,
-                              word_grade)
+                              random_lie_element, sample_triples, word_grade)
 from yangian2.linalg import BitEchelon, BlockEchelon
 from yangian2.rtt import (Element, RTTAlgebra, Shape, certified_lie_generators,
                           merge_product, pack)
 
-from oracles import rank_of, triples
+from oracles import rank_of, s_adjoint, triples
 
 
 @pytest.fixture(scope="module")
@@ -385,6 +384,71 @@ def test_adjoint_rows_match_s_adjoint(m, n, trunc, top):
         sites = adjoint_sites(basis)
         for g in alg.generators():
             assert adjoint_rows(alg, g, sites) == _reference_rows(alg, g, basis)
+
+
+def _kernel(rows, width):
+    """A basis of the width-bit vectors orthogonal to every row: the
+    reduced row echelon form of the rows, one vector per free column."""
+    held = {}   # pivot column -> row, with no bit at another pivot column
+    for row in rows:
+        for c, r in held.items():
+            if row >> c & 1:
+                row ^= r
+        if row:
+            c = (row & -row).bit_length() - 1
+            for k, r in held.items():
+                if r >> c & 1:
+                    held[k] = r ^ row
+            held[c] = row
+    return [sum(1 << c for c, r in held.items() if r >> f & 1) | 1 << f
+            for f in range(width) if f not in held]
+
+
+def _killed(alg, gens, block, vector):
+    """Whether s_adjoint of every generator kills the vector of a block."""
+    for g in gens:
+        image: set = set()
+        for k, w in enumerate(block):
+            if vector >> k & 1:
+                image ^= s_adjoint(alg, g, w)
+        if image:
+            return False
+    return True
+
+
+@pytest.mark.parametrize("m,n,trunc",
+                         [(1, 1, 3), (1, 1, 4), (1, 1, 5), (2, 1, 4)])
+def test_annihilated_matches_s_adjoint(m, n, trunc):
+    """A vector of a grading block is orthogonal to the block's adjoint
+    echelon exactly when s_adjoint over the Lie generators kills it: on
+    random vectors, on random invariants and on invariants plus one word."""
+    alg = CurrentAlgebra(m, n, trunc)
+    lie = alg.lie_generators()
+    rng = random.Random(100 * m + trunc)
+    outcomes = set()
+    for degree in (2, 3):
+        blocks = collections.defaultdict(list)
+        for w in _degree_piece(alg, degree):
+            blocks[word_grade(w)].append(w)
+        for block in blocks.values():
+            ech = adjoint_echelon(alg, lie, block)
+            kernel = _kernel([row for g in lie for row in
+                              _reference_rows(alg, g, block).values()],
+                             len(block))
+            samples = [rng.getrandbits(len(block)) for _ in range(6)]
+            for _ in range(3):
+                invariant = 0
+                for v in kernel:
+                    if rng.getrandbits(1):
+                        invariant ^= v
+                samples += [invariant,
+                            invariant ^ 1 << rng.randrange(len(block))]
+            for v in samples:
+                killed = _killed(alg, lie, block, v)
+                assert annihilated(ech, v) == killed, (degree, block, v)
+                if v:
+                    outcomes.add(killed)
+    assert outcomes == {False, True}
 
 
 def _grade(word):
@@ -771,8 +835,8 @@ def test_invariants_over_lie_generators_match_all_letters(m, n, trunc, top):
         for w in basis:
             blocks[word_grade(w)].append(w)
         for block in blocks.values():
-            assert block_rank(alg, lie, block) == \
-                block_rank(alg, alg.generators(), block)
+            assert adjoint_echelon(alg, lie, block).rank == \
+                adjoint_echelon(alg, alg.generators(), block).rank
         # the payload is the one of every letter as generator
         every = CurrentAlgebra(m, n, trunc)
         _every_letter_generates(every)

@@ -154,7 +154,6 @@ def test_block_columns_keep_the_global_order():
     key = [0, 1, 0, 2, 1, 0, 1]
     columns = BlockColumns.by_key([5, 4, 3, 2, 1, 0, 6], key.__getitem__)
     assert columns.words == [[5, 2, 0], [4, 1, 6], [3]]
-    assert columns.sizes() == [3, 3, 1]
     assert columns.locate(6) == (1, 2) and columns.locate(7) is None
     assert columns.vector({4, 6, 0}, 9) == {1: 0b101, 0: 0b100}
     assert columns.words_of({1: 0b101, 2: 1}) == {4, 6, 3}

@@ -10,6 +10,12 @@ The check is by name only, not by binding: a reference to any member of the
 same name counts.  A test-only ``Element.parity`` would pass, because
 ``Shape.parity`` is called, and so would any method whose name a builtin,
 a local variable or an attribute of another class shares.
+
+Every name that a module of ``src/yangian2`` or ``scripts/`` imports must
+also be read in that module (``from __future__`` aside), so that removing
+code leaves no stray import behind.  This check is by module, not by
+scope: an import inside a function counts as read when the name is read
+anywhere in the module.
 """
 
 import ast
@@ -75,3 +81,28 @@ def unreferenced_members() -> list[str]:
 
 def test_every_package_member_is_reached_outside_tests():
     assert unreferenced_members() == []
+
+
+def unused_imports() -> list[str]:
+    unused = []
+    for path in PACKAGE + SCRIPTS:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        bound = []      # (name, line) of every imported binding
+        read = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                bound += [((a.asname or a.name).split(".")[0], node.lineno)
+                          for a in node.names]
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                bound += [(a.asname or a.name, node.lineno)
+                          for a in node.names]
+            elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+        unused += [f"{path.relative_to(ROOT)}:{line} {name}"
+                   for name, line in bound if name not in read]
+    return unused
+
+
+def test_every_import_is_read():
+    assert unused_imports() == []
