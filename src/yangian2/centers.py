@@ -322,10 +322,10 @@ def gr_bridge_report(tab: DrinfeldTable, centers: CenterTable,
 # -- bounded freeness shadow ----------------------------------------------------
 
 
-def independence_check(gens: list[tuple[str, Element]], bound: int,
+def independence_check(gens: list[tuple[str, Element]],
                        quotient: QuotientModel) -> Report:
     """Linear independence modulo the odd-square ideal of all products of
-    the given elements up to bound.
+    the given elements up to the quotient's bound.
 
     Products are formed in the listed order with multiplicities, along
     shared prefixes (rtt.product_rank), reduced by the quotient model and
@@ -336,6 +336,7 @@ def independence_check(gens: list[tuple[str, Element]], bound: int,
     if not gens:
         raise ValueError("need at least one generator")
     alg = gens[0][1].alg
+    bound = quotient.bound
     report = Report("independence", config={"bound": bound,
                                             "generators": [g[0] for g in gens],
                                             "quotient": True})

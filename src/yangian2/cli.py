@@ -69,9 +69,11 @@ class RunConfig:
 
 
 def load_config_file(path: str) -> dict:
+    """The RunConfig fields that a key=value file sets."""
     values: dict = {}
-    keys = {"m": int, "n": int, "L": int, "K": int, "T": int,
-            "seed": int, "out": str}
+    keys = {"m": ("m", int), "n": ("n", int), "L": ("cap", int),
+            "K": ("order", int), "T": ("trunc", int), "seed": ("seed", int),
+            "out": ("out", str)}
     with open(path, encoding="utf-8") as handle:
         for lineno, raw in enumerate(handle, 1):
             line = raw.split("#", 1)[0].strip()
@@ -82,7 +84,8 @@ def load_config_file(path: str) -> dict:
             key, value = (part.strip() for part in line.split("=", 1))
             if key not in keys:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
-            values[key] = keys[key](value)
+            field, kind = keys[key]
+            values[field] = kind(value)
     return values
 
 
@@ -112,7 +115,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("gauss", help="emit the Drinfeld generator table")
 
     verify = sub.add_parser("verify", help="run a verification suite")
-    verify.add_argument("suite", choices=["drinfeld", "centers", "classical"])
+    verify.add_argument("suite", choices=list(VERIFY_SUITES))
     verify.add_argument("--budget", type=int, default=None,
                         help="total-degree budget of verify drinfeld "
                              "(default: min(L, K+1))")
@@ -135,21 +138,12 @@ def _merge_config(args) -> RunConfig:
     if getattr(args, "budget", None) is not None and args.suite != "drinfeld":
         raise ValueError(f"--budget applies only to verify drinfeld, "
                          f"not verify {args.suite}")
-    file_values = load_config_file(args.config) if args.config else {}
-    def pick(flag, key, default):
-        if flag is not None:
-            return flag
-        return file_values.get(key, default)
-    cfg = RunConfig(
-        m=pick(args.m, "m", 1),
-        n=pick(args.n, "n", 1),
-        cap=pick(args.cap, "L", 3),
-        order=pick(args.order, "K", None),
-        trunc=pick(args.trunc, "T", None),
-        seed=pick(args.seed, "seed", 0),
-        out=pick(args.out, "out", "report.json"),
-    )
-    return cfg.resolved()
+    # what the file or a flag sets; RunConfig holds the defaults
+    fields = load_config_file(args.config) if args.config else {}
+    for name in RunConfig.__slots__:
+        if getattr(args, name) is not None:
+            fields[name] = getattr(args, name)
+    return RunConfig(**fields).resolved()
 
 
 # -- command handlers ------------------------------------------------------------
@@ -223,7 +217,7 @@ def _cmd_verify_centers(cfg: RunConfig, args) -> Report:
     gens += [(sq.label, sq.element) for sq in table.squares if sq.parity == 0]
     gens = [(label, el) for label, el in gens if el]
     if gens:
-        report.extend(centers_mod.independence_check(gens, cfg.cap, quotient))
+        report.extend(centers_mod.independence_check(gens, quotient))
     shadow_bound = tab.root_top
     if shadow_bound >= 1:
         shadow_q = (quotient if shadow_bound == cfg.cap
@@ -280,23 +274,18 @@ def _cmd_fuzz(cfg: RunConfig, args) -> Report:
     return report
 
 
+# every command but verify, and the suites of verify, by name
+COMMANDS = {"nf": _cmd_nf, "gauss": _cmd_gauss, "pbw": _cmd_pbw,
+            "quotient-dim": _cmd_quotient_dim, "fuzz": _cmd_fuzz}
+VERIFY_SUITES = {"drinfeld": _cmd_verify_drinfeld,
+                 "centers": _cmd_verify_centers,
+                 "classical": _cmd_verify_classical}
+
+
 def run_command(cfg: RunConfig, args) -> Report:
-    if args.command == "nf":
-        return _cmd_nf(cfg, args)
-    if args.command == "gauss":
-        return _cmd_gauss(cfg, args)
     if args.command == "verify":
-        handler = {"drinfeld": _cmd_verify_drinfeld,
-                   "centers": _cmd_verify_centers,
-                   "classical": _cmd_verify_classical}[args.suite]
-        return handler(cfg, args)
-    if args.command == "pbw":
-        return _cmd_pbw(cfg, args)
-    if args.command == "quotient-dim":
-        return _cmd_quotient_dim(cfg, args)
-    if args.command == "fuzz":
-        return _cmd_fuzz(cfg, args)
-    raise ValueError(f"unknown command {args.command}")
+        return VERIFY_SUITES[args.suite](cfg, args)
+    return COMMANDS[args.command](cfg, args)
 
 
 def write_report(report: Report, path: str) -> None:

@@ -9,18 +9,24 @@ Grammar (whitespace-insensitive):
             | 'e[' I ',' I ',' R ']' | 'f[' I ',' I ',' R ']'
             | 'c[' R ']' | 'b[' I ',' R ']'
 
-t atoms evaluate directly; d, d', e, f, c, b resolve through lazily built
-Drinfeld and center tables.  Every error carries a line/column position.
+``parse`` reads an expression into an evaluator: a function of an
+``EvalContext``, built from the evaluators of its parts, which ``evaluate``
+calls.  Sums, products and brackets evaluate their parts left to right, and
+a power chain applies its exponents one after another.  t atoms evaluate
+directly; d, d', e, f, c, b resolve through the Drinfeld and center tables,
+which the context builds on the first such atom, importing ``drinfeld`` and
+``centers`` only then.  Every error of the text carries a line/column
+position, an expression nested too deeply to parse among them.
 ``Element.canonical`` prints what the parser reads back.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
 
-from .centers import b_series, c_series
-from .drinfeld import DrinfeldTable, build_table
 from .rtt import Element, RTTAlgebra, Shape
+
+Evaluator = Callable[["EvalContext"], Element]
 
 
 class DSLError(ValueError):
@@ -30,20 +36,14 @@ class DSLError(ValueError):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
-    kind: str  # NAME, INT, or a literal symbol
-    text: str
-    line: int
-    col: int
-
-
 _SYMBOLS = set("+*^[](),")
-_NAMES = {"t", "d", "d'", "e", "f", "c", "b"}
+_GEN_ARITY = {"t": 3, "d": 2, "d'": 2, "e": 3, "f": 3, "c": 1, "b": 2}
 
 
-def _tokenize(text: str) -> list[Token]:
-    out: list[Token] = []
+def _tokenize(text: str) -> list[tuple[str, str, int, int]]:
+    """The tokens of text as (kind, text, line, column); a kind is NAME,
+    INT, EOF or the symbol itself."""
+    out = []
     line, col = 1, 1
     pos = 0
     while pos < len(text):
@@ -58,15 +58,16 @@ def _tokenize(text: str) -> list[Token]:
             pos += 1
             continue
         if ch in _SYMBOLS:
-            out.append(Token(ch, ch, line, col))
+            out.append((ch, ch, line, col))
             col += 1
             pos += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
+            # isdecimal, not isdigit: '²' is a digit that int() refuses
             start = pos
-            while pos < len(text) and text[pos].isdigit():
+            while pos < len(text) and text[pos].isdecimal():
                 pos += 1
-            out.append(Token("INT", text[start:pos], line, col))
+            out.append(("INT", text[start:pos], line, col))
             col += pos - start
             continue
         if ch.isalpha():
@@ -77,267 +78,196 @@ def _tokenize(text: str) -> list[Token]:
             if pos < len(text) and text[pos] == "'":
                 pos += 1
             name = text[start:pos]
-            if name not in _NAMES:
+            if name not in _GEN_ARITY:
                 raise DSLError(f"unknown name {name!r}", line, col)
-            out.append(Token("NAME", name, line, col))
+            out.append(("NAME", name, line, col))
             col += pos - start
             continue
         raise DSLError(f"unexpected character {ch!r}", line, col)
-    out.append(Token("EOF", "", line, col))
+    out.append(("EOF", "", line, col))
     return out
 
 
-# -- abstract syntax -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Node:
-    line: int
-    col: int
-
-
-@dataclass(frozen=True)
-class OneAtom(Node):
-    pass
-
-
-@dataclass(frozen=True)
-class ZeroAtom(Node):
-    pass
-
-
-@dataclass(frozen=True)
-class GenAtom(Node):
-    kind: str
-    args: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class BracketNode(Node):
-    left: "Node"
-    right: "Node"
-
-
-@dataclass(frozen=True)
-class PowerNode(Node):
-    base: "Node"
-    exponent: int
-
-
-@dataclass(frozen=True)
-class ProductNode(Node):
-    factors: tuple
-
-
-@dataclass(frozen=True)
-class SumNode(Node):
-    terms: tuple
-
-
-_GEN_ARITY = {"t": 3, "d": 2, "d'": 2, "e": 3, "f": 3, "c": 1, "b": 2}
-
-
 class _Parser:
-    def __init__(self, tokens: list[Token], shape: Shape | None):
+    """Recursive descent, one method per rule, each returning the rule's
+    evaluator.  The position never passes the EOF token."""
+
+    def __init__(self, tokens: list[tuple[str, str, int, int]],
+                 shape: Shape | None):
         self.tokens = tokens
         self.pos = 0
         self.shape = shape
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
-
-    def take(self) -> Token:
-        tok = self.tokens[self.pos]
+    def accept(self, kind: str) -> bool:
+        if self.tokens[self.pos][0] != kind:
+            return False
         self.pos += 1
-        return tok
+        return True
 
-    def expect(self, kind: str) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            raise DSLError(f"expected {kind!r}, found {tok.text or 'end of input'!r}",
-                           tok.line, tok.col)
-        return self.take()
+    def expect(self, kind: str) -> str:
+        found, text, line, col = self.tokens[self.pos]
+        if found != kind:
+            raise DSLError(f"expected {kind!r}, found {text or 'end of input'!r}",
+                           line, col)
+        self.pos += 1
+        return text
 
-    def parse(self) -> Node:
-        node = self.expr()
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise DSLError(f"trailing input {tok.text!r}", tok.line, tok.col)
-        return node
+    def parse(self) -> Evaluator:
+        try:
+            value = self.expr()
+        except RecursionError:
+            _, _, line, col = self.tokens[self.pos]
+            raise DSLError("expression nested too deeply", line, col) from None
+        kind, text, line, col = self.tokens[self.pos]
+        if kind != "EOF":
+            raise DSLError(f"trailing input {text!r}", line, col)
+        return value
 
-    def expr(self) -> Node:
-        first = self.term()
-        terms = [first]
-        while self.peek().kind == "+":
-            self.take()
+    def expr(self) -> Evaluator:
+        terms = [self.term()]
+        while self.accept("+"):
             terms.append(self.term())
         if len(terms) == 1:
-            return first
-        return SumNode(first.line, first.col, tuple(terms))
+            return terms[0]
+        return lambda ctx: sum((term(ctx) for term in terms), ctx.alg.zero())
 
-    def term(self) -> Node:
-        first = self.factor()
-        factors = [first]
-        while self.peek().kind == "*":
-            self.take()
+    def term(self) -> Evaluator:
+        factors = [self.factor()]
+        while self.accept("*"):
             factors.append(self.factor())
         if len(factors) == 1:
-            return first
-        return ProductNode(first.line, first.col, tuple(factors))
+            return factors[0]
 
-    def factor(self) -> Node:
-        tok = self.peek()
-        if tok.kind == "INT":
-            self.take()
+        def product(ctx: EvalContext) -> Element:
+            out = ctx.alg.one()
+            for factor in factors:
+                out = ctx.alg.multiply(out, factor(ctx))
+            return out
+
+        return product
+
+    def factor(self) -> Evaluator:
+        kind, text, line, col = self.tokens[self.pos]
+        if kind not in ("INT", "NAME", "[", "("):
+            raise DSLError(f"expected a factor, found {text or 'end of input'!r}",
+                           line, col)
+        self.pos += 1
+        if kind == "INT":
             # 0 is accepted so that canonical output round-trips
-            if tok.text not in ("0", "1"):
-                raise DSLError("the only literal scalars are 0 and 1",
-                               tok.line, tok.col)
-            if tok.text == "0":
-                node: Node = ZeroAtom(tok.line, tok.col)
+            if text not in ("0", "1"):
+                raise DSLError("the only literal scalars are 0 and 1", line, col)
+            if text == "1":
+                value = lambda ctx: ctx.alg.one()
             else:
-                node = OneAtom(tok.line, tok.col)
-        elif tok.kind == "NAME":
-            node = self.gen()
-        elif tok.kind == "[":
-            self.take()
+                value = lambda ctx: ctx.alg.zero()
+        elif kind == "NAME":
+            value = self.gen(text, line, col)
+        elif kind == "[":
             left = self.expr()
             self.expect(",")
             right = self.expr()
             self.expect("]")
-            node = BracketNode(tok.line, tok.col, left, right)
-        elif tok.kind == "(":
-            self.take()
-            node = self.expr()
-            self.expect(")")
+            value = lambda ctx: ctx.alg.commutator(left(ctx), right(ctx))
         else:
-            raise DSLError(f"expected a factor, found {tok.text or 'end of input'!r}",
-                           tok.line, tok.col)
-        while self.peek().kind == "^":
-            self.take()
-            power = self.expect("INT")
-            node = PowerNode(node.line, node.col, node, int(power.text))
-        return node
+            value = self.expr()
+            self.expect(")")
+        exponents = []
+        while self.accept("^"):
+            exponents.append(int(self.expect("INT")))
+        if not exponents:
+            return value
 
-    def gen(self) -> Node:
-        name = self.take()
-        arity = _GEN_ARITY[name.text]
+        def power(ctx: EvalContext) -> Element:
+            out = value(ctx)
+            for k in exponents:
+                out = out ** k
+            return out
+
+        return power
+
+    def gen(self, kind: str, line: int, col: int) -> Evaluator:
         self.expect("[")
-        args = [int(self.expect("INT").text)]
-        for _ in range(arity - 1):
+        args = [int(self.expect("INT"))]
+        for _ in range(_GEN_ARITY[kind] - 1):
             self.expect(",")
-            args.append(int(self.expect("INT").text))
+            args.append(int(self.expect("INT")))
         self.expect("]")
-        node = GenAtom(name.line, name.col, name.text, tuple(args))
-        self._validate(node)
-        return node
-
-    def _validate(self, node: GenAtom) -> None:
-        kind, args = node.kind, node.args
-        superscript = args[-1]
-        indices = args[:-1]
+        *indices, superscript = args
         if superscript < 1:
             msg = ("superscript must be >= 1" if kind == "t"
                    else f"superscript must be >= 1 for {kind} atoms")
-            raise DSLError(msg, node.line, node.col)
+            raise DSLError(msg, line, col)
         if self.shape is not None:
             size = self.shape.size
             for idx in indices:
                 if not 1 <= idx <= size:
                     raise DSLError(f"index {idx} out of range 1..{size}",
-                                   node.line, node.col)
+                                   line, col)
             if kind == "t" and superscript > self.shape.cap:
                 raise DSLError(f"superscript {superscript} exceeds cap "
-                               f"{self.shape.cap}", node.line, node.col)
+                               f"{self.shape.cap}", line, col)
         if kind == "e" and not indices[0] < indices[1]:
-            raise DSLError("e atoms need row < column", node.line, node.col)
+            raise DSLError("e atoms need row < column", line, col)
         if kind == "f" and not indices[0] > indices[1]:
-            raise DSLError("f atoms need row > column", node.line, node.col)
+            raise DSLError("f atoms need row > column", line, col)
+        return lambda ctx: ctx.resolve(kind, args)
 
 
-def parse(text: str, shape: Shape | None = None) -> Node:
+def parse(text: str, shape: Shape | None = None) -> Evaluator:
     return _Parser(_tokenize(text), shape).parse()
 
 
-# -- evaluation -----------------------------------------------------------------
+def evaluate(node: Evaluator, ctx: EvalContext) -> Element:
+    return node(ctx)
 
 
 class EvalContext:
-    """Lazily materialises the Drinfeld and center tables behind the DSL atoms."""
+    """The algebra and series order that evaluators run in, with the
+    Drinfeld and center tables behind the d, d', e, f, c and b atoms, each
+    built on first use."""
 
     def __init__(self, alg: RTTAlgebra, order: int):
         self.alg = alg
         self.order = order
-        self._table: DrinfeldTable | None = None
+        self._table = None
         self._c: list[Element] | None = None
         self._b: dict[int, list[Element]] = {}
 
     @property
-    def table(self) -> DrinfeldTable:
+    def table(self):
+        """The drinfeld.DrinfeldTable at the context's order."""
         if self._table is None:
+            from .drinfeld import build_table
+
             self._table = build_table(self.alg, self.order)
         return self._table
 
-    def resolve(self, kind: str, args: tuple[int, ...]) -> Element:
+    def resolve(self, kind: str, args: list[int]) -> Element:
         if kind == "t":
             return self.alg.gen(*args)
         tab = self.table
+        *indices, r = args
+        if r > self.order:
+            raise ValueError(f"superscript {r} exceeds series order {self.order}")
         if kind == "d":
-            i, r = args
-            self._check_order(r)
-            return tab.d[i][r]
+            return tab.d[indices[0]][r]
         if kind == "d'":
-            i, r = args
-            self._check_order(r)
-            return tab.dprime[i][r]
+            return tab.dprime[indices[0]][r]
         if kind in ("e", "f"):
-            a, b, r = args
-            self._check_order(r)
+            a, b = indices
             by_r = (tab.e if kind == "e" else tab.f)[(a, b)]
             if r not in by_r:
                 # the higher roots stop at min(K, L - 1)
                 raise ValueError(f"superscript {r} of {kind}[{a},{b}] exceeds "
                                  f"its top superscript {max(by_r, default=0)}")
             return by_r[r]
+        from .centers import b_series, c_series
+
         if kind == "c":
-            (r,) = args
-            self._check_order(r)
             if self._c is None:
-                self._c = list(c_series(self.table).coeffs)
+                self._c = list(c_series(tab).coeffs)
             return self._c[r]
-        if kind == "b":
-            i, r = args
-            self._check_order(r)
-            if i not in self._b:
-                self._b[i] = list(b_series(self.table, i).coeffs)
-            return self._b[i][r]
-        raise ValueError(f"unknown atom kind {kind}")
-
-    def _check_order(self, r: int) -> None:
-        if r > self.order:
-            raise ValueError(f"superscript {r} exceeds series order {self.order}")
-
-
-def evaluate(node: Node, ctx: EvalContext) -> Element:
-    alg = ctx.alg
-    if isinstance(node, OneAtom):
-        return alg.one()
-    if isinstance(node, ZeroAtom):
-        return alg.zero()
-    if isinstance(node, GenAtom):
-        return ctx.resolve(node.kind, node.args)
-    if isinstance(node, BracketNode):
-        return alg.commutator(evaluate(node.left, ctx), evaluate(node.right, ctx))
-    if isinstance(node, PowerNode):
-        return evaluate(node.base, ctx) ** node.exponent
-    if isinstance(node, ProductNode):
-        out = alg.one()
-        for factor in node.factors:
-            out = alg.multiply(out, evaluate(factor, ctx))
-        return out
-    if isinstance(node, SumNode):
-        out = alg.zero()
-        for term in node.terms:
-            out = out + evaluate(term, ctx)
-        return out
-    raise TypeError(f"unknown node {node!r}")
+        (i,) = indices
+        if i not in self._b:
+            self._b[i] = list(b_series(tab, i).coeffs)
+        return self._b[i][r]

@@ -296,10 +296,11 @@ def verify_odd_square_relations(tab, budget: int, quotient) -> Report:
 
 class FullAlgebra:
     """The quotient by the zero ideal up to bound, as independence_check
-    reads a quotient model: the PBW monomials by weight as its columns, and
-    a reduction that changes nothing."""
+    reads a quotient model: its bound, the PBW monomials by weight as its
+    columns, and a reduction that changes nothing."""
 
     def __init__(self, alg, bound: int) -> None:
+        self.bound = bound
         self.columns = BlockColumns.by_key(alg.pbw_monomials(bound),
                                            word_weight)
 
@@ -311,7 +312,7 @@ def full_independence_check(gens, bound: int) -> Report:
     """centers.independence_check in the parent algebra: the products are
     ranked as they are, not modulo the odd-square ideal.  The payload's
     "quotient" key still reads true."""
-    return independence_check(gens, bound, FullAlgebra(gens[0][1].alg, bound))
+    return independence_check(gens, FullAlgebra(gens[0][1].alg, bound))
 
 
 def s_adjoint(alg, g: bytes, word: bytes) -> frozenset:

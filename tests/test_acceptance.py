@@ -256,7 +256,7 @@ def test_criterion_11_center_freeness_shadow(stack11):
     gens += [(f"b_{i}^(2)", table.b[i][2]) for i in sorted(table.b) if i >= 2]
     even_squares = [sq for sq in table.squares if sq.parity == 0]
     assert not even_squares  # one-one blocks have no even root squares
-    report = independence_check(gens, 4, quotient)
+    report = independence_check(gens, quotient)
     assert report.ok, report.failures
     params = report.checks[0].params
     assert params["products"] == params["rank"] == 17

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -222,6 +223,7 @@ def test_usage_errors(tmp_path):
      "error: line 1, column 11: expected a factor, found '*'"),
     ("", "error: line 1, column 1: expected a factor, found 'end of input'"),
     ("foo", "error: line 1, column 1: unknown name 'foo'"),
+    ("t[1,1,²]", "error: line 1, column 7: unexpected character '²'"),
 ])
 def test_malformed_expression_is_usage_error(tmp_path, capsys, expr, line):
     out = tmp_path / "nf.json"
@@ -230,6 +232,42 @@ def test_malformed_expression_is_usage_error(tmp_path, capsys, expr, line):
     assert code == 2
     assert not out.exists()
     assert capsys.readouterr().err.splitlines() == [line]
+
+
+@pytest.mark.parametrize("depth", [330, 2000])
+def test_too_deep_expression_is_usage_error(tmp_path, capsys, depth):
+    """Nesting past the interpreter's recursion limit is the input's fault:
+    one error line with its position and exit 2.  The parser takes three
+    frames a level, so under the test runner 330 levels pass the default
+    limit of 1,000 frames; they were an internal error, exit 3, while the
+    parser's RecursionError escaped."""
+    out = tmp_path / "deep.json"
+    code = cli.main(["-L", "3", "--out", str(out),
+                     "nf", "(" * depth + "1" + ")" * depth])
+    assert code == 2
+    assert not out.exists()
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: line 1, column ")
+    assert line.endswith(": expression nested too deeply")
+
+
+def test_long_power_chain_runs(tmp_path, capsys):
+    """3,000 exponents are applied in one loop, not one call each."""
+    code, _ = run(["-L", "3", "nf", "t[1,1,1]" + "^1" * 3000], tmp_path)
+    assert code == 0
+    assert "t[1,1,1]" in capsys.readouterr().out.splitlines()
+
+
+def test_command_table_matches_the_parser():
+    """The parser offers exactly the commands that run_command dispatches,
+    and verify exactly its suites, in their order."""
+    parser = cli._build_parser()
+    (sub,) = [action for action in parser._actions
+              if isinstance(action, argparse._SubParsersAction)]
+    assert set(sub.choices) == set(cli.COMMANDS) | {"verify"}
+    (suite,) = [action for action in sub.choices["verify"]._actions
+                if action.dest == "suite"]
+    assert suite.choices == list(cli.VERIFY_SUITES)
 
 
 @pytest.mark.parametrize("command", [["gauss"], ["pbw"], ["verify", "drinfeld"]])

@@ -59,6 +59,40 @@ def test_classical_command_loads_no_heavy_module(tmp_path):
     assert seen == {"package": [], "import": [], "classical": [], "code": 0}
 
 
+NF_HEAVY = ["yangian2.drinfeld", "yangian2.series", "yangian2.centers",
+            "yangian2.current", "yangian2.dsl", "dataclasses"]
+
+NF_PROBE = """
+import json, sys
+import yangian2.cli
+code = yangian2.cli.main(["--m", "1", "--n", "1", "-L", "2", "-K", "2",
+                          "--out", {out!r}, "nf", {expr!r}])
+print(json.dumps({{"loaded": [m for m in {heavy!r} if m in sys.modules],
+                  "code": code}}))
+"""
+
+
+@pytest.mark.parametrize("expr, loaded", [
+    ("t[1,2,1]*t[2,1,1]", ["yangian2.dsl"]),
+    ("d[1,1]", ["yangian2.drinfeld", "yangian2.series", "yangian2.dsl",
+                "dataclasses"]),
+])
+def test_nf_loads_the_tables_its_atoms_read(tmp_path, expr, loaded):
+    """A fresh interpreter: nf on t atoms loads the DSL and none of the
+    modules behind the Drinfeld and center tables; a d atom loads drinfeld
+    (and series and dataclasses with it), but not centers or current."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    script = NF_PROBE.format(heavy=NF_HEAVY, out=str(tmp_path / "report.json"),
+                             expr=expr)
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen == {"loaded": loaded, "code": 0}
+
+
 def test_every_export_resolves_and_is_listed():
     listed = dir(yangian2)
     for name in yangian2.__all__:
