@@ -62,6 +62,7 @@ ROWS = [
      ["nf", "t[2,2,1]^48*t[1,2,1]^49"]),
     ("pbw-super-2-1-L8", ["--m", "2", "--n", "1", "-L", "8", "-K", "8"],
      ["pbw", "--super"]),
+    ("pbw-2-1-L8", ["--m", "2", "--n", "1", "-L", "8", "-K", "8"], ["pbw"]),
 ]
 
 

@@ -68,18 +68,19 @@ t[i,j,r] of a top monomial to E[i,j]t^(r-1).
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from itertools import islice
 
-from .current import CurrentAlgebra
 from .drinfeld import DrinfeldTable, generator_params
 from .errors import DegreeCapError
 from .linalg import BlockColumns, BlockEchelon
-from .report import Report
+from .report import Record, Report
 from .rtt import (Element, RTTAlgebra, bounded_words, pbw_count,
                   product_rank, repeats_nilsquare, sort_word, word_degree,
                   word_loop_degree, word_weight)
 from .series import YSeries, series_mul, series_shift
+
+# gr_leading_term and gr_bridge_report take a current.CurrentAlgebra, which
+# their callers build; the annotations name it without importing current.
 
 
 def c_series(tab: DrinfeldTable) -> YSeries:
@@ -97,14 +98,11 @@ def b_series(tab: DrinfeldTable, i: int) -> YSeries:
     return series_mul(d, series_shift(d, 1))
 
 
-@dataclass
-class PSquare:
-    kind: str      # "e" or "f"
-    i: int
-    j: int
-    r: int
-    parity: int
-    element: Element
+class PSquare(Record):
+    """The square of the root element kind_(i,j)^(r) (kind "e" or "f"),
+    tagged by the parity of the root."""
+
+    __slots__ = ("kind", "i", "j", "r", "parity", "element")
 
     @property
     def label(self) -> str:
@@ -123,12 +121,11 @@ def p_center_squares(tab: DrinfeldTable, bound: int) -> list[PSquare]:
             for kind, a, b, r, x in tab.generators(bound // 2) if kind != "d"]
 
 
-@dataclass
-class CenterTable:
-    tab: DrinfeldTable
-    c: list[Element]
-    b: dict[int, list[Element]]
-    squares: list[PSquare]
+class CenterTable(Record):
+    """The Drinfeld table tab, the coefficients c of c(u), the lists b[i]
+    of the coefficients of b_i(u), and the odd and even root squares."""
+
+    __slots__ = ("tab", "c", "b", "squares")
 
 
 def build_center_table(tab: DrinfeldTable) -> CenterTable:
@@ -153,20 +150,17 @@ def leading_word(x: Element) -> bytes:
     return min(symbol(x), key=lambda w: (len(w), w))
 
 
-@dataclass
-class QuotientModel:
-    alg: RTTAlgebra
-    bound: int
-    columns: BlockColumns   # by weight: non-super words ascending, then super descending
-    split: list             # per block: the number of its non-super columns
-    echelon: BlockEchelon
-    dim_full: int
-    ideal_rank: int
-    dim_super: int
-    expected_super: int
-    certificate_ok: bool
-    noncentral: str | None  # label of the first odd square that is not central
-    odd_squares: tuple      # the ideal's generators
+class QuotientModel(Record):
+    """The odd-square ideal of alg up to bound, row-reduced by weight.
+
+    columns: by weight, the non-super words ascending, then the super
+    words descending; split: per block, the number of its non-super
+    columns; noncentral: the label of the first odd square that is not
+    central, or None; odd_squares: the ideal's generators."""
+
+    __slots__ = ("alg", "bound", "columns", "split", "echelon", "dim_full",
+                 "ideal_rank", "dim_super", "expected_super",
+                 "certificate_ok", "noncentral", "odd_squares")
 
     def to_vector(self, x: Element) -> dict:
         """The vector {block: row} of x, one row per weight of its words."""

@@ -15,15 +15,15 @@ import datetime
 import json
 import sys
 
-from .report import Report
+from .report import Record, Report
 from .rtt import RTTAlgebra, Shape, pbw_count
 
 # drinfeld, series, centers, current and dsl are imported by the handlers
 # that use them, so a command compiles only the modules it runs.
 
 
-class RunConfig:
-    """The resolved command-line settings, equal when every field is."""
+class RunConfig(Record):
+    """The resolved command-line settings."""
 
     __slots__ = ("m", "n", "cap", "order", "trunc", "seed", "out")
 
@@ -37,19 +37,6 @@ class RunConfig:
         self.trunc = trunc
         self.seed = seed
         self.out = out
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
-        return f"RunConfig({fields})"
 
     def resolved(self) -> "RunConfig":
         order = self.cap if self.order is None else self.order
@@ -85,7 +72,11 @@ def load_config_file(path: str) -> dict:
             if key not in keys:
                 raise ValueError(f"{path}:{lineno}: unknown key {key!r}")
             field, kind = keys[key]
-            values[field] = kind(value)
+            try:
+                values[field] = kind(value)
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: {key} must be an "
+                                 f"integer, got {value!r}") from None
     return values
 
 

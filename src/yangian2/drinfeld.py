@@ -51,12 +51,11 @@ transposed instead of formed again on the same table.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, field
 
 from .errors import DegreeCapError
 from .linalg import BlockColumns
-from .report import Report
-from .rtt import Element, RTTAlgebra, product_rank, word_weight
+from .report import Record, Report
+from .rtt import Element, RTTAlgebra, product_rank, word_degree, word_weight
 from .series import YMatrix, YSeries, gauss_decompose, series_inv, t_matrix
 
 RELATION_TEXT = {
@@ -124,18 +123,23 @@ class PivotInverses(Mapping):
         return self._size
 
 
-@dataclass
-class DrinfeldTable:
-    alg: RTTAlgebra
-    order: int
-    d: dict = field(default_factory=dict)       # i -> {r: Element}, r from 0
-    # i -> {r: Element}; from drinfeld_generators a PivotInverses, which
-    # inverts the last pivot on the first read of d'_N
-    dprime: Mapping = field(default_factory=dict)
-    e: dict = field(default_factory=dict)       # (i, j) -> {r: Element}, i < j
-    f: dict = field(default_factory=dict)       # (j, i) -> {r: Element}, j > i
-    t: YMatrix | None = None                    # the T matrix the table came from
-    gauss: tuple | None = None                  # its factors (F, D, E), T = F*D*E
+class DrinfeldTable(Record):
+    __slots__ = ("alg", "order", "d", "dprime", "e", "f", "t", "gauss")
+
+    def __init__(self, alg: RTTAlgebra, order: int, d: dict | None = None,
+                 dprime: Mapping | None = None, e: dict | None = None,
+                 f: dict | None = None, t: YMatrix | None = None,
+                 gauss: tuple | None = None) -> None:
+        self.alg = alg
+        self.order = order
+        self.d = {} if d is None else d     # i -> {r: Element}, r from 0
+        # i -> {r: Element}; from drinfeld_generators a PivotInverses, which
+        # inverts the last pivot on the first read of d'_N
+        self.dprime = {} if dprime is None else dprime
+        self.e = {} if e is None else e     # (i, j) -> {r: Element}, i < j
+        self.f = {} if f is None else f     # (j, i) -> {r: Element}, j > i
+        self.t = t                          # the T matrix the table came from
+        self.gauss = gauss                  # its factors (F, D, E), T = F*D*E
 
     def e_simple(self, i: int, r: int) -> Element:
         return self.e[(i, i + 1)][r]
@@ -490,7 +494,12 @@ def drinfeld_pbw_check(tab: DrinfeldTable, bound: int,
     caps = [1 if super_only and shape.parity(a, b) else bound
             for _, a, b, _, _ in gens]
     basis = alg.pbw_monomials(bound)
-    columns = BlockColumns.by_key(basis, word_weight)
+    # columns in centers.leading_word's order (degree descending, fewer
+    # letters, smaller word), so a product's pivot is its lead and its row
+    # meets few earlier pivots; dependence on the earlier products, and so
+    # the rank and the named dependents, does not depend on column order
+    columns = BlockColumns.by_key(
+        sorted(basis, key=lambda w: (-word_degree(w), len(w), w)), word_weight)
     count, rank, dependent = product_rank(
         alg, [g[4] for g in gens], [g[3] for g in gens], bound,
         lambda x: columns.vector(x.words, bound), caps)

@@ -11,9 +11,61 @@ from __future__ import annotations
 import json
 
 
-class Check:
+class Record:
+    """A value class whose fields are its __slots__, in constructor order.
+
+    Built positionally, one value per slot; equal field by field to a
+    record of its own class only; shown as Name(field=value, ...); and,
+    being mutable, unhashable."""
+
+    __slots__ = ()
+
+    def __init__(self, *values) -> None:
+        names = self.__slots__
+        if len(values) != len(names):
+            raise TypeError(f"{type(self).__name__} takes {len(names)} "
+                            f"fields, got {len(values)}")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    __hash__ = None
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+
+class Frozen(Record):
+    """A record that hashes its fields and refuses attribute assignment
+    and deletion; a subclass's own __init__ sets its fields through
+    Record.__init__."""
+
+    __slots__ = ()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(
+            f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(
+            f"cannot delete field {name!r} of {type(self).__name__}")
+
+
+class Check(Record):
     """One checked instance: its id, parameters, verdict and the optional
-    witness and value strings.  Equal when every field is equal."""
+    witness and value strings."""
 
     __slots__ = ("check_id", "params", "ok", "witness", "value")
 
@@ -24,19 +76,6 @@ class Check:
         self.ok = ok
         self.witness = witness
         self.value = value
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
-        return f"Check({fields})"
 
     def to_obj(self) -> dict:
         obj = {"id": self.check_id, "params": self.params, "pass": self.ok}
@@ -50,23 +89,15 @@ class Check:
         return (self.check_id, json.dumps(self.params, sort_keys=True))
 
 
-class Report:
+class Report(Record):
     """A suite name, its config and the checks in the order added."""
+
+    __slots__ = ("suite", "config", "checks")
 
     def __init__(self, suite: str, config: dict | None = None) -> None:
         self.suite = suite
         self.config = {} if config is None else config
         self.checks: list[Check] = []
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return ((self.suite, self.config, self.checks)
-                == (other.suite, other.config, other.checks))
-
-    def __repr__(self) -> str:
-        return (f"Report(suite={self.suite!r}, config={self.config!r}, "
-                f"checks={self.checks!r})")
 
     def add(self, check_id: str, params: dict, ok: bool,
             witness: str | None = None, value: str | None = None) -> Check:

@@ -108,7 +108,7 @@ from functools import lru_cache
 
 from .errors import DegreeCapError
 from .linalg import BitEchelon, BlockEchelon
-from .report import Report
+from .report import Frozen, Report
 
 
 # every packed field is one byte; pack refuses a larger one
@@ -516,26 +516,13 @@ def certified_lie_generators(alg, gens, top: int) -> tuple:
     return gens
 
 
-class Frozen:
-    """Refuses attribute assignment and deletion; a subclass's __init__
-    sets its fields with object.__setattr__."""
-
-    __slots__ = ()
-
-    def __setattr__(self, name, value):
-        raise AttributeError(
-            f"cannot assign to field {name!r} of {type(self).__name__}")
-
-    def __delattr__(self, name):
-        raise AttributeError(
-            f"cannot delete field {name!r} of {type(self).__name__}")
-
-
 class Shape(Frozen):
     """Block sizes m, n and the hard cap: the canonical-degree cap L of the
     Yangian, or the truncation T of the classical algebra.
 
     Immutable, and equal and hashed by (m, n, cap)."""
+
+    __slots__ = ("m", "n", "cap")
 
     def __init__(self, m: int, n: int, cap: int) -> None:
         if m < 1 or n < 1:
@@ -545,20 +532,7 @@ class Shape(Frozen):
         if cap >= FIELD_LIMIT or m + n >= FIELD_LIMIT:
             raise ValueError(f"degree cap and block size must stay below "
                              f"{FIELD_LIMIT}")
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "cap", cap)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return (self.m, self.n, self.cap) == (other.m, other.n, other.cap)
-
-    def __hash__(self) -> int:
-        return hash((self.m, self.n, self.cap))
-
-    def __repr__(self) -> str:
-        return f"Shape(m={self.m!r}, n={self.n!r}, cap={self.cap!r})"
+        super().__init__(m, n, cap)
 
     @property
     def size(self) -> int:

@@ -19,15 +19,14 @@ acceptance check that this convention produces the intended generators.
 from __future__ import annotations
 
 from .errors import OrderCapError
-from .rtt import Element, Frozen, RTTAlgebra
+from .report import Frozen
+from .rtt import RTTAlgebra
 
 
 class YSeries(Frozen):
     """Immutable coefficients c_0..c_K over alg, equal and hashed by them."""
 
-    def __init__(self, alg: RTTAlgebra, coeffs: tuple[Element, ...]) -> None:
-        object.__setattr__(self, "alg", alg)
-        object.__setattr__(self, "coeffs", coeffs)
+    __slots__ = ("alg", "coeffs")
 
     @property
     def order(self) -> int:
@@ -133,19 +132,7 @@ def series_shift(a: YSeries, shift: int) -> YSeries:
 class YMatrix(Frozen):
     """An immutable square matrix of series, rows of entries."""
 
-    def __init__(self, entries: tuple[tuple[YSeries, ...], ...]) -> None:
-        object.__setattr__(self, "entries", entries)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self) -> int:
-        return hash(self.entries)
-
-    def __repr__(self) -> str:
-        return f"YMatrix(entries={self.entries!r})"
+    __slots__ = ("entries",)
 
     @property
     def size(self) -> int:

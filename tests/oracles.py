@@ -11,8 +11,10 @@ that the block echelons are checked against; the displayed right-hand
 side of the defining relation, the loop degree and the parity of an
 element, on an algebra of the package; the check that the odd-square
 quotient kills the brackets of the odd simple roots; the independence
-check in the full algebra, with no ideal; and the adjoint action of a
-classical letter on one supermonomial, word by word.
+check in the full algebra, with no ideal; the adjoint action of a
+classical letter on one supermonomial, word by word; the PBW check's rank
+with its columns in ascending (degree, word) order; and a copy of a record
+with some fields changed.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ from yangian2.centers import independence_check
 from yangian2.errors import DegreeCapError
 from yangian2.linalg import BitEchelon, BlockColumns
 from yangian2.report import Report
-from yangian2.rtt import (merge_product, pack_gen, word_letters,
-                          word_loop_degree, word_weight)
+from yangian2.rtt import (merge_product, pack_gen, product_rank,
+                          word_letters, word_loop_degree, word_weight)
 
 
 def triples(word: bytes) -> tuple:
@@ -325,3 +327,26 @@ def s_adjoint(alg, g: bytes, word: bytes) -> frozenset:
             acc ^= merge_product((word[:pos] + word[pos + 3:],), brackets,
                                  alg._odd)
     return frozenset(acc)
+
+
+def ascending_pbw_rank(tab, bound: int, super_only: bool = False) -> tuple:
+    """(count, rank, dependent exponent vectors) of drinfeld_pbw_check's
+    products, ranked with the columns in pbw_monomials order: ascending
+    (degree, word), so a row's pivot is a low-degree tail word."""
+    alg = tab.alg
+    gens = list(tab.generators(bound))
+    caps = [1 if super_only and alg.shape.parity(a, b) else bound
+            for _, a, b, _, _ in gens]
+    columns = BlockColumns.by_key(alg.pbw_monomials(bound), word_weight)
+    return product_rank(alg, [g[4] for g in gens], [g[3] for g in gens],
+                        bound, lambda x: columns.vector(x.words, bound), caps)
+
+
+def replaced(record, **changes):
+    """A new record of the same class, with the fields named in changes
+    set to their values and every other field taken from record."""
+    unknown = set(changes) - set(record.__slots__)
+    if unknown:
+        raise TypeError(f"{type(record).__name__} has no fields {sorted(unknown)}")
+    return type(record)(*(changes.get(name, getattr(record, name))
+                          for name in record.__slots__))

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import random
 
@@ -17,7 +16,7 @@ from yangian2.rtt import (Element, bounded_words, product_rank,
                           repeats_nilsquare, word_degree, word_weight)
 
 from oracles import (count_full, count_super, full_independence_check, parity,
-                     rank_of, rtt_rhs, triples, words_row)
+                     rank_of, replaced, rtt_rhs, triples, words_row)
 
 
 @pytest.fixture(scope="module")
@@ -263,8 +262,7 @@ def _broken_squares(monkeypatch, kind, r, extra):
         squares = real(tab, bound)
         for k, sq in enumerate(squares):
             if (sq.kind, sq.i, sq.j, sq.r) == (kind, 1, 2, r):
-                squares[k] = dataclasses.replace(
-                    sq, element=sq.element + extra)
+                squares[k] = replaced(sq, element=sq.element + extra)
         return squares
 
     monkeypatch.setattr(centers, "p_center_squares", broken)
@@ -803,7 +801,7 @@ def _with_odd_square_factor(setup11):
                if sq.parity == 1 and sq.r == 1)
     b2 = list(table.b[2])
     b2[2] = odd
-    swapped = dataclasses.replace(table, b={**table.b, 2: b2})
+    swapped = replaced(table, b={**table.b, 2: b2})
     return swapped, build_quotient(alg, 4, tab)
 
 
@@ -822,7 +820,7 @@ def test_graded_shadow_declines_without_full_ideal_span(setup11, monkeypatch):
     the leads of gr(J) are not known to be the non-super words, so super
     product leads alone must not certify the basis."""
     table, q = _with_odd_square_factor(setup11)
-    blind = dataclasses.replace(q, odd_squares=())
+    blind = replaced(q, odd_squares=())
     graded, exact, seen = _shadow_pair(monkeypatch, table, blind)
     assert seen == [None, None]
     assert graded == exact
@@ -834,7 +832,7 @@ def test_graded_shadow_needs_the_quotient_certificate(setup11, monkeypatch):
     words, and the certificate must decline."""
     alg, tab = setup11
     q = build_quotient(alg, 4, tab)
-    unproved = dataclasses.replace(q, certificate_ok=False)
+    unproved = replaced(q, certificate_ok=False)
     graded, exact, seen = _shadow_pair(monkeypatch, build_center_table(tab),
                                        unproved)
     assert seen == [None, None]
@@ -847,7 +845,7 @@ def test_graded_shadow_needs_every_square_lead(setup11, monkeypatch):
     alg, tab = setup11
     q = build_quotient(alg, 4, tab)
     assert q.odd_squares[-1].degree() == q.bound
-    short = dataclasses.replace(q, odd_squares=q.odd_squares[:-1])
+    short = replaced(q, odd_squares=q.odd_squares[:-1])
     graded, exact, seen = _shadow_pair(monkeypatch, build_center_table(tab),
                                        short)
     assert seen == [None, None]
@@ -943,8 +941,8 @@ def test_graded_shadow_declines_below_nominal_degree(setup11, monkeypatch):
     alg, tab = setup11
     d1 = dict(tab.d[1])
     d1[2] = tab.d[1][1]
-    low = dataclasses.replace(tab, d={**tab.d, 1: d1})
-    table = dataclasses.replace(build_center_table(tab), tab=low)
+    low = replaced(tab, d={**tab.d, 1: d1})
+    table = replaced(build_center_table(tab), tab=low)
     q = build_quotient(alg, 4, tab)
     graded, exact, seen = _shadow_pair(monkeypatch, table, q)
     assert seen[0] is None

@@ -357,6 +357,17 @@ def test_bad_config_file(tmp_path):
     assert code == 2
 
 
+def test_config_file_bad_value_names_its_place(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("m=1\n# comment\nL=abc\n")
+    code = cli.main(["--config", str(cfg), "--out", str(tmp_path / "r.json"),
+                     "gauss"])
+    assert code == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {cfg}:3: L must be an integer, got 'abc'"]
+    assert not (tmp_path / "r.json").exists()
+
+
 def test_module_invocation_smoke():
     # the source tree first, as pytest's pythonpath puts it on sys.path
     env = dict(os.environ)

@@ -1,16 +1,17 @@
 import pytest
 
 from yangian2 import RTTAlgebra, Shape, build_table
-from yangian2.centers import build_quotient
+from yangian2.centers import build_quotient, leading_word
 from yangian2 import drinfeld
 from yangian2.drinfeld import (ALL_FAMILIES, RELATION_TEXT, TWINS,
                                _relation_instances, drinfeld_generators,
                                drinfeld_pbw_check, higher_roots,
                                transposed_table, verify_drinfeld_relations)
 from yangian2.report import Report
+from yangian2.rtt import Element
 
-from oracles import (loop_degree, parity, triples,
-                     verify_odd_square_relations)
+from oracles import (ascending_pbw_rank, loop_degree, parity, replaced,
+                     triples, verify_odd_square_relations)
 
 
 @pytest.fixture(scope="module")
@@ -339,6 +340,40 @@ def test_pbw_check_dependence_witness(tab11, monkeypatch):
         "dependent: [(('d', 1, 1, 1), ('d', 1, 1, 1)), "
         "(('d', 1, 1, 1), ('d', 1, 1, 1), ('f', 2, 1, 1)), "
         "(('d', 1, 1, 1), ('d', 1, 1, 1), ('e', 1, 2, 1))]")
+
+
+@pytest.mark.parametrize("super_only", [False, True])
+@pytest.mark.parametrize("m, n, cap, bound, corrupt", [
+    (1, 1, 5, 4, False), (2, 1, 4, 3, False), (1, 2, 4, 3, False),
+    (2, 2, 3, 2, False), (1, 1, 5, 4, True), (2, 1, 4, 3, True),
+])
+def test_pbw_check_lead_order_keeps_the_certificate(monkeypatch, m, n, cap,
+                                                    bound, corrupt,
+                                                    super_only):
+    """The PBW check lays its columns out in leading_word's order, so each
+    generator's pivot is its lead; the count, the rank and every
+    dependent product are those of the ascending column order."""
+    tab = build_table(RTTAlgebra(Shape(m, n, cap)), cap)
+    if corrupt:     # d_1^(2) := (d_1^(1))^2, so that products depend
+        d11 = tab.d[1][1]
+        tab = replaced(tab, d={**tab.d, 1: {**tab.d[1],
+                                             2: tab.alg.multiply(d11, d11)}})
+    seen = []
+    real = drinfeld.product_rank
+
+    def recorded(alg, values, degrees, bound, vector, max_mult):
+        for x in values:
+            low = {block: row & -row for block, row in vector(x).items()}
+            assert low == vector(Element(alg, frozenset([leading_word(x)])))
+        seen.append(real(alg, values, degrees, bound, vector, max_mult))
+        return seen[-1]
+
+    monkeypatch.setattr(drinfeld, "product_rank", recorded)
+    report = drinfeld_pbw_check(tab, bound, super_only=super_only)
+    count, rank, dependent = ascending_pbw_rank(tab, bound, super_only)
+    assert seen == [(count, rank, dependent)]
+    assert report.checks[0].params["rank"] == rank
+    assert report.ok == (not corrupt) and bool(dependent) == corrupt
 
 
 def test_pbw_check_needs_complete_roots():

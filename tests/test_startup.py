@@ -1,11 +1,11 @@
-"""What a command pays at start-up, and the plain value classes on its path.
+"""What a command pays at start-up, and the value classes on its path.
 
 Each CLI command runs in a fresh process that compiles the package from
 source when no bytecode is cached, so the CLI and the package root import
-only what a command runs: the modules behind drinfeld, centers and the DSL,
-and dataclasses with its inspect/ast imports, load with the commands that
-use them.  The classes on every command's path are plain classes that keep
-the value semantics they had as dataclasses."""
+only what a command runs: the modules behind drinfeld, centers, current
+and the DSL load with the commands that use them.  Every value class is a
+report.Record, so no command loads dataclasses, or the inspect and ast it
+imports."""
 
 import json
 import os
@@ -17,80 +17,97 @@ import pytest
 
 import yangian2
 from yangian2 import cli
+from yangian2.centers import CenterTable, PSquare, QuotientModel
+from yangian2.drinfeld import DrinfeldTable
 from yangian2.report import Check, Report
 from yangian2.rtt import Shape
 from yangian2.series import YMatrix, YSeries
 
 ROOT = Path(__file__).resolve().parents[1]
 
-HEAVY = ["yangian2.drinfeld", "yangian2.series", "yangian2.centers",
-         "yangian2.dsl", "dataclasses"]
+# every command imports these, and the package root itself
+CORE = ["yangian2", "yangian2.cli", "yangian2.errors", "yangian2.linalg",
+        "yangian2.report", "yangian2.rtt"]
 
-PROBE = """
+LOADED = """
 import json, sys
-heavy = {heavy!r}
-seen = {{}}
+def loaded():
+    return {"modules": sorted(m for m in sys.modules
+                              if m.split(".")[0] == "yangian2"),
+            "dataclasses": "dataclasses" in sys.modules}
+"""
+
+
+def fresh_interpreter(tmp_path, code: str) -> dict:
+    """Run LOADED and then code in a fresh interpreter that compiles the
+    package from source; return the JSON object it prints last."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
+    proc = subprocess.run([sys.executable, "-c", LOADED + code],
+                          capture_output=True, text=True, cwd=tmp_path,
+                          env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_package_import_loads_only_the_core(tmp_path):
+    """Importing the package loads none of its modules; importing the CLI
+    and the package's algebra classes loads the core and current."""
+    seen = fresh_interpreter(tmp_path, """
 import yangian2
-seen["package"] = [m for m in sys.modules if m.startswith("yangian2.")]
+package = loaded()
 import yangian2.cli
 from yangian2 import CurrentAlgebra, RTTAlgebra, Shape
-seen["import"] = [m for m in heavy if m in sys.modules]
-code = yangian2.cli.main(["--m", "1", "--n", "1", "-L", "2", "-T", "3",
-                          "--out", {out!r}, "verify", "classical"])
-seen["classical"] = [m for m in heavy if m in sys.modules]
-seen["code"] = code
-print(json.dumps(seen))
-"""
+print(json.dumps([package, loaded()]))
+""")
+    assert seen == [{"modules": ["yangian2"], "dataclasses": False},
+                    {"modules": sorted(CORE + ["yangian2.current"]),
+                     "dataclasses": False}]
 
 
-def test_classical_command_loads_no_heavy_module(tmp_path):
-    """A fresh interpreter without cached bytecode: importing the package
-    loads none of its modules, and neither importing the CLI with the
-    package's algebra classes nor running verify classical loads
-    drinfeld, series, centers, dsl or dataclasses."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    script = PROBE.format(heavy=HEAVY, out=str(tmp_path / "report.json"))
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, cwd=tmp_path, env=env)
-    assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen == {"package": [], "import": [], "classical": [], "code": 0}
+DRINFELD = ["yangian2.drinfeld", "yangian2.series"]
+
+# each command at a tiny shape -> the package modules beyond CORE that it
+# loads: the README's import table
+COMMAND_MODULES = [
+    pytest.param(["nf", "t[1,2,1]*t[2,1,1]"], ["yangian2.dsl"], id="nf-t"),
+    pytest.param(["nf", "d[1,1]"], ["yangian2.dsl"] + DRINFELD, id="nf-d"),
+    pytest.param(["nf", "c[1]"], ["yangian2.centers", "yangian2.dsl"]
+                 + DRINFELD, id="nf-c"),
+    pytest.param(["gauss"], DRINFELD, id="gauss"),
+    pytest.param(["pbw"], DRINFELD, id="pbw"),
+    pytest.param(["quotient-dim"], ["yangian2.centers"] + DRINFELD,
+                 id="quotient-dim"),
+    pytest.param(["fuzz", "--samples", "2"], [], id="fuzz"),
+    pytest.param(["verify", "drinfeld"], DRINFELD, id="verify-drinfeld"),
+    pytest.param(["verify", "centers"],
+                 ["yangian2.centers", "yangian2.current"] + DRINFELD,
+                 id="verify-centers"),
+    pytest.param(["verify", "classical"], ["yangian2.current"],
+                 id="verify-classical"),
+]
 
 
-NF_HEAVY = ["yangian2.drinfeld", "yangian2.series", "yangian2.centers",
-            "yangian2.current", "yangian2.dsl", "dataclasses"]
+def test_the_import_table_covers_every_command():
+    covered = {argv[1] if argv[0] == "verify" else argv[0]
+               for argv, _ in (p.values for p in COMMAND_MODULES)}
+    assert covered == set(cli.COMMANDS) | set(cli.VERIFY_SUITES)
 
-NF_PROBE = """
-import json, sys
+
+@pytest.mark.parametrize("argv, extra", COMMAND_MODULES)
+def test_command_loads_only_its_modules(tmp_path, argv, extra):
+    """A fresh interpreter without cached bytecode: each command loads the
+    core and exactly the modules it runs, and never dataclasses."""
+    seen = fresh_interpreter(tmp_path, f"""
 import yangian2.cli
 code = yangian2.cli.main(["--m", "1", "--n", "1", "-L", "2", "-K", "2",
-                          "--out", {out!r}, "nf", {expr!r}])
-print(json.dumps({{"loaded": [m for m in {heavy!r} if m in sys.modules],
-                  "code": code}}))
-"""
-
-
-@pytest.mark.parametrize("expr, loaded", [
-    ("t[1,2,1]*t[2,1,1]", ["yangian2.dsl"]),
-    ("d[1,1]", ["yangian2.drinfeld", "yangian2.series", "yangian2.dsl",
-                "dataclasses"]),
-])
-def test_nf_loads_the_tables_its_atoms_read(tmp_path, expr, loaded):
-    """A fresh interpreter: nf on t atoms loads the DSL and none of the
-    modules behind the Drinfeld and center tables; a d atom loads drinfeld
-    (and series and dataclasses with it), but not centers or current."""
-    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    env["PYTHONPATH"] = os.pathsep.join(
-        [str(ROOT / "src")] + [p for p in [env.get("PYTHONPATH")] if p])
-    script = NF_PROBE.format(heavy=NF_HEAVY, out=str(tmp_path / "report.json"),
-                             expr=expr)
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
-                          text=True, cwd=tmp_path, env=env)
-    assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout.splitlines()[-1])
-    assert seen == {"loaded": loaded, "code": 0}
+                          "-T", "3", "--out", "report.json", *{argv!r}])
+print(json.dumps({{"loaded": loaded(), "code": code}}))
+""")
+    assert seen == {"loaded": {"modules": sorted(CORE + extra),
+                               "dataclasses": False},
+                    "code": 0}
 
 
 def test_every_export_resolves_and_is_listed():
@@ -211,3 +228,52 @@ def test_run_config_errors(kwargs, message):
         cli.RunConfig(**{"cap": 3, **kwargs}).resolved()
     assert str(info.value) == message
 
+
+
+# -- the table records -------------------------------------------------------------
+
+
+def test_table_records_compare_field_by_field(alg11):
+    x = alg11.gen(1, 2, 1)
+    square = PSquare("e", 1, 2, 1, 1, x)
+    assert square == PSquare("e", 1, 2, 1, 1, alg11.gen(1, 2, 1))
+    assert square != PSquare("f", 1, 2, 1, 1, x)
+    assert square != ("e", 1, 2, 1, 1, x)
+    tab = DrinfeldTable(alg11, 2)
+    assert tab == DrinfeldTable(alg11, 2, {}, {}, {}, {}, None, None)
+    assert tab != DrinfeldTable(alg11, 3)
+    assert tab.d == {} and tab.d is not DrinfeldTable(alg11, 2).d
+    table = CenterTable(tab, [x], {1: [x]}, [square])
+    assert table == CenterTable(DrinfeldTable(alg11, 2), [x], {1: [x]},
+                                [square])
+    assert table != CenterTable(tab, [x], {1: []}, [square])
+    assert table.__eq__(tab) is NotImplemented
+    fields = (alg11, 2, None, [], None, 3, 1, 2, 2, True, None, ())
+    quotient = QuotientModel(*fields)
+    assert quotient == QuotientModel(*fields)
+    assert quotient != QuotientModel(*fields[:-1], (x,))
+    with pytest.raises(TypeError):
+        QuotientModel(*fields[:-1])
+
+
+def test_table_records_repr_and_hash(alg11):
+    x = alg11.gen(1, 2, 1)
+    square = PSquare("e", 1, 2, 1, 1, x)
+    tab = DrinfeldTable(alg11, 2)
+    table = CenterTable(tab, [x], {}, [square])
+    quotient = QuotientModel(alg11, 2, None, [], None, 3, 1, 2, 2, True,
+                             None, ())
+    assert repr(square) == ("PSquare(kind='e', i=1, j=2, r=1, parity=1, "
+                            f"element={x!r})")
+    assert repr(tab) == (f"DrinfeldTable(alg={alg11!r}, order=2, d={{}}, "
+                         "dprime={}, e={}, f={}, t=None, gauss=None)")
+    assert repr(table) == (f"CenterTable(tab={tab!r}, c=[{x!r}], b={{}}, "
+                           f"squares=[{square!r}])")
+    assert repr(quotient) == (
+        f"QuotientModel(alg={alg11!r}, bound=2, columns=None, split=[], "
+        "echelon=None, dim_full=3, ideal_rank=1, dim_super=2, "
+        "expected_super=2, certificate_ok=True, noncentral=None, "
+        "odd_squares=())")
+    for record in (square, tab, table, quotient):
+        with pytest.raises(TypeError):
+            hash(record)
