@@ -63,6 +63,8 @@ ROWS = [
     ("pbw-super-2-1-L8", ["--m", "2", "--n", "1", "-L", "8", "-K", "8"],
      ["pbw", "--super"]),
     ("pbw-2-1-L8", ["--m", "2", "--n", "1", "-L", "8", "-K", "8"], ["pbw"]),
+    ("gauss-1-1-K14", ["--m", "1", "--n", "1", "-L", "14", "-K", "14"],
+     ["gauss"]),
 ]
 
 

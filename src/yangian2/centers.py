@@ -16,10 +16,14 @@ are formed.  A square that fails makes certificate_ok False, and the
 dimension check names it as its witness, so nothing falls back silently.
 Each a * z is built along the PBW order as g * (a' * z), where g is the
 first letter of a and a' the rest: a' precedes a in (degree, word) order,
-so its product with z is already straightened and only the words g * w are
-new.  Columns put the non-supermonomials first, so they are the preferred
-pivots, and the supermonomial block runs in descending (degree, word)
-order, so the pivot of a residue-supported row is its top-degree monomial.
+so its product with z is already straightened, and g * (a' * z) appends
+each ordered word w of it to the one-letter word g.  A w whose first
+letter is at least g is taken whole as g + w; any other inserts its
+letters into the running sum that g starts (rtt.WordAlgebra.multiply), so
+no word g + w enters the memo.  Columns put the non-supermonomials
+first, so they are the preferred pivots, and the supermonomial block
+runs in descending (degree, word) order, so the pivot of a
+residue-supported row is its top-degree monomial.
 When the rank equals dim F_bound minus the supermonomial count and every
 pivot is a non-supermonomial, the reduction map computes canonical
 representatives supported on super-ordered monomials (independent of the

@@ -34,10 +34,11 @@ the rest, and a subclass supplies its rule, ``_bracket_rule``, and the
 letters whose squares vanish, ``_nilsquare``; the Yangian's cap enters
 through two hooks, ``_check_word`` and ``_check_product_cap``.  One
 element class, ``Element``, and one set of module functions serve both:
-``straighten`` for products and normal forms, ``commutator_words`` for
-commutators, ``merge_product`` for the product of their associated
-graded (super)commutative algebras, and ``graded_words`` for their
-ordered monomials.  Each algebra holds its odd letters in one set,
+``straighten`` for normal forms, its insertion rule for the products of
+``WordAlgebra.multiply``, ``commutator_words`` for commutators,
+``merge_product`` for the product of their associated graded
+(super)commutative algebras, and ``graded_words`` for their ordered
+monomials.  Each algebra holds its odd letters in one set,
 ``_odd``, that every parity question reads.  Both test centrality with
 ``WordAlgebra.first_noncentral``, on one certified generating set.
 
@@ -49,10 +50,13 @@ letter shorter, and of the words s a only the top-degree one has the
 original degree, and it is already ordered, so recursion follows the word
 length, not the inversion count.  A word with more out-of-place letters
 is straightened by inserting them, left to right, into every word of the
-running sum.  So the memo holds only three kinds of key: ordered words,
-ordered words but for their last letter, and the words callers pass in
-(the pair words of ``multiply``, the Leibniz words of
-``commutator_words``).  An insertion with a single branch stores its
+running sum.  ``multiply`` straightens no pair word: it appends each word
+of y to a running sum of x, letter by letter, and a term that is already
+in order before a letter takes the rest of the word whole.  So the memo
+holds only three kinds of key: ordered words, ordered words but for
+their last letter, and the words callers pass to ``straighten`` (the raw
+words of ``normal_form`` and ``RTTAlgebra.transpose``, the Leibniz words
+of ``commutator_words``).  An insertion with a single branch stores its
 child's tuple itself, so a run of plain swaps shares one value.
 
 The memo maps each key to its normal form as a tuple of distinct
@@ -271,8 +275,10 @@ def straighten(word: bytes, cache: dict, bracket,
     The memo's keys are therefore of three kinds, all of them bytes words
     (each caches its hash, so a key is hashed once however often it is
     probed): ordered words, ordered words but for their last letter, and
-    words a caller passed in.  A result with one branch is its child's
-    tuple itself, not a copy.
+    words passed in here, by ``normal_form``, ``transpose`` and
+    ``commutator_words``; ``multiply`` calls ``_insert`` alone and adds
+    keys of the first two kinds only.  A result with one branch is its
+    child's tuple itself, not a copy.
     """
     hit = cache.get(word)
     if hit is not None:
@@ -755,16 +761,41 @@ class WordAlgebra:
         return Element(self, frozenset(acc))
 
     def multiply(self, x: Element, y: Element) -> Element:
+        """xy in normal form, each word wb of y appended to a running sum
+        that starts as the words of x.
+
+        At each letter g of wb, a term s of the sum whose last letter is
+        below g, or equal to g and not in ``_nilsquare``, takes the rest of
+        wb whole: wb is ordered, so s + wb[k:] is already a normal word.
+        Every other term inserts g by the insertion rule (``_insert``), and
+        the XOR of those results is the sum that meets the next letter.
+        This is exact: the normal form is linear, and NF(s g w') =
+        NF(NF(s g) w') for every word w'.  So the only memo keys formed are
+        ``_insert``'s, ordered words with one letter appended; no pair word
+        wa + wb is straightened or stored.
+        """
         if x.alg is not self or y.alg is not self:
             check_operands(self, x, y)
         self._check_product_cap(x, y)
         acc: set = set()
         cache, bracket, nilsquare = (self._nf_cache, self._bracket,
                                      self._nilsquare)
-        for wa in x.words:
-            for wb in y.words:
-                acc.symmetric_difference_update(
-                    straighten(wa + wb, cache, bracket, nilsquare))
+        for wb in y.words:
+            terms = x.words
+            for k in range(0, len(wb), 3):
+                g = wb[k:k + 3]
+                pending: set = set()
+                for s in terms:
+                    a = s[-3:]      # b"" for the empty word, below every letter
+                    if a < g or (a == g and g not in nilsquare):
+                        acc ^= {s + wb[k:]}
+                    else:
+                        pending.symmetric_difference_update(
+                            _insert(s, g, cache, bracket, nilsquare))
+                terms = pending
+                if not terms:
+                    break
+            acc.symmetric_difference_update(terms)
         return Element(self, frozenset(acc))
 
     def commutator(self, x: Element, y: Element) -> Element:

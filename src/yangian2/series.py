@@ -88,8 +88,11 @@ def series_mul(a: YSeries, b: YSeries) -> YSeries:
 def series_inv(a: YSeries) -> YSeries:
     """Two-sided inverse of a series with unit constant term.
 
-    Defined by the convolution recursion c'_0 = 1,
-    c'_r = sum_{t=1}^{r} c_t c'_{r-t}  (mod 2).
+    Built as the left inverse, a'a = 1, by the convolution recursion
+    c'_0 = 1, c'_r = sum_{t=1}^{r} c'_{r-t} c_t  (mod 2).  The mirrored
+    recursion gives a a right inverse too, and in an associative algebra
+    the two are equal, so this is the inverse.  Relation D1 checks the
+    other side, aa' = 1, on the mirror images of the products formed here.
     """
     alg = a.alg
     if a.coeffs[0] != alg.one():
@@ -100,7 +103,7 @@ def series_inv(a: YSeries) -> YSeries:
         for t in range(1, r + 1):
             ct = a.coeffs[t]
             if ct and inv[r - t]:
-                acc = acc + alg.multiply(ct, inv[r - t])
+                acc = acc + alg.multiply(inv[r - t], ct)
         inv.append(acc)
     return YSeries(alg, tuple(inv))
 

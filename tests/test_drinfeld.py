@@ -57,6 +57,38 @@ def test_dprime_convolution(tab11):
             assert backward == expected
 
 
+def test_d1_checks_the_side_the_inverse_was_not_built_on(monkeypatch):
+    """series_inv builds d'_N as the left inverse, from products
+    d'^(s) d^(t); D1 sums d^(t) d'^(s).  So D1's products at i = N with
+    neither factor 1 are the mirrors of products the inverse formed, and,
+    but for the square d^(1) d'^(1) = (d^(1))^2, none of them was formed."""
+    alg = RTTAlgebra(Shape(2, 1, 6))
+    tab = drinfeld_generators(alg, 6)
+    size = alg.shape.size
+    formed = []
+    real = alg.multiply
+
+    def spy(x, y):
+        formed.append((x.words, y.words))
+        return real(x, y)
+
+    monkeypatch.setattr(alg, "multiply", spy)
+    tab.dprime[size]
+    built = set(formed)
+    one = alg.one().words
+    checked = set()
+    for params, residual in _relation_instances(tab, "D1", tab.order):
+        if params["i"] == size:
+            assert not residual
+            checked |= {(x, y) for x, y in formed if one not in (x, y)}
+        formed.clear()
+    assert len(checked) == sum(r - 1 for r in range(2, tab.order + 1))
+    assert {(y, x) for x, y in checked} <= built
+    assert {(x, y) for x, y in checked & built} == {
+        (tab.d[size][1].words, tab.dprime[size][1].words)}
+    assert tab.d[size][1] == tab.dprime[size][1]
+
+
 def _count_series_inv(monkeypatch):
     """Route every binding of series_inv through a spy; the list of the
     series it was called on, and the original."""

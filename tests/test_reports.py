@@ -58,7 +58,7 @@ def test_frontier_script(tmp_path, monkeypatch):
         "centers-1-1-L10", "centers-2-1-L7", "centers-2-2-L6",
         "drinfeld-2-2-L7", "drinfeld-3-1-L7", "drinfeld-2-2-L8",
         "classical-2-2-L4-T8", "classical-3-2-L4-T6", "nf-1-1-L97",
-        "pbw-super-2-1-L8", "pbw-2-1-L8"]
+        "pbw-super-2-1-L8", "pbw-2-1-L8", "gauss-1-1-K14"]
     monkeypatch.setattr(script, "ROWS", TINY_FRONTIER)
     assert script.main(["--label", "tiny", "--out-dir", str(tmp_path)]) == 0
     doc = json.loads((tmp_path / "BENCH_frontier_tiny.json").read_text())

@@ -213,6 +213,121 @@ def test_square_against_naive_oracle(alg11):
         assert element_words_as_triples(got) == expected
 
 
+# -- the append kernel of multiply -------------------------------------------------
+
+KERNEL_ALGEBRAS = [lambda: RTTAlgebra(Shape(1, 1, 4)),
+                   lambda: RTTAlgebra(Shape(2, 1, 3)),
+                   lambda: CurrentAlgebra(2, 1, 3)]
+KERNEL_IDS = ["rtt-1-1-L4", "rtt-2-1-L3", "current-2-1-T3"]
+
+
+def _oracle_product(alg, x, y):
+    """The oracle's normal form of every concatenation wa + wb."""
+    words = [triples(wa + wb) for wa in x.words for wb in y.words]
+    if isinstance(alg, CurrentAlgebra):
+        return naive_classical_normal_form(words, alg.m, alg.trunc)
+    return naive_normal_form(words)
+
+
+def _random_factor(rng, alg, budget, terms):
+    """The normal form of up to *terms* random words: of canonical degree
+    <= budget in the Yangian, of <= budget letters classically."""
+    if isinstance(alg, CurrentAlgebra):
+        gens = alg.generators()
+        words = [tuple(rng.choice(gens) for _ in range(rng.randint(0, budget)))
+                 for _ in range(rng.randint(1, terms))]
+    else:
+        words = [_random_word(rng, alg, budget)
+                 for _ in range(rng.randint(1, terms))]
+    return alg.normal_form(words)
+
+
+@pytest.mark.parametrize("make", KERNEL_ALGEBRAS, ids=KERNEL_IDS)
+def test_multiply_many_word_factors_against_oracle(make):
+    alg = make()
+    rng = random.Random(34)
+    cap = alg.shape.cap
+    classical = isinstance(alg, CurrentAlgebra)
+    nonzero = 0
+    for _ in range(60):
+        x = _random_factor(rng, alg, 3 if classical else cap // 2, 4)
+        y = _random_factor(rng, alg, 3 if classical else cap - x.degree(), 4)
+        got = alg.multiply(x, y)
+        assert element_words_as_triples(got) == _oracle_product(alg, x, y)
+        nonzero += bool(got)
+    assert nonzero > 40
+
+
+@pytest.mark.parametrize("make", KERNEL_ALGEBRAS, ids=KERNEL_IDS)
+def test_multiply_by_one_and_zero(make):
+    alg = make()
+    rng = random.Random(35)
+    one, zero = alg.one(), alg.zero()
+    budget = 2 if isinstance(alg, CurrentAlgebra) else alg.shape.cap // 2
+    for _ in range(10):
+        x = _random_factor(rng, alg, budget, 4)
+        assert alg.multiply(one, x) == x == alg.multiply(x, one)
+        assert alg.multiply(zero, x) == zero == alg.multiply(x, zero)
+        # 1 + x: the empty word beside the others in either factor
+        y = x + one
+        assert (element_words_as_triples(alg.multiply(y, x))
+                == _oracle_product(alg, y, x))
+        assert (element_words_as_triples(alg.multiply(x, y))
+                == _oracle_product(alg, x, y))
+    assert alg.multiply(one, one) == one
+
+
+def test_classical_odd_letter_at_the_junction_vanishes():
+    """An odd letter that ends x and starts y squares to 0 at the junction:
+    the concatenation is ordered but for the repeat, and is not taken."""
+    alg = CurrentAlgebra(2, 1, 3)
+    odd = sorted(alg._odd)
+    assert odd
+    for g in odd:
+        assert not alg.multiply(alg.gen(*g), alg.gen(*g))
+        below = [h for h in alg.generators() if h < g]
+        above = [h for h in alg.generators() if h > g]
+        for u, v in itertools.product(below[:3], above[-3:]):
+            x = alg.normal_form([u + g])
+            y = alg.normal_form([g + v])
+            assert x.words == {u + g} and y.words == {g + v}
+            assert not alg.multiply(x, y)
+            assert not _oracle_product(alg, x, y)
+    # x * x with odd letters among its words, against the oracle
+    rng = random.Random(36)
+    for _ in range(30):
+        x = alg.normal_form([(rng.choice(odd),)
+                             + tuple(rng.choice(alg.generators())
+                                     for _ in range(rng.randint(0, 2)))
+                             for _ in range(rng.randint(1, 3))])
+        assert (element_words_as_triples(alg.multiply(x, x))
+                == _oracle_product(alg, x, x))
+
+
+def test_multiply_running_sums_that_cancel():
+    """x = t[1,2,1] + t[1,1,1] t[1,2,1] times t[1,1,1]: both words insert
+    the letter, and their results share t[1,1,1] t[1,2,1], which cancels
+    in the running sum before it meets the rest of y."""
+    alg = RTTAlgebra(Shape(1, 1, 4))
+    a, b = pack(1, 2, 1), pack(1, 1, 1)
+    x = alg.normal_form([a, b + a])
+    g = alg.gen(1, 1, 1)
+    shared = (alg.multiply(alg.gen(1, 2, 1), g).words
+              & alg.multiply(alg.normal_form([b + a]), g).words)
+    assert shared == {b + a}
+    rests = [alg.one(), alg.gen(1, 1, 1), alg.gen(2, 2, 1), alg.gen(1, 2, 1),
+             alg.gen(2, 1, 1)]
+    for rest in rests:
+        y = alg.multiply(g, rest)
+        assert (element_words_as_triples(alg.multiply(x, y))
+                == _oracle_product(alg, x, y))
+        # x y straightened word by word, as a sum of one-word products
+        split = alg.zero()
+        for wa in x.words:
+            split = split + alg.multiply(alg.normal_form([wa]), y)
+        assert alg.multiply(x, y) == split
+
+
 def test_normal_form_fixpoint(alg11):
     word = ((1, 1, 1), (1, 2, 1), (2, 2, 2))
     x = alg11.normal_form([word])
@@ -305,7 +420,8 @@ def test_memo_keys_are_ordered_or_one_letter_off_or_callers(make,
                                                             monkeypatch):
     """After multiply, commutator and normal_form on a fresh algebra every
     memo key is an ordered word, an ordered word but for its last letter,
-    or a word that a caller passed to ``straighten``."""
+    or a word that a caller passed to ``straighten``: a raw word of
+    normal_form or a Leibniz word of ``commutator_words``."""
     called = set()
     depth = [0]
     real = rtt.straighten
@@ -340,6 +456,34 @@ def test_memo_keys_are_ordered_or_one_letter_off_or_callers(make,
         for key in alg._nf_cache)
     assert not kinds["stray"]
     assert kinds["ordered"] and kinds["insertion"] and kinds["caller"]
+
+
+@pytest.mark.parametrize("make", [lambda: RTTAlgebra(Shape(2, 1, 8)),
+                                  lambda: CurrentAlgebra(2, 1, 3)],
+                         ids=["rtt-2-1-L8", "current-2-1-T3"])
+def test_multiply_stores_no_pair_word(make):
+    """multiply appends letters to ordered words, so on a fresh memo it
+    leaves only ordered keys and keys ordered but for their last letter,
+    though many of its pair words wa + wb are neither."""
+    alg = make()
+    rng = random.Random(43)
+    gens = alg.generators(2)
+    xs = [alg.normal_form([tuple(rng.choice(gens)
+                                 for _ in range(rng.randint(1, 2)))
+                           for _ in range(rng.randint(1, 3))])
+          for _ in range(6)]
+    alg._nf_cache.clear()
+    for x in xs:
+        for y in xs:
+            alg.multiply(x, y)
+    nil = alg._nilsquare
+    pairs = {wa + wb for x in xs for y in xs
+             for wa in x.words for wb in y.words}
+    assert sum(not _ordered(w, nil) and not _ordered(w[:-3], nil)
+               for w in pairs) > 20
+    assert alg._nf_cache
+    assert all(_ordered(key, nil) or _ordered(key[:-3], nil)
+               for key in alg._nf_cache)
 
 
 def test_one_branch_results_share_the_child_tuple():
